@@ -217,11 +217,13 @@ class DotScorer : public Recommender {
 };
 
 /// Times row-parallel SpMM and full-ranking evaluation single- vs
-/// multi-threaded and writes BENCH_micro.json. `quick` shrinks the
-/// datasets so the ctest bench smoke stays fast; the baseline it gates
-/// against must be refreshed in the same mode (see bench_compare
-/// --update-baseline).
-void RunThreadScalingReport(int threads, double wall_before, bool quick) {
+/// multi-threaded and writes BENCH_micro.json, whose wall_seconds runs from
+/// `start` to the end of this measured work. `quick` shrinks the datasets
+/// so the ctest bench smoke stays fast; the baseline it gates against must
+/// be refreshed in the same mode (see bench_compare --update-baseline).
+void RunThreadScalingReport(int threads,
+                            std::chrono::steady_clock::time_point start,
+                            bool quick) {
   Rng rng(42);
   SyntheticConfig cfg;
   cfg.num_users = quick ? 500 : 1500;
@@ -259,6 +261,9 @@ void RunThreadScalingReport(int threads, double wall_before, bool quick) {
               static_cast<size_t>(eval_out.num_eval_users), eval_t1, eval_tn,
               eval_t1 / eval_tn);
 
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
   std::FILE* f = std::fopen("BENCH_micro.json", "w");
   if (f == nullptr) return;
   // Per-site hardware counters (the spmm/eval spans above fold into them
@@ -278,7 +283,7 @@ void RunThreadScalingReport(int threads, double wall_before, bool quick) {
       " \"wall_seconds\": %.3f, \"peak_rss_bytes\": %llu,\n"
       " \"rusage\": %s,\n%s \"profile\": %s,\n \"metrics\": %s}\n",
       threads, HardwareThreads(), quick ? "true" : "false", spmm_t1, spmm_tn,
-      spmm_t1 / spmm_tn, eval_t1, eval_tn, eval_t1 / eval_tn, wall_before,
+      spmm_t1 / spmm_tn, eval_t1, eval_tn, eval_t1 / eval_tn, wall,
       static_cast<unsigned long long>(PeakRssBytes()),
       taxorec::RusageJsonObject(taxorec::SelfRusage()).c_str(),
       perf_section.c_str(), taxorec::ProfileJsonArray().c_str(),
@@ -378,10 +383,7 @@ int main(int argc, char** argv) {
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
   }
-  const double wall = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-  taxorec::RunThreadScalingReport(threads, wall, quick);
+  taxorec::RunThreadScalingReport(threads, start, quick);
   // Drain the armed sinks before the overhead checks, which toggle and
   // clear the instrumentation machinery themselves.
   if (!trace_out.empty()) {

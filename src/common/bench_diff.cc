@@ -42,6 +42,12 @@ bool IsGated(const std::string& key, const BenchCompareOptions& options) {
 
 }  // namespace
 
+size_t BenchCompareResult::skipped_gates() const {
+  size_t n = absent_gate_keys.size();
+  for (const BenchDelta& d : deltas) n += d.skipped ? 1 : 0;
+  return n;
+}
+
 Status CompareBenchJson(std::string_view baseline_json,
                         std::string_view current_json,
                         const BenchCompareOptions& options,
@@ -73,7 +79,8 @@ Status CompareBenchJson(std::string_view baseline_json,
     d.rel_change =
         base_value != 0.0 ? (cur_value - base_value) / base_value : 0.0;
     d.gated = IsGated(key, options);
-    d.regressed = d.gated && base_value > 0.0 &&
+    d.skipped = d.gated && base_value <= 0.0;
+    d.regressed = d.gated && !d.skipped &&
                   cur_value > base_value * (1.0 + options.tolerance);
     if (d.regressed) result->regression = true;
     result->deltas.push_back(std::move(d));
@@ -88,6 +95,11 @@ Status CompareBenchJson(std::string_view baseline_json,
     if (IsGated(key, options) && ParseNumeric(text, &ignored)) {
       result->new_gated_keys.push_back(key);
       if (options.require_baseline_keys) result->regression = true;
+    }
+  }
+  for (const std::string& key : options.gate_keys) {
+    if (base.count(key) == 0 && cur.count(key) == 0) {
+      result->absent_gate_keys.push_back(key);
     }
   }
   // std::map iteration already yields sorted keys; the vectors inherit it.
@@ -129,8 +141,13 @@ std::string FormatBenchComparison(const BenchCompareResult& result) {
     std::snprintf(buf, sizeof(buf), "%-*s %16.6g %16.6g %+8.1f%%%s%s\n",
                   static_cast<int>(width), d.key.c_str(), d.base, d.current,
                   d.rel_change * 100.0, d.gated ? "  [gate]" : "",
-                  d.regressed ? "  REGRESSION" : "");
+                  d.regressed ? "  REGRESSION"
+                  : d.skipped ? "  SKIPPED (baseline <= 0)"
+                              : "");
     out += buf;
+  }
+  for (const std::string& key : result.absent_gate_keys) {
+    out += "SKIPPED (absent from both files): " + key + "\n";
   }
   for (const std::string& key : result.only_base) {
     out += "missing from current: " + key + "\n";
@@ -140,6 +157,13 @@ std::string FormatBenchComparison(const BenchCompareResult& result) {
         std::find(result.new_gated_keys.begin(), result.new_gated_keys.end(),
                   key) != result.new_gated_keys.end();
     out += "new-key (no baseline): " + key + (gated ? "  [gate]" : "") + "\n";
+  }
+  if (const size_t skipped = result.skipped_gates(); skipped > 0) {
+    std::snprintf(buf, sizeof(buf),
+                  "SKIPPED: %zu gated key(s) compared nothing (%zu absent "
+                  "from both files)\n",
+                  skipped, result.absent_gate_keys.size());
+    out += buf;
   }
   if (!result.new_gated_keys.empty()) {
     out += "hint: gated new-keys cannot regress until the baseline is "

@@ -28,6 +28,11 @@ namespace taxorec {
 /// `new-key` line — new counter keys (perf.<site>.*) would otherwise
 /// silently pass forever on a stale baseline. `require_baseline_keys`
 /// turns those into failures, forcing a baseline refresh.
+///
+/// Two more cases gate nothing and are reported as SKIPPED, never as a
+/// pass: a gated key whose baseline is <= 0 (no relative tolerance can
+/// trip), and a `gate_keys` entry found in neither document (e.g. perf.*
+/// counter keys on a machine without a PMU).
 struct BenchCompareOptions {
   double tolerance = 0.2;  // regression when cur > base * (1 + tolerance)
   std::vector<std::string> gate_keys;
@@ -42,6 +47,7 @@ struct BenchDelta {
   double rel_change = 0.0;  // (current - base) / base; 0 when base == 0
   bool gated = false;       // participates in the pass/fail decision
   bool regressed = false;   // gated && beyond tolerance
+  bool skipped = false;     // gated, but the baseline is <= 0
 };
 
 /// Full comparison outcome. `regression` is the tool's exit-code signal.
@@ -50,7 +56,13 @@ struct BenchCompareResult {
   std::vector<std::string> only_base;    // keys missing from current
   std::vector<std::string> only_current; // keys missing from baseline
   std::vector<std::string> new_gated_keys;  // gated subset of only_current
+  /// Gate keys found in neither document (SKIPPED).
+  std::vector<std::string> absent_gate_keys;
   bool regression = false;
+
+  /// Gated keys that compared nothing: deltas with `skipped` set plus
+  /// absent_gate_keys.
+  size_t skipped_gates() const;
 };
 
 /// Diffs two BENCH json documents (baseline first). Returns
@@ -67,7 +79,8 @@ Status CompareBenchFiles(const std::string& baseline_path,
                          BenchCompareResult* result);
 
 /// Human-readable per-key delta table ("KEY base -> current (+x.x%) [GATE]"
-/// rows, REGRESSION markers, missing-key sections).
+/// rows, REGRESSION and SKIPPED markers, missing-key sections, and a count
+/// of the skipped gates).
 std::string FormatBenchComparison(const BenchCompareResult& result);
 
 }  // namespace taxorec

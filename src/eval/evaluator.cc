@@ -1,11 +1,6 @@
 #include "eval/evaluator.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
-#include <numeric>
-#include <unordered_set>
-
 #include <chrono>
 
 #include "common/check.h"
@@ -14,6 +9,8 @@
 #include "common/parallel.h"
 #include "common/trace.h"
 #include "eval/metrics.h"
+#include "serve/frozen_model.h"
+#include "serve/topk.h"
 
 namespace taxorec {
 
@@ -32,16 +29,24 @@ EvalResult EvaluateRanking(const Recommender& model, const DataSplit& split,
   const int max_k = *std::max_element(opts.ks.begin(), opts.ks.end());
   const size_t nk = opts.ks.size();
 
-  // Per-user fan-out: each user's scoring + partial sort is independent and
-  // lands in per-user slots, so the parallel loop is race-free and the
-  // per-user numbers are bit-identical at any thread count.
+  // The double tier scores bit-identically to ScoreItems, so ranking on
+  // the frozen model through the serving kernel gives the same lists as
+  // scoring the whole catalogue and sorting it.
+  const FrozenModel frozen = FrozenModel::Freeze(model, split);
+
+  // Per-user fan-out: each user's ranking is independent and lands in
+  // per-user slots, so the parallel loop is race-free and the per-user
+  // numbers are bit-identical at any thread count.
   std::vector<double> recall_uk(split.num_users * nk, 0.0);
   std::vector<double> ndcg_uk(split.num_users * nk, 0.0);
   std::vector<uint8_t> evaluated(split.num_users, 0);
 
   struct Scratch {
+    TopKHeap heap;
     std::vector<double> scores;
-    std::vector<uint32_t> order;
+    std::vector<uint32_t> exclude;  // sorted train ∪ val (test protocol)
+    std::vector<TopKEntry> top;
+    std::vector<uint32_t> ranked;
   };
   ThreadLocalAccumulator<Scratch> scratch;
 
@@ -49,8 +54,6 @@ EvalResult EvaluateRanking(const Recommender& model, const DataSplit& split,
       0, split.num_users, /*grain=*/16,
       [&](size_t u0, size_t u1, int worker) {
         Scratch& s = scratch.Local(worker);
-        s.scores.resize(split.num_items);
-        s.order.resize(split.num_items);
         for (size_t uu = u0; uu < u1; ++uu) {
           const uint32_t u = static_cast<uint32_t>(uu);
           const auto& targets_vec =
@@ -58,41 +61,25 @@ EvalResult EvaluateRanking(const Recommender& model, const DataSplit& split,
           if (targets_vec.empty()) continue;
           const TargetLookup targets(targets_vec);
 
-          model.ScoreItems(u, std::span<double>(s.scores));
-          // A NaN score would break the comparator's strict weak ordering
-          // (NaN != NaN is false, NaN > x is false → partial_sort may scan
-          // past its buffer). Rank every non-finite score last; -inf maps
-          // to itself, so the exclusion masking below is unaffected.
-          for (double& x : s.scores) {
-            if (!std::isfinite(x)) {
-              x = -std::numeric_limits<double>::infinity();
-            }
+          // Already-seen items are masked out of the ranking: train, plus
+          // val on the test protocol. val_items is in timestamp order, so
+          // the merged list is sorted here.
+          std::span<const uint32_t> exclude = split.train.RowCols(u);
+          if (opts.use_test && !split.val_items[u].empty()) {
+            s.exclude.assign(exclude.begin(), exclude.end());
+            s.exclude.insert(s.exclude.end(), split.val_items[u].begin(),
+                             split.val_items[u].end());
+            std::sort(s.exclude.begin(), s.exclude.end());
+            exclude = s.exclude;
           }
-          // Mask already-seen items out of the ranking.
-          for (uint32_t v : split.train.RowCols(u)) {
-            s.scores[v] = -std::numeric_limits<double>::infinity();
-          }
-          if (opts.use_test) {
-            for (uint32_t v : split.val_items[u]) {
-              s.scores[v] = -std::numeric_limits<double>::infinity();
-            }
-          }
-
-          std::iota(s.order.begin(), s.order.end(), 0u);
-          const size_t top =
-              std::min<size_t>(static_cast<size_t>(max_k), s.order.size());
-          std::partial_sort(s.order.begin(), s.order.begin() + top,
-                            s.order.end(), [&](uint32_t a, uint32_t b) {
-                              if (s.scores[a] != s.scores[b]) {
-                                return s.scores[a] > s.scores[b];
-                              }
-                              return a < b;  // Deterministic tiebreak.
-                            });
-          const std::span<const uint32_t> ranked(s.order.data(), top);
+          BlockedTopK(frozen, u, static_cast<size_t>(max_k), exclude, &s.heap,
+                      &s.scores, &s.top);
+          s.ranked.resize(s.top.size());
+          for (size_t i = 0; i < s.top.size(); ++i) s.ranked[i] = s.top[i].item;
 
           for (size_t i = 0; i < nk; ++i) {
-            recall_uk[uu * nk + i] = RecallAtK(ranked, targets, opts.ks[i]);
-            ndcg_uk[uu * nk + i] = NdcgAtK(ranked, targets, opts.ks[i]);
+            recall_uk[uu * nk + i] = RecallAtK(s.ranked, targets, opts.ks[i]);
+            ndcg_uk[uu * nk + i] = NdcgAtK(s.ranked, targets, opts.ks[i]);
           }
           evaluated[uu] = 1;
         }

@@ -1,8 +1,17 @@
 // Full-ranking evaluation of a trained recommender (§V-A2 protocol).
 //
-// For every user with held-out positives, scores all items, masks items
-// seen in training (and in validation when evaluating on test), and
-// computes Recall@K / NDCG@K over the full ranking.
+// For every user with held-out positives, ranks the whole catalogue with
+// items seen in training (and in validation when evaluating on test)
+// masked, and computes Recall@K / NDCG@K over that full ranking.
+//
+// The ranking is the serving kernel's (serve/topk.h): EvaluateRanking
+// freezes the model once per call on the double tier, whose scores are
+// bit-identical to ScoreItems, and runs BlockedTopK per user. Lists, and
+// so the metrics, are exactly those of scoring every item and sorting
+// (score descending, lower item id first on ties, non-finite scores
+// last), at any thread count. Besides the per-user metric slots, per-call
+// memory is the frozen embeddings plus per-worker O(block + K + seen
+// items) scratch — nothing grows with interactions or users x items.
 #ifndef TAXOREC_EVAL_EVALUATOR_H_
 #define TAXOREC_EVAL_EVALUATOR_H_
 

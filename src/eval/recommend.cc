@@ -10,9 +10,9 @@
 
 namespace taxorec {
 
-std::vector<ScoredItem> RecommendTopK(const Recommender& model,
-                                      const DataSplit& split, uint32_t user,
-                                      const RecommendOptions& opts) {
+std::vector<TopKEntry> RecommendTopK(const Recommender& model,
+                                     const DataSplit& split, uint32_t user,
+                                     const RecommendOptions& opts) {
   TAXOREC_CHECK(user < split.num_users);
   std::vector<double> scores(split.num_items);
   model.ScoreItems(user, std::span<double>(scores));
@@ -37,7 +37,7 @@ std::vector<ScoredItem> RecommendTopK(const Recommender& model,
                       if (scores[a] != scores[b]) return scores[a] > scores[b];
                       return a < b;
                     });
-  std::vector<ScoredItem> out;
+  std::vector<TopKEntry> out;
   out.reserve(top);
   for (size_t i = 0; i < top; ++i) {
     out.push_back({order[i], scores[order[i]]});

@@ -7,6 +7,7 @@
 
 #include "baselines/recommender.h"
 #include "data/dataset.h"
+#include "serve/topk.h"
 
 namespace taxorec {
 
@@ -16,20 +17,21 @@ struct RecommendOptions {
   bool exclude_train = true;
 };
 
-/// One scored recommendation.
-struct ScoredItem {
-  uint32_t item = 0;
-  double score = 0.0;
-};
-
 /// Returns the top-k items for `user`, best first, deterministic under
 /// score ties (lower item id wins). Non-finite model scores (NaN, ±Inf)
-/// rank last, like excluded items. This is the reference single-user
-/// implementation; the serving path (serve/server.h) produces identical
-/// lists without materializing the full ranking.
-std::vector<ScoredItem> RecommendTopK(const Recommender& model,
-                                      const DataSplit& split, uint32_t user,
-                                      const RecommendOptions& opts = {});
+/// rank last, like excluded items.
+///
+/// This is the ranking oracle: it scores the whole catalogue through the
+/// live model's ScoreItems and partial_sorts it, independently of the
+/// serve/topk kernel that every other ranked list in the library comes
+/// from (serving, RecommendAllUsers, EvaluateRanking). Tests and the
+/// benchmark's served-list check compare that kernel against this
+/// function, so it deliberately keeps its own std::partial_sort — routing
+/// it through the kernel would make those checks compare the kernel with
+/// itself.
+std::vector<TopKEntry> RecommendTopK(const Recommender& model,
+                                     const DataSplit& split, uint32_t user,
+                                     const RecommendOptions& opts = {});
 
 /// Batch variant over all users; result[u] is the user's top-k item list
 /// (ids only — suitable for ItemCoverage and downstream serving).

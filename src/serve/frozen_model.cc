@@ -235,14 +235,4 @@ void FrozenModel::ScoreBlockBatch(std::span<const uint32_t> users,
   }
 }
 
-void FrozenModel::RescoreItemsF32(uint32_t user,
-                                  std::span<const uint32_t> items,
-                                  std::span<double> out) const {
-  TAXOREC_CHECK_MSG(compact_ != nullptr,
-                    "RescoreItemsF32 requires a reduced-precision tier");
-  TAXOREC_DCHECK(user < snap_.num_users);
-  TAXOREC_DCHECK(out.size() == items.size());
-  f32::ScoreItemsF32(*compact_, user, items, out.data());
-}
-
 }  // namespace taxorec

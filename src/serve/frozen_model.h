@@ -20,7 +20,8 @@
 // backends (AVX2 vs portable) and within a documented top-K rank-stability
 // tolerance of the double path. The kInt8 tier scores coarse int8
 // surrogates; the top-K layer exact-rescores its head candidates in
-// float32 (RescoreItemsF32), so served scores are always float32-exact.
+// float32 (RerankInt8Head, serve/topk.h), so served scores are always
+// float32-exact.
 // Non-native (kVirtual) snapshots always serve in double; requesting a
 // reduced tier for them degrades to kDouble with a warning.
 #ifndef TAXOREC_SERVE_FROZEN_MODEL_H_
@@ -90,12 +91,6 @@ class FrozenModel {
   /// batch. Native kernels only (checked).
   void ScoreBlockBatch(std::span<const uint32_t> users, size_t begin,
                        size_t end, std::span<double> out) const;
-
-  /// Float32-exact scores for an explicit item list (the int8 tier's
-  /// re-rank; also valid in kFloat32, where it is bit-identical to
-  /// ScoreBlock). Requires a compact snapshot (checked).
-  void RescoreItemsF32(uint32_t user, std::span<const uint32_t> items,
-                       std::span<double> out) const;
 
   /// Builds the IVF retrieval index (serve/ivf_index.h) over this model's
   /// snapshot. Returns false (with a warning) when the model cannot host

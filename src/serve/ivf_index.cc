@@ -372,9 +372,7 @@ void IvfIndex::Query(uint32_t user, size_t k, size_t nprobe,
   TraceSpan span("ivf_query");
   const size_t c_count = num_cells();
   const bool int8_tier = tier_ == PrecisionTier::kInt8;
-  const size_t heap_k =
-      int8_tier ? std::min(k * kInt8RerankFactor, compact_.num_items) : k;
-  scratch->heap.Reset(heap_k);
+  scratch->heap.Reset(CoarseK(tier_, k, compact_.num_items));
 
   ComputeBounds(user, scratch);
   scratch->order.resize(c_count);
@@ -435,39 +433,10 @@ void IvfIndex::Query(uint32_t user, size_t k, size_t nprobe,
     }
   }
 
-  if (!int8_tier) {
-    scratch->heap.Finish(out);
-  } else {
-    // Exact float32 re-rank of the coarse int8 head, mirroring the exact
-    // path's RerankTopKF32: -Inf (masked) entries skip rescoring and are
-    // re-appended so they only surface when k exceeds the scored pool.
-    const uint64_t t0 = rerank_us != nullptr ? internal::TraceNowMicros() : 0;
-    scratch->heap.Finish(&scratch->entries);
-    scratch->slots.clear();
-    for (const TopKEntry& e : scratch->entries) {
-      if (e.score != kNegInf) {
-        scratch->slots.push_back(slot_of_[e.item]);
-      }
-    }
-    scratch->rescored.resize(scratch->slots.size());
-    f32::ScoreItemsF32(compact_, user, scratch->slots,
-                       scratch->rescored.data());
-    out->clear();
-    size_t r = 0;
-    for (const TopKEntry& e : scratch->entries) {
-      if (e.score != kNegInf) {
-        out->push_back({e.item, SanitizeScore(scratch->rescored[r++])});
-      }
-    }
-    for (const TopKEntry& e : scratch->entries) {
-      if (e.score == kNegInf) out->push_back(e);
-    }
-    std::sort(out->begin(), out->end(), [](const TopKEntry& a,
-                                           const TopKEntry& b) {
-      return RanksBefore(a.score, a.item, b.score, b.item);
-    });
-    if (out->size() > k) out->resize(k);
-    if (rerank_us != nullptr) *rerank_us += internal::TraceNowMicros() - t0;
+  scratch->heap.Finish(out);
+  if (int8_tier) {
+    RerankInt8Head(compact_, slot_of_, user, k, &scratch->rerank, out,
+                   rerank_us);
   }
 
   if (stats != nullptr) {

@@ -84,7 +84,7 @@ struct IvfQueryStats {
   uint64_t items_scored = 0;   // rows swept by the f32/int8 kernels
 };
 
-/// Reusable per-worker query scratch (cell sweep buffer + heaps + rerank
+/// Reusable per-worker query scratch (cell sweep buffer + heap + rerank
 /// staging); contents are internal to IvfIndex.
 struct IvfScratch {
   std::vector<double> bounds;
@@ -93,9 +93,7 @@ struct IvfScratch {
   std::vector<double> user;
   std::vector<double> user_tg;
   TopKHeap heap;
-  std::vector<TopKEntry> entries;
-  std::vector<uint32_t> slots;
-  std::vector<double> rescored;
+  RerankScratch rerank;
 };
 
 /// Immutable IVF retrieval structure over one native ScoringSnapshot at a
@@ -149,7 +147,7 @@ class IvfIndex {
   /// slot -> original item id; ascending within each cell.
   std::vector<uint32_t> perm_;
   /// original item id -> slot (inverse of perm_; the int8 re-rank gathers
-  /// float32 rows of the permuted snapshot by slot).
+  /// float32 rows of the permuted snapshot by slot, see RerankInt8Head).
   std::vector<uint32_t> slot_of_;
   /// CSR offsets into perm_, size num_cells + 1.
   std::vector<uint32_t> cell_begin_;

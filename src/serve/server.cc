@@ -18,7 +18,6 @@ namespace {
 
 struct ServeMetrics {
   Counter* requests;
-  Counter* cache_hits;
   Counter* cache_bypass;
   Counter* computed;
   Counter* batches;
@@ -41,7 +40,6 @@ struct ServeMetrics {
   static ServeMetrics& Instance() {
     static ServeMetrics m{
         MetricsRegistry::Instance().GetCounter("taxorec.serve.requests"),
-        MetricsRegistry::Instance().GetCounter("taxorec.serve.cache_hits"),
         MetricsRegistry::Instance().GetCounter("taxorec.serve.cache.bypass"),
         MetricsRegistry::Instance().GetCounter("taxorec.serve.computed"),
         MetricsRegistry::Instance().GetCounter("taxorec.serve.batches"),
@@ -531,7 +529,6 @@ std::vector<ServeResult> BatchServer::ServeInternal(
                           .count();
   const size_t served = hits + computed;
   metrics.requests->Increment(served);
-  metrics.cache_hits->Increment(hits);
   if (cache_bypassed) metrics.cache_bypass->Increment(computed);
   metrics.computed->Increment(computed);
   metrics.batches->Increment();

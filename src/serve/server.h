@@ -32,8 +32,9 @@
 //
 // Observability (common/metrics.h):
 //   taxorec.serve.requests           requests served (hits + computed)
-//   taxorec.serve.cache_hits         requests answered from the cache
-//   taxorec.serve.cache.{hits,misses} per-probe counters (result_cache.h)
+//   taxorec.serve.cache.{hits,misses} per-probe counters (result_cache.h);
+//                                    hits = requests answered from the
+//                                    cache
 //   taxorec.serve.cache.bypass       requests that skipped the cache
 //                                    because their batch ran degraded
 //   taxorec.serve.computed           requests ranked by the kernel

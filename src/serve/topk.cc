@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "common/trace.h"
+#include "serve/kernels_f32.h"
 
 namespace taxorec {
 namespace {
@@ -15,77 +16,54 @@ inline bool WorseThan(const TopKEntry& a, const TopKEntry& b) {
   return RanksBefore(b.score, b.item, a.score, a.item);
 }
 
-/// Forces the scores of `exclude` entries falling in [begin, end) to -Inf.
-/// `exclude` is sorted ascending; *cursor advances monotonically across
-/// consecutive blocks so the whole walk is O(|exclude|) per user.
-void MaskExcludedInBlock(std::span<const uint32_t> exclude, size_t* cursor,
-                         size_t begin, size_t end,
-                         std::span<double> block_scores) {
+/// The admission step of every exact sweep: forces the scores of `exclude`
+/// entries falling in [begin, end) to -Inf, then offers items [begin, end)
+/// with sanitized scores. `exclude` is sorted ascending; *cursor advances
+/// monotonically across consecutive blocks so the whole walk is
+/// O(|exclude|) per user.
+void OfferBlock(std::span<const uint32_t> exclude, size_t* cursor,
+                size_t begin, size_t end, std::span<double> block_scores,
+                TopKHeap* heap) {
   while (*cursor < exclude.size() && exclude[*cursor] < end) {
     const uint32_t v = exclude[*cursor];
     TAXOREC_DCHECK(v >= begin);
     block_scores[v - begin] = kNegInf;
     ++*cursor;
   }
-}
-
-/// Coarse heap bound for one request: the int8 tier over-fetches
-/// kInt8RerankFactor * k coarse candidates for the float32 re-rank; every
-/// other tier keeps exactly k.
-bool Int8Rerank(const FrozenModel& model) {
-  return model.tier() == PrecisionTier::kInt8 && model.native();
-}
-
-size_t CoarseK(const FrozenModel& model, size_t k) {
-  const size_t n = model.num_items();
-  if (!Int8Rerank(model)) return std::min(k, n);
-  return std::min(k * kInt8RerankFactor, n);
-}
-
-/// int8-tier second stage: exact-rescores the coarse candidates in float32
-/// and keeps the best k. Masked candidates (coarse score -Inf) stay at
-/// -Inf — the coarse stage already applied the exclusion semantics — so
-/// they only survive when k exceeds the remaining catalogue, exactly as in
-/// the single-stage tiers.
-void RerankTopKF32(const FrozenModel& model, uint32_t user, size_t k,
-                   std::vector<TopKEntry>* entries) {
-  std::vector<uint32_t> ids;
-  ids.reserve(entries->size());
-  for (const TopKEntry& e : *entries) {
-    if (e.score != kNegInf) ids.push_back(e.item);
+  for (size_t v = begin; v < end; ++v) {
+    heap->Offer(static_cast<uint32_t>(v),
+                SanitizeScore(block_scores[v - begin]));
   }
-  std::vector<double> rescored(ids.size());
-  model.RescoreItemsF32(user, ids, std::span<double>(rescored));
-  std::vector<TopKEntry> out;
-  out.reserve(entries->size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    out.push_back({ids[i], SanitizeScore(rescored[i])});
-  }
-  for (const TopKEntry& e : *entries) {
-    if (e.score == kNegInf) out.push_back(e);
-  }
-  std::sort(out.begin(), out.end(), [](const TopKEntry& a, const TopKEntry& b) {
-    return RanksBefore(a.score, a.item, b.score, b.item);
-  });
-  if (out.size() > k) out.resize(k);
-  *entries = std::move(out);
-}
-
-/// RerankTopKF32 with optional wall timing (request observability). The
-/// clock is only read when `rerank_us` is non-null, so the disarmed
-/// serving path stays clock-free here.
-void RerankTimed(const FrozenModel& model, uint32_t user, size_t k,
-                 std::vector<TopKEntry>* entries, uint64_t* rerank_us) {
-  if (rerank_us == nullptr) {
-    RerankTopKF32(model, user, k, entries);
-    return;
-  }
-  const uint64_t t0 = internal::TraceNowMicros();
-  RerankTopKF32(model, user, k, entries);
-  *rerank_us += internal::TraceNowMicros() - t0;
 }
 
 }  // namespace
+
+void RerankInt8Head(const CompactSnapshot& compact,
+                    std::span<const uint32_t> row_of, uint32_t user, size_t k,
+                    RerankScratch* scratch, std::vector<TopKEntry>* entries,
+                    uint64_t* rerank_us) {
+  const uint64_t t0 = rerank_us != nullptr ? internal::TraceNowMicros() : 0;
+  scratch->rows.clear();
+  for (const TopKEntry& e : *entries) {
+    if (e.score != kNegInf) {
+      scratch->rows.push_back(row_of.empty() ? e.item : row_of[e.item]);
+    }
+  }
+  scratch->scores.resize(scratch->rows.size());
+  f32::ScoreItemsF32(compact, user, scratch->rows, scratch->scores.data());
+  size_t r = 0;
+  for (TopKEntry& e : *entries) {
+    if (e.score != kNegInf) e.score = SanitizeScore(scratch->scores[r++]);
+  }
+  // Items are unique, so RanksBefore is a strict total order here and the
+  // sorted head does not depend on the coarse order.
+  std::sort(entries->begin(), entries->end(),
+            [](const TopKEntry& a, const TopKEntry& b) {
+              return RanksBefore(a.score, a.item, b.score, b.item);
+            });
+  if (entries->size() > k) entries->resize(k);
+  if (rerank_us != nullptr) *rerank_us += internal::TraceNowMicros() - t0;
+}
 
 void TopKHeap::Reset(size_t k) {
   k_ = k;
@@ -133,33 +111,27 @@ void BlockedTopK(const FrozenModel& model, uint32_t user, size_t k,
                  size_t block, uint64_t* rerank_us) {
   TAXOREC_CHECK(block > 0);
   const size_t n = model.num_items();
-  const size_t coarse_k = CoarseK(model, k);
-  heap->Reset(coarse_k);
-  size_t cursor = 0;
-  if (!model.native()) {
-    // Fallback: one full score row (the live model's ScoreItems contract),
-    // then the same mask/sanitize/heap pipeline over it.
-    scratch->resize(n);
-    model.ScoreAll(user, std::span<double>(*scratch));
-    MaskExcludedInBlock(exclude, &cursor, 0, n, std::span<double>(*scratch));
-    for (size_t v = 0; v < n; ++v) {
-      heap->Offer(static_cast<uint32_t>(v), SanitizeScore((*scratch)[v]));
-    }
-    heap->Finish(out);
-    return;
-  }
+  // kVirtual snapshots score through the live model's ScoreItems: one full
+  // row, swept as a single block.
+  if (!model.native()) block = n;
+  heap->Reset(CoarseK(model.tier(), k, n));
   scratch->resize(std::min(block, n));
+  size_t cursor = 0;
   for (size_t begin = 0; begin < n; begin += block) {
     const size_t end = std::min(begin + block, n);
     const std::span<double> scores(scratch->data(), end - begin);
-    model.ScoreBlock(user, begin, end, scores);
-    MaskExcludedInBlock(exclude, &cursor, begin, end, scores);
-    for (size_t v = begin; v < end; ++v) {
-      heap->Offer(static_cast<uint32_t>(v), SanitizeScore(scores[v - begin]));
+    if (model.native()) {
+      model.ScoreBlock(user, begin, end, scores);
+    } else {
+      model.ScoreAll(user, scores);
     }
+    OfferBlock(exclude, &cursor, begin, end, scores, heap);
   }
   heap->Finish(out);
-  if (Int8Rerank(model)) RerankTimed(model, user, k, out, rerank_us);
+  if (model.tier() == PrecisionTier::kInt8) {
+    RerankScratch rerank;
+    RerankInt8Head(*model.compact(), {}, user, k, &rerank, out, rerank_us);
+  }
 }
 
 void BlockedTopKBatch(
@@ -189,7 +161,7 @@ void BlockedTopKBatch(
   if (heaps->size() < users.size()) heaps->resize(users.size());
   std::vector<size_t> cursors(users.size(), 0);
   for (size_t i = 0; i < users.size(); ++i) {
-    (*heaps)[i].Reset(CoarseK(model, ks[i]));
+    (*heaps)[i].Reset(CoarseK(model.tier(), ks[i], n));
   }
   const size_t width = std::min(block, n);
   scratch->resize(users.size() * width);
@@ -200,21 +172,17 @@ void BlockedTopKBatch(
     model.ScoreBlockBatch(users, begin, end,
                           std::span<double>(scratch->data(), users.size() * w));
     for (size_t i = 0; i < users.size(); ++i) {
-      const std::span<double> scores(scratch->data() + i * w, w);
-      MaskExcludedInBlock(exclude_of(users[i]), &cursors[i], begin, end,
-                          scores);
-      TopKHeap& heap = (*heaps)[i];
-      for (size_t v = begin; v < end; ++v) {
-        heap.Offer(static_cast<uint32_t>(v),
-                   SanitizeScore(scores[v - begin]));
-      }
+      OfferBlock(exclude_of(users[i]), &cursors[i], begin, end,
+                 std::span<double>(scratch->data() + i * w, w), &(*heaps)[i]);
     }
   }
+  RerankScratch rerank;
   for (size_t i = 0; i < users.size(); ++i) {
     (*heaps)[i].Finish(&(*out)[i]);
-    if (Int8Rerank(model)) {
-      RerankTimed(model, users[i], ks[i], &(*out)[i],
-                  rerank_us != nullptr ? &(*rerank_us)[i] : nullptr);
+    if (model.tier() == PrecisionTier::kInt8) {
+      RerankInt8Head(*model.compact(), {}, users[i], ks[i], &rerank,
+                     &(*out)[i],
+                     rerank_us != nullptr ? &(*rerank_us)[i] : nullptr);
     }
   }
 }

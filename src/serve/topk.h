@@ -1,27 +1,33 @@
-// Bounded top-K selection over blocked scoring — the serving hot path.
+// Bounded top-K selection over blocked scoring — the one ranking path.
 //
-// The seed ranking path (eval/recommend.cc) materialized a full score row
-// plus a full index permutation per user and partial_sorted the whole
-// catalogue. Here the catalogue streams through in fixed-size item blocks:
-// each block is scored into a small scratch buffer (L1/L2-resident),
-// exclusions are masked by walking a sorted exclusion list in lockstep,
-// and survivors feed a K-bounded binary heap. Memory per request is
-// O(block + K) regardless of catalogue size.
+// Every ranked list in the library comes out of this file: served lists
+// (BatchServer), offline evaluation (EvaluateRanking ranks on a double-tier
+// FrozenModel, bit-identical to the live model's ScoreItems) and the IVF
+// probe's int8 re-rank. The only other selector is RecommendTopK
+// (eval/recommend.h), kept as the independent score-everything-then-
+// partial_sort oracle that tests compare these lists against.
+//
+// The catalogue streams through in fixed-size item blocks: each block is
+// scored into a small scratch buffer (L1/L2-resident), exclusions are
+// masked by walking a sorted exclusion list in lockstep, and survivors
+// feed a K-bounded binary heap. Memory per request is O(block + K)
+// regardless of catalogue size.
 //
 // Ranking order is the repo-wide deterministic total order: score
 // descending, item id ascending on ties. Non-finite scores (NaN, ±Inf) are
 // mapped to -Inf before ranking — NaN would otherwise break the strict
-// weak ordering (UB in std::partial_sort, and an incoherent heap here) —
-// so defective scores always rank last, identically in both paths.
+// weak ordering (an incoherent heap) — so defective scores always rank
+// last. Excluded items are masked to -Inf, not dropped.
 //
 // Precision tiers: on an int8-tier model the block sweep keeps a coarse
-// head of kInt8RerankFactor * K candidates, then exact-rescores them in
-// float32 (FrozenModel::RescoreItemsF32) and keeps the best K — served
-// scores from the int8 tier are therefore always float32-exact. The
-// double and float32 tiers rank directly on their block scores.
+// head of kInt8RerankFactor * K candidates, then RerankInt8Head
+// exact-rescores them in float32 and keeps the best K — served scores from
+// the int8 tier are therefore always float32-exact. The double and float32
+// tiers rank directly on their block scores.
 #ifndef TAXOREC_SERVE_TOPK_H_
 #define TAXOREC_SERVE_TOPK_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -64,7 +70,8 @@ inline bool RanksBefore(double score_a, uint32_t item_a, double score_b,
 /// far, worst at the root so each losing candidate costs one comparison.
 class TopKHeap {
  public:
-  explicit TopKHeap(size_t k = 0) { Reset(k); }
+  TopKHeap() = default;
+  explicit TopKHeap(size_t k) { Reset(k); }
 
   /// Clears the heap and sets the bound (k == 0 keeps nothing).
   void Reset(size_t k);
@@ -115,14 +122,42 @@ class TopKHeap {
   std::vector<TopKEntry> heap_;
 };
 
+/// Heap bound of the coarse stage: the int8 tier over-fetches
+/// kInt8RerankFactor * k candidates for RerankInt8Head; every other tier
+/// keeps k.
+inline size_t CoarseK(PrecisionTier tier, size_t k, size_t num_items) {
+  return tier == PrecisionTier::kInt8
+             ? std::min(k * kInt8RerankFactor, num_items)
+             : std::min(k, num_items);
+}
+
+/// Reusable buffers of RerankInt8Head.
+struct RerankScratch {
+  std::vector<uint32_t> rows;
+  std::vector<double> scores;
+};
+
+/// The int8 tier's second stage, shared by BlockedTopK* and the IVF probe:
+/// exact-rescores the coarse head `entries` in float32 against `compact`
+/// and keeps the best k, best first. `row_of` maps an item id to its row in
+/// `compact` (empty: the identity). Masked candidates (coarse score -Inf)
+/// keep -Inf — the coarse stage already applied the exclusion semantics —
+/// so they only survive when k exceeds the remaining catalogue, exactly as
+/// in the single-stage tiers. Non-null `rerank_us` accumulates the stage's
+/// wall time (microseconds); null skips all timing.
+void RerankInt8Head(const CompactSnapshot& compact,
+                    std::span<const uint32_t> row_of, uint32_t user, size_t k,
+                    RerankScratch* scratch, std::vector<TopKEntry>* entries,
+                    uint64_t* rerank_us);
+
 /// Top-k items for `user`, best first, over the frozen model. `exclude`
-/// is a sorted-ascending item list (e.g. split.train.RowCols(user)) whose
-/// scores are forced to -Inf before ranking — matching the seed masking
-/// semantics, so excluded items can still appear (at -Inf) when k exceeds
-/// the remaining catalogue. `scratch` is caller-owned reusable scoring
-/// space; `heap` likewise (both resized internally). Native kernels stream
-/// `block`-sized item blocks; kVirtual snapshots fall back to one full
-/// score row in `scratch`.
+/// is a sorted-ascending item list (e.g. split.train.RowCols(user);
+/// duplicates allowed) whose scores are forced to -Inf before ranking, so
+/// excluded items can still appear (at -Inf) when k exceeds the remaining
+/// catalogue. `scratch` is caller-owned reusable scoring space; `heap`
+/// likewise (both resized internally). Native kernels stream `block`-sized
+/// item blocks; kVirtual snapshots score one full row (the live model's
+/// ScoreItems) as a single block.
 /// When `rerank_us` is non-null, the wall time of the int8-tier float32
 /// re-rank stage is added to it (microseconds; untouched on the other
 /// tiers) — the request-observability hook. Null skips all timing.

@@ -209,8 +209,10 @@ TEST(BenchDiffTest, GatedKeyPresentBothSidesGatesNormally) {
 }
 
 TEST(BenchDiffTest, ZeroBaselineNeverDividesOrRegresses) {
-  const std::string base = R"({"t1_seconds":0.0})";
-  const std::string cur = R"({"t1_seconds":5.0})";
+  // No relative tolerance can trip on a zero baseline: the gate compares
+  // nothing, and the report must say so instead of passing silently.
+  const std::string base = R"({"t1_seconds":0.0,"t2_seconds":1.0})";
+  const std::string cur = R"({"t1_seconds":5.0,"t2_seconds":1.0})";
   BenchCompareResult result;
   ASSERT_TRUE(
       CompareBenchJson(base, cur, BenchCompareOptions{}, &result).ok());
@@ -218,7 +220,42 @@ TEST(BenchDiffTest, ZeroBaselineNeverDividesOrRegresses) {
   ASSERT_NE(t1, nullptr);
   EXPECT_DOUBLE_EQ(t1->rel_change, 0.0);
   EXPECT_FALSE(t1->regressed);
+  EXPECT_TRUE(t1->skipped);
+  EXPECT_FALSE(FindDelta(result, "t2_seconds")->skipped);
   EXPECT_FALSE(result.regression);
+  EXPECT_EQ(result.skipped_gates(), 1u);
+  const std::string report = FormatBenchComparison(result);
+  EXPECT_NE(report.find("SKIPPED (baseline <= 0)"), std::string::npos)
+      << report;
+  EXPECT_NE(report.find("SKIPPED: 1 gated key(s)"), std::string::npos)
+      << report;
+}
+
+TEST(BenchDiffTest, GateKeyAbsentFromBothFilesIsSkipped) {
+  // The PMU-less counter gates: perf.* keys exist in neither file.
+  const std::string doc = R"({"spmm":{"t1_seconds":1.0}})";
+  BenchCompareOptions options;
+  options.gate_keys = {"perf.spmm.cpi", "spmm.t1_seconds",
+                       "perf.spmm.llc_miss_rate"};
+  BenchCompareResult result;
+  ASSERT_TRUE(CompareBenchJson(doc, doc, options, &result).ok());
+  EXPECT_FALSE(result.regression);
+  EXPECT_EQ(result.absent_gate_keys,
+            (std::vector<std::string>{"perf.spmm.cpi",
+                                      "perf.spmm.llc_miss_rate"}));
+  EXPECT_EQ(result.skipped_gates(), 2u);
+  const std::string report = FormatBenchComparison(result);
+  EXPECT_NE(report.find("SKIPPED (absent from both files): perf.spmm.cpi"),
+            std::string::npos)
+      << report;
+  EXPECT_NE(report.find("SKIPPED: 2 gated key(s)"), std::string::npos)
+      << report;
+
+  // Every gate key present somewhere: nothing is skipped.
+  options.gate_keys = {"spmm.t1_seconds"};
+  ASSERT_TRUE(CompareBenchJson(doc, doc, options, &result).ok());
+  EXPECT_EQ(result.skipped_gates(), 0u);
+  EXPECT_EQ(FormatBenchComparison(result).find("SKIPPED"), std::string::npos);
 }
 
 TEST(BenchDiffTest, InvalidJsonIsInvalidArgument) {

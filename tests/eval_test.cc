@@ -1,6 +1,7 @@
 // Tests for ranking metrics and the full-ranking evaluator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -145,6 +146,74 @@ TEST(EvaluatorTest, TrainItemsAreMasked) {
   // Masked evaluation: test items rank 1-2 → perfect recall/NDCG@10.
   EXPECT_NEAR(r.recall[0], 1.0, 1e-12);
   EXPECT_NEAR(r.ndcg[0], 1.0, 1e-12);
+}
+
+// Single-user model that scores train items highest, then val, then test;
+// anything else zero. It exports a native one-dimensional dot snapshot
+// (user row [1], item rows [score]), so evaluation sweeps the catalogue in
+// scoring blocks and the exclusion list must reach the kernel sorted.
+class SeenOverTestModel : public Recommender {
+ public:
+  explicit SeenOverTestModel(const DataSplit& split)
+      : scores_(split.num_items, 0.0) {
+    for (uint32_t v : split.test_items[0]) scores_[v] = 2.0;
+    for (uint32_t v : split.val_items[0]) scores_[v] = 3.0;
+    for (uint32_t v : split.train.RowCols(0)) scores_[v] = 4.0;
+  }
+  std::string name() const override { return "SeenOverTest"; }
+  void Fit(const DataSplit&, Rng*) override {}
+  void ScoreItems(uint32_t, std::span<double> out) const override {
+    std::copy(scores_.begin(), scores_.end(), out.begin());
+  }
+  ScoringSnapshot ExportScoringSnapshot() const override {
+    ScoringSnapshot snap;
+    snap.kernel = ScoreKernel::kDot;
+    snap.num_users = 1;
+    snap.num_items = scores_.size();
+    snap.users = Matrix(1, 1);
+    snap.users.row(0)[0] = 1.0;
+    snap.items = Matrix(scores_.size(), 1);
+    for (size_t v = 0; v < scores_.size(); ++v) {
+      snap.items.row(v)[0] = scores_[v];
+    }
+    return snap;
+  }
+
+ private:
+  std::vector<double> scores_;
+};
+
+TEST(EvaluatorTest, ValItemsAreMaskedOnTheTestProtocol) {
+  // A catalogue of several scoring blocks (kServeItemBlock items each); the
+  // val items interleave with the train items across blocks and are stored
+  // in descending id order (val_items keeps timestamp order, not id order).
+  DataSplit split;
+  split.num_users = 1;
+  split.num_items = 5000;
+  split.num_tags = 1;
+  split.train = CsrMatrix::FromPairs(1, 5000, {{0, 5}, {0, 2500}, {0, 4800}});
+  split.item_tags = CsrMatrix::FromPairs(5000, 1, {});
+  split.val_items = {{4900, 3000, 100}};
+  split.test_items = {{1000, 4000}};
+  SeenOverTestModel model(split);
+
+  // Test protocol: train and val are both masked, so the two test items
+  // rank first.
+  EvalOptions opts;
+  opts.ks = {2, 10};
+  const EvalResult test = EvaluateRanking(model, split, opts);
+  ASSERT_EQ(test.num_eval_users, 1u);
+  EXPECT_EQ(test.recall[0], 1.0);
+  EXPECT_EQ(test.ndcg[0], 1.0);
+
+  // Val protocol: only train is masked and the val items are the targets;
+  // they outscore the test items, so they fill the top 3.
+  opts.ks = {3, 10};
+  opts.use_test = false;
+  const EvalResult val = EvaluateRanking(model, split, opts);
+  ASSERT_EQ(val.num_eval_users, 1u);
+  EXPECT_EQ(val.recall[0], 1.0);
+  EXPECT_EQ(val.ndcg[0], 1.0);
 }
 
 TEST(EvaluatorTest, ValidationModeUsesValItems) {

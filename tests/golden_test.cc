@@ -1,0 +1,281 @@
+// Behaviour pins: committed FNV-1a digests of short fixed-seed runs.
+//
+// Each model trains briefly on one small synthetic profile, then every
+// observable output is digested over its raw bytes:
+//   eval.test / eval.val    EvaluateRanking on both protocols (ks, cutoff,
+//                           recall, NDCG, per-user vectors, user count);
+//   serve.<tier>            BatchServer lists for every user (item ids and
+//                           score bits) at the double, float32, int8 tiers;
+//   ivf.int8                IVF-retrieved int8 lists (native kernels only);
+//   recommend               RecommendTopK lists for every user;
+//   state                   the SaveState payload (models that have one).
+// The same digests are required at 1 and at 4 threads. A refactor that
+// claims "no output changed" must leave this table untouched; a change
+// that moves an output on purpose re-pins the named entry (the failure
+// message prints the replacement line).
+#include <gtest/gtest.h>
+
+#include <cinttypes>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "baselines/recommender.h"
+#include "common/parallel.h"
+#include "data/split.h"
+#include "data/synthetic.h"
+#include "eval/evaluator.h"
+#include "eval/recommend.h"
+#include "serve/server.h"
+
+namespace taxorec {
+namespace {
+
+struct GoldenDigest {
+  const char* model;
+  const char* output;
+  uint64_t digest;
+};
+
+// Pinned before the single-ranking-path refactor (EvaluateRanking through
+// serve/topk, one shared int8 re-rank) and unchanged by it.
+constexpr GoldenDigest kGolden[] = {
+    {"TaxoRec", "eval.test", 0x62589bf1b0ee726dULL},
+    {"TaxoRec", "eval.val", 0x9436c0a206d4b5faULL},
+    {"TaxoRec", "serve.double", 0x0172a57de2945a86ULL},
+    {"TaxoRec", "serve.float32", 0x5fad74a6fe83d436ULL},
+    {"TaxoRec", "serve.int8", 0x5fad74a6fe83d436ULL},
+    {"TaxoRec", "ivf.int8", 0x92c189046ff0a821ULL},
+    {"TaxoRec", "recommend", 0x0172a57de2945a86ULL},
+    {"TaxoRec", "state", 0x31e606b512c263a8ULL},
+    {"HyperML", "eval.test", 0x0478dca37e5fa159ULL},
+    {"HyperML", "eval.val", 0x75109676a96dd9d5ULL},
+    {"HyperML", "serve.double", 0xb58bd8f78b59bc20ULL},
+    {"HyperML", "serve.float32", 0x8d238de1d7379ddfULL},
+    {"HyperML", "serve.int8", 0x8d238de1d7379ddfULL},
+    {"HyperML", "ivf.int8", 0xf4210dae2213ac66ULL},
+    {"HyperML", "recommend", 0xb58bd8f78b59bc20ULL},
+    {"HyperML", "state", 0xb91a722d3d4be805ULL},
+    {"CML", "eval.test", 0x8e1748c582dd91d3ULL},
+    {"CML", "eval.val", 0x54df7ee90e574f06ULL},
+    {"CML", "serve.double", 0xa7806f92f9321ab4ULL},
+    {"CML", "serve.float32", 0xc1731e6ec72dd4efULL},
+    {"CML", "serve.int8", 0xc1731e6ec72dd4efULL},
+    {"CML", "ivf.int8", 0xf691dc0f2b34c189ULL},
+    {"CML", "recommend", 0xa7806f92f9321ab4ULL},
+    {"BPRMF", "eval.test", 0x680e61e64c338ca8ULL},
+    {"BPRMF", "eval.val", 0x75cc7bbbb9da49c5ULL},
+    {"BPRMF", "serve.double", 0x5ca47c6fbd785adaULL},
+    {"BPRMF", "serve.float32", 0x51d3ae24033f98c5ULL},
+    {"BPRMF", "serve.int8", 0x51d3ae24033f98c5ULL},
+    {"BPRMF", "ivf.int8", 0xb58318f0ddcd62e2ULL},
+    {"BPRMF", "recommend", 0x5ca47c6fbd785adaULL},
+    {"LightGCN", "eval.test", 0x50fbfb583aea237aULL},
+    {"LightGCN", "eval.val", 0x68f305a060f3a981ULL},
+    {"LightGCN", "serve.double", 0xdba51753fb58e310ULL},
+    {"LightGCN", "serve.float32", 0xb5989d0d74088326ULL},
+    {"LightGCN", "serve.int8", 0xb5989d0d74088326ULL},
+    {"LightGCN", "ivf.int8", 0x2ebc40cfcdd191f8ULL},
+    {"LightGCN", "recommend", 0xdba51753fb58e310ULL},
+    {"NeuMF", "eval.test", 0xecd574b67ed37b02ULL},
+    {"NeuMF", "eval.val", 0x006983c701c6bd85ULL},
+    {"NeuMF", "serve.double", 0xa07bd7f4808765adULL},
+    {"NeuMF", "serve.float32", 0xa07bd7f4808765adULL},
+    {"NeuMF", "serve.int8", 0xa07bd7f4808765adULL},
+    {"NeuMF", "recommend", 0xa07bd7f4808765adULL},
+};
+
+class Fnv1a {
+ public:
+  void Bytes(const void* data, size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      hash_ ^= p[i];
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  template <typename T>
+  void Pod(T value) {
+    Bytes(&value, sizeof(value));
+  }
+  template <typename T>
+  void Vector(const std::vector<T>& v) {
+    Pod<uint64_t>(v.size());
+    Bytes(v.data(), v.size() * sizeof(T));
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+uint64_t DigestEval(const EvalResult& r) {
+  Fnv1a h;
+  h.Vector(r.ks);
+  h.Pod(r.primary_k);
+  h.Vector(r.recall);
+  h.Vector(r.ndcg);
+  h.Vector(r.per_user_recall);
+  h.Vector(r.per_user_ndcg);
+  h.Pod<uint64_t>(r.num_eval_users);
+  return h.value();
+}
+
+void HashList(const std::vector<TopKEntry>& list, Fnv1a* h) {
+  h->Pod<uint64_t>(list.size());
+  for (const TopKEntry& e : list) {
+    h->Pod<uint32_t>(e.item);
+    h->Pod<double>(e.score);
+  }
+}
+
+uint64_t DigestServed(const Recommender& model, const DataSplit& split,
+                      const ServeOptions& options) {
+  BatchServer server(model, split, options);
+  std::vector<ServeRequest> requests;
+  for (uint32_t u = 0; u < split.num_users; ++u) {
+    requests.push_back(ServeRequest{u, 10});
+  }
+  Fnv1a h;
+  for (const auto& list : server.ServeBatch(requests)) HashList(list, &h);
+  return h.value();
+}
+
+const DataSplit& GoldenSplit() {
+  static const DataSplit* split = [] {
+    SyntheticConfig cfg;
+    cfg.name = "golden";
+    cfg.seed = 61;
+    cfg.num_users = 90;
+    cfg.num_items = 170;
+    cfg.num_tags = 18;
+    cfg.mean_interactions_per_user = 20.0;
+    return new DataSplit(TemporalSplit(GenerateSynthetic(cfg)));
+  }();
+  return *split;
+}
+
+ModelConfig GoldenConfig() {
+  ModelConfig cfg;
+  cfg.dim = 16;
+  cfg.tag_dim = 4;
+  cfg.epochs = 3;
+  cfg.batches_per_epoch = 4;
+  cfg.batch_size = 128;
+  cfg.gcn_layers = 2;
+  cfg.taxo_rebuild_every = 2;
+  cfg.tag_warmup_per_tag = 50;
+  cfg.seed = 5;
+  return cfg;
+}
+
+std::vector<std::pair<std::string, uint64_t>> ComputeDigests(
+    const std::string& name) {
+  const DataSplit& split = GoldenSplit();
+  auto model = MakeModel(name, GoldenConfig());
+  EXPECT_NE(model, nullptr) << name;
+  if (model == nullptr) return {};
+  Rng rng(17);
+  model->Fit(split, &rng);
+
+  std::vector<std::pair<std::string, uint64_t>> out;
+  EvalOptions eval;
+  eval.ks = {10, 20};
+  eval.use_test = true;
+  out.emplace_back("eval.test", DigestEval(EvaluateRanking(*model, split,
+                                                           eval)));
+  eval.use_test = false;
+  out.emplace_back("eval.val", DigestEval(EvaluateRanking(*model, split,
+                                                          eval)));
+
+  for (const PrecisionTier tier :
+       {PrecisionTier::kDouble, PrecisionTier::kFloat32,
+        PrecisionTier::kInt8}) {
+    ServeOptions options;
+    options.precision = tier;
+    options.item_block = 64;  // several blocks per user
+    out.emplace_back(std::string("serve.") + PrecisionTierName(tier),
+                     DigestServed(*model, split, options));
+  }
+  if (model->ExportScoringSnapshot().kernel != ScoreKernel::kVirtual) {
+    ServeOptions options;
+    options.precision = PrecisionTier::kInt8;
+    options.retrieval = RetrievalMode::kIvf;
+    options.ivf.nprobe = 4;  // a strict subset of the ~13 cells
+    out.emplace_back("ivf.int8", DigestServed(*model, split, options));
+  }
+
+  Fnv1a rec;
+  RecommendOptions ro;
+  ro.k = 10;
+  for (uint32_t u = 0; u < split.num_users; ++u) {
+    HashList(RecommendTopK(*model, split, u, ro), &rec);
+  }
+  out.emplace_back("recommend", rec.value());
+
+  const Checkpoint state = model->SaveState();
+  if (state.size() > 0) {
+    Fnv1a h;
+    for (const auto& [key, m] : state.entries()) {
+      h.Bytes(key.data(), key.size());
+      h.Pod<uint64_t>(m.rows());
+      h.Pod<uint64_t>(m.cols());
+      for (size_t r = 0; r < m.rows(); ++r) {
+        const auto row = m.row(r);
+        h.Bytes(row.data(), row.size() * sizeof(double));
+      }
+    }
+    out.emplace_back("state", h.value());
+  }
+  return out;
+}
+
+const GoldenDigest* FindGolden(const std::string& model,
+                               const std::string& output) {
+  for (const GoldenDigest& g : kGolden) {
+    if (model == g.model && output == g.output) return &g;
+  }
+  return nullptr;
+}
+
+std::string PinLine(const std::string& model, const std::string& output,
+                    uint64_t digest) {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf), "    {\"%s\", \"%s\", 0x%016" PRIx64 "ULL},",
+                model.c_str(), output.c_str(), digest);
+  return buf;
+}
+
+class GoldenTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(GoldenTest, DigestsMatchPinnedAtOneAndFourThreads) {
+  const int saved_threads = GetNumThreads();
+  const std::string& name = GetParam();
+  for (const int threads : {1, 4}) {
+    SetNumThreads(threads);
+    for (const auto& [output, digest] : ComputeDigests(name)) {
+      const GoldenDigest* pinned = FindGolden(name, output);
+      if (pinned == nullptr) {
+        ADD_FAILURE() << "no pinned digest for " << name << "/" << output
+                      << "; add this line to kGolden in golden_test.cc:\n"
+                      << PinLine(name, output, digest);
+        continue;
+      }
+      EXPECT_EQ(pinned->digest, digest)
+          << "golden digest moved: " << name << "/" << output << " at "
+          << threads << " thread(s). If this output change is intended, "
+          << "re-pin it deliberately by replacing its kGolden entry in "
+          << "tests/golden_test.cc with:\n"
+          << PinLine(name, output, digest);
+    }
+  }
+  SetNumThreads(saved_threads);
+}
+
+INSTANTIATE_TEST_SUITE_P(Models, GoldenTest,
+                         ::testing::Values("TaxoRec", "HyperML", "CML",
+                                           "BPRMF", "LightGCN", "NeuMF"),
+                         [](const auto& info) { return info.param; });
+
+}  // namespace
+}  // namespace taxorec

@@ -358,7 +358,7 @@ TEST(RankStabilityTest, ReducedTiersMeetDocumentedOverlapTolerances) {
 }
 
 // The int8 tier's served scores are float32-exact: every entry matches
-// RescoreItemsF32 bit-for-bit, even when K exceeds the coarse head.
+// the float32 kernel bit-for-bit, even when K exceeds the coarse head.
 TEST(Int8RerankTest, ServedScoresAreFloat32Exact) {
   const ScoringSnapshot snap =
       MakeSnapshot(ScoreKernel::kTwoChannelLorentz, 10, 120, 24, 12, 55);
@@ -370,8 +370,8 @@ TEST(Int8RerankTest, ServedScoresAreFloat32Exact) {
       for (const TopKEntry& e : got) {
         if (e.score == kNegInf) continue;
         double exact = 0.0;
-        model.RescoreItemsF32(u, std::span<const uint32_t>(&e.item, 1),
-                              std::span<double>(&exact, 1));
+        f32::ScoreItemsF32(*model.compact(), u,
+                           std::span<const uint32_t>(&e.item, 1), &exact);
         ASSERT_EQ(e.score, exact) << "user " << u << " item " << e.item;
       }
       // Entries arrive in the deterministic ranking order.

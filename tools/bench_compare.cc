@@ -10,7 +10,9 @@
 // and every numeric key present in both becomes a delta row. Keys whose
 // final segment ends in "_seconds" gate by default (override the set with
 // --gate-keys); the tool exits 1 when any gated key regresses past
-// base * (1 + tolerance), 0 otherwise, 2 on usage or I/O errors.
+// base * (1 + tolerance), 0 otherwise, 2 on usage or I/O errors. Gated
+// keys that cannot compare (baseline <= 0, or a --gate-keys entry absent
+// from both files) print as SKIPPED with a count instead of passing.
 // Directory mode pairs files by name (BENCH_micro.baseline.json matches
 // BENCH_micro.json) and fails if no pair is found. --update-baseline
 // copies the current file(s) over the baseline path(s) instead of gating —
@@ -160,6 +162,7 @@ int Main(int argc, const char* const* argv) {
   }
 
   bool regression = false;
+  size_t skipped = 0;
   for (const FilePair& p : pairs) {
     BenchCompareResult result;
     if (Status s = CompareBenchFiles(p.baseline, p.current, options, &result);
@@ -172,12 +175,17 @@ int Main(int argc, const char* const* argv) {
                 options.tolerance * 100.0);
     std::fputs(FormatBenchComparison(result).c_str(), stdout);
     regression = regression || result.regression;
+    skipped += result.skipped_gates();
   }
   if (regression) {
     std::fprintf(stderr, "bench_compare: REGRESSION beyond tolerance\n");
     return 1;
   }
-  std::printf("bench_compare: OK\n");
+  if (skipped > 0) {
+    std::printf("bench_compare: OK, but %zu gated key(s) SKIPPED\n", skipped);
+  } else {
+    std::printf("bench_compare: OK\n");
+  }
   return 0;
 }
 
