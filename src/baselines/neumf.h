@@ -23,7 +23,13 @@ class NeuMf : public Recommender {
   void ScoreItems(uint32_t user, std::span<double> out) const override;
 
  private:
-  double Score(uint32_t user, uint32_t item) const;
+  /// Buffers for Score, so scoring a catalogue allocates once per call.
+  struct ScoreScratch {
+    std::vector<double> concat;
+    nn::Mlp::Scratch tower;
+  };
+
+  double Score(uint32_t user, uint32_t item, ScoreScratch* scratch) const;
 
   ModelConfig config_;
   size_t gmf_dim_ = 0;
