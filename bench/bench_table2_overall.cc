@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
     const ModelRunResult& taxo = results.at("TaxoRec");
     for (const auto& name : RegisteredModelNames()) {
       const ModelRunResult& r = results.at(name);
-      std::string star;
+      const char* star = "";
       if (name != "TaxoRec" && r.primary_k == taxo.primary_k &&
           r.per_user_ndcg.size() == taxo.per_user_ndcg.size()) {
         const auto w =
@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
                   bench::PercentCell(r.recall_mean[1], r.recall_std[1]).c_str(),
                   bench::PercentCell(r.ndcg_mean[0], r.ndcg_std[0]).c_str(),
                   bench::PercentCell(r.ndcg_mean[1], r.ndcg_std[1]).c_str(),
-                  r.train_seconds, star.c_str());
+                  r.train_seconds, star);
     }
     // Count how many of the 14 baselines TaxoRec beats on Recall@10.
     int beaten = 0;

@@ -234,7 +234,9 @@ TEST(IvfIndexTest, ExclusionHeavyListsKeepSentinelOrder) {
       EXPECT_NE(want[2].score, kNegInf);
       for (size_t i = 3; i < kK; ++i) {
         EXPECT_EQ(want[i].score, kNegInf);
-        if (i > 3) EXPECT_LT(want[i - 1].item, want[i].item);
+        if (i > 3) {
+          EXPECT_LT(want[i - 1].item, want[i].item);
+        }
       }
       ExpectSameList(want, IvfTopK(index, u, kK, index.num_cells(), exclude),
                      "exclusion-heavy");

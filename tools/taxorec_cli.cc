@@ -3,11 +3,11 @@
 //   taxorec_cli generate --profile yelp --out data.tsv
 //   taxorec_cli generate --users 500 --items 800 --tags 60 --out data.tsv
 //   taxorec_cli stats --data data.tsv
-//   taxorec_cli train --data data.tsv --model TaxoRec --epochs 25 \
+//   taxorec_cli train --data data.tsv --model TaxoRec --epochs 25
 //       --checkpoint model.ckpt --save-every 5
 //   taxorec_cli train --data data.tsv --checkpoint model.ckpt --resume
 //   taxorec_cli recommend --data data.tsv --checkpoint model.ckpt --user 7
-//   taxorec_cli taxonomy --data data.tsv --checkpoint model.ckpt \
+//   taxorec_cli taxonomy --data data.tsv --checkpoint model.ckpt
 //       --dot taxo.dot --json taxo.json
 //
 // `train` works for every registered model; `recommend`/`taxonomy` restore
