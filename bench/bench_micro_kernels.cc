@@ -25,6 +25,7 @@
 #include "hyperbolic/lorentz.h"
 #include "hyperbolic/poincare.h"
 #include "math/rng.h"
+#include "math/simd.h"
 #include "math/vec_ops.h"
 #include "nn/gcn.h"
 #include "nn/lorentz_layers.h"
@@ -254,9 +255,10 @@ void RunThreadScalingReport(int threads,
 
   std::printf("\nthread scaling (threads=%d, hardware_concurrency=%d)\n",
               threads, HardwareThreads());
-  std::printf("  spmm %zux%zu*64:   t1 %.4fs  tN %.4fs  speedup %.2fx\n",
-              split.train.rows(), split.train.cols(), spmm_t1, spmm_tn,
-              spmm_t1 / spmm_tn);
+  std::printf(
+      "  spmm %zux%zu*64:   t1 %.4fs  tN %.4fs  speedup %.2fx  (%s kernel)\n",
+      split.train.rows(), split.train.cols(), spmm_t1, spmm_tn,
+      spmm_t1 / spmm_tn, simd::ActiveBackend());
   std::printf("  eval %zu users:    t1 %.4fs  tN %.4fs  speedup %.2fx\n",
               static_cast<size_t>(eval_out.num_eval_users), eval_t1, eval_tn,
               eval_t1 / eval_tn);
@@ -275,14 +277,15 @@ void RunThreadScalingReport(int threads,
   std::fprintf(
       f,
       "{\"bench\": \"micro\", \"threads\": %d, \"hardware_concurrency\": %d,\n"
-      " \"quick\": %s,\n"
+      " \"quick\": %s, \"spmm_backend\": \"%s\",\n"
       " \"spmm\": {\"t1_seconds\": %.6f, \"tN_seconds\": %.6f, "
       "\"speedup\": %.3f},\n"
       " \"eval\": {\"t1_seconds\": %.6f, \"tN_seconds\": %.6f, "
       "\"speedup\": %.3f},\n"
       " \"wall_seconds\": %.3f, \"peak_rss_bytes\": %llu,\n"
       " \"rusage\": %s,\n%s \"profile\": %s,\n \"metrics\": %s}\n",
-      threads, HardwareThreads(), quick ? "true" : "false", spmm_t1, spmm_tn,
+      threads, HardwareThreads(), quick ? "true" : "false",
+      simd::ActiveBackend(), spmm_t1, spmm_tn,
       spmm_t1 / spmm_tn, eval_t1, eval_tn, eval_t1 / eval_tn, wall,
       static_cast<unsigned long long>(PeakRssBytes()),
       taxorec::RusageJsonObject(taxorec::SelfRusage()).c_str(),

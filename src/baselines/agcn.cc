@@ -82,7 +82,7 @@ void Agcn::Fit(const DataSplit& split, Rng* rng) {
       }
 
       Matrix leaf_gu, leaf_gv;
-      gcn_->Backward(up_u, up_v, &leaf_gu, &leaf_gv);
+      gcn_->Backward(up_u, up_v, &leaf_gu, &leaf_gv, &ctx);
       // Item leaf gradient feeds both items0_ and (via the mean) the tags.
       for (size_t v = 0; v < split.num_items; ++v) {
         const auto tags = item_tags_->RowCols(v);

@@ -63,7 +63,7 @@ void Hgcf::Fit(const DataSplit& split, Rng* rng) {
       nn::ExpMapOriginBackward(sum_u_, up_u, &gsum_u);
       nn::ExpMapOriginBackward(sum_v_, up_v, &gsum_v);
       Matrix gz_u, gz_v;
-      gcn_->Backward(gsum_u, gsum_v, &gz_u, &gz_v);
+      gcn_->Backward(gsum_u, gsum_v, &gz_u, &gz_v, &ctx);
       Matrix leaf_gu(split.num_users, d1);
       Matrix leaf_gv(split.num_items, d1);
       nn::LogMapOriginBackward(users0_, gz_u, &leaf_gu);

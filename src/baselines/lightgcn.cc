@@ -51,7 +51,7 @@ void LightGcn::Fit(const DataSplit& split, Rng* rng) {
         }
       }
       Matrix leaf_gu, leaf_gv;
-      gcn_->Backward(grad_u, grad_v, &leaf_gu, &leaf_gv);
+      gcn_->Backward(grad_u, grad_v, &leaf_gu, &leaf_gv, &ctx);
       optim::SgdUpdate(&users0_, leaf_gu, config_.lr);
       optim::SgdUpdate(&items0_, leaf_gv, config_.lr);
     }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <unordered_set>
+#include <utility>
 
 #include <chrono>
 
@@ -189,7 +190,7 @@ void TaxoRecModel::Propagate() {
   }
   // Global aggregation on both channels.
   auto run_channel = [&](const Matrix& users_leaf, const Matrix& items_leaf,
-                         nn::GcnContext* ctx, Matrix* sum_u, Matrix* sum_v,
+                         ChannelWorkspace* ws, Matrix* sum_u, Matrix* sum_v,
                          Matrix* out_u, Matrix* out_v) {
     if (!options_.use_gcn) {
       *out_u = users_leaf;
@@ -197,23 +198,22 @@ void TaxoRecModel::Propagate() {
       return;
     }
     if (options_.hyperbolic) {
-      Matrix zu, zv;
-      nn::LogMapOriginForward(users_leaf, &zu);
-      nn::LogMapOriginForward(items_leaf, &zv);
-      gcn_->Forward(zu, zv, ctx, sum_u, sum_v);
+      nn::LogMapOriginForward(users_leaf, &ws->tan_u);
+      nn::LogMapOriginForward(items_leaf, &ws->tan_v);
+      gcn_->Forward(ws->tan_u, ws->tan_v, &ws->gcn, sum_u, sum_v);
       nn::ExpMapOriginForward(*sum_u, out_u);
       nn::ExpMapOriginForward(*sum_v, out_v);
     } else {
-      gcn_->Forward(users_leaf, items_leaf, ctx, sum_u, sum_v);
+      gcn_->Forward(users_leaf, items_leaf, &ws->gcn, sum_u, sum_v);
       *out_u = *sum_u;
       *out_v = *sum_v;
     }
   };
-  run_channel(users_ir_, items_ir_, &ir_ctx_, &sum_u_ir_, &sum_v_ir_,
+  run_channel(users_ir_, items_ir_, &ws_.ir, &sum_u_ir_, &sum_v_ir_,
               &out_u_ir_, &out_v_ir_);
   if (options_.use_tags) {
-    run_channel(users_tg_, items_tg_leaf_, &tg_ctx_gcn_, &sum_u_tg_,
-                &sum_v_tg_, &out_u_tg_, &out_v_tg_);
+    run_channel(users_tg_, items_tg_leaf_, &ws_.tg, &sum_u_tg_, &sum_v_tg_,
+                &out_u_tg_, &out_v_tg_);
   }
 }
 
@@ -255,16 +255,16 @@ double TaxoRecModel::TrainStep(const TripletSampler& sampler, int epoch,
   // rows of a scratch buffer, so this phase reads the (frozen) propagated
   // embeddings and writes disjoint memory: the batch is a pure function of
   // the seed, not of the thread count.
-  struct SampleRec {
-    uint32_t user = 0, pos = 0, neg = 0;
-    double a = 0.0;
-    double loss = 0.0;
-    bool active = false;
+  std::vector<SampleRec>& recs = ws_.recs;
+  recs.assign(batch, SampleRec{});
+  Matrix& gbuf_ir = ws_.gbuf_ir;
+  Matrix& gbuf_tg = ws_.gbuf_tg;
+  gbuf_ir.EnsureShape(batch * 3, di_cols_);
+  if (options_.use_tags) gbuf_tg.EnsureShape(batch * 3, dt_cols_);
+  // Zeroes sample j's three gradient rows before they accumulate.
+  auto zero_rows = [](Matrix* gbuf, size_t j) {
+    for (size_t r = 3 * j; r < 3 * j + 3; ++r) vec::Zero(gbuf->row(r));
   };
-  std::vector<SampleRec> recs(batch);
-  Matrix gbuf_ir(batch * 3, di_cols_);  // rows 3j..3j+2: user/pos/neg grads
-  Matrix gbuf_tg;
-  if (options_.use_tags) gbuf_tg = Matrix(batch * 3, dt_cols_);
 
   ParallelFor(0, batch, /*grain=*/32, [&](size_t j0, size_t j1) {
     for (size_t j = j0; j < j1; ++j) {
@@ -295,11 +295,13 @@ double TaxoRecModel::TrainStep(const TripletSampler& sampler, int epoch,
           nn::HingeTriplet(config_.margin, g_pos, g_neg, &dpos, &dneg);
       if (hinge <= 0.0) continue;
       recs[j] = {t.user, t.pos, t.neg, a, hinge, /*active=*/true};
+      zero_rows(&gbuf_ir, j);
       sq_dist_grad(out_u_ir_.row(t.user), out_v_ir_.row(t.pos), dpos * scale,
                    gbuf_ir.row(3 * j), gbuf_ir.row(3 * j + 1));
       sq_dist_grad(out_u_ir_.row(t.user), out_v_ir_.row(t.neg), dneg * scale,
                    gbuf_ir.row(3 * j), gbuf_ir.row(3 * j + 2));
       if (options_.use_tags && a > 0.0) {
+        zero_rows(&gbuf_tg, j);
         sq_dist_grad(out_u_tg_.row(t.user), out_v_tg_.row(t.pos),
                      a * dpos * scale, gbuf_tg.row(3 * j),
                      gbuf_tg.row(3 * j + 1));
@@ -313,13 +315,19 @@ double TaxoRecModel::TrainStep(const TripletSampler& sampler, int epoch,
   // Phase 2 — ordered reduction. Per-sample gradients are folded into the
   // dense update matrices in ascending sample order on this thread, so the
   // summation order (and every optimizer step below) is independent of the
-  // thread count.
-  Matrix up_u_ir(num_users_, di_cols_);
-  Matrix up_v_ir(num_items_, di_cols_);
-  Matrix up_u_tg, up_v_tg;
+  // thread count. The sums land in each channel's grad_u/grad_v.
+  auto zeroed = [](Matrix* m, size_t rows, size_t cols) -> Matrix& {
+    m->EnsureShape(rows, cols);
+    m->SetZero();
+    return *m;
+  };
+  Matrix& up_u_ir = zeroed(&ws_.ir.grad_u, num_users_, di_cols_);
+  Matrix& up_v_ir = zeroed(&ws_.ir.grad_v, num_items_, di_cols_);
+  Matrix& up_u_tg = ws_.tg.grad_u;
+  Matrix& up_v_tg = ws_.tg.grad_v;
   if (options_.use_tags) {
-    up_u_tg = Matrix(num_users_, dt_cols_);
-    up_v_tg = Matrix(num_items_, dt_cols_);
+    zeroed(&up_u_tg, num_users_, dt_cols_);
+    zeroed(&up_v_tg, num_items_, dt_cols_);
   }
   double batch_loss = 0.0;
   for (size_t j = 0; j < batch; ++j) {
@@ -343,38 +351,36 @@ double TaxoRecModel::TrainStep(const TripletSampler& sampler, int epoch,
     up_u_ir.at(0, 0) = std::numeric_limits<double>::quiet_NaN();
   }
 
-  // Backward through the global aggregation of one channel; produces leaf
-  // gradients for the channel's user and item leaves.
+  // Backward through the global aggregation of one channel: on entry
+  // ws->grad_u/grad_v hold the gradients on the channel's final
+  // embeddings, on exit the gradients on its user and item leaves.
   auto channel_backward = [&](const Matrix& users_leaf,
                               const Matrix& items_leaf, const Matrix& sum_u,
-                              const Matrix& sum_v, const Matrix& up_u,
-                              const Matrix& up_v, Matrix* leaf_gu,
-                              Matrix* leaf_gv) {
-    if (!options_.use_gcn) {
-      *leaf_gu = up_u;
-      *leaf_gv = up_v;
-      return;
-    }
+                              const Matrix& sum_v, ChannelWorkspace* ws) {
+    if (!options_.use_gcn) return;  // the leaves are the final embeddings
     if (hyp) {
-      Matrix gsum_u(up_u.rows(), up_u.cols());
-      Matrix gsum_v(up_v.rows(), up_v.cols());
-      nn::ExpMapOriginBackward(sum_u, up_u, &gsum_u);
-      nn::ExpMapOriginBackward(sum_v, up_v, &gsum_v);
-      Matrix gz_u, gz_v;
-      gcn_->Backward(gsum_u, gsum_v, &gz_u, &gz_v);
-      *leaf_gu = Matrix(up_u.rows(), up_u.cols());
-      *leaf_gv = Matrix(up_v.rows(), up_v.cols());
-      nn::LogMapOriginBackward(users_leaf, gz_u, leaf_gu);
-      nn::LogMapOriginBackward(items_leaf, gz_v, leaf_gv);
+      nn::ExpMapOriginBackward(
+          sum_u, ws->grad_u, &zeroed(&ws->gsum_u, sum_u.rows(), sum_u.cols()));
+      nn::ExpMapOriginBackward(
+          sum_v, ws->grad_v, &zeroed(&ws->gsum_v, sum_v.rows(), sum_v.cols()));
+      gcn_->Backward(ws->gsum_u, ws->gsum_v, &ws->tan_u, &ws->tan_v,
+                     &ws->gcn);
+      ws->grad_u.SetZero();
+      ws->grad_v.SetZero();
+      nn::LogMapOriginBackward(users_leaf, ws->tan_u, &ws->grad_u);
+      nn::LogMapOriginBackward(items_leaf, ws->tan_v, &ws->grad_v);
     } else {
-      gcn_->Backward(up_u, up_v, leaf_gu, leaf_gv);
+      gcn_->Backward(ws->grad_u, ws->grad_v, &ws->tan_u, &ws->tan_v,
+                     &ws->gcn);
+      std::swap(ws->grad_u, ws->tan_u);
+      std::swap(ws->grad_v, ws->tan_v);
     }
   };
 
   // --- ir channel ---
-  Matrix leaf_gu_ir, leaf_gv_ir;
-  channel_backward(users_ir_, items_ir_, sum_u_ir_, sum_v_ir_, up_u_ir,
-                   up_v_ir, &leaf_gu_ir, &leaf_gv_ir);
+  channel_backward(users_ir_, items_ir_, sum_u_ir_, sum_v_ir_, &ws_.ir);
+  const Matrix& leaf_gu_ir = ws_.ir.grad_u;
+  const Matrix& leaf_gv_ir = ws_.ir.grad_v;
   if (hyp) {
     optim::LorentzRsgdUpdate(&users_ir_, leaf_gu_ir, config_.lr,
                              config_.grad_clip);
@@ -390,10 +396,11 @@ double TaxoRecModel::TrainStep(const TripletSampler& sampler, int epoch,
   // --- tag channel ---
   if (options_.use_tags) {
     const double tag_lr = config_.lr * std::max(1.0, config_.tag_lr_mult);
-    Matrix leaf_gu_tg, leaf_gv_tg;
-    channel_backward(users_tg_, items_tg_leaf_, sum_u_tg_, sum_v_tg_, up_u_tg,
-                     up_v_tg, &leaf_gu_tg, &leaf_gv_tg);
-    Matrix grad_tags(num_tags_, tags_.cols());
+    channel_backward(users_tg_, items_tg_leaf_, sum_u_tg_, sum_v_tg_,
+                     &ws_.tg);
+    const Matrix& leaf_gu_tg = ws_.tg.grad_u;
+    const Matrix& leaf_gv_tg = ws_.tg.grad_v;
+    Matrix& grad_tags = zeroed(&ws_.grad_tags, num_tags_, tags_.cols());
     if (hyp) {
       optim::LorentzRsgdUpdate(&users_tg_, leaf_gu_tg, tag_lr,
                                config_.grad_clip);
@@ -520,6 +527,7 @@ void TaxoRecModel::EndFit(const DataSplit& split) {
     RebuildTaxonomy(config_.epochs);
   }
   Propagate();
+  ws_ = StepWorkspace();  // scoring and serving need none of it
 }
 
 void TaxoRecModel::Fit(const DataSplit& split, Rng* rng) {

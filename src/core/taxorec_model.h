@@ -137,6 +137,33 @@ class TaxoRecModel : public Recommender {
   double TrainStep(const TripletSampler& sampler, int epoch,
                    size_t batch_index);
 
+  // One sample of TrainStep's fan-out.
+  struct SampleRec {
+    uint32_t user = 0, pos = 0, neg = 0;
+    double a = 0.0;
+    double loss = 0.0;
+    bool active = false;
+  };
+  // One channel's step buffers. A buffer serves two uses whose lifetimes
+  // do not overlap, so a channel holds three gradient-sized pairs.
+  struct ChannelWorkspace {
+    nn::GcnContext gcn;     // GCN layer buffers, forward and backward
+    Matrix tan_u, tan_v;    // log_o of the leaves, then the GCN's input grad
+    Matrix gsum_u, gsum_v;  // gradient on the GCN outputs
+    Matrix grad_u, grad_v;  // gradient on the final embeddings, then leaves
+  };
+  // Everything a step would otherwise allocate per call, kept across
+  // steps so that a step allocates no users- or items-sized matrix once
+  // sized. Contents are scratch between uses (every use zeroes or fully
+  // overwrites what it reads); shapes are re-checked at each use, and
+  // EndFit releases the buffers.
+  struct StepWorkspace {
+    ChannelWorkspace ir, tg;
+    std::vector<SampleRec> recs;
+    Matrix gbuf_ir, gbuf_tg;  // rows 3j..3j+2: sample j's user/pos/neg grads
+    Matrix grad_tags;
+  };
+
   ModelConfig config_;
   TaxoRecOptions options_;
 
@@ -169,9 +196,10 @@ class TaxoRecModel : public Recommender {
   // Forward caches.
   nn::TagAggContext tag_ctx_;
   Matrix items_tg_leaf_;  // v^tg' before global aggregation
-  nn::GcnContext ir_ctx_, tg_ctx_gcn_;
   Matrix sum_u_ir_, sum_v_ir_, sum_u_tg_, sum_v_tg_;  // GCN outputs
   Matrix out_u_ir_, out_v_ir_, out_u_tg_, out_v_tg_;  // final embeddings
+
+  StepWorkspace ws_;
 };
 
 }  // namespace taxorec

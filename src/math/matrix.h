@@ -57,6 +57,12 @@ class Matrix {
   /// Sets every element to zero.
   void SetZero();
 
+  /// Gives the matrix the shape rows × cols. A matching shape keeps the
+  /// buffer and its contents; any other shape reallocates, zeroed.
+  void EnsureShape(size_t rows, size_t cols) {
+    if (rows_ != rows || cols_ != cols) *this = Matrix(rows, cols);
+  }
+
   /// Fills with i.i.d. N(0, stddev^2) entries.
   void FillGaussian(Rng* rng, double stddev);
 

@@ -11,21 +11,29 @@
 // terms are row-stochastic-weighted, layer magnitudes stay bounded by the
 // inputs' and the paper's margin grid m ∈ [0.1, 0.4] stays meaningful.
 // All operations are linear, so the backward pass is the adjoint recursion
-// with the transposed operators.
+// with the transposed operators; it needs none of the forward activations.
+//
+// Each layer is one SpMM per side (CsrMatrix::MultiplyAdd) whose initial
+// value is the self term; the 1/2 scale and the layer-sum (forward) or
+// upstream (backward) add run in the same row pass, on each row chunk right
+// after the kernel wrote it. Per element this is the same double sequence
+// as separate copy, SpMM, scale and add passes.
 #ifndef TAXOREC_NN_GCN_H_
 #define TAXOREC_NN_GCN_H_
-
-#include <vector>
 
 #include "math/csr.h"
 #include "math/matrix.h"
 
 namespace taxorec::nn {
 
-/// Forward context: layer activations needed only to size the backward.
+/// Caller-owned workspace of the propagation operators: the layer buffers
+/// Forward and Backward ping-pong through. Reusing one context across calls
+/// makes both passes allocation-free once its buffers have their shapes
+/// (they are resized when the shapes change). Its contents between calls
+/// are scratch.
 struct GcnContext {
-  std::vector<Matrix> zu;  // zu[l], l = 0..L
-  std::vector<Matrix> zv;  // zv[l], l = 0..L
+  Matrix u[2];  // users × D
+  Matrix v[2];  // items × D
 };
 
 /// Bipartite LightGCN-style propagation operator.
@@ -37,14 +45,15 @@ class BipartiteGcn {
   int num_layers() const { return num_layers_; }
 
   /// Computes out_u = sum_{l=1..L} Zu^l (and likewise out_v) from inputs
-  /// Zu0 (users × D), Zv0 (items × D). Fills ctx for Backward.
+  /// Zu0 (users × D), Zv0 (items × D), with ctx as the layer workspace.
   void Forward(const Matrix& zu0, const Matrix& zv0, GcnContext* ctx,
                Matrix* out_u, Matrix* out_v) const;
 
   /// Computes grad wrt the inputs: grad_u0/grad_v0 are *overwritten* with
-  /// the adjoints of upstream gradients on (out_u, out_v).
+  /// the adjoints of upstream gradients on (out_u, out_v). `ctx` is the
+  /// layer workspace (null: a temporary one).
   void Backward(const Matrix& up_u, const Matrix& up_v, Matrix* grad_u0,
-                Matrix* grad_v0) const;
+                Matrix* grad_v0, GcnContext* ctx = nullptr) const;
 
   size_t num_users() const { return pui_.rows(); }
   size_t num_items() const { return piu_.rows(); }
@@ -69,14 +78,14 @@ class LightGcnPropagation {
 
   int num_layers() const { return num_layers_; }
 
-  /// out = mean(Z^0 .. Z^L). ctx holds the per-layer activations.
+  /// out = mean(Z^0 .. Z^L), with ctx as the layer workspace.
   void Forward(const Matrix& zu0, const Matrix& zv0, GcnContext* ctx,
                Matrix* out_u, Matrix* out_v) const;
 
   /// Overwrites grad_u0/grad_v0 with the adjoints of upstream gradients on
-  /// the outputs.
+  /// the outputs. `ctx` is the layer workspace (null: a temporary one).
   void Backward(const Matrix& up_u, const Matrix& up_v, Matrix* grad_u0,
-                Matrix* grad_v0) const;
+                Matrix* grad_v0, GcnContext* ctx = nullptr) const;
 
   size_t num_users() const { return a_.rows(); }
   size_t num_items() const { return a_.cols(); }

@@ -20,7 +20,7 @@ void TagAggregation::Forward(const Matrix& tags_poincare, TagAggContext* ctx,
   const size_t dt = tags_poincare.cols();
   TAXOREC_CHECK(tags_poincare.rows() == S);
 
-  ctx->tags_klein = Matrix(S, dt);
+  ctx->tags_klein.EnsureShape(S, dt);
   ctx->gamma.assign(S, 1.0);
   for (size_t t = 0; t < S; ++t) {
     hyper::PoincareToKlein(tags_poincare.row(t), ctx->tags_klein.row(t));
@@ -28,11 +28,9 @@ void TagAggregation::Forward(const Matrix& tags_poincare, TagAggContext* ctx,
   }
 
   const size_t items = num_items();
-  ctx->mu = Matrix(items, dt);
+  ctx->mu.EnsureShape(items, dt);  // every row is zeroed before use
   ctx->denom.assign(items, 0.0);
-  if (out->rows() != items || out->cols() != dt + 1) {
-    *out = Matrix(items, dt + 1);
-  }
+  out->EnsureShape(items, dt + 1);
   for (size_t v = 0; v < items; ++v) {
     const auto tags = item_tags_->RowCols(v);
     auto mu = ctx->mu.row(v);

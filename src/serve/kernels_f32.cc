@@ -1,16 +1,12 @@
 #include "serve/kernels_f32.h"
 
-#include <atomic>
 #include <cmath>
 
 #include "common/check.h"
+#include "math/simd.h"
 
-#if defined(TAXOREC_ENABLE_AVX2) && defined(__x86_64__) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define TAXOREC_HAVE_AVX2_BUILD 1
+#if TAXOREC_HAVE_AVX2_BUILD
 #include <immintrin.h>
-#else
-#define TAXOREC_HAVE_AVX2_BUILD 0
 #endif
 
 namespace taxorec::f32 {
@@ -257,13 +253,9 @@ constexpr Backend kAvx2Backend = {
 };
 #endif
 
-std::atomic<bool> g_force_portable{false};
-
 const Backend& ActiveBackendImpl() {
 #if TAXOREC_HAVE_AVX2_BUILD
-  if (Avx2Supported() && !g_force_portable.load(std::memory_order_relaxed)) {
-    return kAvx2Backend;
-  }
+  if (simd::Avx2Enabled()) return kAvx2Backend;
 #endif
   return kPortableBackend;
 }
@@ -312,26 +304,6 @@ float SqDistRef(const float* x, const float* y, size_t n) {
 
 float LorentzSqDistRef(const float* x, const float* y, size_t n) {
   return LorentzSqFromDot(DotPortable(x, y, n), x[0] * y[0]);
-}
-
-bool Avx2Supported() {
-#if TAXOREC_HAVE_AVX2_BUILD
-  static const bool supported =
-      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-  return supported;
-#else
-  return false;
-#endif
-}
-
-bool Avx2Enabled() {
-  return Avx2Supported() && !g_force_portable.load(std::memory_order_relaxed);
-}
-
-const char* ActiveBackend() { return Avx2Enabled() ? "avx2" : "portable"; }
-
-void ForcePortableForTest(bool force) {
-  g_force_portable.store(force, std::memory_order_relaxed);
 }
 
 void ScoreRowRangeF32(const CompactSnapshot& s, uint32_t user, size_t begin,

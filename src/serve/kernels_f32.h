@@ -19,7 +19,8 @@
 //
 // Two backends implement these semantics: an AVX2/FMA one (compiled via
 // function-level target attributes when TAXOREC_ENABLE_AVX2 is defined,
-// selected at runtime by CPUID) and a portable scalar one (std::fmaf).
+// selected at runtime by the shared probe and test switch of math/simd.h)
+// and a portable scalar one (std::fmaf).
 // Because both follow the canonical lane algorithm they produce identical
 // bits, so runtime dispatch never changes served results. The per-row
 // scalar transforms (acosh, combine) are shared noinline functions so the
@@ -51,20 +52,6 @@ float SqDistRef(const float* x, const float* y, size_t n);
 
 /// Canonical float32 Lorentz squared distance built on DotRef.
 float LorentzSqDistRef(const float* x, const float* y, size_t n);
-
-/// True when the binary carries AVX2 kernels AND this CPU supports
-/// AVX2+FMA (runtime CPUID). False in portable-only builds.
-bool Avx2Supported();
-
-/// True when AVX2 kernels are active (supported and not forced off).
-bool Avx2Enabled();
-
-/// Name of the active float32 backend: "avx2" or "portable".
-const char* ActiveBackend();
-
-/// Test hook: forces the portable backend even on AVX2 hardware (used to
-/// assert backend bit-identity). Not thread-safe against in-flight scoring.
-void ForcePortableForTest(bool force);
 
 /// Scores items [begin, end) for `user` in float32 with the active
 /// backend, widening each score to double in dst[0 .. end-begin). The

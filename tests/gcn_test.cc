@@ -3,7 +3,12 @@
 // because the operator is linear, so the check is exact up to rounding).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "math/csr.h"
 #include "math/matrix.h"
@@ -153,6 +158,149 @@ TEST(GcnTest, DeeperPropagationSpreadsInformation) {
     gcn2.Forward(zu, zv, &ctx, &ou, &ov);
     EXPECT_GT(ou.at(0, 0), 0.0);  // 2 layers: signal arrived.
   }
+}
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+void ExpectBitEqual(const Matrix& got, const Matrix& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  for (size_t i = 0; i < got.flat().size(); ++i) {
+    ASSERT_EQ(Bits(got.flat()[i]), Bits(want.flat()[i]))
+        << what << " element " << i;
+  }
+}
+
+// Random bipartite graph with isolated users and items.
+CsrMatrix RandomGraph(Rng* rng, size_t users, size_t items) {
+  std::vector<std::pair<uint32_t, uint32_t>> edges;
+  for (size_t i = 0; i < 4 * users; ++i) {
+    const uint32_t u = static_cast<uint32_t>(rng->Uniform(users));
+    const uint32_t v = static_cast<uint32_t>(rng->Uniform(items));
+    if (u % 7 == 3 || v % 11 == 5) continue;
+    edges.emplace_back(u, v);
+  }
+  return CsrMatrix::FromPairs(users, items, edges);
+}
+
+// Gaussian entries with a sprinkle of -0.0, which the layer sum must turn
+// into +0.0 exactly as a zeroed sum does.
+Matrix RandomInput(Rng* rng, size_t rows, size_t cols) {
+  Matrix m(rows, cols);
+  m.FillGaussian(rng, 1.0);
+  for (size_t i = 0; i < m.flat().size(); i += 5) m.flat()[i] = -0.0;
+  return m;
+}
+
+// BipartiteGcn as separate copy, SpMM, halve and add passes over fresh
+// matrices: the per-element sequence the fused layer passes must keep.
+void SeparatePassForward(const CsrMatrix& x, int layers, const Matrix& zu0,
+                         const Matrix& zv0, Matrix* out_u, Matrix* out_v) {
+  const CsrMatrix pui = x.RowNormalized();
+  const CsrMatrix piu = x.Transposed().RowNormalized();
+  Matrix zu = zu0, zv = zv0;
+  *out_u = Matrix(zu0.rows(), zu0.cols());
+  *out_v = Matrix(zv0.rows(), zv0.cols());
+  for (int l = 0; l < layers; ++l) {
+    Matrix nu = zu, nv = zv;
+    pui.MultiplyAccum(zv, 1.0, &nu);
+    piu.MultiplyAccum(zu, 1.0, &nv);
+    for (double& v : nu.flat()) v *= 0.5;
+    for (double& v : nv.flat()) v *= 0.5;
+    out_u->Axpy(1.0, nu);
+    out_v->Axpy(1.0, nv);
+    zu = std::move(nu);
+    zv = std::move(nv);
+  }
+}
+
+void SeparatePassBackward(const CsrMatrix& x, int layers, const Matrix& up_u,
+                          const Matrix& up_v, Matrix* gu, Matrix* gv) {
+  const CsrMatrix pui_t = x.RowNormalized().Transposed();
+  const CsrMatrix piu_t = x.Transposed().RowNormalized().Transposed();
+  Matrix au = up_u, av = up_v;
+  for (int l = layers - 1; l >= 0; --l) {
+    Matrix nu = au, nv = av;
+    piu_t.MultiplyAccum(av, 1.0, &nu);
+    pui_t.MultiplyAccum(au, 1.0, &nv);
+    for (double& v : nu.flat()) v *= 0.5;
+    for (double& v : nv.flat()) v *= 0.5;
+    if (l >= 1) {
+      nu.Axpy(1.0, up_u);
+      nv.Axpy(1.0, up_v);
+    }
+    au = std::move(nu);
+    av = std::move(nv);
+  }
+  *gu = std::move(au);
+  *gv = std::move(av);
+}
+
+TEST(GcnTest, FusedLayersMatchSeparatePassesBitForBit) {
+  Rng rng(41);
+  const CsrMatrix x = RandomGraph(&rng, 90, 130);
+  for (int layers = 1; layers <= 4; ++layers) {
+    nn::BipartiteGcn gcn(x, layers);
+    for (const size_t d : {3, 16, 53}) {
+      const Matrix zu = RandomInput(&rng, 90, d);
+      const Matrix zv = RandomInput(&rng, 130, d);
+      nn::GcnContext ctx;
+      Matrix ou, ov, wu, wv;
+      gcn.Forward(zu, zv, &ctx, &ou, &ov);
+      SeparatePassForward(x, layers, zu, zv, &wu, &wv);
+      const std::string tag =
+          "layers=" + std::to_string(layers) + " d=" + std::to_string(d);
+      ExpectBitEqual(ou, wu, "forward users " + tag);
+      ExpectBitEqual(ov, wv, "forward items " + tag);
+      Matrix gu, gv;
+      gcn.Backward(zu, zv, &gu, &gv, &ctx);
+      SeparatePassBackward(x, layers, zu, zv, &wu, &wv);
+      ExpectBitEqual(gu, wu, "backward users " + tag);
+      ExpectBitEqual(gv, wv, "backward items " + tag);
+    }
+  }
+}
+
+// One context and one set of outputs reused across calls with different
+// inputs and widths give exactly what fresh ones give: no stale workspace
+// row survives into a result.
+template <typename Gcn>
+void ExpectReuseMatchesFresh(const CsrMatrix& x, Rng* rng) {
+  for (int layers = 1; layers <= 4; ++layers) {
+    const Gcn gcn(x, layers);
+    nn::GcnContext ctx;
+    Matrix ou, ov, gu, gv;
+    for (const size_t d : {5, 17, 5, 64, 3, 17}) {
+      const Matrix zu = RandomInput(rng, x.rows(), d);
+      const Matrix zv = RandomInput(rng, x.cols(), d);
+      const Matrix up_u = RandomInput(rng, x.rows(), d);
+      const Matrix up_v = RandomInput(rng, x.cols(), d);
+      gcn.Forward(zu, zv, &ctx, &ou, &ov);
+      gcn.Backward(up_u, up_v, &gu, &gv, &ctx);
+      nn::GcnContext fresh_ctx;
+      Matrix fu, fv, fgu, fgv;
+      gcn.Forward(zu, zv, &fresh_ctx, &fu, &fv);
+      gcn.Backward(up_u, up_v, &fgu, &fgv);
+      const std::string tag =
+          "layers=" + std::to_string(layers) + " d=" + std::to_string(d);
+      ExpectBitEqual(ou, fu, "forward users " + tag);
+      ExpectBitEqual(ov, fv, "forward items " + tag);
+      ExpectBitEqual(gu, fgu, "backward users " + tag);
+      ExpectBitEqual(gv, fgv, "backward items " + tag);
+    }
+  }
+}
+
+TEST(GcnTest, ReusedWorkspaceMatchesFresh) {
+  Rng rng(43);
+  ExpectReuseMatchesFresh<nn::BipartiteGcn>(RandomGraph(&rng, 70, 95), &rng);
+}
+
+TEST(LightGcnPropagationTest, ReusedWorkspaceMatchesFresh) {
+  Rng rng(44);
+  ExpectReuseMatchesFresh<nn::LightGcnPropagation>(RandomGraph(&rng, 70, 95),
+                                                   &rng);
 }
 
 TEST(MlpTest, GradCheckThroughReluTower) {

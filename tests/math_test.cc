@@ -3,12 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <tuple>
+#include <vector>
 
+#include "common/parallel.h"
 #include "math/csr.h"
 #include "math/matrix.h"
 #include "math/rng.h"
+#include "math/simd.h"
 #include "math/vec_ops.h"
 
 namespace taxorec {
@@ -209,26 +215,111 @@ TEST(CsrTest, TransposeRoundTrip) {
   }
 }
 
-TEST(CsrTest, MultiplyMatchesDense) {
-  Rng rng(6);
-  std::vector<std::pair<uint32_t, uint32_t>> edges;
-  for (int i = 0; i < 100; ++i) {
-    edges.emplace_back(rng.Uniform(10), rng.Uniform(12));
+// Bit pattern of a double: distinguishes -0.0 from +0.0 and compares NaNs.
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+// Reference SpMM row: init (+0.0 when null), then one separately rounded
+// multiply and add per nonzero, in the row's column order.
+std::vector<double> ReferenceRow(const CsrMatrix& m, const Matrix& dense,
+                                 double alpha, const Matrix* init, size_t r) {
+  std::vector<double> row(dense.cols(), 0.0);
+  if (init != nullptr) {
+    for (size_t j = 0; j < row.size(); ++j) row[j] = init->at(r, j);
   }
-  auto m = CsrMatrix::FromPairs(10, 12, edges);
-  Matrix dense(12, 4);
-  dense.FillGaussian(&rng, 1.0);
-  Matrix out;
-  m.Multiply(dense, &out);
-  for (size_t r = 0; r < 10; ++r) {
-    for (size_t c = 0; c < 4; ++c) {
-      double expect = 0.0;
-      const auto cols = m.RowCols(r);
-      const auto w = m.RowWeights(r);
-      for (size_t k = 0; k < cols.size(); ++k) {
-        expect += w[k] * dense.at(cols[k], c);
+  const auto cols = m.RowCols(r);
+  const auto w = m.RowWeights(r);
+  for (size_t k = 0; k < cols.size(); ++k) {
+    const double a = alpha * w[k];
+    for (size_t j = 0; j < row.size(); ++j) {
+      const double p = a * dense.at(cols[k], j);
+      row[j] = row[j] + p;
+    }
+  }
+  return row;
+}
+
+// Multiply and MultiplyAccum equal the per-nonzero reference bit for bit:
+// every width class of the register-blocked kernel (full 16-column strips,
+// short strips, masked tails), empty rows, signed-zero initial values, two
+// alphas, both SIMD backends and two thread counts.
+TEST(CsrTest, MultiplyMatchesReferenceBitForBit) {
+  Rng rng(6);
+  constexpr size_t kRows = 70, kCols = 45;
+  std::vector<std::tuple<uint32_t, uint32_t, double>> triplets;
+  for (int i = 0; i < 600; ++i) {
+    const uint32_t r = static_cast<uint32_t>(rng.Uniform(kRows));
+    if (r % 9 == 4) continue;  // empty rows
+    triplets.emplace_back(r, static_cast<uint32_t>(rng.Uniform(kCols)),
+                          rng.NextGaussian());
+  }
+  const CsrMatrix m = CsrMatrix::FromTriplets(kRows, kCols, triplets);
+  const int saved_threads = GetNumThreads();
+  for (const size_t d : {1, 2, 3, 4, 5, 13, 15, 16, 17, 31, 32, 33, 53, 65}) {
+    Matrix dense(kCols, d);
+    dense.FillGaussian(&rng, 1.0);
+    Matrix init(kRows, d);
+    init.FillGaussian(&rng, 1.0);
+    init.at(4, 0) = -0.0;  // an empty row keeps its -0.0
+    init.at(0, 0) = -0.0;
+    for (const double alpha : {1.0, 0.25}) {
+      for (const bool portable : {false, true}) {
+        simd::ForcePortableForTest(portable);
+        for (const int threads : {1, 4}) {
+          SetNumThreads(threads);
+          Matrix prod;
+          Matrix accum = init;
+          if (alpha == 1.0) m.Multiply(dense, &prod);
+          m.MultiplyAccum(dense, alpha, &accum);
+          for (size_t r = 0; r < kRows; ++r) {
+            const auto want = ReferenceRow(m, dense, alpha, &init, r);
+            const auto want0 = ReferenceRow(m, dense, 1.0, nullptr, r);
+            for (size_t j = 0; j < d; ++j) {
+              ASSERT_EQ(Bits(accum.at(r, j)), Bits(want[j]))
+                  << "MultiplyAccum d=" << d << " alpha=" << alpha
+                  << " row=" << r << " col=" << j << " "
+                  << simd::ActiveBackend() << " threads=" << threads;
+              if (alpha != 1.0) continue;
+              ASSERT_EQ(Bits(prod.at(r, j)), Bits(want0[j]))
+                  << "Multiply d=" << d << " row=" << r << " col=" << j
+                  << " " << simd::ActiveBackend() << " threads=" << threads;
+            }
+          }
+        }
       }
-      EXPECT_NEAR(out.at(r, c), expect, 1e-12);
+    }
+  }
+  simd::ForcePortableForTest(false);
+  SetNumThreads(saved_threads);
+}
+
+// MultiplyAdd's epilogue sees every output row exactly once, after the
+// kernel wrote it.
+TEST(CsrTest, MultiplyAddEpilogueCoversEveryRowOnceAfterTheKernel) {
+  Rng rng(8);
+  std::vector<std::pair<uint32_t, uint32_t>> edges;
+  for (int i = 0; i < 400; ++i) {
+    edges.emplace_back(rng.Uniform(150), rng.Uniform(40));
+  }
+  const CsrMatrix m = CsrMatrix::FromPairs(150, 40, edges);
+  Matrix dense(40, 3), init(150, 3), out(150, 3), after(150, 3);
+  dense.FillGaussian(&rng, 1.0);
+  init.FillGaussian(&rng, 1.0);
+  std::vector<int> seen(150, 0);
+  const int saved_threads = GetNumThreads();
+  SetNumThreads(4);
+  m.MultiplyAdd(dense, 1.0, &init, &out, [&](size_t r0, size_t r1) {
+    for (size_t r = r0; r < r1; ++r) {
+      ++seen[r];
+      for (size_t j = 0; j < 3; ++j) after.at(r, j) = out.at(r, j);
+    }
+  });
+  SetNumThreads(saved_threads);
+  Matrix want = init;
+  m.MultiplyAccum(dense, 1.0, &want);
+  for (size_t r = 0; r < 150; ++r) {
+    EXPECT_EQ(seen[r], 1) << "row " << r;
+    for (size_t j = 0; j < 3; ++j) {
+      EXPECT_EQ(Bits(after.at(r, j)), Bits(want.at(r, j))) << "row " << r;
     }
   }
 }

@@ -17,6 +17,7 @@
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "math/rng.h"
+#include "math/simd.h"
 #include "serve/compact_snapshot.h"
 #include "serve/kernels_f32.h"
 #include "serve/server.h"
@@ -37,8 +38,8 @@ class ThreadCountGuard {
 
 class PortableBackendGuard {
  public:
-  explicit PortableBackendGuard(bool force) { f32::ForcePortableForTest(force); }
-  ~PortableBackendGuard() { f32::ForcePortableForTest(false); }
+  explicit PortableBackendGuard(bool force) { simd::ForcePortableForTest(force); }
+  ~PortableBackendGuard() { simd::ForcePortableForTest(false); }
 };
 
 const ScoreKernel kNativeKernels[] = {
@@ -269,7 +270,7 @@ TEST(Float32KernelTest, DotBitIdenticalToScalarFloatReference) {
 // family (runtime dispatch never changes served results). Vacuous on
 // non-AVX2 hardware or portable-only builds.
 TEST(Float32KernelTest, Avx2AndPortableBackendsBitIdentical) {
-  if (!f32::Avx2Supported()) {
+  if (!simd::Avx2Supported()) {
     GTEST_SKIP() << "no AVX2 kernels in this build/CPU";
   }
   for (ScoreKernel kernel : kNativeKernels) {
@@ -279,12 +280,12 @@ TEST(Float32KernelTest, Avx2AndPortableBackendsBitIdentical) {
     for (uint32_t u = 0; u < snap.num_users; ++u) {
       {
         PortableBackendGuard guard(false);
-        ASSERT_STREQ(f32::ActiveBackend(), "avx2");
+        ASSERT_STREQ(simd::ActiveBackend(), "avx2");
         model.ScoreAll(u, std::span<double>(avx));
       }
       {
         PortableBackendGuard guard(true);
-        ASSERT_STREQ(f32::ActiveBackend(), "portable");
+        ASSERT_STREQ(simd::ActiveBackend(), "portable");
         model.ScoreAll(u, std::span<double>(portable));
       }
       for (size_t v = 0; v < snap.num_items; ++v) {
