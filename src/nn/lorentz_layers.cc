@@ -18,9 +18,7 @@ constexpr double kRadicandFloor = 1e-14;
 }  // namespace
 
 void LogMapOriginForward(const Matrix& X, Matrix* Z) {
-  if (Z->rows() != X.rows() || Z->cols() != X.cols()) {
-    *Z = Matrix(X.rows(), X.cols());
-  }
+  Z->EnsureShape(X.rows(), X.cols());
   for (size_t r = 0; r < X.rows(); ++r) {
     lorentz::LogMapOrigin(X.row(r), Z->row(r));
   }
@@ -61,9 +59,7 @@ void LogMapOriginBackward(const Matrix& X, const Matrix& upstream,
 }
 
 void ExpMapOriginForward(const Matrix& Z, Matrix* Y) {
-  if (Y->rows() != Z.rows() || Y->cols() != Z.cols()) {
-    *Y = Matrix(Z.rows(), Z.cols());
-  }
+  Y->EnsureShape(Z.rows(), Z.cols());
   for (size_t r = 0; r < Z.rows(); ++r) {
     lorentz::ExpMapOrigin(Z.row(r), Y->row(r));
   }
