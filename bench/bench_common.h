@@ -221,7 +221,8 @@ inline bool HasArg(int argc, const char* const* argv,
 /// --metrics-out (metrics snapshot path; written by ~BenchRun). Returns the
 /// trace path ("" = tracing stays off). Span aggregation (profiling) is
 /// armed unconditionally — every BENCH_<name>.json embeds the call-path
-/// profile of its own run; --profile-out additionally writes it as JSONL.
+/// profile of its own run, with hardware counters when a PMU exists;
+/// --profile-out additionally writes it as JSONL.
 inline std::string InitObservability(int argc, const char* const* argv) {
   const std::string level = ArgValue(argc, argv, "log-level");
   if (!level.empty()) {
@@ -232,10 +233,6 @@ inline std::string InitObservability(int argc, const char* const* argv) {
   const std::string trace_out = ArgValue(argc, argv, "trace-out");
   if (!trace_out.empty()) StartTracing();
   StartProfiling();
-  // Hardware counters fold into the same trace sites the profiler
-  // aggregates; a machine without a PMU (most containers) degrades to the
-  // wall-time profile alone and the perf sections stay absent.
-  (void)StartPerfCounters();
   return trace_out;
 }
 
@@ -281,14 +278,8 @@ class BenchRun {
       }
     }
     StopProfiling();
-    StopPerfCounters();
     if (!profile_out_.empty()) {
       if (Status s = WriteProfileJsonl(profile_out_); !s.ok()) {
-        std::fprintf(stderr, "[bench] %s\n", s.ToString().c_str());
-      }
-      // Per-site counter lines ride in the same JSONL file as the
-      // wall-time profile (absent without a PMU).
-      if (Status s = AppendPerfCountersJsonl(profile_out_); !s.ok()) {
         std::fprintf(stderr, "[bench] %s\n", s.ToString().c_str());
       }
     }

@@ -626,8 +626,9 @@ OverloadTimeline RunOverloadTimeline(const Recommender& model,
 /// results[] share index order with kTierNames.
 constexpr const char* kTierNames[] = {"double", "float32", "int8"};
 
-/// Counter-region labels for the tier sweeps — flattened by bench_compare
-/// as perf.serve.<tier>.* (e.g. perf.serve.f32.llc_miss_rate gates).
+/// Span names of the tier sweeps — their counters are flattened by
+/// bench_compare as perf.serve.<tier>.* (e.g. perf.serve.f32.llc_miss_rate
+/// gates).
 constexpr const char* kTierPerfSites[] = {"serve.double", "serve.f32",
                                           "serve.int8"};
 
@@ -662,7 +663,7 @@ std::vector<TierReport> RunTierBench(size_t num_items, int reps,
       // Hardware counters per tier: the sweep is the serving hot loop, so
       // its IPC / LLC miss rate is the per-precision memory-bandwidth
       // story DESIGN.md §14 gates on.
-      PerfRegion perf(kTierPerfSites[reports.size()]);
+      TraceSpan span(kTierPerfSites[reports.size()]);
       secs = ScoreSweepSeconds(model, users, reps);
     }
     r.items_per_second =
@@ -830,7 +831,6 @@ int Main(int argc, const char* const* argv) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   StopProfiling();
-  StopPerfCounters();
   std::FILE* f = std::fopen("BENCH_serve.json", "w");
   if (f == nullptr) return 1;
   // Omitted entirely (not zero-filled) on PMU-less machines so the json

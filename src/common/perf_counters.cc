@@ -1,13 +1,16 @@
 #include "common/perf_counters.h"
 
+#include <atomic>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <mutex>
 
 #include "common/json.h"
 #include "common/log.h"
+#include "common/profiler.h"
+#include "common/span_table.h"
 
 #if defined(__linux__)
 #include <linux/perf_event.h>
@@ -174,6 +177,14 @@ double Ratio(bool have_num, uint64_t num, bool have_den, uint64_t den) {
 
 }  // namespace
 
+void PerfSiteCounters::Add(const PerfSiteCounters& other) {
+  enters += other.enters;
+  for (int i = 0; i < kPerfHwEventCount; ++i) {
+    counts[i] += other.counts[i];
+    have[i] = have[i] || other.have[i];
+  }
+}
+
 double PerfSiteCounters::Ipc() const {
   return Ratio(have[kPerfInstructions], counts[kPerfInstructions],
                have[kPerfCycles], counts[kPerfCycles]);
@@ -199,109 +210,11 @@ double PerfSiteCounters::StalledFrac() const {
                have[kPerfCycles], counts[kPerfCycles]);
 }
 
-namespace internal {
-namespace {
-
-constexpr int kMaxPerfDepth = 32;
-
-/// Per-site accumulator inside one thread's buffer.
-struct PerfAccum {
-  uint64_t enters = 0;
-  uint64_t counts[kPerfHwEventCount] = {};
-};
-
-/// Per-thread counter state: one group, a nesting stack of entry
-/// snapshots, and a site-keyed accumulator map. The mutex only guards
-/// against a concurrent merge/clear (the hot path has one writer, the
-/// owning thread) — the same discipline as the profiler's ProfileBuffer.
-struct PerfThreadBuffer {
-  std::mutex mu;
-  PerfEventGroup group;
-  bool tried_open = false;
-  int depth = 0;
-  struct Frame {
-    const char* name;
-    std::vector<uint64_t> snap;
-  } stack[kMaxPerfDepth];
-  std::map<std::string, PerfAccum, std::less<>> sites;
-};
-
-struct PerfRegistry {
-  std::mutex mu;
-  std::vector<PerfThreadBuffer*> buffers;  // leaked; threads outlive drains
-};
-
-PerfRegistry& Registry() {
-  static PerfRegistry* registry = new PerfRegistry();
-  return *registry;
-}
-
-PerfThreadBuffer* ThreadBuffer() {
-  thread_local PerfThreadBuffer* buffer = [] {
-    auto* b = new PerfThreadBuffer();
-    PerfRegistry& reg = Registry();
-    std::lock_guard<std::mutex> lock(reg.mu);
-    reg.buffers.push_back(b);
-    return b;
-  }();
-  return buffer;
-}
-
-}  // namespace
-
-void PerfEnter(const char* name) {
-  PerfThreadBuffer* b = ThreadBuffer();
-  std::lock_guard<std::mutex> lock(b->mu);
-  if (!b->tried_open) {
-    b->tried_open = true;
-    // The process-level probe already passed (StartPerfCounters); a
-    // per-thread failure here (fd exhaustion) just leaves this thread
-    // contributing nothing.
-    (void)b->group.Open(HardwarePerfSpecs());
-  }
-  if (!b->group.open()) return;
-  if (b->depth >= kMaxPerfDepth) {
-    ++b->depth;  // count past the cap so exits rebalance
-    return;
-  }
-  PerfThreadBuffer::Frame& f = b->stack[b->depth];
-  f.name = name;
-  (void)b->group.Read(&f.snap);
-  ++b->depth;
-}
-
-void PerfExit(const char* name) {
-  PerfThreadBuffer* b = ThreadBuffer();
-  std::lock_guard<std::mutex> lock(b->mu);
-  if (!b->group.open() || b->depth == 0) return;
-  --b->depth;
-  if (b->depth >= kMaxPerfDepth) return;  // overflowed frame, no snapshot
-  const PerfThreadBuffer::Frame& f = b->stack[b->depth];
-  std::vector<uint64_t> now;
-  if (!b->group.Read(&now).ok()) return;
-  // Exit name should match the entry frame; trust the frame (it holds the
-  // snapshot) if a mismatch ever slips through.
-  const char* site = f.name != nullptr ? f.name : name;
-  auto it = b->sites.find(std::string_view(site));
-  if (it == b->sites.end()) {
-    it = b->sites.emplace(std::string(site), PerfAccum()).first;
-  }
-  PerfAccum& acc = it->second;
-  ++acc.enters;
-  for (int i = 0; i < kPerfHwEventCount; ++i) {
-    if (static_cast<size_t>(i) < now.size() &&
-        static_cast<size_t>(i) < f.snap.size() && now[i] >= f.snap[i]) {
-      acc.counts[i] += now[i] - f.snap[i];
-    }
-  }
-}
-
-}  // namespace internal
-
 namespace {
 
 std::once_flag g_probe_once;
 bool g_supported = false;
+std::atomic<const std::vector<PerfEventSpec>*> g_test_specs{nullptr};
 
 void ProbeSupport() {
   PerfEventGroup probe;
@@ -318,6 +231,12 @@ void ProbeSupport() {
   }
 }
 
+void SumByName(const ProfileNode& node,
+               std::map<std::string, PerfSiteCounters>* sites) {
+  if (node.counters.enters > 0) (*sites)[node.name].Add(node.counters);
+  for (const ProfileNode& child : node.children) SumByName(child, sites);
+}
+
 }  // namespace
 
 bool PerfCountersSupported() {
@@ -325,122 +244,58 @@ bool PerfCountersSupported() {
   return g_supported;
 }
 
-bool PerfCountersEnabled() {
-  return (internal::g_instrument_mode.load(std::memory_order_relaxed) &
-          internal::kPerfArmed) != 0;
-}
-
-Status StartPerfCounters() {
-  if (!PerfCountersSupported()) {
-    return Status::Unavailable("hardware perf counters unavailable");
-  }
-  internal::g_instrument_mode.fetch_or(internal::kPerfArmed,
-                                       std::memory_order_relaxed);
-  return Status::OK();
-}
-
-void StopPerfCounters() {
-  internal::g_instrument_mode.fetch_and(~internal::kPerfArmed,
-                                        std::memory_order_relaxed);
-}
-
-void ClearPerfCounters() {
-  auto& reg = internal::Registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  for (auto* b : reg.buffers) {
-    std::lock_guard<std::mutex> bl(b->mu);
-    b->sites.clear();
-    b->depth = 0;
-  }
-}
-
-std::map<std::string, PerfSiteCounters> MergedPerfCounters() {
-  std::map<std::string, PerfSiteCounters> out;
-  auto& reg = internal::Registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  for (auto* b : reg.buffers) {
-    std::lock_guard<std::mutex> bl(b->mu);
-    if (b->sites.empty()) continue;
-    std::vector<bool> opened = b->group.opened();
-    for (const auto& [name, acc] : b->sites) {
-      PerfSiteCounters& site = out[name];
-      site.enters += acc.enters;
-      for (int i = 0; i < kPerfHwEventCount; ++i) {
-        const bool have =
-            static_cast<size_t>(i) < opened.size() && opened[i];
-        if (have) {
-          site.have[i] = true;
-          site.counts[i] += acc.counts[i];
-        }
-      }
-    }
-  }
-  return out;
-}
-
-namespace {
-
-void WriteSiteFields(const PerfSiteCounters& site, JsonWriter* w) {
-  const auto& specs = HardwarePerfSpecs();
-  w->Key("enters").Uint(site.enters);
-  for (int i = 0; i < kPerfHwEventCount; ++i) {
-    if (site.have[i]) w->Key(specs[i].name).Uint(site.counts[i]);
+void PerfSiteCounters::WriteJsonFields(JsonWriter* w) const {
+  // Counts are named by the armed set (the hardware set unless a test
+  // armed its own).
+  const auto* armed = internal::g_counter_specs.load(std::memory_order_acquire);
+  const std::vector<PerfEventSpec>& specs =
+      armed != nullptr ? *armed : HardwarePerfSpecs();
+  for (size_t i = 0; i < specs.size() && i < kPerfHwEventCount; ++i) {
+    if (have[i]) w->Key(specs[i].name).Uint(counts[i]);
   }
   // Derived rates only when their inputs exist: zeros from absent events
   // would poison bench_compare gating and break byte-stability.
-  if (const double v = site.Ipc(); v >= 0.0) w->Key("ipc").Double(v);
-  if (const double v = site.Cpi(); v >= 0.0) w->Key("cpi").Double(v);
-  if (const double v = site.LlcMissRate(); v >= 0.0) {
+  if (const double v = Ipc(); v >= 0.0) w->Key("ipc").Double(v);
+  if (const double v = Cpi(); v >= 0.0) w->Key("cpi").Double(v);
+  if (const double v = LlcMissRate(); v >= 0.0) {
     w->Key("llc_miss_rate").Double(v);
   }
-  if (const double v = site.BranchMissRate(); v >= 0.0) {
+  if (const double v = BranchMissRate(); v >= 0.0) {
     w->Key("branch_miss_rate").Double(v);
   }
-  if (const double v = site.StalledFrac(); v >= 0.0) {
+  if (const double v = StalledFrac(); v >= 0.0) {
     w->Key("stalled_frac").Double(v);
   }
 }
 
-}  // namespace
-
 std::string PerfCountersJsonObject() {
-  const auto merged = MergedPerfCounters();
-  if (merged.empty()) return "";
+  std::map<std::string, PerfSiteCounters> sites;
+  SumByName(MergedProfile(), &sites);
+  if (sites.empty()) return "";
   JsonWriter w;
   w.BeginObject();
-  for (const auto& [name, site] : merged) {
+  for (const auto& [name, site] : sites) {
     w.Key(name).BeginObject();
-    WriteSiteFields(site, &w);
+    w.Key("enters").Uint(site.enters);
+    site.WriteJsonFields(&w);
     w.EndObject();
   }
   w.EndObject();
   return w.TakeString();
 }
 
-std::vector<std::string> PerfCountersJsonLines() {
-  std::vector<std::string> lines;
-  for (const auto& [name, site] : MergedPerfCounters()) {
-    JsonWriter w;
-    w.BeginObject();
-    w.Key("perf_site").String(name);
-    WriteSiteFields(site, &w);
-    w.EndObject();
-    lines.push_back(w.TakeString());
+namespace internal {
+
+const std::vector<PerfEventSpec>* CounterSpecsToArm() {
+  if (const auto* specs = g_test_specs.load(std::memory_order_acquire)) {
+    return specs;
   }
-  return lines;
+  return PerfCountersSupported() ? &HardwarePerfSpecs() : nullptr;
 }
 
-Status AppendPerfCountersJsonl(const std::string& path) {
-  const std::vector<std::string> lines = PerfCountersJsonLines();
-  if (lines.empty()) return Status::OK();
-  std::ofstream out(path, std::ios::app);
-  if (!out) return Status::IOError("cannot append perf counters: " + path);
-  for (const std::string& line : lines) {
-    out << line << "\n";
-  }
-  out.flush();
-  if (!out) return Status::IOError("short write: " + path);
-  return Status::OK();
+void UseCounterSpecsForTest(const std::vector<PerfEventSpec>* specs) {
+  g_test_specs.store(specs, std::memory_order_release);
 }
 
+}  // namespace internal
 }  // namespace taxorec

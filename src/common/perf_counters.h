@@ -5,38 +5,37 @@
 // evidence (DESIGN.md §14). This layer opens one perf_event counter group
 // per thread — cycles (leader), instructions, cache-references,
 // cache-misses, branch-misses, stalled-cycles-backend — and attaches it to
-// the existing TraceSpan sites: when armed (StartPerfCounters), every span
-// enter/exit snapshots the group and folds the delta into a per-site
-// aggregate, exactly like the call-path profiler rides the same sites.
-// Standalone regions without a TraceSpan use the PerfRegion RAII guard.
+// the call-path profiler (common/profiler.h): arming profiling arms the
+// group whenever the PMU probe passes, every profiled span snapshots the
+// group on enter and exit, and the delta folds into the span's call-path
+// node beside its wall time.
 //
 // Derived metrics (IPC, CPI, LLC miss rate, branch miss rate, stalled
-// fraction) are computed at export time and merged into --profile-out
-// (AppendPerfCountersJsonl), every BENCH_<name>.json
-// (PerfCountersJsonObject) and the bench_compare gate (flattened
-// perf.<site>.* keys).
+// fraction) are computed at export time: as fields on the --profile-out
+// path lines (ProfileJsonLines), and summed by site name into the "perf"
+// section of every BENCH_<name>.json (PerfCountersJsonObject) that the
+// bench_compare gate flattens into perf.<site>.* keys.
 //
 // Graceful degradation: containers and locked-down CI typically have no
-// PMU (perf_event_open fails with ENOENT/EACCES/EPERM). The first arming
-// attempt probes availability once, WARNs once with the errno and the
-// perf_event_paranoid hint, and every later query returns empty — JSON
-// sections are omitted entirely (no zeros), so BENCH output is byte-stable
-// with or without counters. Disarmed spans still cost exactly one relaxed
-// load (the shared instrument-mode word in common/trace.h), preserving
-// --threads bit-identity.
+// PMU (perf_event_open fails with ENOENT/EACCES/EPERM). StartProfiling
+// probes availability once, WARNs once with the errno and the
+// perf_event_paranoid hint, and profiles wall time only from then on —
+// counter fields and the "perf" section are omitted entirely (no zeros),
+// so BENCH output is byte-stable with or without counters. Disarmed spans
+// still cost exactly one relaxed load (the shared instrument-mode word in
+// common/trace.h), preserving --threads bit-identity.
 #ifndef TAXOREC_COMMON_PERF_COUNTERS_H_
 #define TAXOREC_COMMON_PERF_COUNTERS_H_
 
-#include <atomic>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
-#include "common/trace.h"
 
 namespace taxorec {
+
+class JsonWriter;
 
 /// One perf_event in a group: `type`/`config` mirror the
 /// perf_event_attr fields (PERF_TYPE_HARDWARE + PERF_COUNT_HW_* for the
@@ -92,16 +91,19 @@ enum PerfHwEvent {
   kPerfHwEventCount
 };
 
-/// The standard hardware counter group attached to trace sites.
+/// The standard hardware counter group armed with profiling.
 const std::vector<PerfEventSpec>& HardwarePerfSpecs();
 
-/// Aggregated counters for one site (span name), summed over all entries
-/// on all threads. `have[i]` is true when event i opened on at least one
-/// contributing thread; absent events are omitted from exports.
+/// Counter deltas of one call-path node (or one site, summed by name),
+/// over every counted call on every thread. `have[i]` is true when event
+/// i opened on at least one contributing thread; absent events are
+/// omitted from exports.
 struct PerfSiteCounters {
-  uint64_t enters = 0;
+  uint64_t enters = 0;  // calls with a counter reading
   uint64_t counts[kPerfHwEventCount] = {};
   bool have[kPerfHwEventCount] = {};
+
+  void Add(const PerfSiteCounters& other);
 
   // Derived rates; negative when the inputs are absent (omitted from
   // JSON — "zeros omitted" is what keeps counterless runs byte-stable).
@@ -110,6 +112,10 @@ struct PerfSiteCounters {
   double LlcMissRate() const;     // cache-misses / cache-references
   double BranchMissRate() const;  // branch-misses / instructions
   double StalledFrac() const;     // stalled-cycles / cycles
+
+  /// Writes the present counts (named by the armed event set) and rates
+  /// as keys of the object `w` is inside.
+  void WriteJsonFields(JsonWriter* w) const;
 };
 
 /// True when the hardware group can be opened on this machine. Probes once
@@ -117,64 +123,19 @@ struct PerfSiteCounters {
 /// /proc/sys/kernel/perf_event_paranoid hint.
 bool PerfCountersSupported();
 
-/// True while counter collection is armed.
-bool PerfCountersEnabled();
-
-/// Arms counter collection on the TraceSpan/PerfRegion sites. Returns
-/// Unavailable (after the single WARN) when the PMU is absent — callers
-/// treat that as "run without counters", never as an error.
-Status StartPerfCounters();
-
-/// Disarms collection. Aggregates survive until ClearPerfCounters.
-void StopPerfCounters();
-
-/// Drops every per-thread aggregate (test isolation).
-void ClearPerfCounters();
-
-/// Deterministic merge of the per-thread site aggregates (name-sorted).
-std::map<std::string, PerfSiteCounters> MergedPerfCounters();
-
-/// {"<site>": {"enters": N, "cycles": ..., "ipc": ...}, ...} for embedding
-/// in BENCH_<name>.json ("perf" section). Empty string when no data was
-/// collected — callers omit the section entirely.
+/// {"<site>": {"enters": N, "cycles": ..., "ipc": ...}, ...}: the merged
+/// profile's counter deltas summed by site name (nested spans of one name
+/// add up), for the "perf" section of BENCH_<name>.json. Empty string when
+/// no counter was read — callers omit the section entirely.
 std::string PerfCountersJsonObject();
 
-/// One {"perf_site": "<site>", ...} JSONL line per site, for merging into
-/// --profile-out next to the call-path profile lines.
-std::vector<std::string> PerfCountersJsonLines();
-
-/// Appends PerfCountersJsonLines to `path` (the --profile-out file). OK
-/// and a no-op when there is no counter data.
-Status AppendPerfCountersJsonl(const std::string& path);
-
 namespace internal {
-// Implemented in perf_counters.cc; called by TraceSpan via the
-// kPerfArmed bit of g_instrument_mode (common/trace.h).
-void PerfEnter(const char* name);
-void PerfExit(const char* name);
+/// Test hook: the next StartProfiling opens each thread's group with
+/// `specs` (at most kPerfHwEventCount events; software events count
+/// without a PMU) instead of probing for the hardware set. nullptr
+/// restores the hardware set. `specs` must outlive every armed span.
+void UseCounterSpecsForTest(const std::vector<PerfEventSpec>* specs);
 }  // namespace internal
-
-/// RAII counter region for code that is not a TraceSpan site (e.g. the
-/// per-precision-tier scoring sweeps in bench_serve). Same one-relaxed-load
-/// disarmed discipline and the same per-site aggregate sink as TraceSpan.
-class PerfRegion {
- public:
-  explicit PerfRegion(const char* name)
-      : armed_((internal::g_instrument_mode.load(std::memory_order_relaxed) &
-                internal::kPerfArmed) != 0),
-        name_(name) {
-    if (armed_) internal::PerfEnter(name_);
-  }
-  ~PerfRegion() {
-    if (armed_) internal::PerfExit(name_);
-  }
-  PerfRegion(const PerfRegion&) = delete;
-  PerfRegion& operator=(const PerfRegion&) = delete;
-
- private:
-  const bool armed_;
-  const char* name_;
-};
 
 }  // namespace taxorec
 

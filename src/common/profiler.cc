@@ -1,105 +1,25 @@
 #include "common/profiler.h"
 
-#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <map>
-#include <memory>
-#include <mutex>
-#include <string_view>
 #include <utility>
 
 #include "common/json.h"
+#include "common/span_table.h"
 #include "common/trace.h"
 
 namespace taxorec {
-namespace internal {
 namespace {
 
-/// One call-path node of a thread-local profile tree. Trees only grow
-/// (ClearProfile zeroes stats but keeps the structure), so the `cur`
-/// cursor of an in-flight span never dangles.
-struct SiteNode {
-  explicit SiteNode(SiteNode* parent) : parent(parent) {}
-
-  SiteNode* const parent;
-  uint64_t calls = 0;
-  uint64_t incl_us = 0;
-  uint64_t min_us = std::numeric_limits<uint64_t>::max();
-  uint64_t max_us = 0;
-  // Keyed by site-name content (not pointer identity: equal literals are
-  // not guaranteed to be merged across translation units). Heterogeneous
-  // lookup keeps the armed hot path allocation-free after first visit.
-  std::map<std::string, std::unique_ptr<SiteNode>, std::less<>> children;
-};
-
-/// Per-thread aggregate tree. The mutex only guards against a concurrent
-/// merge/clear; the hot path has exactly one writer (the owning thread).
-struct ProfileBuffer {
-  std::mutex mu;
-  SiteNode root{nullptr};
-  SiteNode* cur = &root;
-};
-
-struct ProfileRegistry {
-  std::mutex mu;
-  std::vector<ProfileBuffer*> buffers;  // leaked; threads may outlive drains
-};
-
-ProfileRegistry& Registry() {
-  static ProfileRegistry* registry = new ProfileRegistry();
-  return *registry;
-}
-
-ProfileBuffer* ThreadBuffer() {
-  thread_local ProfileBuffer* buffer = [] {
-    auto* b = new ProfileBuffer();
-    ProfileRegistry& reg = Registry();
-    std::lock_guard<std::mutex> lock(reg.mu);
-    reg.buffers.push_back(b);
-    return b;
-  }();
-  return buffer;
-}
-
-void ZeroStats(SiteNode* node) {
+void ZeroStats(internal::SiteNode* node) {
   node->calls = 0;
   node->incl_us = 0;
   node->min_us = std::numeric_limits<uint64_t>::max();
   node->max_us = 0;
+  node->counters = PerfSiteCounters();
   for (auto& [name, child] : node->children) ZeroStats(child.get());
 }
-
-}  // namespace
-
-void ProfileEnter(const char* name) {
-  ProfileBuffer* b = ThreadBuffer();
-  std::lock_guard<std::mutex> lock(b->mu);
-  auto it = b->cur->children.find(std::string_view(name));
-  if (it == b->cur->children.end()) {
-    it = b->cur->children
-             .emplace(std::string(name),
-                      std::make_unique<SiteNode>(b->cur))
-             .first;
-  }
-  b->cur = it->second.get();
-}
-
-void ProfileExit(const char* /*name*/, uint64_t dur_us) {
-  ProfileBuffer* b = ThreadBuffer();
-  std::lock_guard<std::mutex> lock(b->mu);
-  SiteNode* node = b->cur;
-  if (node->parent == nullptr) return;  // stack reset by ClearProfile
-  ++node->calls;
-  node->incl_us += dur_us;
-  if (dur_us < node->min_us) node->min_us = dur_us;
-  if (dur_us > node->max_us) node->max_us = dur_us;
-  b->cur = node->parent;
-}
-
-}  // namespace internal
-
-namespace {
 
 /// Merge accumulator; std::map keeps children name-sorted so the merged
 /// tree is deterministic regardless of thread enumeration order.
@@ -108,6 +28,7 @@ struct MergeNode {
   uint64_t incl_us = 0;
   uint64_t min_us = std::numeric_limits<uint64_t>::max();
   uint64_t max_us = 0;
+  PerfSiteCounters counters;
   std::map<std::string, MergeNode> children;
 };
 
@@ -118,6 +39,7 @@ void Accumulate(const internal::SiteNode& src, MergeNode* dst) {
     if (src.min_us < dst->min_us) dst->min_us = src.min_us;
     if (src.max_us > dst->max_us) dst->max_us = src.max_us;
   }
+  dst->counters.Add(src.counters);
   for (const auto& [name, child] : src.children) {
     Accumulate(*child, &dst->children[name]);
   }
@@ -132,6 +54,7 @@ ProfileNode ToProfile(const std::string& name, const MergeNode& m) {
   out.inclusive_us = m.incl_us;
   out.min_us = m.calls > 0 ? m.min_us : 0;
   out.max_us = m.max_us;
+  out.counters = m.counters;
   uint64_t children_incl = 0;
   for (const auto& [child_name, child] : m.children) {
     ProfileNode c = ToProfile(child_name, child);
@@ -143,23 +66,6 @@ ProfileNode ToProfile(const std::string& name, const MergeNode& m) {
   out.self_us =
       out.inclusive_us > children_incl ? out.inclusive_us - children_incl : 0;
   return out;
-}
-
-void RenderText(const ProfileNode& node, int depth, std::string* out) {
-  char buf[160];
-  std::string label(static_cast<size_t>(depth) * 2, ' ');
-  label += node.name;
-  std::snprintf(buf, sizeof(buf),
-                "%-36s %8llu %12.3f %12.3f %10llu %10llu\n", label.c_str(),
-                static_cast<unsigned long long>(node.calls),
-                static_cast<double>(node.inclusive_us) / 1e3,
-                static_cast<double>(node.self_us) / 1e3,
-                static_cast<unsigned long long>(node.min_us),
-                static_cast<unsigned long long>(node.max_us));
-  *out += buf;
-  for (const ProfileNode& child : node.children) {
-    RenderText(child, depth + 1, out);
-  }
 }
 
 void RenderJsonLines(const ProfileNode& node, const std::string& prefix,
@@ -174,6 +80,7 @@ void RenderJsonLines(const ProfileNode& node, const std::string& prefix,
   w.Key("self_us").Uint(node.self_us);
   w.Key("min_us").Uint(node.min_us);
   w.Key("max_us").Uint(node.max_us);
+  if (node.counters.enters > 0) node.counters.WriteJsonFields(&w);
   w.EndObject();
   out->push_back(w.TakeString());
   for (const ProfileNode& child : node.children) {
@@ -190,6 +97,8 @@ bool ProfilingEnabled() {
 
 void StartProfiling() {
   internal::TraceNowMicros();  // pin the epoch before the first span
+  internal::g_counter_specs.store(internal::CounterSpecsToArm(),
+                                  std::memory_order_release);
   internal::g_instrument_mode.fetch_or(internal::kProfileArmed,
                                        std::memory_order_relaxed);
 }
@@ -200,46 +109,22 @@ void StopProfiling() {
 }
 
 void ClearProfile() {
-  auto& reg = internal::Registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  for (auto* b : reg.buffers) {
-    std::lock_guard<std::mutex> bl(b->mu);
-    internal::ZeroStats(&b->root);
-    b->cur = &b->root;
-  }
+  internal::ForEachThreadSpans([](internal::ThreadSpans& t) {
+    ZeroStats(&t.root);
+    t.cur = &t.root;
+  });
 }
 
 ProfileNode MergedProfile() {
   MergeNode root;
-  {
-    auto& reg = internal::Registry();
-    std::lock_guard<std::mutex> lock(reg.mu);
-    for (auto* b : reg.buffers) {
-      std::lock_guard<std::mutex> bl(b->mu);
-      Accumulate(b->root, &root);
-    }
-  }
+  internal::ForEachThreadSpans(
+      [&](internal::ThreadSpans& t) { Accumulate(t.root, &root); });
   ProfileNode out = ToProfile("", root);
   out.calls = 0;  // the root is synthetic, not a site
   out.inclusive_us = 0;
   out.self_us = 0;
   out.min_us = 0;
   out.max_us = 0;
-  return out;
-}
-
-std::string ProfileReportText() {
-  const ProfileNode root = MergedProfile();
-  if (root.children.empty()) return "";
-  std::string out;
-  char header[160];
-  std::snprintf(header, sizeof(header),
-                "%-36s %8s %12s %12s %10s %10s\n", "site", "calls",
-                "incl_ms", "self_ms", "min_us", "max_us");
-  out += header;
-  for (const ProfileNode& child : root.children) {
-    RenderText(child, 0, &out);
-  }
   return out;
 }
 

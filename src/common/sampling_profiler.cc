@@ -1,7 +1,12 @@
 #include "common/sampling_profiler.h"
 
+#include <cxxabi.h>
+#include <dlfcn.h>
+
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <mutex>
 #include <vector>
@@ -30,8 +35,6 @@
 
 #if !defined(TAXOREC_SAMPLING_STUB)
 
-#include <cxxabi.h>
-#include <dlfcn.h>
 #include <pthread.h>
 #include <signal.h>
 #include <sys/syscall.h>
@@ -39,8 +42,6 @@
 #include <ucontext.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <cstdlib>
 #include <cstring>
 
 namespace taxorec {
@@ -187,31 +188,6 @@ void RegisterLocked(SamplingState* state) {
   }
 }
 
-/// Best-effort symbolization for folded output: demangled function name
-/// when the dynamic symbol table has one (executables link -rdynamic),
-/// else a stable module+offset form.
-std::string SymbolizePc(uintptr_t pc) {
-  Dl_info info;
-  if (dladdr(reinterpret_cast<void*>(pc), &info) != 0 &&
-      info.dli_sname != nullptr) {
-    int status = 0;
-    char* demangled =
-        abi::__cxa_demangle(info.dli_sname, nullptr, nullptr, &status);
-    if (status == 0 && demangled != nullptr) {
-      std::string out(demangled);
-      std::free(demangled);
-      // Folded-format separators cannot appear inside frame names.
-      std::replace(out.begin(), out.end(), ';', ',');
-      return out;
-    }
-    if (demangled != nullptr) std::free(demangled);
-    return info.dli_sname;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "0x%zx", static_cast<size_t>(pc));
-  return buf;
-}
-
 }  // namespace
 
 bool SamplingProfilerSupported() { return true; }
@@ -303,7 +279,8 @@ std::map<std::string, uint64_t> FoldedStacks() {
     for (int f = sample.depth - 1; f >= 0; --f) {
       auto it = symbols.find(sample.pc[f]);
       if (it == symbols.end()) {
-        it = symbols.emplace(sample.pc[f], SymbolizePc(sample.pc[f])).first;
+        it = symbols.emplace(sample.pc[f], internal::SymbolizePc(sample.pc[f]))
+                 .first;
       }
       if (!stack.empty()) stack += ';';
       stack += it->second;
@@ -358,6 +335,43 @@ void SamplingUnregisterCurrentThread() {}
 #endif  // TAXOREC_SAMPLING_STUB
 
 namespace taxorec {
+
+namespace internal {
+
+std::string SymbolizePc(uintptr_t pc) {
+  Dl_info info = {};
+  if (dladdr(reinterpret_cast<void*>(pc), &info) == 0) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "0x%zx", static_cast<size_t>(pc));
+    return buf;
+  }
+  if (info.dli_sname == nullptr) {
+    // No symbol (libc IFUNC bodies such as memset, internal-linkage
+    // functions): name the module and the offset from its load base, which
+    // `addr2line -f -e <module> <offset>` resolves.
+    std::string module = info.dli_fname != nullptr ? info.dli_fname : "";
+    module.erase(0, module.rfind('/') + 1);
+    char offset[32];
+    std::snprintf(offset, sizeof(offset), "+0x%zx",
+                  static_cast<size_t>(
+                      pc - reinterpret_cast<uintptr_t>(info.dli_fbase)));
+    return module + offset;
+  }
+  int status = 0;
+  char* demangled =
+      abi::__cxa_demangle(info.dli_sname, nullptr, nullptr, &status);
+  if (status == 0 && demangled != nullptr) {
+    std::string out(demangled);
+    std::free(demangled);
+    // Folded-format separators cannot appear inside frame names.
+    std::replace(out.begin(), out.end(), ';', ',');
+    return out;
+  }
+  if (demangled != nullptr) std::free(demangled);
+  return info.dli_sname;
+}
+
+}  // namespace internal
 
 Status WriteFoldedStacks(const std::string& path) {
   const auto folded = FoldedStacks();

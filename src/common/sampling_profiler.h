@@ -11,7 +11,8 @@
 // pushes the raw PC vector into a lock-free ring: one fetch_add to claim
 // a slot, no allocation, no locks. Symbolization (dladdr +
 // __cxa_demangle; executables link with -rdynamic so internal symbols
-// resolve) happens at dump time, never in the handler.
+// resolve; symbol-less frames print as module+offset) happens at dump
+// time, never in the handler.
 //
 // Output is the flamegraph "folded stack" format — one
 // `frame;frame;frame count` line per distinct stack, root first — via
@@ -94,6 +95,14 @@ class SamplingThreadScope {
   SamplingThreadScope(const SamplingThreadScope&) = delete;
   SamplingThreadScope& operator=(const SamplingThreadScope&) = delete;
 };
+
+namespace internal {
+/// Frame name for a sampled pc: the demangled symbol when the dynamic
+/// symbol table has one (executables link -rdynamic), else the module
+/// basename plus the offset from its load base ("libc.so.6+0x2724a"),
+/// else the raw "0x…" address when no module contains the pc.
+std::string SymbolizePc(uintptr_t pc);
+}  // namespace internal
 
 }  // namespace taxorec
 

@@ -7,84 +7,96 @@
 
 #include "common/json.h"
 #include "common/log.h"
+#include "common/span_table.h"
 
 namespace taxorec {
 namespace internal {
 
 std::atomic<uint32_t> g_instrument_mode{0};
+std::atomic<const std::vector<PerfEventSpec>*> g_counter_specs{nullptr};
 
 namespace {
 
-struct TraceEvent {
-  const char* name;
-  uint64_t start_us;
-  uint64_t dur_us;
-};
-
 // Per-thread ring: bounded memory regardless of run length. 16Ki events
-// (~384 KiB) keeps hours of coarse spans; dropped_ counts overwrites.
+// (~384 KiB) keeps hours of coarse spans; `dropped` counts overwrites.
 constexpr size_t kRingCapacity = 1 << 14;
 
-struct TraceBuffer {
-  explicit TraceBuffer(int tid) : tid(tid) { events.reserve(1024); }
-
-  // Guards events against a concurrent drain; uncontended on the hot path
-  // (each buffer has exactly one writer thread).
+struct SpanRegistry {
   std::mutex mu;
-  const int tid;
-  std::vector<TraceEvent> events;  // ring once kRingCapacity is reached
-  size_t next = 0;                 // overwrite cursor after wrap
-  uint64_t dropped = 0;
-
-  void Record(const TraceEvent& e) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (events.size() < kRingCapacity) {
-      events.push_back(e);
-    } else {
-      events[next] = e;
-      next = (next + 1) % kRingCapacity;
-      ++dropped;
-      // Overwrites can happen at span rate under load; surface the first
-      // and then one per ring's worth so long runs don't flood stderr
-      // (the export still reports the exact total).
-      TAXOREC_LOG_EVERY_N(WARN, kRingCapacity)
-          << "trace ring overwriting oldest events"
-          << Kv("tid", tid) << Kv("dropped", dropped)
-          << Kv("ring_capacity", kRingCapacity);
-    }
-  }
-
-  void Clear() {
-    std::lock_guard<std::mutex> lock(mu);
-    events.clear();
-    next = 0;
-    dropped = 0;
-  }
+  std::vector<ThreadSpans*> threads;  // leaked; threads may outlive drains
 };
 
-struct BufferRegistry {
-  std::mutex mu;
-  std::vector<TraceBuffer*> buffers;  // leaked; threads may outlive drains
-  int next_tid = 0;
-};
-
-BufferRegistry& Registry() {
-  static BufferRegistry* registry = new BufferRegistry();
+SpanRegistry& Registry() {
+  static SpanRegistry* registry = new SpanRegistry();
   return *registry;
 }
 
-TraceBuffer* ThreadBuffer() {
-  thread_local TraceBuffer* buffer = [] {
-    BufferRegistry& reg = Registry();
+ThreadSpans* CurrentThreadSpans() {
+  thread_local ThreadSpans* spans = [] {
+    SpanRegistry& reg = Registry();
     std::lock_guard<std::mutex> lock(reg.mu);
-    auto* b = new TraceBuffer(reg.next_tid++);
-    reg.buffers.push_back(b);
-    return b;
+    auto* t = new ThreadSpans(static_cast<int>(reg.threads.size()));
+    reg.threads.push_back(t);
+    return t;
   }();
-  return buffer;
+  return spans;
+}
+
+void RecordEvent(ThreadSpans* t, const TraceEvent& e) {
+  if (t->events.size() < kRingCapacity) {
+    t->events.push_back(e);
+    return;
+  }
+  t->events[t->next] = e;
+  t->next = (t->next + 1) % kRingCapacity;
+  ++t->dropped;
+  // Overwrites can happen at span rate under load; surface the first and
+  // then one per ring's worth so long runs don't flood stderr (the export
+  // still reports the exact total).
+  TAXOREC_LOG_EVERY_N(WARN, kRingCapacity)
+      << "trace ring overwriting oldest events" << Kv("tid", t->tid)
+      << Kv("dropped", t->dropped) << Kv("ring_capacity", kRingCapacity);
+}
+
+/// Reads the counter group for the innermost open span; false when that
+/// span is not counted (no group, or it is the root after ClearProfile).
+bool ReadExitCounters(ThreadSpans* t) {
+  return !t->cur->entry.empty() && t->group.Read(&t->reading).ok();
+}
+
+/// Folds one completed call into the innermost open node and pops it.
+void FoldExit(ThreadSpans* t, uint64_t dur_us, bool counted) {
+  SiteNode* node = t->cur;
+  if (node->parent == nullptr) return;  // stack reset by ClearProfile
+  ++node->calls;
+  node->incl_us += dur_us;
+  if (dur_us < node->min_us) node->min_us = dur_us;
+  if (dur_us > node->max_us) node->max_us = dur_us;
+  if (counted) {
+    PerfSiteCounters& c = node->counters;
+    ++c.enters;
+    const std::vector<bool>& opened = t->group.opened();
+    for (size_t i = 0; i < opened.size() && i < kPerfHwEventCount; ++i) {
+      if (!opened[i]) continue;
+      c.have[i] = true;
+      if (t->reading[i] >= node->entry[i]) {
+        c.counts[i] += t->reading[i] - node->entry[i];
+      }
+    }
+  }
+  t->cur = node->parent;
 }
 
 }  // namespace
+
+void ForEachThreadSpans(const std::function<void(ThreadSpans&)>& fn) {
+  SpanRegistry& reg = Registry();
+  std::lock_guard<std::mutex> lock(reg.mu);
+  for (ThreadSpans* t : reg.threads) {
+    std::lock_guard<std::mutex> tl(t->mu);
+    fn(*t);
+  }
+}
 
 uint64_t TraceNowMicros() {
   static const auto start = std::chrono::steady_clock::now();
@@ -94,15 +106,59 @@ uint64_t TraceNowMicros() {
           .count());
 }
 
-void RecordSpan(const char* name, uint64_t start_us, uint64_t dur_us) {
-  ThreadBuffer()->Record({name, start_us, dur_us});
+void ProfileEnter(const char* name) {
+  ThreadSpans* t = CurrentThreadSpans();
+  std::lock_guard<std::mutex> lock(t->mu);
+  const auto* specs = g_counter_specs.load(std::memory_order_acquire);
+  if (specs != t->group_specs) {
+    t->group_specs = specs;
+    // A per-thread open failure (fd exhaustion) leaves this thread's spans
+    // uncounted; the process-level probe already passed.
+    if (specs != nullptr) {
+      (void)t->group.Open(*specs);
+    } else {
+      t->group.Close();
+    }
+  }
+  auto it = t->cur->children.find(std::string_view(name));
+  if (it == t->cur->children.end()) {
+    it = t->cur->children
+             .emplace(std::string(name), std::make_unique<SiteNode>(t->cur))
+             .first;
+  }
+  SiteNode* node = it->second.get();
+  t->cur = node;
+  // Snapshot last, so the lookup above stays outside the counter window.
+  if (!t->group.open() || !t->group.Read(&node->entry).ok()) {
+    node->entry.clear();
+  }
+}
+
+void ProfileExit(const char* /*name*/, uint64_t dur_us) {
+  ThreadSpans* t = CurrentThreadSpans();
+  std::lock_guard<std::mutex> lock(t->mu);
+  FoldExit(t, dur_us, ReadExitCounters(t));
+}
+
+void SpanExit(uint32_t mode, const char* name, uint64_t start_us) {
+  ThreadSpans* t = CurrentThreadSpans();
+  std::lock_guard<std::mutex> lock(t->mu);
+  const bool profiled = (mode & kProfileArmed) != 0;
+  // Counters before the clock, mirroring enter, so the span's own
+  // bookkeeping stays outside its counter window.
+  const bool counted = profiled && ReadExitCounters(t);
+  const uint64_t dur_us = TraceNowMicros() - start_us;
+  if (mode & kTraceArmed) RecordEvent(t, {name, start_us, dur_us});
+  if (profiled) FoldExit(t, dur_us, counted);
 }
 
 }  // namespace internal
 
 void RecordManualSpan(const char* name, uint64_t start_us, uint64_t dur_us) {
   if (!TracingEnabled()) return;
-  internal::RecordSpan(name, start_us, dur_us);
+  internal::ThreadSpans* t = internal::CurrentThreadSpans();
+  std::lock_guard<std::mutex> lock(t->mu);
+  internal::RecordEvent(t, {name, start_us, dur_us});
 }
 
 void StartTracing() {
@@ -117,30 +173,24 @@ void StopTracing() {
 }
 
 void ClearTraceBuffers() {
-  auto& reg = internal::Registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  for (auto* b : reg.buffers) b->Clear();
+  internal::ForEachThreadSpans([](internal::ThreadSpans& t) {
+    t.events.clear();
+    t.next = 0;
+    t.dropped = 0;
+  });
 }
 
 size_t TraceEventCount() {
-  auto& reg = internal::Registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
   size_t n = 0;
-  for (auto* b : reg.buffers) {
-    std::lock_guard<std::mutex> bl(b->mu);
-    n += b->events.size();
-  }
+  internal::ForEachThreadSpans(
+      [&](internal::ThreadSpans& t) { n += t.events.size(); });
   return n;
 }
 
 uint64_t TraceDroppedCount() {
-  auto& reg = internal::Registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
   uint64_t n = 0;
-  for (auto* b : reg.buffers) {
-    std::lock_guard<std::mutex> bl(b->mu);
-    n += b->dropped;
-  }
+  internal::ForEachThreadSpans(
+      [&](internal::ThreadSpans& t) { n += t.dropped; });
   return n;
 }
 
@@ -152,40 +202,35 @@ std::string ChromeTraceJson() {
   w.Key("displayTimeUnit").String("ms");
   uint64_t dropped = 0;
   w.Key("traceEvents").BeginArray();
-  {
-    auto& reg = internal::Registry();
-    std::lock_guard<std::mutex> lock(reg.mu);
-    for (auto* b : reg.buffers) {
-      std::lock_guard<std::mutex> bl(b->mu);
-      dropped += b->dropped;
-      for (const auto& e : b->events) {
-        w.BeginObject();
-        w.Key("name").String(e.name);
-        w.Key("cat").String("taxorec");
-        w.Key("ph").String("X");
-        w.Key("pid").Int(1);
-        w.Key("tid").Int(b->tid);
-        w.Key("ts").Uint(e.start_us);
-        w.Key("dur").Uint(e.dur_us);
-        w.EndObject();
-      }
-      // Ring overflow is surfaced in-band: one metadata event per thread
-      // that lost events, so a viewer shows the gap instead of silently
-      // presenting a truncated timeline.
-      if (b->dropped > 0) {
-        w.BeginObject();
-        w.Key("name").String("dropped_events");
-        w.Key("cat").String("taxorec");
-        w.Key("ph").String("M");
-        w.Key("pid").Int(1);
-        w.Key("tid").Int(b->tid);
-        w.Key("args").BeginObject();
-        w.Key("dropped").Uint(b->dropped);
-        w.EndObject();
-        w.EndObject();
-      }
+  internal::ForEachThreadSpans([&](internal::ThreadSpans& t) {
+    dropped += t.dropped;
+    for (const auto& e : t.events) {
+      w.BeginObject();
+      w.Key("name").String(e.name);
+      w.Key("cat").String("taxorec");
+      w.Key("ph").String("X");
+      w.Key("pid").Int(1);
+      w.Key("tid").Int(t.tid);
+      w.Key("ts").Uint(e.start_us);
+      w.Key("dur").Uint(e.dur_us);
+      w.EndObject();
     }
-  }
+    // Ring overflow is surfaced in-band: one metadata event per thread
+    // that lost events, so a viewer shows the gap instead of silently
+    // presenting a truncated timeline.
+    if (t.dropped > 0) {
+      w.BeginObject();
+      w.Key("name").String("dropped_events");
+      w.Key("cat").String("taxorec");
+      w.Key("ph").String("M");
+      w.Key("pid").Int(1);
+      w.Key("tid").Int(t.tid);
+      w.Key("args").BeginObject();
+      w.Key("dropped").Uint(t.dropped);
+      w.EndObject();
+      w.EndObject();
+    }
+  });
   w.EndArray();
   w.Key("droppedEvents").Uint(dropped);
   w.EndObject();

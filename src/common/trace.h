@@ -20,7 +20,12 @@
 //     dropped). WriteChromeTrace drains every buffer into a JSON file
 //     loadable by chrome://tracing / Perfetto.
 //   - profiling (StartProfiling / `--profile-out`, common/profiler.h):
-//     spans roll up per call path into aggregate site statistics.
+//     spans roll up per call path into aggregate site statistics, with
+//     hardware counter deltas on each node when a PMU is present
+//     (common/perf_counters.h).
+// Both record into one per-thread span table (common/span_table.h): an
+// armed span looks up its thread's entry and takes that entry's lock once
+// on enter (when profiled) and once on exit.
 //
 // Span names must be string literals (or otherwise outlive the drain).
 #ifndef TAXOREC_COMMON_TRACE_H_
@@ -38,19 +43,16 @@ namespace internal {
 // Bitmask of armed span consumers; disarmed spans read it once, relaxed.
 inline constexpr uint32_t kTraceArmed = 1u << 0;
 inline constexpr uint32_t kProfileArmed = 1u << 1;
-inline constexpr uint32_t kPerfArmed = 1u << 2;
 extern std::atomic<uint32_t> g_instrument_mode;
-/// Appends one completed span to the calling thread's ring buffer.
-void RecordSpan(const char* name, uint64_t start_us, uint64_t dur_us);
-/// Pushes a span onto the calling thread's profile stack (profiler.cc).
+/// Opens `name` as a child of the calling thread's innermost profiled span
+/// and snapshots its counter group when one is armed.
 void ProfileEnter(const char* name);
-/// Pops the profile stack and folds `dur_us` into the site aggregates.
+/// Folds `dur_us` and the counter delta into the innermost open node and
+/// closes it.
 void ProfileExit(const char* name, uint64_t dur_us);
-/// Snapshots the thread's perf counter group on span entry
-/// (perf_counters.cc).
-void PerfEnter(const char* name);
-/// Re-reads the group and folds the delta into the site aggregates.
-void PerfExit(const char* name);
+/// Closes a span armed with `mode`: reads the counters, then the clock,
+/// then records the ring event and/or folds the profile node.
+void SpanExit(uint32_t mode, const char* name, uint64_t start_us);
 /// Microseconds since process start (steady clock).
 uint64_t TraceNowMicros();
 }  // namespace internal
@@ -97,9 +99,9 @@ Status WriteChromeTrace(const std::string& path);
 std::string ChromeTraceJson();
 
 /// RAII span: records the enclosing scope into whichever consumers were
-/// armed at construction time (the mode snapshot keeps trace enter/record
-/// and profile push/pop paired even across Start/Stop calls mid-span), and
-/// compiles down to one relaxed load plus a branch when disarmed.
+/// armed at construction time (the mode snapshot keeps profile enter and
+/// exit paired even across Start/Stop calls mid-span), and compiles down
+/// to one relaxed load plus a branch when disarmed.
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name)
@@ -107,21 +109,10 @@ class TraceSpan {
         name_(name),
         start_us_(mode_ != 0 ? internal::TraceNowMicros() : 0) {
     if (mode_ & internal::kProfileArmed) internal::ProfileEnter(name_);
-    if (mode_ & internal::kPerfArmed) internal::PerfEnter(name_);
   }
 
   ~TraceSpan() {
-    if (mode_ == 0) return;
-    // Read the counters before the clock so the span's own bookkeeping
-    // stays outside its counter window (mirrors the enter order).
-    if (mode_ & internal::kPerfArmed) internal::PerfExit(name_);
-    const uint64_t dur_us = internal::TraceNowMicros() - start_us_;
-    if (mode_ & internal::kTraceArmed) {
-      internal::RecordSpan(name_, start_us_, dur_us);
-    }
-    if (mode_ & internal::kProfileArmed) {
-      internal::ProfileExit(name_, dur_us);
-    }
+    if (mode_ != 0) internal::SpanExit(mode_, name_, start_us_);
   }
 
   TraceSpan(const TraceSpan&) = delete;

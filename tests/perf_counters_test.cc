@@ -1,19 +1,22 @@
 // Tests for the perf_event counter layer: group open/read with software
 // events (which count even on PMU-less CI machines), derived-rate math on
-// PerfSiteCounters, byte-stability of the JSON exports when no data was
-// collected, and the armed TraceSpan → site-aggregate path when a usable
-// PMU exists. Hardware-dependent cases GTEST_SKIP with the probe message
-// so `ctest -L hwobs` stays green on locked-down containers.
+// PerfSiteCounters, byte-stability of the exports when no counter was
+// read, and the counter deltas that ride on the call-path profile. The
+// profile cases arm a software event set through
+// internal::UseCounterSpecsForTest, so the armed span path runs on every
+// machine that allows perf_event_open at all; the hardware case
+// GTEST_SKIPs with the probe message on PMU-less containers.
 #include "common/perf_counters.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/json.h"
+#include "common/profiler.h"
 #include "common/trace.h"
 
 #if defined(__linux__)
@@ -23,31 +26,28 @@
 namespace taxorec {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
-
-std::string ReadAll(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
 void BurnCpu(int iters) {
   volatile double acc = 1.0;
   for (int i = 0; i < iters; ++i) acc = acc * 1.0000001 + 1e-9;
 }
 
+/// Finds a direct child by name (nullptr when absent).
+const ProfileNode* Child(const ProfileNode& node, const std::string& name) {
+  for (const ProfileNode& c : node.children) {
+    if (c.name == name) return &c;
+  }
+  return nullptr;
+}
+
 class PerfCountersTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    StopPerfCounters();
-    ClearPerfCounters();
+    StopProfiling();
+    ClearProfile();
   }
   void TearDown() override {
-    StopPerfCounters();
-    ClearPerfCounters();
+    StopProfiling();
+    ClearProfile();
   }
 };
 
@@ -132,79 +132,178 @@ TEST_F(PerfCountersTest, DerivedRatesNegativeWhenInputsAbsent) {
   EXPECT_DOUBLE_EQ(c.Ipc(), 0.0);
 }
 
-// The byte-stability contract: with no counter data at all, every export
-// is empty — no "perf" section, no JSONL lines, no file append — so BENCH
-// output on a PMU-less machine is identical to a build without counters.
+// The byte-stability contract: with no counter reading there is no
+// "perf" section, so BENCH output on a PMU-less machine is identical to a
+// build without counters.
 TEST_F(PerfCountersTest, ExportsEmptyWithoutData) {
-  EXPECT_TRUE(MergedPerfCounters().empty());
   EXPECT_EQ(PerfCountersJsonObject(), "");
-  EXPECT_TRUE(PerfCountersJsonLines().empty());
-
-  const std::string path = TempPath("perf_counters_empty.jsonl");
-  std::remove(path.c_str());
-  EXPECT_TRUE(AppendPerfCountersJsonl(path).ok());
-  std::ifstream in(path);
-  EXPECT_FALSE(in.good()) << "no-data append must not create the file";
 }
 
-TEST_F(PerfCountersTest, StartReportsUnavailableOrCollects) {
-  Status start = StartPerfCounters();
-  if (!start.ok()) {
-    // PMU-less container: the contract is "run without counters" — the
-    // site hooks must stay silent and exports empty even if spans fire.
-    EXPECT_FALSE(PerfCountersEnabled());
-    {
-      TraceSpan span("perf_test_site");
-      BurnCpu(100000);
-    }
-    EXPECT_TRUE(MergedPerfCounters().empty());
-    GTEST_SKIP() << "no usable PMU: " << start.message();
-  }
-
-  EXPECT_TRUE(PerfCountersEnabled());
+TEST_F(PerfCountersTest, ProfilingCountsHardwareEventsOnlyWithAPmu) {
+  StartProfiling();
   {
     TraceSpan span("perf_test_site");
     BurnCpu(2000000);
   }
-  {
-    PerfRegion region("perf_test_region");
-    BurnCpu(2000000);
+  StopProfiling();
+  const ProfileNode root = MergedProfile();
+  const ProfileNode* site = Child(root, "perf_test_site");
+  ASSERT_NE(site, nullptr);
+  EXPECT_EQ(site->calls, 1u);
+  if (!PerfCountersSupported()) {
+    // PMU-less container: the profile is wall time only, with no counter
+    // field on its line and no "perf" section.
+    EXPECT_EQ(site->counters.enters, 0u);
+    EXPECT_EQ(PerfCountersJsonObject(), "");
+    for (const std::string& line : ProfileJsonLines()) {
+      EXPECT_EQ(line.find("cycles"), std::string::npos) << line;
+    }
+    GTEST_SKIP() << "no usable PMU; hardware counting not exercised";
   }
-  StopPerfCounters();
-  EXPECT_FALSE(PerfCountersEnabled());
-
-  auto merged = MergedPerfCounters();
-  ASSERT_TRUE(merged.count("perf_test_site"));
-  ASSERT_TRUE(merged.count("perf_test_region"));
-  EXPECT_EQ(merged["perf_test_site"].enters, 1u);
-  EXPECT_TRUE(merged["perf_test_site"].have[kPerfCycles]);
-  EXPECT_GT(merged["perf_test_site"].counts[kPerfCycles], 0u);
-
+  EXPECT_EQ(site->counters.enters, 1u);
+  EXPECT_TRUE(site->counters.have[kPerfCycles]);
+  EXPECT_GT(site->counters.counts[kPerfCycles], 0u);
   const std::string json = PerfCountersJsonObject();
   EXPECT_NE(json.find("\"perf_test_site\""), std::string::npos);
   EXPECT_NE(json.find("\"enters\""), std::string::npos);
-
-  const std::string path = TempPath("perf_counters_sites.jsonl");
-  std::remove(path.c_str());
-  ASSERT_TRUE(AppendPerfCountersJsonl(path).ok());
-  const std::string lines = ReadAll(path);
-  EXPECT_NE(lines.find("\"perf_site\": \"perf_test_site\""),
-            std::string::npos);
 }
 
-TEST_F(PerfCountersTest, ClearDropsAggregates) {
-  Status start = StartPerfCounters();
-  if (!start.ok()) GTEST_SKIP() << "no usable PMU: " << start.message();
-  {
-    TraceSpan span("perf_clear_site");
-    BurnCpu(500000);
+#if defined(__linux__)
+// The armed counter path on every machine that allows perf_event_open:
+// profiling arms task-clock, a software event the scheduler counts
+// without a PMU, in place of the hardware set.
+class SpanCountersTest : public PerfCountersTest {
+ protected:
+  static const std::vector<PerfEventSpec>& TaskClock() {
+    static const auto* specs = new std::vector<PerfEventSpec>{
+        {PERF_TYPE_SOFTWARE, PERF_COUNT_SW_TASK_CLOCK, "task_clock"}};
+    return *specs;
   }
-  StopPerfCounters();
-  EXPECT_FALSE(MergedPerfCounters().empty());
-  ClearPerfCounters();
-  EXPECT_TRUE(MergedPerfCounters().empty());
-  EXPECT_EQ(PerfCountersJsonObject(), "");
+
+  void SetUp() override {
+    PerfCountersTest::SetUp();
+    PerfEventGroup probe;
+    if (Status open = probe.Open(TaskClock()); !open.ok()) {
+      GTEST_SKIP() << "perf_event_open denied for software events: "
+                   << open.message();
+    }
+    internal::UseCounterSpecsForTest(&TaskClock());
+    StartProfiling();
+  }
+  void TearDown() override {
+    PerfCountersTest::TearDown();
+    internal::UseCounterSpecsForTest(nullptr);
+  }
+};
+
+TEST_F(SpanCountersTest, NestedSpansCarryPerNodeDeltas) {
+  {
+    TraceSpan outer("counted_outer");
+    BurnCpu(500000);
+    {
+      TraceSpan inner("counted_inner");
+      BurnCpu(500000);
+    }
+  }
+  StopProfiling();
+
+  const ProfileNode root = MergedProfile();
+  const ProfileNode* outer = Child(root, "counted_outer");
+  ASSERT_NE(outer, nullptr);
+  const ProfileNode* inner = Child(*outer, "counted_inner");
+  ASSERT_NE(inner, nullptr);
+  for (const ProfileNode* node : {outer, inner}) {
+    EXPECT_EQ(node->counters.enters, 1u) << node->name;
+    EXPECT_TRUE(node->counters.have[0]) << node->name;
+    EXPECT_GT(node->counters.counts[0], 0u) << node->name;
+    for (int i = 1; i < kPerfHwEventCount; ++i) {
+      EXPECT_FALSE(node->counters.have[i]) << node->name << " slot " << i;
+    }
+  }
+  // The outer window encloses the inner one.
+  EXPECT_GE(outer->counters.counts[0], inner->counters.counts[0]);
+
+  // Each path line carries its node's count, named by the armed set; no
+  // rate field appears without its inputs.
+  const std::vector<std::string> lines = ProfileJsonLines();
+  ASSERT_EQ(lines.size(), 2u);
+  const ProfileNode* nodes[] = {outer, inner};
+  for (size_t i = 0; i < lines.size(); ++i) {
+    std::map<std::string, std::string> obj;
+    std::string error;
+    ASSERT_TRUE(ParseFlatJsonObject(lines[i], &obj, &error)) << error;
+    EXPECT_EQ(obj["task_clock"],
+              std::to_string(nodes[i]->counters.counts[0]))
+        << lines[i];
+    EXPECT_EQ(obj.count("ipc"), 0u) << lines[i];
+    EXPECT_EQ(obj.count("cycles"), 0u) << lines[i];
+  }
 }
+
+TEST_F(SpanCountersTest, PerfSectionSumsOneSiteAcrossPathsAndThreads) {
+  auto work = [] {
+    {
+      TraceSpan path("path_a");
+      TraceSpan site("shared_site");
+      BurnCpu(300000);
+    }
+    {
+      TraceSpan path("path_b");
+      TraceSpan site("shared_site");
+      BurnCpu(300000);
+    }
+  };
+  std::thread other(work);
+  other.join();
+  work();
+  StopProfiling();
+
+  const ProfileNode root = MergedProfile();
+  uint64_t expected = 0;
+  for (const char* path : {"path_a", "path_b"}) {
+    const ProfileNode* p = Child(root, path);
+    ASSERT_NE(p, nullptr) << path;
+    const ProfileNode* site = Child(*p, "shared_site");
+    ASSERT_NE(site, nullptr) << path;
+    EXPECT_EQ(site->counters.enters, 2u) << path;  // one per thread
+    expected += site->counters.counts[0];
+  }
+
+  std::map<std::string, std::string> flat;
+  std::string error;
+  ASSERT_TRUE(FlattenJson(PerfCountersJsonObject(), &flat, &error)) << error;
+  EXPECT_EQ(flat["shared_site.enters"], "4");
+  EXPECT_EQ(flat["shared_site.task_clock"], std::to_string(expected));
+  EXPECT_EQ(flat["path_a.enters"], "2");
+}
+
+TEST_F(SpanCountersTest, ClearProfileDropsCounters) {
+  {
+    TraceSpan span("cleared_site");
+    BurnCpu(300000);
+  }
+  EXPECT_NE(PerfCountersJsonObject(), "");
+  ClearProfile();
+  EXPECT_EQ(PerfCountersJsonObject(), "");
+  EXPECT_TRUE(MergedProfile().children.empty());
+
+  // The site counts afresh on its next call: nothing from before the
+  // clear carries over.
+  {
+    TraceSpan span("cleared_site");
+    BurnCpu(300000);
+  }
+  const ProfileNode root = MergedProfile();
+  const ProfileNode* site = Child(root, "cleared_site");
+  ASSERT_NE(site, nullptr);
+  EXPECT_EQ(site->counters.enters, 1u);
+  std::map<std::string, std::string> flat;
+  std::string error;
+  ASSERT_TRUE(FlattenJson(PerfCountersJsonObject(), &flat, &error)) << error;
+  EXPECT_EQ(flat["cleared_site.task_clock"],
+            std::to_string(site->counters.counts[0]));
+}
+#endif  // __linux__
 
 }  // namespace
 }  // namespace taxorec

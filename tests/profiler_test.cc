@@ -51,7 +51,6 @@ TEST_F(ProfilerTest, DisarmedSpansAggregateNothing) {
     TraceSpan span("disarmed_site");
   }
   EXPECT_TRUE(MergedProfile().children.empty());
-  EXPECT_EQ(ProfileReportText(), "");
   EXPECT_EQ(ProfileJsonArray(), "[]");
 }
 
@@ -148,7 +147,6 @@ TEST_F(ProfilerTest, SameSiteOnManyThreadsMergesDeterministically) {
 
   // Serialization is stable across repeated merges of the same state.
   EXPECT_EQ(ProfileJsonArray(), ProfileJsonArray());
-  EXPECT_EQ(ProfileReportText(), ProfileReportText());
 }
 
 TEST_F(ProfilerTest, ArmedTraceSpansBuildTheCallPathTree) {

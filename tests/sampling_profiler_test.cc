@@ -1,14 +1,18 @@
 // Tests for the SIGPROF sampling profiler: arming collects samples from a
 // CPU burn on the calling thread, folded stacks are well-formed
-// ("frame;frame count") and name a frame from this binary, disarm stops
-// collection, and the whole subsystem reports Unavailable cleanly when
+// ("frame;frame count") and name a frame from this binary, symbol-less
+// frames name their module and offset, disarm stops collection, and the
+// whole subsystem reports Unavailable cleanly when
 // stubbed out (sanitizer builds) or when timers cannot be created —
 // those cases GTEST_SKIP so `ctest -L hwobs` stays green everywhere.
 #include "common/sampling_profiler.h"
 
 #include <gtest/gtest.h>
 
+#include <dlfcn.h>
+
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -115,6 +119,26 @@ TEST_F(SamplingProfilerTest, WriteFoldedStacksRoundTrips) {
     EXPECT_FALSE(line.substr(0, space).empty()) << line;
   }
   EXPECT_GT(lines, 0u);
+}
+
+// glibc's memset is an IFUNC: dladdr finds libc.so.6 but no symbol name.
+// The frame names the module and the offset from its load base instead of
+// a raw address.
+TEST_F(SamplingProfilerTest, SymbolLessFramesNameTheirModule) {
+  const auto pc = reinterpret_cast<uintptr_t>(&memset);
+  Dl_info info = {};
+  ASSERT_NE(dladdr(reinterpret_cast<void*>(pc), &info), 0);
+  if (info.dli_sname != nullptr) {
+    GTEST_SKIP() << "&memset has a symbol here: " << info.dli_sname
+                 << " in " << info.dli_fname;
+  }
+  const std::string frame = internal::SymbolizePc(pc);
+  EXPECT_EQ(frame.rfind("libc", 0), 0u) << frame;
+  char offset[32];
+  std::snprintf(offset, sizeof(offset), "+0x%zx",
+                static_cast<size_t>(
+                    pc - reinterpret_cast<uintptr_t>(info.dli_fbase)));
+  EXPECT_NE(frame.find(offset), std::string::npos) << frame;
 }
 
 TEST_F(SamplingProfilerTest, ClearSamplesResets) {

@@ -24,7 +24,6 @@
 #include "common/introspection.h"
 #include "common/log.h"
 #include "common/metrics.h"
-#include "common/perf_counters.h"
 #include "common/profiler.h"
 #include "common/sampling_profiler.h"
 #include "common/trace.h"
@@ -272,12 +271,9 @@ int CmdTrain(int argc, const char* const* argv) {
   const bool tracing = !flags.GetString("trace-out").empty();
   if (tracing) StartTracing();
   const bool profiling = !flags.GetString("profile-out").empty();
-  if (profiling) {
-    StartProfiling();
-    // Hardware counters fold into the same trace sites; a machine without
-    // a PMU degrades to the wall-time profile alone (WARN once inside).
-    (void)StartPerfCounters();
-  }
+  // Hardware counters ride on the profile when a PMU exists; without one
+  // the profile is wall time only (WARN once inside).
+  if (profiling) StartProfiling();
   const std::string flame_path = flags.GetString("flame-out");
   bool sampling = false;
   if (!flame_path.empty()) {
@@ -298,13 +294,8 @@ int CmdTrain(int argc, const char* const* argv) {
     }
     if (profiling) {
       StopProfiling();
-      StopPerfCounters();
       TAXOREC_RETURN_NOT_OK(
           WriteProfileJsonl(flags.GetString("profile-out")));
-      // Per-site counter lines append after the wall-time profile so one
-      // JSONL file carries both views of the same call paths.
-      TAXOREC_RETURN_NOT_OK(
-          AppendPerfCountersJsonl(flags.GetString("profile-out")));
     }
     if (sampling) {
       StopSampling();

@@ -59,9 +59,8 @@ double GetDouble(const Event& e, const std::string& key) {
 }
 
 /// Renders a --profile-out JSONL file (one flat object per call-path site,
-/// depth-first preorder) as the same fixed-width tree ProfileReportText
-/// produces live: depth = number of '/' separators in "path", label = the
-/// final path segment.
+/// depth-first preorder) as a fixed-width tree: depth = number of '/'
+/// separators in "path", label = the final path segment.
 int ProfileMain(const char* path) {
   std::ifstream in(path);
   if (!in) {
