@@ -581,17 +581,14 @@ ScoringSnapshot TaxoRecModel::ExportScoringSnapshot() const {
   ScoringSnapshot snap;
   snap.num_users = num_users_;
   snap.num_items = num_items_;
+  snap.kernel = options_.hyperbolic ? ScoreKernel::kNegLorentzSqDist
+                                    : ScoreKernel::kNegSqDist;
   snap.users = out_u_ir_;
   snap.items = out_v_ir_;
   if (options_.use_tags) {
-    snap.kernel = options_.hyperbolic ? ScoreKernel::kTwoChannelLorentz
-                                      : ScoreKernel::kTwoChannelEuclid;
     snap.users_tg = out_u_tg_;
     snap.items_tg = out_v_tg_;
     snap.alpha = alpha_;
-  } else {
-    snap.kernel = options_.hyperbolic ? ScoreKernel::kNegLorentzSqDist
-                                      : ScoreKernel::kNegSqDist;
   }
   return snap;
 }

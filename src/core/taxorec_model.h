@@ -62,8 +62,8 @@ class TaxoRecModel : public Recommender {
   std::string name() const override { return options_.display_name; }
   void Fit(const DataSplit& split, Rng* rng) override;
   void ScoreItems(uint32_t user, std::span<double> out) const override;
-  /// Native serving export: two-channel kernel when use_tags, otherwise a
-  /// plain distance kernel, hyperbolic or Euclidean per the options.
+  /// Native serving export: a distance kernel, hyperbolic or Euclidean per
+  /// the options, carrying the tag channel and alpha when use_tags.
   ScoringSnapshot ExportScoringSnapshot() const override;
 
   // Native epoch-granular protocol (see recommender.h): Fit() is exactly

@@ -9,20 +9,6 @@
 
 namespace taxorec {
 
-const char* AdmitResultName(AdmitResult result) {
-  switch (result) {
-    case AdmitResult::kAdmitted:
-      return "admitted";
-    case AdmitResult::kShedQueueFull:
-      return "shed_queue_full";
-    case AdmitResult::kShedCost:
-      return "shed_cost";
-    case AdmitResult::kShedDraining:
-      return "shed_draining";
-  }
-  return "unknown";
-}
-
 const char* ServeStatusName(ServeStatus status) {
   switch (status) {
     case ServeStatus::kOk:
@@ -104,11 +90,6 @@ double AdmissionController::RecentP95Locked() const {
   const size_t i = std::min(sorted.size() - 1,
                             static_cast<size_t>(0.95 * sorted.size()));
   return sorted[i];
-}
-
-double AdmissionController::RecentP95() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return RecentP95Locked();
 }
 
 double AdmissionController::OfferedRate() const {

@@ -61,8 +61,6 @@ enum class AdmitResult {
   kShedDraining,  // the server is draining; no new work is accepted
 };
 
-const char* AdmitResultName(AdmitResult result);
-
 struct AdmissionOptions {
   /// Maximum queued requests; 0 = unbounded (no count-based shedding).
   size_t max_queue = 0;
@@ -127,10 +125,6 @@ class AdmissionController {
     return degrade_steps_.load(std::memory_order_relaxed);
   }
 
-  /// p95 of the sliding per-request service-time window (0 with no
-  /// observations).
-  double RecentP95() const;
-
   /// Offered-load EWMA (requests/second across Offer() calls, admitted or
   /// not), updated once per ObserveBatch.
   double OfferedRate() const;
@@ -138,6 +132,8 @@ class AdmissionController {
   const AdmissionOptions& options() const { return options_; }
 
  private:
+  /// p95 of the sliding per-request service-time window (0 with no
+  /// observations). Requires mu_.
   double RecentP95Locked() const;
   void ResetLadderWindowLocked();
 

@@ -115,7 +115,7 @@ CompactSnapshot CompactSnapshot::Build(const ScoringSnapshot& snapshot,
   out.num_items = snapshot.num_items;
   out.users = NarrowChannel(snapshot.users);
   out.items = NarrowChannel(snapshot.items, item_perm);
-  if (out.two_channel()) {
+  if (snapshot.has_tag_channel()) {
     out.users_tg = NarrowChannel(snapshot.users_tg);
     out.items_tg = NarrowChannel(snapshot.items_tg, item_perm);
     out.alpha.resize(snapshot.alpha.size());
@@ -128,7 +128,7 @@ CompactSnapshot CompactSnapshot::Build(const ScoringSnapshot& snapshot,
     out.int8_scale_ir = SharedScale(snapshot.users, snapshot.items);
     out.users_q = QuantizeChannel(snapshot.users, out.int8_scale_ir);
     out.items_q = QuantizeChannel(snapshot.items, out.int8_scale_ir, item_perm);
-    if (out.two_channel()) {
+    if (snapshot.has_tag_channel()) {
       out.int8_scale_tg = SharedScale(snapshot.users_tg, snapshot.items_tg);
       out.users_tg_q = QuantizeChannel(snapshot.users_tg, out.int8_scale_tg);
       out.items_tg_q =

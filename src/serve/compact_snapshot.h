@@ -24,7 +24,8 @@
 // Rank-stability contract (asserted by tests/precision_tier_test.cc and
 // bench_serve, documented in DESIGN.md §11): mean top-K overlap vs the
 // double path >= kFloat32TopKOverlap for the float32 tier and
-// >= kInt8TopKOverlap for the int8 tier, for every native kernel family.
+// >= kInt8TopKOverlap for the int8 tier, for every native kernel, with and
+// without a tag channel.
 // The float32 dot kernel is additionally bit-identical to the canonical
 // scalar float reference (f32::DotRef).
 #ifndef TAXOREC_SERVE_COMPACT_SNAPSHOT_H_
@@ -95,9 +96,9 @@ struct QuantChannel {
 
 /// Reduced-precision re-encoding of a native ScoringSnapshot. Channels
 /// mirror ScoringSnapshot: primary users/items for every kernel, tag
-/// channel + per-user alpha for the two-channel kernels. The float32
-/// channels are always built; the int8 channels only when requested
-/// (the int8 tier needs both — float32 backs the exact re-rank).
+/// channel + per-user alpha when the snapshot has a tag channel. The
+/// float32 channels are always built; the int8 channels only when
+/// requested (the int8 tier needs both — float32 backs the exact re-rank).
 struct CompactSnapshot {
   ScoreKernel kernel = ScoreKernel::kVirtual;
   size_t num_users = 0;
@@ -107,7 +108,7 @@ struct CompactSnapshot {
   CompactChannel items;
   CompactChannel users_tg;
   CompactChannel items_tg;
-  /// Per-user tag-channel weight, two-channel kernels only (alpha_u > 0
+  /// Per-user tag-channel weight; empty without a tag channel (alpha_u > 0
   /// enables the tag term, exactly as in the double path).
   std::vector<float> alpha;
 
@@ -138,10 +139,7 @@ struct CompactSnapshot {
   static CompactSnapshot Build(const ScoringSnapshot& snapshot, bool with_int8,
                                const std::vector<uint32_t>& item_perm);
 
-  bool two_channel() const {
-    return kernel == ScoreKernel::kTwoChannelLorentz ||
-           kernel == ScoreKernel::kTwoChannelEuclid;
-  }
+  bool has_tag_channel() const { return !alpha.empty(); }
   /// Payload bytes of the float32 channels (+ alpha).
   size_t float32_bytes() const;
   /// Payload bytes of the int8 channels (0 when has_int8 is false).

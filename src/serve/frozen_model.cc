@@ -14,14 +14,33 @@
 namespace taxorec {
 namespace {
 
+/// Scores items [begin, end) for one user with the distance `dist`, plus
+/// alpha_u times `dist` on the tag channel (Eq. 17). The per-user
+/// `alpha > 0` test is hoisted: it picks a with-tag or a without-tag item
+/// loop, each evaluating the live model's per-pair expression.
+template <typename Dist>
+void DistanceRowRange(const ScoringSnapshot& s, uint32_t user, size_t begin,
+                      size_t end, double* dst, Dist dist) {
+  const auto u = s.users.row(user);
+  const double a = s.has_tag_channel() ? s.alpha[user] : 0.0;
+  if (a > 0.0) {
+    const auto u_tg = s.users_tg.row(user);
+    for (size_t v = begin; v < end; ++v) {
+      dst[v - begin] =
+          -(dist(u, s.items.row(v)) + a * dist(u_tg, s.items_tg.row(v)));
+    }
+  } else {
+    for (size_t v = begin; v < end; ++v) {
+      dst[v - begin] = -dist(u, s.items.row(v));
+    }
+  }
+}
+
 /// Scores items [begin, end) for one user into `dst` with the kernel
 /// dispatched once and the user's rows hoisted out of the item loop — the
 /// exact per-pair arithmetic of the exporting model's ScoreItems (identical
 /// distance/dot calls on copies of the same parameters), so the results are
-/// bit-for-bit equal to the live model. The two-channel kernels dispatch
-/// the per-user `alpha > 0` test once, to a with-tag or a without-tag item
-/// loop — the per-pair expression is unchanged, only the dead branch left
-/// the loop.
+/// bit-for-bit equal to the live model.
 void ScoreRowRange(const ScoringSnapshot& s, uint32_t user, size_t begin,
                    size_t end, double* dst) {
   switch (s.kernel) {
@@ -32,69 +51,42 @@ void ScoreRowRange(const ScoringSnapshot& s, uint32_t user, size_t begin,
       }
       return;
     }
-    case ScoreKernel::kNegSqDist: {
-      const auto u = s.users.row(user);
-      for (size_t v = begin; v < end; ++v) {
-        dst[v - begin] = -vec::SqDist(u, s.items.row(v));
-      }
+    case ScoreKernel::kNegSqDist:
+      DistanceRowRange(s, user, begin, end, dst,
+                       [](vec::ConstSpan x, vec::ConstSpan y) {
+                         return vec::SqDist(x, y);
+                       });
       return;
-    }
-    case ScoreKernel::kNegLorentzSqDist: {
-      const auto u = s.users.row(user);
-      for (size_t v = begin; v < end; ++v) {
-        dst[v - begin] = -lorentz::SqDistance(u, s.items.row(v));
-      }
+    case ScoreKernel::kNegLorentzSqDist:
+      DistanceRowRange(s, user, begin, end, dst,
+                       [](vec::ConstSpan x, vec::ConstSpan y) {
+                         return lorentz::SqDistance(x, y);
+                       });
       return;
-    }
-    case ScoreKernel::kTwoChannelLorentz: {
-      const auto u = s.users.row(user);
-      const double a = s.alpha[user];
-      if (a > 0.0) {
-        const auto u_tg = s.users_tg.row(user);
-        for (size_t v = begin; v < end; ++v) {
-          dst[v - begin] = -(lorentz::SqDistance(u, s.items.row(v)) +
-                             a * lorentz::SqDistance(u_tg, s.items_tg.row(v)));
-        }
-      } else {
-        for (size_t v = begin; v < end; ++v) {
-          dst[v - begin] = -lorentz::SqDistance(u, s.items.row(v));
-        }
-      }
-      return;
-    }
-    case ScoreKernel::kTwoChannelEuclid: {
-      const auto u = s.users.row(user);
-      const double a = s.alpha[user];
-      if (a > 0.0) {
-        const auto u_tg = s.users_tg.row(user);
-        for (size_t v = begin; v < end; ++v) {
-          dst[v - begin] = -(vec::SqDist(u, s.items.row(v)) +
-                             a * vec::SqDist(u_tg, s.items_tg.row(v)));
-        }
-      } else {
-        for (size_t v = begin; v < end; ++v) {
-          dst[v - begin] = -vec::SqDist(u, s.items.row(v));
-        }
-      }
-      return;
-    }
     case ScoreKernel::kVirtual:
       break;
   }
   TAXOREC_CHECK_MSG(false, "kVirtual snapshots cannot score blocks");
 }
 
+/// Checks a native snapshot's shapes. A tag channel rides only on a
+/// distance kernel; without one (`alpha` empty) the tag matrices must be
+/// empty too, so an exporter that forgets `alpha` fails here instead of
+/// scoring without tags.
 void ValidateNative(const ScoringSnapshot& s) {
   TAXOREC_CHECK(s.users.rows() == s.num_users);
   TAXOREC_CHECK(s.items.rows() == s.num_items);
   TAXOREC_CHECK(s.users.cols() == s.items.cols());
-  const bool two_channel = s.kernel == ScoreKernel::kTwoChannelLorentz ||
-                           s.kernel == ScoreKernel::kTwoChannelEuclid;
-  if (two_channel) {
+  if (s.has_tag_channel()) {
+    TAXOREC_CHECK_MSG(s.kernel != ScoreKernel::kDot,
+                      "a tag channel needs a distance kernel");
     TAXOREC_CHECK(s.users_tg.rows() == s.num_users);
     TAXOREC_CHECK(s.items_tg.rows() == s.num_items);
     TAXOREC_CHECK(s.users_tg.cols() == s.items_tg.cols());
     TAXOREC_CHECK(s.alpha.size() == s.num_users);
+  } else {
+    TAXOREC_CHECK_MSG(s.users_tg.empty() && s.items_tg.empty(),
+                      "tag-channel rows without a per-user alpha");
   }
 }
 

@@ -11,7 +11,9 @@
 // once per batch instead of once per user (the dominant memory-traffic
 // saving for dot/metric kernels).
 //
-// Precision tiers (serve/compact_snapshot.h). The default kDouble tier is
+// Precision tiers (serve/compact_snapshot.h). Each tier has one item loop
+// per metric, plus the optional alpha_u-weighted tag-channel term
+// (ScoringSnapshot::has_tag_channel). The default kDouble tier is
 // bit-identical to the live model's ScoreItems: every kernel evaluates the
 // same per-pair arithmetic on copies of the same parameters (only the loop
 // order over pairs changes, never the math within a pair). The kFloat32

@@ -22,11 +22,6 @@ namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
-bool LorentzKernel(ScoreKernel kernel) {
-  return kernel == ScoreKernel::kNegLorentzSqDist ||
-         kernel == ScoreKernel::kTwoChannelLorentz;
-}
-
 /// Maps every item row into the Poincaré ball for the coarse quantizer:
 /// Lorentz rows through the direct hyperboloid->ball map, Euclidean rows
 /// lifted onto the hyperboloid first (the lift is injective and radially
@@ -34,7 +29,7 @@ bool LorentzKernel(ScoreKernel kernel) {
 Matrix BallPoints(const ScoringSnapshot& snapshot) {
   const Matrix& items = snapshot.items;
   const size_t n = items.rows();
-  const bool lorentz = LorentzKernel(snapshot.kernel);
+  const bool lorentz = snapshot.kernel == ScoreKernel::kNegLorentzSqDist;
   const size_t ball_dim = lorentz ? items.cols() - 1 : items.cols();
   Matrix ball(n, ball_dim);
   ParallelFor(0, n, /*grain=*/1024, [&](size_t i0, size_t i1) {
@@ -240,12 +235,11 @@ IvfIndex IvfIndex::Build(const ScoringSnapshot& snapshot, PrecisionTier tier,
   // Native-geometry representatives and radii per channel, from the
   // double-precision rows (the float32 rows differ by narrowing rounding,
   // covered by the query-time slack).
-  const bool lorentz = LorentzKernel(snapshot.kernel);
-  const bool two_channel = snapshot.kernel == ScoreKernel::kTwoChannelLorentz ||
-                           snapshot.kernel == ScoreKernel::kTwoChannelEuclid;
+  const bool lorentz = snapshot.kernel == ScoreKernel::kNegLorentzSqDist;
+  const bool tags = snapshot.has_tag_channel();
   index.reps_ = Matrix(c_count, snapshot.items.cols());
   index.radius_.assign(c_count, 0.0);
-  if (two_channel) {
+  if (tags) {
     index.reps_tg_ = Matrix(c_count, snapshot.items_tg.cols());
     index.radius_tg_.assign(c_count, 0.0);
   }
@@ -254,7 +248,7 @@ IvfIndex IvfIndex::Build(const ScoringSnapshot& snapshot, PrecisionTier tier,
       const auto members = index.cell_items(c);
       CellRepresentative(snapshot.items, members, lorentz, index.reps_.row(c),
                          &index.radius_[c]);
-      if (two_channel) {
+      if (tags) {
         CellRepresentative(snapshot.items_tg, members, lorentz,
                            index.reps_tg_.row(c), &index.radius_tg_[c]);
       }
@@ -289,7 +283,7 @@ void IvfIndex::ComputeBounds(uint32_t user, IvfScratch* scratch) const {
   }
   const vec::ConstSpan u(scratch->user);
   double alpha = 0.0;
-  if (compact_.two_channel()) {
+  if (compact_.has_tag_channel()) {
     const CompactChannel& tch = compact_.users_tg;
     scratch->user_tg.resize(tch.dim);
     for (size_t i = 0; i < tch.dim; ++i) {
@@ -299,58 +293,32 @@ void IvfIndex::ComputeBounds(uint32_t user, IvfScratch* scratch) const {
   }
   const vec::ConstSpan u_tg(scratch->user_tg);
 
-  const double u_norm =
-      compact_.kernel == ScoreKernel::kDot ? vec::Norm(u) : 0.0;
+  const bool dot = compact_.kernel == ScoreKernel::kDot;
+  const bool lorentz = compact_.kernel == ScoreKernel::kNegLorentzSqDist;
+  // Per-channel lower bound on the member distance: for members x of cell
+  // (c, r), d(u, x) >= max(0, d(u, c) - r) by the triangle inequality (the
+  // Lorentz d_H = acosh(-<.,.>_L) is the geodesic metric), so
+  // -d(u, x)^2 <= -gap^2.
+  const auto gap = [lorentz](vec::ConstSpan x, vec::ConstSpan rep, double r) {
+    const double d =
+        lorentz ? lorentz::Distance(x, rep) : std::sqrt(vec::SqDist(x, rep));
+    return std::max(0.0, d - r);
+  };
+  const double u_norm = dot ? vec::Norm(u) : 0.0;
   for (size_t c = 0; c < c_count; ++c) {
     if (cell_begin_[c + 1] == cell_begin_[c]) continue;  // stays -Inf
     double bound = 0.0;
-    switch (compact_.kernel) {
-      case ScoreKernel::kDot: {
-        // <u,x> = <u,c> + <u,x-c> <= <u,c> + |u| |x-c| (Cauchy-Schwarz),
-        // |x-c| <= r over the cell.
-        bound = vec::Dot(u, reps_.row(c)) + u_norm * radius_[c];
-        break;
+    if (dot) {
+      // <u,x> = <u,c> + <u,x-c> <= <u,c> + |u| |x-c| (Cauchy-Schwarz),
+      // |x-c| <= r over the cell.
+      bound = vec::Dot(u, reps_.row(c)) + u_norm * radius_[c];
+    } else {
+      const double g = gap(u, reps_.row(c), radius_[c]);
+      bound = -g * g;
+      if (alpha > 0.0) {
+        const double gt = gap(u_tg, reps_tg_.row(c), radius_tg_[c]);
+        bound -= alpha * gt * gt;
       }
-      case ScoreKernel::kNegSqDist: {
-        const double g = std::max(
-            0.0, std::sqrt(vec::SqDist(u, reps_.row(c))) - radius_[c]);
-        bound = -g * g;
-        break;
-      }
-      case ScoreKernel::kNegLorentzSqDist: {
-        // d_H(u,x) >= d_H(u,c) - r (triangle inequality; d_H is the
-        // geodesic metric acosh(-<.,.>_L), monotone in the Lorentz inner
-        // product), so -d_H(u,x)^2 <= -max(0, d_H(u,c) - r)^2.
-        const double g =
-            std::max(0.0, lorentz::Distance(u, reps_.row(c)) - radius_[c]);
-        bound = -g * g;
-        break;
-      }
-      case ScoreKernel::kTwoChannelLorentz: {
-        const double g =
-            std::max(0.0, lorentz::Distance(u, reps_.row(c)) - radius_[c]);
-        bound = -g * g;
-        if (alpha > 0.0) {
-          const double gt = std::max(
-              0.0, lorentz::Distance(u_tg, reps_tg_.row(c)) - radius_tg_[c]);
-          bound -= alpha * gt * gt;
-        }
-        break;
-      }
-      case ScoreKernel::kTwoChannelEuclid: {
-        const double g = std::max(
-            0.0, std::sqrt(vec::SqDist(u, reps_.row(c))) - radius_[c]);
-        bound = -g * g;
-        if (alpha > 0.0) {
-          const double gt = std::max(
-              0.0,
-              std::sqrt(vec::SqDist(u_tg, reps_tg_.row(c))) - radius_tg_[c]);
-          bound -= alpha * gt * gt;
-        }
-        break;
-      }
-      case ScoreKernel::kVirtual:
-        TAXOREC_CHECK_MSG(false, "kVirtual has no IVF index");
     }
     // Absolute-plus-relative slack dominating the double-vs-float32
     // arithmetic gap at any score magnitude.

@@ -152,7 +152,7 @@ class IvfIndex {
   /// CSR offsets into perm_, size num_cells + 1.
   std::vector<uint32_t> cell_begin_;
   /// Per-cell representative in the kernel's native geometry (primary and,
-  /// for two-channel kernels, tag channel) with max member distance.
+  /// with a tag channel, tag channel) with max member distance.
   Matrix reps_;
   Matrix reps_tg_;
   std::vector<double> radius_;

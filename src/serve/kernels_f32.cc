@@ -34,7 +34,7 @@ __attribute__((noinline)) float LorentzSqFromDot(float dot, float x0y0) {
   return d * d;
 }
 
-/// Two-channel blend g = fmaf(alpha, m_tg, m_ir) (canonical combine).
+/// Tag-channel blend g = fmaf(alpha, m_tg, m_ir) (canonical combine).
 __attribute__((noinline)) float CombineChannels(float alpha, float m_tg,
                                                 float m_ir) {
   return std::fmaf(alpha, m_tg, m_ir);
@@ -260,6 +260,41 @@ const Backend& ActiveBackendImpl() {
   return kPortableBackend;
 }
 
+/// Scores `count` consecutive item slots from `first` for `user` on backend
+/// `b`. With a tag term (alpha_u > 0) the item-channel rows are written at
+/// sign +1 and the combine pass negates the blend; otherwise the rows are
+/// written at sign -1.
+void ScoreSlots(const CompactSnapshot& s, const Backend& b, uint32_t user,
+                size_t first, size_t count, double* dst) {
+  const float* u = s.users.row(user);
+  const float* items = s.items.row(first);
+  const size_t stride = s.items.stride;
+  const float a = s.has_tag_channel() ? s.alpha[user] : 0.0f;
+  const float sign = a > 0.0f ? 1.0f : -1.0f;
+  switch (s.kernel) {
+    case ScoreKernel::kDot:
+      b.dot_rows(u, items, stride, count, dst);
+      return;
+    case ScoreKernel::kNegSqDist:
+      b.sqdist_rows(u, items, stride, count, dst, sign);
+      if (a > 0.0f) {
+        b.sqdist_combine(s.users_tg.row(user), s.items_tg.row(first),
+                         s.items_tg.stride, count, dst, a);
+      }
+      return;
+    case ScoreKernel::kNegLorentzSqDist:
+      b.lorentz_rows(u, items, stride, count, dst, sign);
+      if (a > 0.0f) {
+        b.lorentz_combine(s.users_tg.row(user), s.items_tg.row(first),
+                          s.items_tg.stride, count, dst, a);
+      }
+      return;
+    case ScoreKernel::kVirtual:
+      break;
+  }
+  TAXOREC_CHECK_MSG(false, "compact snapshots cannot score kVirtual");
+}
+
 // ---------------------------------------------------------------------------
 // int8 coarse kernels (scalar int32 accumulation; no bit-exact contract).
 // ---------------------------------------------------------------------------
@@ -292,131 +327,30 @@ float LorentzSqQ(const int8_t* x, const int8_t* y, size_t n, float s2) {
                           s2 * static_cast<float>(x0y0));
 }
 
+/// Coarse squared distance of one quantized pair in the kernel's metric.
+float CoarseSqDist(bool lorentz, const int8_t* x, const int8_t* y, size_t n,
+                   float s2) {
+  return lorentz ? LorentzSqQ(x, y, n, s2)
+                 : s2 * static_cast<float>(SqDistQ(x, y, n));
+}
+
 }  // namespace
 
 float DotRef(const float* x, const float* y, size_t n) {
   return DotPortable(x, y, n);
 }
 
-float SqDistRef(const float* x, const float* y, size_t n) {
-  return SqDistPortable(x, y, n);
-}
-
-float LorentzSqDistRef(const float* x, const float* y, size_t n) {
-  return LorentzSqFromDot(DotPortable(x, y, n), x[0] * y[0]);
-}
-
 void ScoreRowRangeF32(const CompactSnapshot& s, uint32_t user, size_t begin,
                       size_t end, double* dst) {
-  const Backend& b = ActiveBackendImpl();
-  const size_t count = end - begin;
-  const float* u = s.users.row(user);
-  const float* items = s.items.row(begin);
-  const size_t stride = s.items.stride;
-  switch (s.kernel) {
-    case ScoreKernel::kDot:
-      b.dot_rows(u, items, stride, count, dst);
-      return;
-    case ScoreKernel::kNegSqDist:
-      b.sqdist_rows(u, items, stride, count, dst, -1.0f);
-      return;
-    case ScoreKernel::kNegLorentzSqDist:
-      b.lorentz_rows(u, items, stride, count, dst, -1.0f);
-      return;
-    case ScoreKernel::kTwoChannelLorentz: {
-      const float a = s.alpha[user];
-      if (a > 0.0f) {
-        b.lorentz_rows(u, items, stride, count, dst, 1.0f);
-        b.lorentz_combine(s.users_tg.row(user), s.items_tg.row(begin),
-                          s.items_tg.stride, count, dst, a);
-      } else {
-        b.lorentz_rows(u, items, stride, count, dst, -1.0f);
-      }
-      return;
-    }
-    case ScoreKernel::kTwoChannelEuclid: {
-      const float a = s.alpha[user];
-      if (a > 0.0f) {
-        b.sqdist_rows(u, items, stride, count, dst, 1.0f);
-        b.sqdist_combine(s.users_tg.row(user), s.items_tg.row(begin),
-                         s.items_tg.stride, count, dst, a);
-      } else {
-        b.sqdist_rows(u, items, stride, count, dst, -1.0f);
-      }
-      return;
-    }
-    case ScoreKernel::kVirtual:
-      break;
-  }
-  TAXOREC_CHECK_MSG(false, "compact snapshots cannot score kVirtual");
+  ScoreSlots(s, ActiveBackendImpl(), user, begin, end - begin, dst);
 }
 
 void ScoreItemsF32(const CompactSnapshot& s, uint32_t user,
                    std::span<const uint32_t> items, double* dst) {
-  // Per-pair scoring through the canonical scalar references — the same
-  // bits as the vectorized row-range path, since every backend implements
-  // the reference algorithm exactly.
-  const float* u = s.users.row(user);
-  const size_t stride = s.items.stride;
-  switch (s.kernel) {
-    case ScoreKernel::kDot:
-      for (size_t i = 0; i < items.size(); ++i) {
-        dst[i] = static_cast<double>(
-            DotPortable(u, s.items.row(items[i]), stride));
-      }
-      return;
-    case ScoreKernel::kNegSqDist:
-      for (size_t i = 0; i < items.size(); ++i) {
-        dst[i] = static_cast<double>(
-            -1.0f * SqDistPortable(u, s.items.row(items[i]), stride));
-      }
-      return;
-    case ScoreKernel::kNegLorentzSqDist:
-      for (size_t i = 0; i < items.size(); ++i) {
-        const float* v = s.items.row(items[i]);
-        const float m = LorentzSqFromDot(DotPortable(u, v, stride),
-                                         u[0] * v[0]);
-        dst[i] = static_cast<double>(-1.0f * m);
-      }
-      return;
-    case ScoreKernel::kTwoChannelLorentz: {
-      const float a = s.alpha[user];
-      const float* u_tg = s.users_tg.row(user);
-      const size_t stride_tg = s.items_tg.stride;
-      for (size_t i = 0; i < items.size(); ++i) {
-        const float* v = s.items.row(items[i]);
-        float m = LorentzSqFromDot(DotPortable(u, v, stride), u[0] * v[0]);
-        if (a > 0.0f) {
-          const float* v_tg = s.items_tg.row(items[i]);
-          const float m_tg = LorentzSqFromDot(
-              DotPortable(u_tg, v_tg, stride_tg), u_tg[0] * v_tg[0]);
-          dst[i] = -static_cast<double>(CombineChannels(a, m_tg, m));
-        } else {
-          dst[i] = static_cast<double>(-1.0f * m);
-        }
-      }
-      return;
-    }
-    case ScoreKernel::kTwoChannelEuclid: {
-      const float a = s.alpha[user];
-      const float* u_tg = s.users_tg.row(user);
-      const size_t stride_tg = s.items_tg.stride;
-      for (size_t i = 0; i < items.size(); ++i) {
-        const float m = SqDistPortable(u, s.items.row(items[i]), stride);
-        if (a > 0.0f) {
-          const float m_tg =
-              SqDistPortable(u_tg, s.items_tg.row(items[i]), stride_tg);
-          dst[i] = -static_cast<double>(CombineChannels(a, m_tg, m));
-        } else {
-          dst[i] = static_cast<double>(-1.0f * m);
-        }
-      }
-      return;
-    }
-    case ScoreKernel::kVirtual:
-      break;
+  const Backend& b = ActiveBackendImpl();
+  for (size_t i = 0; i < items.size(); ++i) {
+    ScoreSlots(s, b, user, items[i], 1, dst + i);
   }
-  TAXOREC_CHECK_MSG(false, "compact snapshots cannot score kVirtual");
 }
 
 void ScoreRowRangeInt8(const CompactSnapshot& s, uint32_t user, size_t begin,
@@ -426,65 +360,27 @@ void ScoreRowRangeInt8(const CompactSnapshot& s, uint32_t user, size_t begin,
   const int8_t* u = s.users_q.row(user);
   const size_t stride = s.items_q.stride;
   const float s2 = s.int8_scale_ir * s.int8_scale_ir;
-  switch (s.kernel) {
-    case ScoreKernel::kDot:
-      for (size_t i = 0; i < count; ++i) {
-        dst[i] = static_cast<double>(
-            s2 * static_cast<float>(
-                     DotQ(u, s.items_q.row(begin + i), stride)));
-      }
-      return;
-    case ScoreKernel::kNegSqDist:
-      for (size_t i = 0; i < count; ++i) {
-        dst[i] = -static_cast<double>(
-            s2 * static_cast<float>(
-                     SqDistQ(u, s.items_q.row(begin + i), stride)));
-      }
-      return;
-    case ScoreKernel::kNegLorentzSqDist:
-      for (size_t i = 0; i < count; ++i) {
-        dst[i] = -static_cast<double>(
-            LorentzSqQ(u, s.items_q.row(begin + i), stride, s2));
-      }
-      return;
-    case ScoreKernel::kTwoChannelLorentz: {
-      const float a = s.alpha[user];
-      const int8_t* u_tg = s.users_tg_q.row(user);
-      const size_t stride_tg = s.items_tg_q.stride;
-      const float s2_tg = s.int8_scale_tg * s.int8_scale_tg;
-      for (size_t i = 0; i < count; ++i) {
-        float g = LorentzSqQ(u, s.items_q.row(begin + i), stride, s2);
-        if (a > 0.0f) {
-          const float m_tg =
-              LorentzSqQ(u_tg, s.items_tg_q.row(begin + i), stride_tg, s2_tg);
-          g = CombineChannels(a, m_tg, g);
-        }
-        dst[i] = -static_cast<double>(g);
-      }
-      return;
+  if (s.kernel == ScoreKernel::kDot) {
+    for (size_t i = 0; i < count; ++i) {
+      dst[i] = static_cast<double>(
+          s2 * static_cast<float>(DotQ(u, s.items_q.row(begin + i), stride)));
     }
-    case ScoreKernel::kTwoChannelEuclid: {
-      const float a = s.alpha[user];
-      const int8_t* u_tg = s.users_tg_q.row(user);
-      const size_t stride_tg = s.items_tg_q.stride;
-      const float s2_tg = s.int8_scale_tg * s.int8_scale_tg;
-      for (size_t i = 0; i < count; ++i) {
-        float g = s2 * static_cast<float>(
-                           SqDistQ(u, s.items_q.row(begin + i), stride));
-        if (a > 0.0f) {
-          const float m_tg =
-              s2_tg * static_cast<float>(SqDistQ(
-                          u_tg, s.items_tg_q.row(begin + i), stride_tg));
-          g = CombineChannels(a, m_tg, g);
-        }
-        dst[i] = -static_cast<double>(g);
-      }
-      return;
-    }
-    case ScoreKernel::kVirtual:
-      break;
+    return;
   }
-  TAXOREC_CHECK_MSG(false, "compact snapshots cannot score kVirtual");
+  const bool lorentz = s.kernel == ScoreKernel::kNegLorentzSqDist;
+  const float a = s.has_tag_channel() ? s.alpha[user] : 0.0f;
+  const int8_t* u_tg = a > 0.0f ? s.users_tg_q.row(user) : nullptr;
+  const float s2_tg = s.int8_scale_tg * s.int8_scale_tg;
+  for (size_t i = 0; i < count; ++i) {
+    float g = CoarseSqDist(lorentz, u, s.items_q.row(begin + i), stride, s2);
+    if (a > 0.0f) {
+      const float m_tg =
+          CoarseSqDist(lorentz, u_tg, s.items_tg_q.row(begin + i),
+                       s.items_tg_q.stride, s2_tg);
+      g = CombineChannels(a, m_tg, g);
+    }
+    dst[i] = -static_cast<double>(g);
+  }
 }
 
 }  // namespace taxorec::f32

@@ -15,7 +15,8 @@
 //   * Lorentz: inner_L = dot - 2*(x0*y0); beta = max(1, -inner_L) with the
 //     double path's NaN semantics (NaN passes through, sanitized to -Inf
 //     later); d^2 = acoshf(beta)^2.
-//   * Two-channel combine: g = fmaf(alpha, d_tg^2, d_ir^2); score = -g.
+//   * Tag-channel combine (alpha_u > 0): g = fmaf(alpha, d_tg^2, d_ir^2);
+//     score = -g.
 //
 // Two backends implement these semantics: an AVX2/FMA one (compiled via
 // function-level target attributes when TAXOREC_ENABLE_AVX2 is defined,
@@ -26,9 +27,12 @@
 // scalar transforms (acosh, combine) are shared noinline functions so the
 // AVX2 translation unit attributes cannot alter their code generation.
 //
+// Each tier writes one item loop per metric; with a tag channel, the
+// distance loops add the combine pass.
+//
 // The int8 kernels are a coarse ranking tier only (scalar int32
 // accumulation, shared symmetric scales); serve/topk.cc exact-rescores
-// their top candidates through the float32 kernels.
+// their top candidates through the float32 tier's own code path.
 #ifndef TAXOREC_SERVE_KERNELS_F32_H_
 #define TAXOREC_SERVE_KERNELS_F32_H_
 
@@ -47,21 +51,16 @@ inline constexpr size_t kLanes = 16;
 /// kLanes). This is the bit-exact reference for every backend.
 float DotRef(const float* x, const float* y, size_t n);
 
-/// Canonical scalar float32 squared Euclidean distance (same lane rules).
-float SqDistRef(const float* x, const float* y, size_t n);
-
-/// Canonical float32 Lorentz squared distance built on DotRef.
-float LorentzSqDistRef(const float* x, const float* y, size_t n);
-
 /// Scores items [begin, end) for `user` in float32 with the active
 /// backend, widening each score to double in dst[0 .. end-begin). The
-/// per-pair arithmetic is the canonical semantics above for every kernel
-/// family; results are independent of the backend.
+/// per-pair arithmetic is the canonical semantics above for every kernel,
+/// with or without a tag channel; results are independent of the backend.
 void ScoreRowRangeF32(const CompactSnapshot& s, uint32_t user, size_t begin,
                       size_t end, double* dst);
 
 /// Float32-exact scores for an explicit candidate list (the int8 tier's
-/// re-rank). Bit-identical per pair to ScoreRowRangeF32.
+/// re-rank): the ScoreRowRangeF32 code path run on each candidate alone,
+/// so it is bit-identical per pair by construction.
 void ScoreItemsF32(const CompactSnapshot& s, uint32_t user,
                    std::span<const uint32_t> items, double* dst);
 

@@ -2,7 +2,9 @@
 //
 // A ScoringSnapshot captures everything needed to score (user, item) pairs
 // without the live model: cache-friendly row-major embedding blocks plus a
-// kernel tag naming the score function. Models export one via
+// kernel tag naming the metric. TaxoRec's Eq. 17 adds alpha_u times the same
+// metric on a tag channel; that channel is optional data on the snapshot,
+// not a kernel of its own. Models export one via
 // Recommender::ExportScoringSnapshot(); FrozenModel (serve/frozen_model.h)
 // wraps it for block-wise evaluation. The struct lives in its own header —
 // depending only on Matrix — so baselines/recommender.h can name it without
@@ -19,21 +21,16 @@ namespace taxorec {
 
 class Recommender;
 
-/// Score-function families a FrozenModel can evaluate natively (block by
-/// block, without materializing a full per-user score row).
+/// Metrics a FrozenModel can evaluate natively (block by block, without
+/// materializing a full per-user score row). Either distance metric may
+/// carry a tag channel (ScoringSnapshot::has_tag_channel()).
 enum class ScoreKernel {
   /// score = <u, v> (inner-product models: BPRMF, LightGCN, ...).
   kDot,
   /// score = -||u - v||^2 (Euclidean metric models: CML family).
   kNegSqDist,
-  /// score = -d_H(u, v)^2 on the hyperboloid (HyperML, HGCF-style).
+  /// score = -d_H(u, v)^2 on the hyperboloid (HyperML, TaxoRec).
   kNegLorentzSqDist,
-  /// TaxoRec hyperbolic: -(d_H(u,v)^2 + alpha_u * d_H(u_tg,v_tg)^2),
-  /// the tag term applied only when alpha_u > 0 (Eq. 17).
-  kTwoChannelLorentz,
-  /// TaxoRec Euclidean ablation: same shape with squared Euclidean
-  /// distances.
-  kTwoChannelEuclid,
   /// Fallback: delegate full-row scoring to the live model's ScoreItems.
   /// The model must outlive the snapshot; no block streaming.
   kVirtual,
@@ -50,14 +47,18 @@ struct ScoringSnapshot {
   /// Primary channel (every native kernel): rows are user / item vectors.
   Matrix users;
   Matrix items;
-  /// Secondary (tag) channel, two-channel kernels only.
+  /// Optional tag channel of a distance kernel (Eq. 17): the score becomes
+  /// -(dist(u, v) + alpha_u * dist(u_tg, v_tg)), the tag term applied only
+  /// when alpha_u > 0. Present exactly when `alpha` is non-empty.
   Matrix users_tg;
   Matrix items_tg;
-  /// Per-user secondary-channel weight alpha_u (two-channel kernels only).
+  /// Per-user tag-channel weight alpha_u, one per user.
   std::vector<double> alpha;
   /// Live model backing a kVirtual snapshot (not owned; must outlive every
   /// FrozenModel built from this snapshot). Null for native kernels.
   const Recommender* live = nullptr;
+
+  bool has_tag_channel() const { return !alpha.empty(); }
 };
 
 }  // namespace taxorec

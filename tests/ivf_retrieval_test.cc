@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <ostream>
 #include <vector>
 
 #include "common/metrics.h"
@@ -36,21 +37,26 @@ class ThreadCountGuard {
   int saved_;
 };
 
-const ScoreKernel kNativeKernels[] = {
-    ScoreKernel::kDot,           ScoreKernel::kNegSqDist,
-    ScoreKernel::kNegLorentzSqDist, ScoreKernel::kTwoChannelLorentz,
-    ScoreKernel::kTwoChannelEuclid,
+/// A native scoring family: the metric, and whether the snapshot carries
+/// a tag channel (TaxoRec's alpha_u-weighted second distance, Eq. 17).
+struct KernelFamily {
+  ScoreKernel kernel;
+  bool tags = false;
 };
 
-bool IsLorentz(ScoreKernel k) {
-  return k == ScoreKernel::kNegLorentzSqDist ||
-         k == ScoreKernel::kTwoChannelLorentz;
+std::ostream& operator<<(std::ostream& os, const KernelFamily& f) {
+  return os << static_cast<int>(f.kernel) << (f.tags ? "+tags" : "");
 }
 
-bool IsTwoChannel(ScoreKernel k) {
-  return k == ScoreKernel::kTwoChannelLorentz ||
-         k == ScoreKernel::kTwoChannelEuclid;
-}
+constexpr KernelFamily kTwoChannelLorentz{ScoreKernel::kNegLorentzSqDist,
+                                          /*tags=*/true};
+constexpr KernelFamily kTwoChannelEuclid{ScoreKernel::kNegSqDist,
+                                         /*tags=*/true};
+
+const KernelFamily kNativeKernels[] = {
+    {ScoreKernel::kDot}, {ScoreKernel::kNegSqDist},
+    {ScoreKernel::kNegLorentzSqDist}, kTwoChannelLorentz, kTwoChannelEuclid,
+};
 
 void FillRows(Matrix* m, bool lorentz, double spread, Rng* rng) {
   for (size_t r = 0; r < m->rows(); ++r) {
@@ -64,19 +70,19 @@ void FillRows(Matrix* m, bool lorentz, double spread, Rng* rng) {
   }
 }
 
-ScoringSnapshot MakeSnapshot(ScoreKernel kernel, size_t users, size_t items,
+ScoringSnapshot MakeSnapshot(KernelFamily family, size_t users, size_t items,
                              size_t dim, size_t tag_dim, uint64_t seed) {
   Rng rng(seed);
   ScoringSnapshot snap;
-  snap.kernel = kernel;
+  snap.kernel = family.kernel;
   snap.num_users = users;
   snap.num_items = items;
   snap.users = Matrix(users, dim);
   snap.items = Matrix(items, dim);
-  const bool lorentz = IsLorentz(kernel);
+  const bool lorentz = family.kernel == ScoreKernel::kNegLorentzSqDist;
   FillRows(&snap.users, lorentz, 0.6, &rng);
   FillRows(&snap.items, lorentz, 0.6, &rng);
-  if (IsTwoChannel(kernel)) {
+  if (family.tags) {
     snap.users_tg = Matrix(users, tag_dim);
     snap.items_tg = Matrix(items, tag_dim);
     FillRows(&snap.users_tg, lorentz, 0.4, &rng);
@@ -143,10 +149,10 @@ TEST(IvfIndexTest, FullProbeMatchesExactScan) {
   // exclusions over).
   std::vector<uint32_t> exclude;
   for (uint32_t v = 0; v < kItems; v += 3) exclude.push_back(v);
-  for (ScoreKernel kernel : kNativeKernels) {
+  for (const KernelFamily& family : kNativeKernels) {
     for (PrecisionTier tier :
          {PrecisionTier::kFloat32, PrecisionTier::kInt8}) {
-      const ScoringSnapshot snap = MakeSnapshot(kernel, kUsers, kItems, 24,
+      const ScoringSnapshot snap = MakeSnapshot(family, kUsers, kItems, 24,
                                                 12, 17);
       const FrozenModel exact(ScoringSnapshot(snap), tier);
       IvfOptions opts;
@@ -170,8 +176,8 @@ TEST(IvfIndexTest, FullProbeMatchesExactScan) {
 // (a cell whose bound is below the heap's worst entry cannot improve it).
 TEST(IvfIndexTest, CellBoundsDominateMemberScores) {
   const size_t kUsers = 8, kItems = 211;
-  for (ScoreKernel kernel : kNativeKernels) {
-    const ScoringSnapshot snap = MakeSnapshot(kernel, kUsers, kItems, 24, 12,
+  for (const KernelFamily& family : kNativeKernels) {
+    const ScoringSnapshot snap = MakeSnapshot(family, kUsers, kItems, 24, 12,
                                               29);
     const FrozenModel f32model(ScoringSnapshot(snap), PrecisionTier::kFloat32);
     const IvfIndex index =
@@ -185,8 +191,8 @@ TEST(IvfIndexTest, CellBoundsDominateMemberScores) {
       for (size_t c = 0; c < index.num_cells(); ++c) {
         for (uint32_t item : index.cell_items(c)) {
           EXPECT_LE(scores[item], bounds[c])
-              << "kernel " << static_cast<int>(kernel) << " user " << u
-              << " cell " << c << " item " << item;
+              << "kernel " << family << " user " << u << " cell " << c
+              << " item " << item;
         }
       }
     }
@@ -195,7 +201,7 @@ TEST(IvfIndexTest, CellBoundsDominateMemberScores) {
 
 TEST(IvfIndexTest, StatsAccountForEveryCell) {
   const ScoringSnapshot snap =
-      MakeSnapshot(ScoreKernel::kNegLorentzSqDist, 6, 400, 16, 0, 41);
+      MakeSnapshot({ScoreKernel::kNegLorentzSqDist}, 6, 400, 16, 0, 41);
   const IvfIndex index =
       IvfIndex::Build(snap, PrecisionTier::kFloat32, IvfOptions{});
   ASSERT_GT(index.num_cells(), 4u);
@@ -217,7 +223,7 @@ TEST(IvfIndexTest, StatsAccountForEveryCell) {
 TEST(IvfIndexTest, ExclusionHeavyListsKeepSentinelOrder) {
   const size_t kItems = 97, kK = 8;
   const ScoringSnapshot snap =
-      MakeSnapshot(ScoreKernel::kTwoChannelLorentz, 5, kItems, 16, 8, 53);
+      MakeSnapshot(kTwoChannelLorentz, 5, kItems, 16, 8, 53);
   // Exclude everything but items 13, 40, 77: only 3 live candidates.
   std::vector<uint32_t> exclude;
   for (uint32_t v = 0; v < kItems; ++v) {
@@ -292,7 +298,7 @@ TEST(BatchServerIvfTest, FullProbeServerMatchesExactAndThreads) {
   ThreadCountGuard guard;
   const DataSplit split = MakeServeSplit();
   const ScoringSnapshot snap =
-      MakeSnapshot(ScoreKernel::kTwoChannelLorentz, split.num_users,
+      MakeSnapshot(kTwoChannelLorentz, split.num_users,
                    split.num_items, 16, 8, 67);
 
   ServeOptions exact_opts;
@@ -330,7 +336,7 @@ TEST(BatchServerIvfTest, FullProbeServerMatchesExactAndThreads) {
 TEST(BatchServerIvfTest, DoubleTierFallsBackToExact) {
   const DataSplit split = MakeServeSplit();
   const ScoringSnapshot snap = MakeSnapshot(
-      ScoreKernel::kDot, split.num_users, split.num_items, 16, 0, 71);
+      {ScoreKernel::kDot}, split.num_users, split.num_items, 16, 0, 71);
   ServeOptions opts;
   opts.retrieval = RetrievalMode::kIvf;
   BatchServer server(FrozenModel(ScoringSnapshot(snap),
@@ -349,7 +355,7 @@ TEST(BatchServerIvfTest, DoubleTierFallsBackToExact) {
 TEST(BatchServerIvfTest, DegradedBatchesServeExact) {
   const DataSplit split = MakeServeSplit();
   const ScoringSnapshot snap =
-      MakeSnapshot(ScoreKernel::kNegLorentzSqDist, split.num_users,
+      MakeSnapshot({ScoreKernel::kNegLorentzSqDist}, split.num_users,
                    split.num_items, 16, 0, 73);
   ServeOptions opts;
   opts.retrieval = RetrievalMode::kIvf;
@@ -387,7 +393,7 @@ TEST(BatchServerIvfTest, DegradedBatchesServeExact) {
 TEST(BatchServerIvfTest, CacheSurvivesDegradeRecoverCycle) {
   const DataSplit split = MakeServeSplit();
   const ScoringSnapshot snap = MakeSnapshot(
-      ScoreKernel::kDot, split.num_users, split.num_items, 16, 0, 79);
+      {ScoreKernel::kDot}, split.num_users, split.num_items, 16, 0, 79);
   ServeOptions opts;
   opts.cache_capacity = 64;
   opts.precision = PrecisionTier::kFloat32;

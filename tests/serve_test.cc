@@ -127,7 +127,8 @@ TEST(FrozenModelTest, TaxoRecTwoChannelLorentzRoundTrip) {
   Rng rng(5);
   model.Fit(split, &rng);
   const FrozenModel frozen = FrozenModel::Freeze(model, split);
-  EXPECT_EQ(frozen.kernel(), ScoreKernel::kTwoChannelLorentz);
+  EXPECT_EQ(frozen.kernel(), ScoreKernel::kNegLorentzSqDist);
+  EXPECT_TRUE(frozen.snapshot().has_tag_channel());
   ExpectFrozenMatchesLive(model, split, /*expect_native=*/true);
 }
 
@@ -139,8 +140,9 @@ TEST(FrozenModelTest, TaxoRecEuclideanAndNoTagVariants) {
     TaxoRecModel model(TinyConfig(), opts);
     Rng rng(5);
     model.Fit(split, &rng);
-    EXPECT_EQ(FrozenModel::Freeze(model, split).kernel(),
-              ScoreKernel::kTwoChannelEuclid);
+    const FrozenModel frozen = FrozenModel::Freeze(model, split);
+    EXPECT_EQ(frozen.kernel(), ScoreKernel::kNegSqDist);
+    EXPECT_TRUE(frozen.snapshot().has_tag_channel());
     ExpectFrozenMatchesLive(model, split, true);
   }
   {
@@ -149,8 +151,9 @@ TEST(FrozenModelTest, TaxoRecEuclideanAndNoTagVariants) {
     TaxoRecModel model(TinyConfig(), opts);
     Rng rng(5);
     model.Fit(split, &rng);
-    EXPECT_EQ(FrozenModel::Freeze(model, split).kernel(),
-              ScoreKernel::kNegLorentzSqDist);
+    const FrozenModel frozen = FrozenModel::Freeze(model, split);
+    EXPECT_EQ(frozen.kernel(), ScoreKernel::kNegLorentzSqDist);
+    EXPECT_FALSE(frozen.snapshot().has_tag_channel());
     ExpectFrozenMatchesLive(model, split, true);
   }
 }
@@ -161,7 +164,9 @@ TEST(FrozenModelTest, NativeBaselinesRoundTrip) {
   const auto check = [&](Recommender& model, ScoreKernel want) {
     Rng rng(7);
     model.Fit(split, &rng);
-    EXPECT_EQ(FrozenModel::Freeze(model, split).kernel(), want);
+    const FrozenModel frozen = FrozenModel::Freeze(model, split);
+    EXPECT_EQ(frozen.kernel(), want);
+    EXPECT_FALSE(frozen.snapshot().has_tag_channel());
     ExpectFrozenMatchesLive(model, split, true);
   };
   {
@@ -188,6 +193,26 @@ TEST(FrozenModelTest, VirtualFallbackRoundTrip) {
   const FrozenModel frozen = FrozenModel::Freeze(model, split);
   EXPECT_EQ(frozen.kernel(), ScoreKernel::kVirtual);
   ExpectFrozenMatchesLive(model, split, /*expect_native=*/false);
+}
+
+// The tag channel is checked both ways: it needs a distance kernel, and
+// tag rows without a per-user alpha fail instead of scoring untagged.
+TEST(FrozenModelDeathTest, TagChannelNeedsAlphaAndADistanceKernel) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  ScoringSnapshot snap;
+  snap.kernel = ScoreKernel::kNegSqDist;
+  snap.num_users = 2;
+  snap.num_items = 3;
+  snap.users = Matrix(2, 4);
+  snap.items = Matrix(3, 4);
+  snap.users_tg = Matrix(2, 2);
+  snap.items_tg = Matrix(3, 2);
+  EXPECT_DEATH(FrozenModel{ScoringSnapshot(snap)}, "without a per-user alpha");
+  snap.alpha.assign(2, 0.5);
+  snap.kernel = ScoreKernel::kDot;
+  EXPECT_DEATH(FrozenModel{ScoringSnapshot(snap)}, "needs a distance kernel");
+  snap.kernel = ScoreKernel::kNegSqDist;
+  EXPECT_TRUE(FrozenModel(std::move(snap)).snapshot().has_tag_channel());
 }
 
 TEST(FrozenModelTest, BlockAndBatchScoringMatchScoreAll) {
