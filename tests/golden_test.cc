@@ -9,6 +9,10 @@
 //   ivf.<tier>              IVF-retrieved lists at the float32 and int8 tiers
 //                           (native kernels only; the float32 probe prunes
 //                           on the cell score bounds, the int8 one does not);
+//   serve_mixed_k.<tier>    BatchServer lists with k cycling over
+//                           {1, 7, 20, 200} across requests (native kernels
+//                           only; 200 exceeds the catalogue, so excluded
+//                           items surface at -Inf);
 //   recommend               RecommendTopK lists for every user;
 //   state                   the SaveState payload (models that have one).
 // The same digests are required at 1 and at 4 threads, with the SIMD
@@ -143,6 +147,29 @@ constexpr GoldenDigest kGolden[] = {
     {"CMLAgg", "ivf.int8", 0x9143ac3a304c27f0ULL},
     {"CMLAgg", "recommend", 0x93d20c65061053a0ULL},
     {"CMLAgg", "state", 0x277688885e012cf2ULL},
+    // Served lists with a different k per request, so each sub-batch mixes
+    // heap bounds on every tier (native models only).
+    {"TaxoRec", "serve_mixed_k.double", 0xd2b1c987d77913d4ULL},
+    {"TaxoRec", "serve_mixed_k.float32", 0x5c5678c26e6dd3bdULL},
+    {"TaxoRec", "serve_mixed_k.int8", 0x5c5678c26e6dd3bdULL},
+    {"TaxoRecWide", "serve_mixed_k.double", 0x0ea0945ad76f9588ULL},
+    {"TaxoRecWide", "serve_mixed_k.float32", 0x90c58b0a4859595bULL},
+    {"TaxoRecWide", "serve_mixed_k.int8", 0x90c58b0a4859595bULL},
+    {"HyperML", "serve_mixed_k.double", 0x26c8a06cfcc9f658ULL},
+    {"HyperML", "serve_mixed_k.float32", 0x1f02ea4fb4109b2bULL},
+    {"HyperML", "serve_mixed_k.int8", 0x7a44bc1136feb35bULL},
+    {"CML", "serve_mixed_k.double", 0x9f4a76802fcd6f40ULL},
+    {"CML", "serve_mixed_k.float32", 0xd02dad62ec0b97eaULL},
+    {"CML", "serve_mixed_k.int8", 0xd02dad62ec0b97eaULL},
+    {"BPRMF", "serve_mixed_k.double", 0xd59ebed64989784fULL},
+    {"BPRMF", "serve_mixed_k.float32", 0x6ba3408876f51e83ULL},
+    {"BPRMF", "serve_mixed_k.int8", 0x6ba3408876f51e83ULL},
+    {"LightGCN", "serve_mixed_k.double", 0x24a8e9a73b4e6938ULL},
+    {"LightGCN", "serve_mixed_k.float32", 0x38652b5a3f087ecdULL},
+    {"LightGCN", "serve_mixed_k.int8", 0x38652b5a3f087ecdULL},
+    {"CMLAgg", "serve_mixed_k.double", 0x1a70388945edcbf9ULL},
+    {"CMLAgg", "serve_mixed_k.float32", 0x24e7b38b02e2a96fULL},
+    {"CMLAgg", "serve_mixed_k.int8", 0x24e7b38b02e2a96fULL},
 };
 
 class Fnv1a {
@@ -189,12 +216,14 @@ void HashList(const std::vector<TopKEntry>& list, Fnv1a* h) {
   }
 }
 
+// Serves every user once; request u asks for ks[u % ks.size()] items.
 uint64_t DigestServed(const Recommender& model, const DataSplit& split,
-                      const ServeOptions& options) {
+                      const ServeOptions& options,
+                      const std::vector<size_t>& ks = {10}) {
   BatchServer server(model, split, options);
   std::vector<ServeRequest> requests;
   for (uint32_t u = 0; u < split.num_users; ++u) {
-    requests.push_back(ServeRequest{u, 10});
+    requests.push_back(ServeRequest{u, ks[u % ks.size()]});
   }
   Fnv1a h;
   for (const auto& list : server.ServeBatch(requests)) HashList(list, &h);
@@ -279,6 +308,17 @@ std::vector<std::pair<std::string, uint64_t>> ComputeDigests(
       options.ivf.nprobe = 4;  // a strict subset of the ~13 cells
       out.emplace_back(std::string("ivf.") + PrecisionTierName(tier),
                        DigestServed(*model, split, options));
+    }
+    // Every sub-batch of user_batch (8) requests mixes heap bounds.
+    for (const PrecisionTier tier :
+         {PrecisionTier::kDouble, PrecisionTier::kFloat32,
+          PrecisionTier::kInt8}) {
+      ServeOptions options;
+      options.precision = tier;
+      options.item_block = 64;
+      out.emplace_back(std::string("serve_mixed_k.") +
+                           PrecisionTierName(tier),
+                       DigestServed(*model, split, options, {1, 7, 20, 200}));
     }
   }
 
