@@ -139,14 +139,6 @@ void PublishHeapStats() {
   }
 }
 
-void ResetHeapStatsForTest() {
-  for (Slot& slot : g_slots) {
-    slot.current.store(0, std::memory_order_relaxed);
-    slot.peak.store(0, std::memory_order_relaxed);
-    slot.allocs.store(0, std::memory_order_relaxed);
-  }
-}
-
 }  // namespace taxorec
 
 #if !defined(TAXOREC_HEAP_STATS_STUB)

@@ -85,11 +85,6 @@ std::vector<HeapSubsystemStats> HeapStatsSnapshot();
 /// snapshot. No-op (no gauges at all) when disabled.
 void PublishHeapStats();
 
-/// Zeroes all accounting (test isolation). Live allocations made before
-/// the reset will under-debit on free; only call between self-contained
-/// test phases.
-void ResetHeapStatsForTest();
-
 }  // namespace taxorec
 
 #endif  // TAXOREC_COMMON_HEAP_STATS_H_

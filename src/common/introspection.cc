@@ -37,8 +37,4 @@ bool ConsumeIntrospectionRequest() {
   return g_requested.exchange(false, std::memory_order_relaxed);
 }
 
-void RequestIntrospectionForTest() {
-  g_requested.store(true, std::memory_order_relaxed);
-}
-
 }  // namespace taxorec

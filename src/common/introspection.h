@@ -28,9 +28,6 @@ Status InstallSigusr1Handler();
 /// since the last call and clears the flag.
 bool ConsumeIntrospectionRequest();
 
-/// Test/tool hook: raise the flag without an actual signal.
-void RequestIntrospectionForTest();
-
 }  // namespace taxorec
 
 #endif  // TAXOREC_COMMON_INTROSPECTION_H_

@@ -129,18 +129,6 @@ JsonWriter& JsonWriter::Bool(bool value) {
   return *this;
 }
 
-JsonWriter& JsonWriter::Null() {
-  BeforeValue();
-  out_ += "null";
-  return *this;
-}
-
-JsonWriter& JsonWriter::Raw(std::string_view json) {
-  BeforeValue();
-  out_ += json;
-  return *this;
-}
-
 std::string JsonWriter::TakeString() {
   TAXOREC_CHECK_MSG(first_.empty() && !after_key_,
                     "JsonWriter finished with open containers");

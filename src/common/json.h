@@ -39,9 +39,6 @@ class JsonWriter {
   JsonWriter& Int(int64_t value);
   JsonWriter& Uint(uint64_t value);
   JsonWriter& Bool(bool value);
-  JsonWriter& Null();
-  /// Splices a pre-rendered JSON value (e.g. a metrics snapshot) verbatim.
-  JsonWriter& Raw(std::string_view json);
 
   /// Finished document; the writer is reset for reuse.
   std::string TakeString();

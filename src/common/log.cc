@@ -107,22 +107,6 @@ StatusOr<LogLevel> ParseLogLevel(std::string_view name) {
                                  "' (want debug|info|warn|error|off)");
 }
 
-const char* LogLevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "debug";
-    case LogLevel::kInfo:
-      return "info";
-    case LogLevel::kWarn:
-      return "warn";
-    case LogLevel::kError:
-      return "error";
-    case LogLevel::kOff:
-      break;
-  }
-  return "off";
-}
-
 LogLevel GetLogLevel() {
   internal::EnsureLogLevelInitialized();
   return static_cast<LogLevel>(

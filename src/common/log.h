@@ -40,9 +40,6 @@ enum class LogLevel : int {
 /// "debug"/"info"/"warn"/"error"/"off" -> level; InvalidArgument otherwise.
 StatusOr<LogLevel> ParseLogLevel(std::string_view name);
 
-/// Lower-case name of `level` ("debug", ..., "off").
-const char* LogLevelName(LogLevel level);
-
 /// Current threshold (initialized from TAXOREC_LOG_LEVEL on first use).
 LogLevel GetLogLevel();
 

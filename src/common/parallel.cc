@@ -1,7 +1,6 @@
 #include "common/parallel.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <memory>
 
@@ -17,7 +16,9 @@ std::mutex g_config_mu;
 int g_num_threads = 0;  // 0 = unset → HardwareThreads()
 std::unique_ptr<ThreadPool> g_pool;
 
-std::atomic<double> g_imbalance_warn_threshold{4.0};
+// A region whose busiest worker ran more than this many times the mean
+// worker's busy time logs one WARN line.
+constexpr double kImbalanceWarnRatio = 4.0;
 
 // Regions faster than this on their busiest worker never WARN: at sub-10ms
 // scale the µs timer quantizes busy times into meaningless ratios.
@@ -72,12 +73,10 @@ void RecordPoolRegion(const uint64_t* busy_us, int num_workers,
   if (mean <= 0.0) return;
   const double ratio = static_cast<double>(max_busy) / mean;
   m.imbalance->Observe(ratio);
-  const double threshold =
-      g_imbalance_warn_threshold.load(std::memory_order_relaxed);
-  if (ratio > threshold && max_busy >= kImbalanceWarnFloorUs) {
+  if (ratio > kImbalanceWarnRatio && max_busy >= kImbalanceWarnFloorUs) {
     TAXOREC_LOG(WARN) << "parallel region imbalance"
                       << Kv("imbalance", ratio)
-                      << Kv("threshold", threshold)
+                      << Kv("threshold", kImbalanceWarnRatio)
                       << Kv("workers", num_workers)
                       << Kv("chunks", num_chunks) << Kv("range", range)
                       << Kv("max_worker_us", max_busy)
@@ -115,15 +114,6 @@ void SetNumThreads(int n) {
   TAXOREC_CHECK(n >= 1);
   std::lock_guard<std::mutex> lock(g_config_mu);
   g_num_threads = n;
-}
-
-void SetPoolImbalanceWarnThreshold(double ratio) {
-  TAXOREC_CHECK(ratio >= 1.0);
-  g_imbalance_warn_threshold.store(ratio, std::memory_order_relaxed);
-}
-
-double GetPoolImbalanceWarnThreshold() {
-  return g_imbalance_warn_threshold.load(std::memory_order_relaxed);
 }
 
 ThreadPool::ThreadPool(int num_threads) : num_threads_(num_threads) {

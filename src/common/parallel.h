@@ -40,11 +40,7 @@ int HardwareThreads();
 ///                                   busy time per region (1.0 = perfectly
 ///                                   balanced, W = one worker did it all)
 /// A region slower than 10ms on its busiest worker whose imbalance exceeds
-/// the warn threshold logs one WARN line with the region shape.
-void SetPoolImbalanceWarnThreshold(double ratio);
-
-/// Current WARN threshold (default 4.0).
-double GetPoolImbalanceWarnThreshold();
+/// 4.0 logs one WARN line with the region shape.
 
 /// Current global thread count used by ParallelFor. Defaults to
 /// HardwareThreads() until SetNumThreads is called.
@@ -98,12 +94,11 @@ void ParallelForWorker(size_t begin, size_t end, size_t grain,
 void ParallelFor(size_t begin, size_t end, size_t grain,
                  const std::function<void(size_t, size_t)>& fn);
 
-/// Per-worker accumulation slots (cache-line padded) with an ordered
-/// deterministic reduction: Reduce folds the slots in ascending worker
-/// index, so for a fixed thread count the result is a pure function of the
-/// inputs. Slot contents depend on the chunk→worker assignment, hence on
-/// the thread count; hot paths that must be bit-identical across thread
-/// counts write per-index outputs instead and fold them in index order.
+/// Per-worker slots (cache-line padded), e.g. scratch that each worker of a
+/// ParallelForWorker region reuses across its chunks. Slot contents depend
+/// on the chunk→worker assignment, hence on the thread count; hot paths
+/// that must be bit-identical across thread counts write per-index outputs
+/// instead and fold them in index order.
 template <typename T>
 class ThreadLocalAccumulator {
  public:
@@ -113,13 +108,6 @@ class ThreadLocalAccumulator {
   T& Local(int worker) { return slots_[static_cast<size_t>(worker)].value; }
   const T& Local(int worker) const {
     return slots_[static_cast<size_t>(worker)].value;
-  }
-  size_t num_slots() const { return slots_.size(); }
-
-  /// Folds every slot into *acc in ascending worker order.
-  template <typename Fold>
-  void Reduce(T* acc, Fold fold) const {
-    for (const Slot& s : slots_) fold(acc, s.value);
   }
 
  private:

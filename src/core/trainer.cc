@@ -89,12 +89,6 @@ Counter* HealthScanCounter() {
 
 }  // namespace
 
-EvalResult TrainAndEvaluate(Recommender* model, const DataSplit& split,
-                            Rng* rng, const EvalOptions& eval_opts) {
-  model->Fit(split, rng);
-  return EvaluateRanking(*model, split, eval_opts);
-}
-
 std::unique_ptr<Recommender> MakeAblationVariant(const std::string& variant,
                                                  const ModelConfig& config) {
   if (variant == "CML") return std::make_unique<Cml>(config);

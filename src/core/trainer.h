@@ -1,6 +1,6 @@
-// Training/evaluation entry points: the one-shot TrainAndEvaluate helper,
-// the ablation factory, and the fault-tolerant epoch-granular training
-// loop (health monitoring, periodic checkpoints, divergence rollback).
+// Training entry points: the ablation factory and the fault-tolerant
+// epoch-granular training loop (health monitoring, periodic checkpoints,
+// divergence rollback).
 #ifndef TAXOREC_CORE_TRAINER_H_
 #define TAXOREC_CORE_TRAINER_H_
 
@@ -11,15 +11,10 @@
 #include "baselines/recommender.h"
 #include "common/health.h"
 #include "common/status.h"
-#include "eval/evaluator.h"
 
 namespace taxorec {
 
 class RunTelemetry;  // core/telemetry.h
-
-/// Fits `model` on the split and evaluates it in one call.
-EvalResult TrainAndEvaluate(Recommender* model, const DataSplit& split,
-                            Rng* rng, const EvalOptions& eval_opts = {});
 
 /// Ablation variants of Table III. Accepted names: "CML", "CML+Agg",
 /// "Hyper+CML", "Hyper+CML+Agg", "TaxoRec". Returns nullptr for unknown

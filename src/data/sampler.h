@@ -43,8 +43,6 @@ class TripletSampler {
   /// Fills `out` with n triplets.
   void SampleBatch(Rng* rng, size_t n, std::vector<Triplet>* out) const;
 
-  size_t num_positives() const { return positives_.size(); }
-
  private:
   const CsrMatrix* train_;  // not owned
   NegativeSampling strategy_;

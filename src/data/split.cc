@@ -69,44 +69,4 @@ DataSplit TemporalSplit(const Dataset& data, const SplitOptions& opts) {
   return split;
 }
 
-DataSplit LeaveOneOutSplit(const Dataset& data) {
-  TAXOREC_CHECK(data.Valid());
-  DataSplit split;
-  split.num_users = data.num_users;
-  split.num_items = data.num_items;
-  split.num_tags = data.num_tags;
-  split.val_items.resize(data.num_users);
-  split.test_items.resize(data.num_users);
-
-  std::vector<std::vector<Interaction>> per_user(data.num_users);
-  for (const auto& x : data.interactions) per_user[x.user].push_back(x);
-
-  std::vector<std::pair<uint32_t, uint32_t>> train_edges;
-  for (uint32_t u = 0; u < data.num_users; ++u) {
-    auto& xs = per_user[u];
-    std::stable_sort(xs.begin(), xs.end(),
-                     [](const Interaction& a, const Interaction& b) {
-                       return a.timestamp < b.timestamp;
-                     });
-    std::unordered_set<uint32_t> seen;
-    std::vector<uint32_t> items;
-    for (const auto& x : xs) {
-      if (seen.insert(x.item).second) items.push_back(x.item);
-    }
-    const size_t n = items.size();
-    if (n < 3) {
-      for (uint32_t v : items) train_edges.emplace_back(u, v);
-      continue;
-    }
-    for (size_t i = 0; i + 2 < n; ++i) train_edges.emplace_back(u, items[i]);
-    split.val_items[u].push_back(items[n - 2]);
-    split.test_items[u].push_back(items[n - 1]);
-  }
-  split.train = CsrMatrix::FromPairs(data.num_users, data.num_items,
-                                     std::move(train_edges));
-  split.item_tags =
-      CsrMatrix::FromPairs(data.num_items, data.num_tags, data.item_tags);
-  return split;
-}
-
 }  // namespace taxorec

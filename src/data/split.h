@@ -18,12 +18,6 @@ struct SplitOptions {
 /// (user, item) pairs are collapsed (first occurrence wins).
 DataSplit TemporalSplit(const Dataset& data, const SplitOptions& opts = {});
 
-/// Leave-one-out split (the NeuMF-family protocol): per user, the latest
-/// interaction goes to test, the second-latest to validation, the rest to
-/// training. Users with fewer than 3 interactions keep everything in
-/// training.
-DataSplit LeaveOneOutSplit(const Dataset& data);
-
 }  // namespace taxorec
 
 #endif  // TAXOREC_DATA_SPLIT_H_

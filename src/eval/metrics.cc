@@ -71,54 +71,4 @@ double NdcgAtK(std::span<const uint32_t> ranked, const TargetLookup& relevant,
   return NdcgAtKImpl(ranked, relevant, k);
 }
 
-double PrecisionAtK(std::span<const uint32_t> ranked,
-                    const std::unordered_set<uint32_t>& relevant, int k) {
-  if (k <= 0) return 0.0;
-  const size_t limit = std::min<size_t>(ranked.size(), static_cast<size_t>(k));
-  size_t hits = 0;
-  for (size_t i = 0; i < limit; ++i) {
-    if (relevant.count(ranked[i])) ++hits;
-  }
-  return static_cast<double>(hits) / static_cast<double>(k);
-}
-
-double MrrAtK(std::span<const uint32_t> ranked,
-              const std::unordered_set<uint32_t>& relevant, int k) {
-  const size_t limit = std::min<size_t>(ranked.size(), static_cast<size_t>(k));
-  for (size_t i = 0; i < limit; ++i) {
-    if (relevant.count(ranked[i])) {
-      return 1.0 / static_cast<double>(i + 1);
-    }
-  }
-  return 0.0;
-}
-
-double AveragePrecisionAtK(std::span<const uint32_t> ranked,
-                           const std::unordered_set<uint32_t>& relevant,
-                           int k) {
-  if (relevant.empty() || k <= 0) return 0.0;
-  const size_t limit = std::min<size_t>(ranked.size(), static_cast<size_t>(k));
-  size_t hits = 0;
-  double acc = 0.0;
-  for (size_t i = 0; i < limit; ++i) {
-    if (relevant.count(ranked[i])) {
-      ++hits;
-      acc += static_cast<double>(hits) / static_cast<double>(i + 1);
-    }
-  }
-  const size_t denom =
-      std::min<size_t>(relevant.size(), static_cast<size_t>(k));
-  return denom > 0 ? acc / static_cast<double>(denom) : 0.0;
-}
-
-double ItemCoverage(const std::vector<std::vector<uint32_t>>& top_k_lists,
-                    size_t num_items) {
-  if (num_items == 0) return 0.0;
-  std::unordered_set<uint32_t> seen;
-  for (const auto& list : top_k_lists) {
-    seen.insert(list.begin(), list.end());
-  }
-  return static_cast<double>(seen.size()) / static_cast<double>(num_items);
-}
-
 }  // namespace taxorec

@@ -53,25 +53,6 @@ double NdcgAtK(std::span<const uint32_t> ranked,
 double NdcgAtK(std::span<const uint32_t> ranked, const TargetLookup& relevant,
                int k);
 
-/// Precision@K: |top-K ∩ relevant| / K.
-double PrecisionAtK(std::span<const uint32_t> ranked,
-                    const std::unordered_set<uint32_t>& relevant, int k);
-
-/// Reciprocal rank of the first hit within the top K (0 if none).
-double MrrAtK(std::span<const uint32_t> ranked,
-              const std::unordered_set<uint32_t>& relevant, int k);
-
-/// Average precision at K (AP@K): mean of precision at each hit position,
-/// normalized by min(K, |relevant|).
-double AveragePrecisionAtK(std::span<const uint32_t> ranked,
-                           const std::unordered_set<uint32_t>& relevant,
-                           int k);
-
-/// Catalogue coverage of a batch of top-K lists: fraction of `num_items`
-/// that appear in at least one list (an aggregate diversity measure).
-double ItemCoverage(const std::vector<std::vector<uint32_t>>& top_k_lists,
-                    size_t num_items);
-
 }  // namespace taxorec
 
 #endif  // TAXOREC_EVAL_METRICS_H_

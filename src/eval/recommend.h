@@ -34,7 +34,7 @@ std::vector<TopKEntry> RecommendTopK(const Recommender& model,
                                      const RecommendOptions& opts = {});
 
 /// Batch variant over all users; result[u] is the user's top-k item list
-/// (ids only — suitable for ItemCoverage and downstream serving).
+/// (ids only).
 /// Implemented on the serving layer: a FrozenModel snapshot of `model` plus
 /// the blocked top-K kernel fanned out over the deterministic thread pool,
 /// so it is parallel yet bit-identical to per-user RecommendTopK calls at

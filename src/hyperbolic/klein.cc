@@ -38,11 +38,4 @@ void EinsteinMidpoint(const Matrix& points,
   vec::Scale(out, 1.0 / denom);
 }
 
-void EinsteinMidpointAll(const Matrix& points, Span out) {
-  std::vector<uint32_t> idx(points.rows());
-  std::vector<double> w(points.rows(), 1.0);
-  for (size_t i = 0; i < idx.size(); ++i) idx[i] = static_cast<uint32_t>(i);
-  EinsteinMidpoint(points, idx, w, out);
-}
-
 }  // namespace taxorec::klein

@@ -8,7 +8,6 @@
 #define TAXOREC_HYPERBOLIC_KLEIN_H_
 
 #include <span>
-#include <vector>
 
 #include "math/matrix.h"
 
@@ -28,9 +27,6 @@ double LorentzFactor(ConstSpan x);
 void EinsteinMidpoint(const Matrix& points,
                       std::span<const uint32_t> indices,
                       std::span<const double> weights, Span out);
-
-/// Unweighted midpoint over all rows of `points`.
-void EinsteinMidpointAll(const Matrix& points, Span out);
 
 }  // namespace taxorec::klein
 

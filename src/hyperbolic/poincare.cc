@@ -77,33 +77,6 @@ void ExpMap(ConstSpan x, ConstSpan eta, Span out) {
   ProjectToBall(out);
 }
 
-void LogMap(ConstSpan x, ConstSpan y, Span out) {
-  TAXOREC_DCHECK(x.size() == y.size() && x.size() == out.size());
-  std::vector<double> neg_x(x.size());
-  vec::ScaleTo(x, -1.0, Span(neg_x));
-  std::vector<double> u(x.size());
-  MobiusAdd(ConstSpan(neg_x), y, Span(u));
-  double n = vec::Norm(u);
-  if (n < 1e-15) {
-    vec::Zero(out);
-    return;
-  }
-  if (n > 1.0 - 1e-12) n = 1.0 - 1e-12;
-  const double scale = SafeAlpha(x) * std::atanh(n) / vec::Norm(u);
-  vec::ScaleTo(ConstSpan(u), scale, out);
-}
-
-void Geodesic(ConstSpan x, ConstSpan y, double t, Span out) {
-  std::vector<double> v(x.size());
-  LogMap(x, y, Span(v));
-  vec::Scale(Span(v), t);
-  // exp_x expects the tangent vector pre-scaled by the conformal factor
-  // lambda_x = 2/(1-||x||^2): ExpMap's tanh(||eta||/2) convention matches
-  // tangent vectors measured with lambda included, so rescale.
-  vec::Scale(Span(v), 2.0 / SafeAlpha(x));
-  ExpMap(x, ConstSpan(v), out);
-}
-
 void EuclideanToRiemannianGrad(ConstSpan x, Span grad) {
   const double a = SafeAlpha(x);
   vec::Scale(grad, a * a / 4.0);

@@ -42,14 +42,6 @@ void MobiusAdd(ConstSpan x, ConstSpan y, Span out);
 /// (Eq. 21). Result is projected back into the ball.
 void ExpMap(ConstSpan x, ConstSpan eta, Span out);
 
-/// Logarithmic map at x: the tangent vector v with exp_x(v) = y,
-/// log_x(y) = (1 - ||x||^2) * atanh(||u||) * u/||u||  with  u = (-x) ⊕ y.
-void LogMap(ConstSpan x, ConstSpan y, Span out);
-
-/// Point at parameter t ∈ [0,1] along the geodesic from x to y:
-/// geo(x, y, t) = exp_x(t * log_x(y)). t=0 → x, t=1 → y.
-void Geodesic(ConstSpan x, ConstSpan y, double t, Span out);
-
 /// Conformal factor scaling: converts a Euclidean gradient at x into the
 /// Riemannian gradient, grad_R = ((1 - ||x||^2)^2 / 4) * grad_E, in place.
 void EuclideanToRiemannianGrad(ConstSpan x, Span grad);

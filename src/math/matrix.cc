@@ -1,7 +1,5 @@
 #include "math/matrix.h"
 
-#include <cmath>
-
 namespace taxorec {
 
 void Matrix::SetZero() {
@@ -19,12 +17,6 @@ void Matrix::FillUniform(Rng* rng, double lo, double hi) {
 void Matrix::Axpy(double a, const Matrix& other) {
   TAXOREC_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
   for (size_t i = 0; i < data_.size(); ++i) data_[i] += a * other.data_[i];
-}
-
-double Matrix::FrobeniusNorm() const {
-  double acc = 0.0;
-  for (double v : data_) acc += v * v;
-  return std::sqrt(acc);
 }
 
 void MatMul(const Matrix& a, const Matrix& b, Matrix* out) {

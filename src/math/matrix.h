@@ -72,9 +72,6 @@ class Matrix {
   /// this += a * other (same shape).
   void Axpy(double a, const Matrix& other);
 
-  /// Frobenius norm.
-  double FrobeniusNorm() const;
-
  private:
   friend void MatMul(const Matrix& a, const Matrix& b, Matrix* out);
   friend void MatMulTransposedA(const Matrix& a, const Matrix& b, Matrix* out);

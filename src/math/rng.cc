@@ -83,8 +83,6 @@ size_t Rng::Categorical(const std::vector<double>& weights) {
   return weights.size() - 1;  // Floating-point remainder lands on last bin.
 }
 
-Rng Rng::Fork() { return Rng(Next()); }
-
 Rng Rng::Derive(uint64_t seed, uint64_t stream, uint64_t counter) {
   uint64_t s = seed;
   uint64_t h = SplitMix64(&s);

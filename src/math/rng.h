@@ -51,9 +51,6 @@ class Rng {
     }
   }
 
-  /// Derives an independent child generator (for per-worker streams).
-  Rng Fork();
-
   /// Counter-based stream derivation: a child generator whose state is a
   /// pure function of (seed, stream, counter), independent of any draw
   /// history. Used for per-sample RNG streams in parallel training loops —

@@ -55,11 +55,6 @@ void Add(ConstSpan x, ConstSpan y, Span out) {
   for (size_t i = 0; i < x.size(); ++i) out[i] = x[i] + y[i];
 }
 
-void Sub(ConstSpan x, ConstSpan y, Span out) {
-  TAXOREC_DCHECK(x.size() == y.size() && x.size() == out.size());
-  for (size_t i = 0; i < x.size(); ++i) out[i] = x[i] - y[i];
-}
-
 void Combine(double a, ConstSpan x, double b, ConstSpan y, Span out) {
   TAXOREC_DCHECK(x.size() == y.size() && x.size() == out.size());
   for (size_t i = 0; i < x.size(); ++i) out[i] = a * x[i] + b * y[i];

@@ -45,9 +45,6 @@ void Axpy(double a, ConstSpan x, Span y);
 /// out = x + y.
 void Add(ConstSpan x, ConstSpan y, Span out);
 
-/// out = x - y.
-void Sub(ConstSpan x, ConstSpan y, Span out);
-
 /// out = a*x + b*y.
 void Combine(double a, ConstSpan x, double b, ConstSpan y, Span out);
 

@@ -17,9 +17,6 @@ class Mlp {
   /// dims = {in, hidden..., out}. Weights ~ N(0, sqrt(2/fan_in)).
   Mlp(std::vector<size_t> dims, Rng* rng);
 
-  size_t input_dim() const { return dims_.front(); }
-  size_t output_dim() const { return dims_.back(); }
-
   /// Computes the output for x; caches activations for Backward.
   std::vector<double> Forward(std::span<const double> x);
 

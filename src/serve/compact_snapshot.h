@@ -27,7 +27,7 @@
 // >= kInt8TopKOverlap for the int8 tier, for every native kernel, with and
 // without a tag channel.
 // The float32 dot kernel is additionally bit-identical to the canonical
-// scalar float reference (f32::DotRef).
+// scalar float reduction (serve/kernels_f32.h).
 #ifndef TAXOREC_SERVE_COMPACT_SNAPSHOT_H_
 #define TAXOREC_SERVE_COMPACT_SNAPSHOT_H_
 

@@ -209,22 +209,4 @@ void FrozenModel::ScoreBlock(uint32_t user, size_t begin, size_t end,
   }
 }
 
-void FrozenModel::ScoreBlockBatch(std::span<const uint32_t> users,
-                                  size_t begin, size_t end,
-                                  std::span<double> out) const {
-  TAXOREC_CHECK_MSG(native(), "ScoreBlockBatch requires a native kernel");
-  TAXOREC_DCHECK(begin <= end && end <= snap_.num_items);
-  const size_t width = end - begin;
-  TAXOREC_DCHECK(out.size() == users.size() * width);
-  // The item block (block-size rows of the item matrix) is small enough to
-  // stay cache-resident, so sweeping it once per user of the batch reads
-  // the item rows from cache for every user after the first — the batch
-  // amortizes the DRAM traffic that dominates the one-full-row-per-user
-  // seed path on large catalogues.
-  for (size_t i = 0; i < users.size(); ++i) {
-    ScoreBlock(users[i], begin, end,
-               std::span<double>(out.data() + i * width, width));
-  }
-}
-
 }  // namespace taxorec

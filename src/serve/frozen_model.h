@@ -6,10 +6,7 @@
 // what lets the serving kernel (serve/topk.h) stream the catalogue through
 // a bounded heap instead of materializing a full score row per user — the
 // O(users · items) buffer churn that "Scalable Hyperbolic Recommender
-// Systems" identifies as the production bottleneck. Batch variants score
-// one item block for several users at a time so each item row is loaded
-// once per batch instead of once per user (the dominant memory-traffic
-// saving for dot/metric kernels).
+// Systems" identifies as the production bottleneck.
 //
 // Precision tiers (serve/compact_snapshot.h). Each tier has one item loop
 // per metric, plus the optional alpha_u-weighted tag-channel term
@@ -65,7 +62,7 @@ class FrozenModel {
   size_t num_users() const { return snap_.num_users; }
   size_t num_items() const { return snap_.num_items; }
   ScoreKernel kernel() const { return snap_.kernel; }
-  /// True when ScoreBlock/ScoreBlockBatch are available (non-kVirtual).
+  /// True when ScoreBlock is available (non-kVirtual).
   bool native() const { return snap_.kernel != ScoreKernel::kVirtual; }
   const ScoringSnapshot& snapshot() const { return snap_; }
 
@@ -87,12 +84,6 @@ class FrozenModel {
   /// Native kernels only (checked).
   void ScoreBlock(uint32_t user, size_t begin, size_t end,
                   std::span<double> out) const;
-
-  /// Scores items [begin, end) for each user in `users`; out is row-major
-  /// users.size() x (end - begin). Item rows are reused across the user
-  /// batch. Native kernels only (checked).
-  void ScoreBlockBatch(std::span<const uint32_t> users, size_t begin,
-                       size_t end, std::span<double> out) const;
 
   /// Builds the IVF retrieval index (serve/ivf_index.h) over this model's
   /// snapshot. Returns false (with a warning) when the model cannot host

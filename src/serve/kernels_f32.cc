@@ -336,10 +336,6 @@ float CoarseSqDist(bool lorentz, const int8_t* x, const int8_t* y, size_t n,
 
 }  // namespace
 
-float DotRef(const float* x, const float* y, size_t n) {
-  return DotPortable(x, y, n);
-}
-
 void ScoreRowRangeF32(const CompactSnapshot& s, uint32_t user, size_t begin,
                       size_t end, double* dst) {
   ScoreSlots(s, ActiveBackendImpl(), user, begin, end - begin, dst);

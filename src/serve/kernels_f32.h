@@ -47,10 +47,6 @@ namespace taxorec::f32 {
 /// Accumulation lanes of the canonical reduction (two AVX2 vectors).
 inline constexpr size_t kLanes = 16;
 
-/// Canonical scalar float32 dot product over padded rows (n a multiple of
-/// kLanes). This is the bit-exact reference for every backend.
-float DotRef(const float* x, const float* y, size_t n);
-
 /// Scores items [begin, end) for `user` in float32 with the active
 /// backend, widening each score to double in dst[0 .. end-begin). The
 /// per-pair arithmetic is the canonical semantics above for every kernel,

@@ -63,12 +63,6 @@ void ResultCache::Put(uint32_t user, size_t k, uint64_t version,
   index_.emplace(key, lru_.begin());
 }
 
-void ResultCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
-  index_.clear();
-}
-
 void ResultCache::Invalidate() {
   std::lock_guard<std::mutex> lock(mu_);
   ++generation_;

@@ -57,9 +57,6 @@ class ResultCache {
   void Put(uint32_t user, size_t k, uint64_t version,
            const std::vector<TopKEntry>& list);
 
-  /// Drops every entry (hit/miss counters are preserved).
-  void Clear();
-
   /// Deterministically invalidates every current entry by bumping the
   /// cache generation (O(1); stale entries are evicted lazily by LRU
   /// pressure, oldest first). Subsequent Gets for any key miss until the

@@ -237,10 +237,6 @@ PrecisionTier BatchServer::effective_tier() const {
   return ModelForSteps(admission_->degrade_steps())->tier();
 }
 
-std::vector<TopKEntry> BatchServer::ServeOne(const ServeRequest& request) {
-  return std::move(ServeBatch(std::span<const ServeRequest>(&request, 1))[0]);
-}
-
 std::vector<std::vector<TopKEntry>> BatchServer::ServeBatch(
     std::span<const ServeRequest> requests) {
   std::vector<ServeResult> served = ServeBatchEx(requests);
@@ -478,8 +474,9 @@ std::vector<ServeResult> BatchServer::ServeInternal(
                              obs ? &s.batch_rerank_us : nullptr);
           }
           if (obs) {
-            // The kernel scores the sub-batch jointly; each request's
-            // share is the even split (re-rank is per-user exact).
+            // The sub-batch's requests are ranked one after another; each
+            // is charged an even share of the kernel time (re-rank is
+            // per-user exact).
             const uint64_t kernel_us =
                 internal::TraceNowMicros() - kernel_t0;
             const uint64_t share = kernel_us / s.batch_slots.size();

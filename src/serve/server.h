@@ -92,7 +92,7 @@ struct ServeOptions {
   size_t cache_capacity = 0;
   /// Items per scoring block (native kernels).
   size_t item_block = kServeItemBlock;
-  /// Users scored jointly per item-block pass (native kernels).
+  /// Requests a worker ranks between two deadline checks (a sub-batch).
   size_t user_batch = 8;
   /// Requests per thread-pool chunk in the miss fan-out.
   size_t grain = 16;
@@ -136,9 +136,6 @@ class BatchServer {
   /// Serves a batch with per-request status, deadline accounting, and the
   /// tier each request was actually scored at.
   std::vector<ServeResult> ServeBatchEx(std::span<const ServeRequest> requests);
-
-  /// Single-request convenience wrapper.
-  std::vector<TopKEntry> ServeOne(const ServeRequest& request);
 
   /// Offers a request to the bounded admission queue. Sheds (with the
   /// returned verdict) instead of queueing forever; shed requests are

@@ -142,48 +142,13 @@ void BlockedTopKBatch(
     std::vector<std::vector<TopKEntry>>* out, size_t block,
     std::vector<uint64_t>* rerank_us) {
   TAXOREC_CHECK(users.size() == ks.size());
-  TAXOREC_CHECK(block > 0);
   out->resize(users.size());
-  if (rerank_us != nullptr) {
-    rerank_us->assign(users.size(), 0);
-  }
-  if (users.empty()) return;
-  if (!model.native() || users.size() == 1) {
-    TopKHeap heap;
-    for (size_t i = 0; i < users.size(); ++i) {
-      BlockedTopK(model, users[i], ks[i], exclude_of(users[i]), &heap,
-                  scratch, &(*out)[i], block,
-                  rerank_us != nullptr ? &(*rerank_us)[i] : nullptr);
-    }
-    return;
-  }
-  const size_t n = model.num_items();
-  if (heaps->size() < users.size()) heaps->resize(users.size());
-  std::vector<size_t> cursors(users.size(), 0);
+  if (rerank_us != nullptr) rerank_us->assign(users.size(), 0);
+  if (heaps->empty()) heaps->resize(1);
   for (size_t i = 0; i < users.size(); ++i) {
-    (*heaps)[i].Reset(CoarseK(model.tier(), ks[i], n));
-  }
-  const size_t width = std::min(block, n);
-  scratch->resize(users.size() * width);
-  for (size_t begin = 0; begin < n; begin += block) {
-    const size_t end = std::min(begin + block, n);
-    const size_t w = end - begin;
-    // One pass over the item block for the whole user batch.
-    model.ScoreBlockBatch(users, begin, end,
-                          std::span<double>(scratch->data(), users.size() * w));
-    for (size_t i = 0; i < users.size(); ++i) {
-      OfferBlock(exclude_of(users[i]), &cursors[i], begin, end,
-                 std::span<double>(scratch->data() + i * w, w), &(*heaps)[i]);
-    }
-  }
-  RerankScratch rerank;
-  for (size_t i = 0; i < users.size(); ++i) {
-    (*heaps)[i].Finish(&(*out)[i]);
-    if (model.tier() == PrecisionTier::kInt8) {
-      RerankInt8Head(*model.compact(), {}, users[i], ks[i], &rerank,
-                     &(*out)[i],
-                     rerank_us != nullptr ? &(*rerank_us)[i] : nullptr);
-    }
+    BlockedTopK(model, users[i], ks[i], exclude_of(users[i]), &heaps->front(),
+                scratch, &(*out)[i], block,
+                rerank_us != nullptr ? &(*rerank_us)[i] : nullptr);
   }
 }
 

@@ -3,9 +3,11 @@
 // Every ranked list in the library comes out of this file: served lists
 // (BatchServer), offline evaluation (EvaluateRanking ranks on a double-tier
 // FrozenModel, bit-identical to the live model's ScoreItems) and the IVF
-// probe's int8 re-rank. The only other selector is RecommendTopK
-// (eval/recommend.h), kept as the independent score-everything-then-
-// partial_sort oracle that tests compare these lists against.
+// probe's int8 re-rank. Every exact list is one per-user BlockedTopK
+// sweep; BlockedTopKBatch only loops it over users. The only other
+// selector is RecommendTopK (eval/recommend.h), kept as the independent
+// score-everything-then-partial_sort oracle that tests compare these lists
+// against.
 //
 // The catalogue streams through in fixed-size item blocks: each block is
 // scored into a small scratch buffer (L1/L2-resident), exclusions are
@@ -41,7 +43,7 @@
 namespace taxorec {
 
 /// Items per scoring block: 2048 doubles = 16 KiB of scratch, small enough
-/// to stay cache-resident under the per-worker batch loop.
+/// to stay cache-resident while the heap consumes it.
 inline constexpr size_t kServeItemBlock = 2048;
 
 /// Maps non-finite scores (NaN, +Inf, -Inf) to -Inf so the ranking
@@ -124,11 +126,13 @@ class TopKHeap {
 
 /// Heap bound of the coarse stage: the int8 tier over-fetches
 /// kInt8RerankFactor * k candidates for RerankInt8Head; every other tier
-/// keeps k.
+/// keeps k. k is clamped to the catalogue first, so a huge requested k
+/// cannot wrap the product.
 inline size_t CoarseK(PrecisionTier tier, size_t k, size_t num_items) {
+  const size_t kept = std::min(k, num_items);
   return tier == PrecisionTier::kInt8
-             ? std::min(k * kInt8RerankFactor, num_items)
-             : std::min(k, num_items);
+             ? std::min(kept * kInt8RerankFactor, num_items)
+             : kept;
 }
 
 /// Reusable buffers of RerankInt8Head.
@@ -137,7 +141,7 @@ struct RerankScratch {
   std::vector<double> scores;
 };
 
-/// The int8 tier's second stage, shared by BlockedTopK* and the IVF probe:
+/// The int8 tier's second stage, shared by BlockedTopK and the IVF probe:
 /// exact-rescores the coarse head `entries` in float32 against `compact`
 /// and keeps the best k, best first. `row_of` maps an item id to its row in
 /// `compact` (empty: the identity). Masked candidates (coarse score -Inf)
@@ -166,13 +170,11 @@ void BlockedTopK(const FrozenModel& model, uint32_t user, size_t k,
                  std::vector<double>* scratch, std::vector<TopKEntry>* out,
                  size_t block = kServeItemBlock, uint64_t* rerank_us = nullptr);
 
-/// Batched variant: ranks users[i] with bound ks[i] into (*out)[i]. Native
-/// kernels score each item block once for the whole user batch
-/// (FrozenModel::ScoreBlockBatch), amortizing item-row memory traffic;
-/// kVirtual snapshots degrade to per-user BlockedTopK. exclude_of(u) must
-/// return u's sorted exclusion list (empty span for none). Results are a
-/// pure function of (model, user, k, exclusions) — batch composition never
-/// changes them.
+/// Ranks users[i] with bound ks[i] into (*out)[i], one BlockedTopK sweep
+/// per user, so each list is a pure function of (model, user, k,
+/// exclusions) and never of the batch around it. exclude_of(u) must return
+/// u's sorted exclusion list (empty span for none); the first heap of
+/// `heaps` is the reusable selection heap.
 /// Non-null `rerank_us` is resized to users.size() and filled with each
 /// user's float32 re-rank wall time (0 on non-int8 tiers).
 void BlockedTopKBatch(

@@ -28,19 +28,6 @@ bool NodeCenter(const Taxonomy::Node& node, const Matrix& tags,
 
 }  // namespace
 
-double TaxonomyRegLoss(const Taxonomy& taxo, const Matrix& tags_poincare) {
-  double loss = 0.0;
-  std::vector<double> center(tags_poincare.cols());
-  for (const auto& node : taxo.nodes()) {
-    if (node.member_tags.size() < 2) continue;
-    if (!NodeCenter(node, tags_poincare, vec::Span(center))) continue;
-    for (uint32_t t : node.member_tags) {
-      loss += poincare::Distance(tags_poincare.row(t), vec::ConstSpan(center));
-    }
-  }
-  return loss;
-}
-
 double TaxonomyRegLossAndGrad(const Taxonomy& taxo,
                               const Matrix& tags_poincare, double scale,
                               Matrix* grad, const RegularizerOptions& opts) {

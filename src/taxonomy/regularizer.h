@@ -21,9 +21,6 @@ struct RegularizerOptions {
   bool center_stop_gradient = true;
 };
 
-/// Returns L^reg for the current tag embeddings.
-double TaxonomyRegLoss(const Taxonomy& taxo, const Matrix& tags_poincare);
-
 /// Computes L^reg and accumulates scale * dL/dT (Euclidean gradients w.r.t.
 /// the Poincaré coordinates) into grad (same shape as tags_poincare).
 double TaxonomyRegLossAndGrad(const Taxonomy& taxo,

@@ -53,30 +53,6 @@ std::vector<uint32_t> Taxonomy::RetainedTags(int32_t id) const {
   return out;
 }
 
-std::vector<int32_t> Taxonomy::PathOfTag(uint32_t tag) const {
-  std::vector<int32_t> path;
-  int32_t cur = 0;
-  const auto& root_tags = nodes_[0].member_tags;
-  if (std::find(root_tags.begin(), root_tags.end(), tag) == root_tags.end()) {
-    return path;
-  }
-  path.push_back(0);
-  for (;;) {
-    int32_t next = -1;
-    for (int32_t c : nodes_[cur].children) {
-      const auto& mt = nodes_[c].member_tags;
-      if (std::find(mt.begin(), mt.end(), tag) != mt.end()) {
-        next = c;
-        break;
-      }
-    }
-    if (next < 0) break;
-    path.push_back(next);
-    cur = next;
-  }
-  return path;
-}
-
 std::string Taxonomy::ToString(const std::vector<std::string>& tag_names,
                                int max_depth,
                                size_t max_tags_per_node) const {

@@ -46,9 +46,6 @@ class Taxonomy {
   /// at this level; for leaves this is the full member set).
   std::vector<uint32_t> RetainedTags(int32_t id) const;
 
-  /// The node path (root..deepest) whose member sets contain `tag`.
-  std::vector<int32_t> PathOfTag(uint32_t tag) const;
-
   /// Pretty-prints the tree up to `max_depth` with up to `max_tags_per_node`
   /// tag names per node (names optional; indices used when absent).
   std::string ToString(const std::vector<std::string>& tag_names,

@@ -139,34 +139,6 @@ TEST(SplitTest, NoLeakageBetweenSplits) {
   }
 }
 
-TEST(SplitTest, LeaveOneOutHoldsLatestTwo) {
-  const Dataset data = GenerateSynthetic(SmallConfig());
-  const DataSplit split = LeaveOneOutSplit(data);
-  // Reconstruct per-user dedup'd temporal order to verify the held items.
-  std::map<uint32_t, std::vector<uint32_t>> order;
-  std::map<uint32_t, std::set<uint32_t>> seen;
-  std::vector<Interaction> xs = data.interactions;
-  std::stable_sort(xs.begin(), xs.end(),
-                   [](const Interaction& a, const Interaction& b) {
-                     return a.timestamp < b.timestamp;
-                   });
-  for (const auto& x : xs) {
-    if (seen[x.user].insert(x.item).second) order[x.user].push_back(x.item);
-  }
-  for (uint32_t u = 0; u < split.num_users; ++u) {
-    const auto& items = order[u];
-    if (items.size() < 3) {
-      EXPECT_TRUE(split.test_items[u].empty());
-      continue;
-    }
-    ASSERT_EQ(split.test_items[u].size(), 1u);
-    ASSERT_EQ(split.val_items[u].size(), 1u);
-    EXPECT_EQ(split.test_items[u][0], items.back());
-    EXPECT_EQ(split.val_items[u][0], items[items.size() - 2]);
-    EXPECT_EQ(split.train.RowNnz(u), items.size() - 2);
-  }
-}
-
 TEST(SamplerTest, TripletsAreValid) {
   const Dataset data = GenerateSynthetic(SmallConfig());
   const DataSplit split = TemporalSplit(data);

@@ -1,10 +1,11 @@
-// Tests for the library-surface features around the core pipeline:
-// extended ranking metrics, the top-K recommendation API, taxonomy export,
-// dataset statistics, and model checkpointing (incl. corruption handling).
+// Tests for the library-surface features around the core pipeline: the
+// top-K recommendation API, taxonomy export, dataset statistics, and model
+// checkpointing (incl. corruption handling).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <unordered_set>
 
 #include "common/checkpoint.h"
 #include "core/taxorec_model.h"
@@ -12,48 +13,11 @@
 #include "data/stats.h"
 #include "data/synthetic.h"
 #include "eval/evaluator.h"
-#include "eval/metrics.h"
 #include "eval/recommend.h"
 #include "taxonomy/export.h"
 
 namespace taxorec {
 namespace {
-
-TEST(ExtendedMetricsTest, PrecisionAtK) {
-  const std::vector<uint32_t> ranked = {1, 2, 3, 4};
-  const std::unordered_set<uint32_t> rel = {2, 4, 9};
-  EXPECT_DOUBLE_EQ(PrecisionAtK(ranked, rel, 2), 0.5);
-  EXPECT_DOUBLE_EQ(PrecisionAtK(ranked, rel, 4), 0.5);
-  // K beyond the list length still divides by K.
-  EXPECT_DOUBLE_EQ(PrecisionAtK(ranked, rel, 8), 0.25);
-  EXPECT_DOUBLE_EQ(PrecisionAtK(ranked, rel, 0), 0.0);
-}
-
-TEST(ExtendedMetricsTest, MrrAtK) {
-  const std::vector<uint32_t> ranked = {7, 5, 3};
-  EXPECT_DOUBLE_EQ(MrrAtK(ranked, {3}, 10), 1.0 / 3.0);
-  EXPECT_DOUBLE_EQ(MrrAtK(ranked, {7}, 10), 1.0);
-  EXPECT_DOUBLE_EQ(MrrAtK(ranked, {3}, 2), 0.0);  // outside top-2
-  EXPECT_DOUBLE_EQ(MrrAtK(ranked, {99}, 10), 0.0);
-}
-
-TEST(ExtendedMetricsTest, AveragePrecisionAtK) {
-  // Hits at ranks 1 and 3 of 3 relevant: AP@3 = (1/1 + 2/3)/3.
-  const std::vector<uint32_t> ranked = {1, 9, 2};
-  const std::unordered_set<uint32_t> rel = {1, 2, 5};
-  EXPECT_NEAR(AveragePrecisionAtK(ranked, rel, 3), (1.0 + 2.0 / 3.0) / 3.0,
-              1e-12);
-  // Perfect prefix ranking gives 1.
-  const std::vector<uint32_t> perfect = {1, 2, 5};
-  EXPECT_DOUBLE_EQ(AveragePrecisionAtK(perfect, rel, 3), 1.0);
-}
-
-TEST(ExtendedMetricsTest, ItemCoverage) {
-  const std::vector<std::vector<uint32_t>> lists = {{0, 1}, {1, 2}, {2, 3}};
-  EXPECT_DOUBLE_EQ(ItemCoverage(lists, 8), 0.5);
-  EXPECT_DOUBLE_EQ(ItemCoverage({}, 8), 0.0);
-  EXPECT_DOUBLE_EQ(ItemCoverage(lists, 0), 0.0);
-}
 
 struct Fixture {
   Dataset data;
@@ -107,9 +71,10 @@ TEST(RecommendTest, AllUsersShapesAndCoverage) {
   const auto lists = RecommendAllUsers(model, fx.split, {.k = 5});
   ASSERT_EQ(lists.size(), fx.split.num_users);
   for (const auto& l : lists) EXPECT_EQ(l.size(), 5u);
-  const double cov = ItemCoverage(lists, fx.split.num_items);
-  EXPECT_GT(cov, 0.0);
-  EXPECT_LE(cov, 1.0);
+  std::unordered_set<uint32_t> covered;
+  for (const auto& l : lists) covered.insert(l.begin(), l.end());
+  EXPECT_GT(covered.size(), 0u);
+  EXPECT_LE(covered.size(), fx.split.num_items);
 }
 
 TEST(ExportTest, DotContainsNodesAndEdges) {

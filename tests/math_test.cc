@@ -132,7 +132,7 @@ TEST(MatrixTest, BasicAccessAndAxpy) {
   m.Axpy(3.0, n);
   EXPECT_DOUBLE_EQ(m.at(1, 2), 11.0);
   EXPECT_DOUBLE_EQ(m.at(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(m.FrobeniusNorm(), std::sqrt(1.0 + 121.0));
+  EXPECT_DOUBLE_EQ(vec::SqNorm(m.flat()), 1.0 + 121.0);
 }
 
 TEST(MatrixTest, MatMulAgainstManual) {
@@ -333,7 +333,7 @@ TEST(CsrTest, EmptyMatrixIsWellFormed) {
   Matrix out;
   m.Multiply(dense, &out);
   EXPECT_EQ(out.rows(), 4u);
-  EXPECT_DOUBLE_EQ(out.FrobeniusNorm(), 0.0);
+  for (double v : out.flat()) EXPECT_EQ(v, 0.0);
 }
 
 TEST(CsrTest, ContainsOutOfRangeRowIsFalse) {
@@ -345,16 +345,6 @@ TEST(VecOpsTest, ClipNormZeroVectorIsNoop) {
   std::vector<double> x(3, 0.0);
   vec::ClipNorm(vec::Span(x), 1.0);
   for (double v : x) EXPECT_DOUBLE_EQ(v, 0.0);
-}
-
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng a(5);
-  Rng b = a.Fork();
-  int same = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (a.Next() == b.Next()) ++same;
-  }
-  EXPECT_LT(same, 3);
 }
 
 TEST(CsrTest, RowNormalizedRowsSumToOne) {

@@ -265,10 +265,6 @@ TEST(Float32KernelTest, DotBitIdenticalToScalarFloatReference) {
       ASSERT_EQ(got[v], static_cast<double>(want))
           << "user " << u << " item " << v;
     }
-    // Library reference entry points agree bit-for-bit too.
-    const std::vector<float> v0 = PaddedFloatRow(snap.items.row(0));
-    ASSERT_EQ(f32::DotRef(uu.data(), v0.data(), uu.size()),
-              CanonicalDot(uu, v0));
   }
 }
 
@@ -437,6 +433,54 @@ TEST(ServerTierTest, BatchServerIsThreadCountInvariantOnEveryTier) {
   }
 }
 
+// A request file accepts any k >= 1. A k far beyond the catalogue must
+// serve what k = num_items serves, on every tier and through the int8 IVF
+// probe: the int8 tier's coarse over-fetch (kInt8RerankFactor * k) must
+// not wrap to an empty heap.
+TEST(ServerTierTest, HugeKServesWhatCatalogueSizedKServes) {
+  SyntheticConfig cfg;
+  cfg.seed = 19;
+  cfg.num_users = 12;
+  cfg.num_items = 50;
+  cfg.num_tags = 6;
+  cfg.num_roots = 2;
+  const DataSplit split = TemporalSplit(GenerateSynthetic(cfg));
+  const ScoringSnapshot snap = MakeSnapshot(
+      kTwoChannelLorentz, split.num_users, split.num_items, 24, 12, 37);
+  std::vector<ServeRequest> whole, huge;
+  for (uint32_t u = 0; u < split.num_users; ++u) {
+    whole.push_back({u, split.num_items});
+    huge.push_back({u, size_t{1} << 62});
+  }
+  // The exact sweep returns the whole catalogue; the IVF probe returns the
+  // items of the cells it probed.
+  const auto expect_same = [&](BatchServer* server, bool exact,
+                               const char* label) {
+    const auto want = server->ServeBatch(whole);
+    const auto got = server->ServeBatch(huge);
+    for (size_t i = 0; i < whole.size(); ++i) {
+      if (exact) {
+        EXPECT_EQ(want[i].size(), split.num_items) << label << " user " << i;
+      }
+      ASSERT_FALSE(want[i].empty()) << label << " user " << i;
+      ASSERT_EQ(got[i], want[i]) << label << " user " << i;
+    }
+  };
+  for (const PrecisionTier tier :
+       {PrecisionTier::kDouble, PrecisionTier::kFloat32,
+        PrecisionTier::kInt8}) {
+    BatchServer server(FrozenModel(ScoringSnapshot(snap), tier), split);
+    expect_same(&server, /*exact=*/true, PrecisionTierName(tier));
+  }
+  ServeOptions options;
+  options.retrieval = RetrievalMode::kIvf;
+  options.ivf.nprobe = 2;
+  BatchServer ivf(FrozenModel(ScoringSnapshot(snap), PrecisionTier::kInt8),
+                  split, options);
+  ASSERT_NE(ivf.model().ivf(), nullptr);
+  expect_same(&ivf, /*exact=*/false, "ivf.int8");
+}
+
 // The freezing constructor consumes ServeOptions::precision; a trained
 // native baseline serves finite float32 scores end to end.
 TEST(ServerTierTest, FreezeWithPrecisionOptionServesReducedTier) {
@@ -460,7 +504,8 @@ TEST(ServerTierTest, FreezeWithPrecisionOptionServesReducedTier) {
   BatchServer server(model, split, options);
   EXPECT_EQ(server.model().tier(), PrecisionTier::kFloat32);
   EXPECT_GT(server.model().snapshot_bytes(), 0u);
-  const auto result = server.ServeOne({3, 10});
+  const ServeRequest request{3, 10};
+  const auto result = server.ServeBatch({&request, 1})[0];
   ASSERT_EQ(result.size(), 10u);
   for (const TopKEntry& e : result) EXPECT_TRUE(std::isfinite(e.score));
 }

@@ -215,7 +215,7 @@ TEST(FrozenModelDeathTest, TagChannelNeedsAlphaAndADistanceKernel) {
   EXPECT_TRUE(FrozenModel(std::move(snap)).snapshot().has_tag_channel());
 }
 
-TEST(FrozenModelTest, BlockAndBatchScoringMatchScoreAll) {
+TEST(FrozenModelTest, BlockScoringMatchesScoreAll) {
   Rng rng(3);
   ScoringSnapshot snap;
   snap.kernel = ScoreKernel::kDot;
@@ -241,15 +241,6 @@ TEST(FrozenModelTest, BlockAndBatchScoringMatchScoreAll) {
       for (size_t v = begin; v < end; ++v) {
         ASSERT_EQ(block[v - begin], full[v]);
       }
-    }
-  }
-  const std::vector<uint32_t> batch = {4, 0, 8, 4};
-  std::vector<double> rows(batch.size() * 10);
-  frozen.ScoreBlockBatch(batch, 20, 30, std::span<double>(rows));
-  for (size_t i = 0; i < batch.size(); ++i) {
-    frozen.ScoreAll(batch[i], std::span<double>(full));
-    for (size_t v = 20; v < 30; ++v) {
-      ASSERT_EQ(rows[i * 10 + (v - 20)], full[v]);
     }
   }
 }
@@ -303,32 +294,6 @@ TEST(TopKTest, BlockedTopKMatchesReferenceWithExclusions) {
     // Tiny block size so a single user crosses many block boundaries.
     BlockedTopK(frozen, u, 10, exclude, &heap, &scratch, &got, /*block=*/7);
     ASSERT_EQ(got, ReferenceTopK(raw, 10, exclude)) << "user " << u;
-  }
-}
-
-TEST(TopKTest, BatchMatchesPerUserWithMixedKs) {
-  const DataSplit split = MakeSplit();
-  BprMf model(TinyConfig());
-  Rng rng(23);
-  model.Fit(split, &rng);
-  const FrozenModel frozen = FrozenModel::Freeze(model, split);
-  const auto exclude_of = [&](uint32_t u) { return split.train.RowCols(u); };
-
-  const std::vector<uint32_t> users = {3, 0, 59, 3, 17};
-  const std::vector<size_t> ks = {10, 1, 5, 200, 0};
-  std::vector<TopKHeap> heaps;
-  std::vector<double> scratch;
-  std::vector<std::vector<TopKEntry>> batch;
-  BlockedTopKBatch(frozen, users, ks, exclude_of, &heaps, &scratch, &batch,
-                   /*block=*/13);
-  ASSERT_EQ(batch.size(), users.size());
-
-  TopKHeap heap;
-  std::vector<TopKEntry> single;
-  for (size_t i = 0; i < users.size(); ++i) {
-    BlockedTopK(frozen, users[i], ks[i], exclude_of(users[i]), &heap, &scratch,
-                &single, /*block=*/13);
-    ASSERT_EQ(batch[i], single) << "request " << i;
   }
 }
 
@@ -413,8 +378,8 @@ TEST(BatchServerTest, ListsAreThreadCountInvariant) {
   const auto lists3 = server3.ServeBatch(requests);
   ASSERT_EQ(lists1, lists3);
 
-  // ServeOne answers exactly like the batch path.
-  ASSERT_EQ(server3.ServeOne(requests[7]), lists1[7]);
+  // A one-request batch answers exactly like the full batch.
+  ASSERT_EQ(server3.ServeBatch({&requests[7], 1})[0], lists1[7]);
 }
 
 TEST(RecommendTest, TopKRanksNonFiniteScoresLast) {
@@ -475,7 +440,8 @@ TEST(BatchServerTest, VirtualModelServesSameListsAsReference) {
   BatchServer server(model, split);
   std::vector<double> raw(split.num_items);
   for (uint32_t u = 0; u < split.num_users; u += 7) {
-    const auto got = server.ServeOne({u, 12});
+    const ServeRequest request{u, 12};
+    const auto got = server.ServeBatch({&request, 1})[0];
     model.ScoreItems(u, std::span<double>(raw));
     ASSERT_EQ(got, ReferenceTopK(raw, 12, split.train.RowCols(u)));
   }

@@ -254,11 +254,12 @@ TEST(TrainerTest, AblationVariantsResolve) {
   EXPECT_EQ(MakeAblationVariant("bogus", cfg), nullptr);
 }
 
-TEST(TrainerTest, TrainAndEvaluateRuns) {
+TEST(TrainerTest, FitThenEvaluateRuns) {
   const DataSplit split = SmallSplit();
   auto model = MakeAblationVariant("TaxoRec", TinyConfig());
   Rng rng(8);
-  const EvalResult r = TrainAndEvaluate(model.get(), split, &rng);
+  model->Fit(split, &rng);
+  const EvalResult r = EvaluateRanking(*model, split);
   EXPECT_GT(r.num_eval_users, 0u);
   EXPECT_GE(r.recall[0], 0.0);
 }
