@@ -12,8 +12,11 @@
 // per metric, plus the optional alpha_u-weighted tag-channel term
 // (ScoringSnapshot::has_tag_channel). The default kDouble tier is
 // bit-identical to the live model's ScoreItems: every kernel evaluates the
-// same per-pair arithmetic on copies of the same parameters (only the loop
-// order over pairs changes, never the math within a pair). The kFloat32
+// same per-pair operations in the same order on copies of the same
+// parameters (the distance loop interleaves four item rows, each summed in
+// its own chain, but never reorders the math within a pair). Given a
+// cutoff, the double tier's distance loop also skips items that provably
+// score below it (ScoreBlock). The kFloat32
 // tier scores through the vectorized float32 kernels (serve/kernels_f32.h)
 // over a padded, 64-byte-aligned CompactSnapshot — deterministic across
 // backends (AVX2 vs portable) and within a documented top-K rank-stability
@@ -27,6 +30,7 @@
 #define TAXOREC_SERVE_FROZEN_MODEL_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 
@@ -81,9 +85,16 @@ class FrozenModel {
   void ScoreAll(uint32_t user, std::span<double> out) const;
 
   /// Scores items [begin, end) for `user` into out[0 .. end-begin).
-  /// Native kernels only (checked).
-  void ScoreBlock(uint32_t user, size_t begin, size_t end,
-                  std::span<double> out) const;
+  /// Native kernels only (checked). On the double tier's distance kernels,
+  /// an item whose item-channel distance alone puts it below `cutoff` is
+  /// written as -Inf without the rest of its score; the return value counts
+  /// those items. Every other slot is exactly ScoreAll's value, and a slot
+  /// is pruned only if ScoreAll's value is < cutoff (or NaN, which ranks as
+  /// -Inf anyway). kDot and the float32 and int8 tiers ignore `cutoff` and
+  /// return 0.
+  size_t ScoreBlock(
+      uint32_t user, size_t begin, size_t end, std::span<double> out,
+      double cutoff = -std::numeric_limits<double>::infinity()) const;
 
   /// Builds the IVF retrieval index (serve/ivf_index.h) over this model's
   /// snapshot. Returns false (with a warning) when the model cannot host

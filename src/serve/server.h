@@ -57,6 +57,11 @@
 //   taxorec.serve.ivf.cells_pruned   cells cut by the score bound
 //   taxorec.serve.ivf.cells_skipped  cells left unprobed (nprobe cap/empty)
 //   taxorec.serve.ivf.items_scored   item rows swept by the IVF kernels
+//   taxorec.rank.items_swept         catalogue items swept by exact
+//                                    BlockedTopK calls (serve, eval and
+//                                    RecommendAllUsers alike)
+//   taxorec.rank.items_pruned        … of those, items the double tier's
+//                                    score bound skipped (serve/topk.h)
 //   gauges: taxorec.serve.{pressure,queue_depth,degrade_steps}
 //
 // Retrieval (DESIGN.md §15). --retrieval exact (default) scores the full

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/metrics.h"
 #include "common/trace.h"
 #include "serve/kernels_f32.h"
 
@@ -116,17 +117,27 @@ void BlockedTopK(const FrozenModel& model, uint32_t user, size_t k,
   if (!model.native()) block = n;
   heap->Reset(CoarseK(model.tier(), k, n));
   scratch->resize(std::min(block, n));
-  size_t cursor = 0;
+  size_t cursor = 0, pruned = 0;
   for (size_t begin = 0; begin < n; begin += block) {
     const size_t end = std::min(begin + block, n);
     const std::span<double> scores(scratch->data(), end - begin);
     if (model.native()) {
-      model.ScoreBlock(user, begin, end, scores);
+      // An item scoring below a full heap's worst entry can never enter,
+      // and within the block the worst only improves, so the cutoff read
+      // here stays valid for the whole block.
+      pruned += model.ScoreBlock(user, begin, end, scores,
+                                 heap->full() ? heap->worst().score : kNegInf);
     } else {
       model.ScoreAll(user, scores);
     }
     OfferBlock(exclude, &cursor, begin, end, scores, heap);
   }
+  static Counter* const items_swept =
+      MetricsRegistry::Instance().GetCounter("taxorec.rank.items_swept");
+  static Counter* const items_pruned =
+      MetricsRegistry::Instance().GetCounter("taxorec.rank.items_pruned");
+  items_swept->Increment(n);
+  items_pruned->Increment(pruned);
   heap->Finish(out);
   if (model.tier() == PrecisionTier::kInt8) {
     RerankScratch rerank;

@@ -10,10 +10,12 @@
 // against.
 //
 // The catalogue streams through in fixed-size item blocks: each block is
-// scored into a small scratch buffer (L1/L2-resident), exclusions are
-// masked by walking a sorted exclusion list in lockstep, and survivors
-// feed a K-bounded binary heap. Memory per request is O(block + K)
-// regardless of catalogue size.
+// scored into a small scratch buffer (L1-resident), exclusions are masked
+// by walking a sorted exclusion list in lockstep, and survivors feed a
+// K-bounded binary heap. Memory per request is O(block + K) regardless of
+// catalogue size. Once the heap is full, each block is scored with the
+// heap's worst score as a cutoff, so the double tier skips items that
+// cannot enter (FrozenModel::ScoreBlock); the lists do not change.
 //
 // Ranking order is the repo-wide deterministic total order: score
 // descending, item id ascending on ties. Non-finite scores (NaN, ±Inf) are
@@ -42,9 +44,10 @@
 
 namespace taxorec {
 
-/// Items per scoring block: 2048 doubles = 16 KiB of scratch, small enough
-/// to stay cache-resident while the heap consumes it.
-inline constexpr size_t kServeItemBlock = 2048;
+/// Items per scoring block: 256 doubles = 2 KiB of scratch, cache-resident
+/// while the heap consumes it. The pruning cutoff is read once per block,
+/// so small blocks let it tighten early in the sweep.
+inline constexpr size_t kServeItemBlock = 256;
 
 /// Maps non-finite scores (NaN, +Inf, -Inf) to -Inf so the ranking
 /// comparator stays a strict weak order and defective scores rank last.
@@ -86,8 +89,10 @@ class TopKHeap {
   bool full() const { return k_ > 0 && heap_.size() >= k_; }
 
   /// The current worst held entry (the root); only meaningful when
-  /// size() > 0. The IVF prober compares cell score upper bounds against
-  /// this to prune cells that cannot displace anything.
+  /// size() > 0. Once full() it is the admission threshold: BlockedTopK
+  /// passes its score to ScoreBlock as the pruning cutoff, and the IVF
+  /// prober compares cell score upper bounds against it to prune cells
+  /// that cannot displace anything.
   const TopKEntry& worst() const {
     TAXOREC_DCHECK(!heap_.empty());
     return heap_[0];

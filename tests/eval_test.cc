@@ -4,7 +4,12 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <unordered_set>
 
+#include "baselines/hyperml.h"
+#include "common/metrics.h"
+#include "core/taxorec_model.h"
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "eval/evaluator.h"
@@ -261,6 +266,99 @@ TEST(EvaluatorTest, NanScoresRankLastInsteadOfPoisoningTheSort) {
   ASSERT_GT(r.num_eval_users, 0u);
   EXPECT_NEAR(r.recall[1], 1.0, 1e-9);
   EXPECT_NEAR(r.ndcg[1], 1.0, 1e-9);
+}
+
+// Independent re-statement of EvaluateRanking's metrics: score every item
+// with the live model, rank on (score desc, id asc) after mapping non-finite
+// and excluded scores to -Inf, and average over evaluated users in
+// ascending id order.
+EvalResult ScoreAndSortMetrics(const Recommender& model,
+                               const DataSplit& split, const EvalOptions& opts) {
+  EvalResult r;
+  r.recall.assign(opts.ks.size(), 0.0);
+  r.ndcg.assign(opts.ks.size(), 0.0);
+  const int max_k = *std::max_element(opts.ks.begin(), opts.ks.end());
+  std::vector<double> scores(split.num_items);
+  for (uint32_t u = 0; u < split.num_users; ++u) {
+    const auto& targets =
+        opts.use_test ? split.test_items[u] : split.val_items[u];
+    if (targets.empty()) continue;
+    model.ScoreItems(u, std::span<double>(scores));
+    for (double& x : scores) {
+      if (!std::isfinite(x)) x = -std::numeric_limits<double>::infinity();
+    }
+    for (uint32_t v : split.train.RowCols(u)) {
+      scores[v] = -std::numeric_limits<double>::infinity();
+    }
+    if (opts.use_test) {
+      for (uint32_t v : split.val_items[u]) {
+        scores[v] = -std::numeric_limits<double>::infinity();
+      }
+    }
+    std::vector<uint32_t> ranked(split.num_items);
+    std::iota(ranked.begin(), ranked.end(), 0u);
+    std::sort(ranked.begin(), ranked.end(), [&](uint32_t a, uint32_t b) {
+      if (scores[a] != scores[b]) return scores[a] > scores[b];
+      return a < b;
+    });
+    ranked.resize(std::min<size_t>(ranked.size(), max_k));
+    const std::unordered_set<uint32_t> relevant(targets.begin(),
+                                                targets.end());
+    for (size_t i = 0; i < opts.ks.size(); ++i) {
+      r.recall[i] += RecallAtK(ranked, relevant, opts.ks[i]);
+      r.ndcg[i] += NdcgAtK(ranked, relevant, opts.ks[i]);
+    }
+    ++r.num_eval_users;
+  }
+  for (size_t i = 0; i < opts.ks.size(); ++i) {
+    r.recall[i] /= static_cast<double>(r.num_eval_users);
+    r.ndcg[i] /= static_cast<double>(r.num_eval_users);
+  }
+  return r;
+}
+
+// Trained native models over a catalogue of several kServeItemBlock
+// blocks, so EvaluateRanking's sweeps run with the pruning cutoff set:
+// its metrics must equal the score-and-sort oracle's bit for bit on both
+// protocols, for a Lorentz model with a tag channel and one without.
+TEST(EvaluatorTest, PrunedSweepsMatchScoreAndSortOracle) {
+  SyntheticConfig data;
+  data.num_users = 120;
+  data.num_items = 900;
+  data.num_tags = 24;
+  data.seed = 19;
+  const DataSplit split = TemporalSplit(GenerateSynthetic(data));
+  ModelConfig cfg;
+  cfg.dim = 16;
+  cfg.tag_dim = 4;
+  cfg.epochs = 2;
+  cfg.batches_per_epoch = 4;
+  cfg.batch_size = 128;
+  cfg.gcn_layers = 2;
+  TaxoRecModel taxorec(cfg, TaxoRecOptions{});
+  HyperMl hyperml(cfg);
+  for (Recommender* model : {static_cast<Recommender*>(&taxorec),
+                             static_cast<Recommender*>(&hyperml)}) {
+    Rng rng(7);
+    model->Fit(split, &rng);
+    for (const bool use_test : {true, false}) {
+      EvalOptions opts;
+      opts.ks = {10, 20};
+      opts.use_test = use_test;
+      Counter* pruned =
+          MetricsRegistry::Instance().GetCounter("taxorec.rank.items_pruned");
+      const uint64_t pruned_before = pruned->value();
+      const EvalResult got = EvaluateRanking(*model, split, opts);
+      EXPECT_GT(pruned->value(), pruned_before) << model->name();
+      const EvalResult want = ScoreAndSortMetrics(*model, split, opts);
+      ASSERT_GT(want.num_eval_users, 0u);
+      EXPECT_EQ(got.num_eval_users, want.num_eval_users);
+      EXPECT_EQ(got.recall, want.recall)
+          << model->name() << " use_test " << use_test;
+      EXPECT_EQ(got.ndcg, want.ndcg)
+          << model->name() << " use_test " << use_test;
+    }
+  }
 }
 
 }  // namespace

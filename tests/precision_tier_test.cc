@@ -1,14 +1,19 @@
-// Tests for the serving precision tiers (DESIGN.md §11): the compact
-// float32/int8 snapshot layout (padding, alignment, zero tails), bit
-// identity of the float32 dot kernel against an independently written
-// scalar float reference, bit identity between the AVX2 and portable
-// backends, top-K rank stability of the reduced tiers against the double
-// path, and the int8 tier's float32-exact re-ranked scores.
+// Tests for the serving precision tiers (DESIGN.md §11): FrozenModel's
+// block-scoring contract with and without a pruning cutoff (§10) on every
+// kernel family, the compact float32/int8 snapshot layout (padding,
+// alignment, zero tails), bit identity of the float32 dot kernel against
+// an independently written scalar float reference, bit identity between
+// the AVX2 and portable backends, top-K rank stability of the reduced
+// tiers against the double path, and the int8 tier's float32-exact
+// re-ranked scores.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <iterator>
 #include <limits>
 #include <ostream>
 #include <vector>
@@ -105,6 +110,84 @@ ScoringSnapshot MakeSnapshot(KernelFamily family, size_t users, size_t items,
     }
   }
   return snap;
+}
+
+// FrozenModel::ScoreBlock's contract for one kernel family. With no cutoff
+// every slot is ScoreAll's value bit for bit, NaN included; with a cutoff
+// each slot is that value, or -Inf where ScoreAll's value is below the
+// cutoff, and the return value counts the -Inf writes. Blocks start off
+// the four-row grid and the catalogue is not a multiple of 4. The tag
+// families' alpha = 0 users score on the item channel alone, so there the
+// bound has no slack: a bound 0.1% too tight prunes the item whose score
+// is the cutoff. The reduced tiers ignore the cutoff.
+void CheckBlockContract(KernelFamily family) {
+  constexpr size_t kUsers = 9, kItems = 203, kNanItem = 50;
+  constexpr size_t kBlockSizes[] = {1, 6, 3, 13, 5, 37, 2, 64};
+  ScoringSnapshot snap = MakeSnapshot(family, kUsers, kItems, 24, 12, 61);
+  ASSERT_EQ(snap.has_tag_channel(), family.tags);
+  const FrozenModel f32model(ScoringSnapshot(snap), PrecisionTier::kFloat32);
+  const FrozenModel q8model(ScoringSnapshot(snap), PrecisionTier::kInt8);
+  snap.items.at(kNanItem, 3) = std::numeric_limits<double>::quiet_NaN();
+  const FrozenModel model(std::move(snap));
+  std::vector<double> full(kItems), block(kItems);
+  size_t pruned_total = 0;
+  for (uint32_t u = 0; u < kUsers; ++u) {
+    model.ScoreAll(u, std::span<double>(full));
+    ASSERT_TRUE(std::isnan(full[kNanItem]));
+    std::vector<double> ranked;
+    for (const double x : full) {
+      ASSERT_NE(x, kNegInf);
+      if (!std::isnan(x)) ranked.push_back(x);
+    }
+    std::sort(ranked.begin(), ranked.end(), std::greater<double>());
+    for (const double cutoff : {kNegInf, ranked[0], ranked[2], ranked[9]}) {
+      size_t pruned = 0;
+      for (size_t b = 0, begin = 0; begin < kItems; ++b) {
+        const size_t end = std::min(
+            begin + kBlockSizes[b % std::size(kBlockSizes)], kItems);
+        pruned += model.ScoreBlock(
+            u, begin, end,
+            std::span<double>(block.data() + begin, end - begin), cutoff);
+        begin = end;
+      }
+      size_t neg_inf_writes = 0;
+      for (size_t v = 0; v < kItems; ++v) {
+        if (std::bit_cast<uint64_t>(block[v]) ==
+            std::bit_cast<uint64_t>(full[v])) {
+          continue;
+        }
+        ASSERT_EQ(block[v], kNegInf) << "user " << u << " item " << v;
+        ASSERT_LT(full[v], cutoff)
+            << "user " << u << " item " << v << " pruned at " << cutoff;
+        ++neg_inf_writes;
+      }
+      ASSERT_EQ(pruned, neg_inf_writes) << "user " << u;
+      if (cutoff == kNegInf) {
+        ASSERT_EQ(pruned, 0u);
+      }
+      pruned_total += pruned;
+    }
+  }
+  if (family.kernel == ScoreKernel::kDot) {
+    EXPECT_EQ(pruned_total, 0u);
+  } else {
+    EXPECT_GT(pruned_total, 0u);
+  }
+  for (const FrozenModel* reduced : {&f32model, &q8model}) {
+    reduced->ScoreAll(0, std::span<double>(full));
+    const double best = *std::max_element(full.begin(), full.end());
+    EXPECT_EQ(
+        reduced->ScoreBlock(0, 0, kItems, std::span<double>(block), best),
+        0u);
+    EXPECT_EQ(block, full) << PrecisionTierName(reduced->tier());
+  }
+}
+
+TEST(FrozenModelTest, BlockScoringMatchesScoreAllOrPrunesBelowCutoff) {
+  for (const KernelFamily& family : kNativeKernels) {
+    SCOPED_TRACE(::testing::Message() << "kernel " << family);
+    CheckBlockContract(family);
+  }
 }
 
 /// Independent re-statement of the canonical float32 reduction from

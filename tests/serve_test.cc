@@ -11,6 +11,7 @@
 #include "baselines/cml.h"
 #include "baselines/hyperml.h"
 #include "baselines/lightgcn.h"
+#include "common/metrics.h"
 #include "common/parallel.h"
 #include "core/taxorec_model.h"
 #include "data/split.h"
@@ -53,6 +54,13 @@ ModelConfig TinyConfig() {
   cfg.gcn_layers = 2;
   cfg.taxo_rebuild_every = 2;
   return cfg;
+}
+
+// Items the double tier's bound has skipped so far in this process.
+uint64_t ItemsPruned() {
+  return MetricsRegistry::Instance()
+      .GetCounter("taxorec.rank.items_pruned")
+      ->value();
 }
 
 // Seed-style reference ranking: full score row, sanitize, mask, iota +
@@ -215,36 +223,6 @@ TEST(FrozenModelDeathTest, TagChannelNeedsAlphaAndADistanceKernel) {
   EXPECT_TRUE(FrozenModel(std::move(snap)).snapshot().has_tag_channel());
 }
 
-TEST(FrozenModelTest, BlockScoringMatchesScoreAll) {
-  Rng rng(3);
-  ScoringSnapshot snap;
-  snap.kernel = ScoreKernel::kDot;
-  snap.num_users = 9;
-  snap.num_items = 33;
-  snap.users = Matrix(9, 8);
-  snap.items = Matrix(33, 8);
-  for (size_t u = 0; u < 9; ++u) {
-    for (double& x : snap.users.row(u)) x = rng.NextGaussian();
-  }
-  for (size_t v = 0; v < 33; ++v) {
-    for (double& x : snap.items.row(v)) x = rng.NextGaussian();
-  }
-  const FrozenModel frozen(std::move(snap));
-  std::vector<double> full(33);
-  for (uint32_t u = 0; u < 9; ++u) {
-    frozen.ScoreAll(u, std::span<double>(full));
-    // Uneven block sweep.
-    for (size_t begin = 0; begin < 33; begin += 7) {
-      const size_t end = std::min<size_t>(begin + 7, 33);
-      std::vector<double> block(end - begin);
-      frozen.ScoreBlock(u, begin, end, std::span<double>(block));
-      for (size_t v = begin; v < end; ++v) {
-        ASSERT_EQ(block[v - begin], full[v]);
-      }
-    }
-  }
-}
-
 TEST(TopKHeapTest, MatchesPartialSortOnRandomScoresWithTiesAndNonFinite) {
   Rng rng(29);
   for (int trial = 0; trial < 50; ++trial) {
@@ -288,6 +266,7 @@ TEST(TopKTest, BlockedTopKMatchesReferenceWithExclusions) {
   std::vector<double> scratch;
   std::vector<TopKEntry> got;
   std::vector<double> raw(split.num_items);
+  const uint64_t pruned_before = ItemsPruned();
   for (uint32_t u = 0; u < split.num_users; ++u) {
     model.ScoreItems(u, std::span<double>(raw));
     const auto exclude = split.train.RowCols(u);
@@ -295,6 +274,8 @@ TEST(TopKTest, BlockedTopKMatchesReferenceWithExclusions) {
     BlockedTopK(frozen, u, 10, exclude, &heap, &scratch, &got, /*block=*/7);
     ASSERT_EQ(got, ReferenceTopK(raw, 10, exclude)) << "user " << u;
   }
+  // The bound fired, so the oracle check above covers pruned sweeps.
+  EXPECT_GT(ItemsPruned(), pruned_before);
 }
 
 TEST(ResultCacheTest, HitMissLruAndVersioning) {
@@ -335,7 +316,10 @@ TEST(BatchServerTest, CachedAndUncachedListsMatchReference) {
   std::vector<ServeRequest> requests;
   for (uint32_t u = 0; u < split.num_users; u += 3) requests.push_back({u, 10});
   requests.push_back({0, 10});  // Duplicate → cache hit on the second batch.
+  const uint64_t pruned_before = ItemsPruned();
   const auto first = server.ServeBatch(requests);
+  // The bound fired, so the reference check below covers pruned sweeps.
+  EXPECT_GT(ItemsPruned(), pruned_before);
   const auto second = server.ServeBatch(requests);
   ASSERT_EQ(first, second);
   EXPECT_GT(server.cache()->hits(), 0u);

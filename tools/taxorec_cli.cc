@@ -366,6 +366,9 @@ int CmdRecommend(int argc, const char* const* argv) {
   flags.DefineInt("user", 0, "user id");
   flags.DefineInt("k", 10, "recommendations to print");
   if (Status s = flags.Parse(argc, argv, 2); !s.ok()) return Fail(s);
+  if (flags.GetInt("k") < 1) {
+    return Fail(Status::InvalidArgument("--k must be >= 1"));
+  }
   if (Status s = ApplyThreadsFlag(flags); !s.ok()) return Fail(s);
   if (Status s = ApplyLoggingFlags(flags); !s.ok()) return Fail(s);
 

@@ -305,6 +305,9 @@ int Main(int argc, const char* const* argv) {
   DefineThreadsFlag(&flags);
   DefineLogLevelFlag(&flags);
   if (Status s = flags.Parse(argc, argv, 1); !s.ok()) return Fail(s);
+  if (flags.GetInt("k") < 1) {
+    return Fail(Status::InvalidArgument("--k must be >= 1"));
+  }
   if (Status s = ApplyThreadsFlag(flags); !s.ok()) return Fail(s);
   if (Status s = ApplyLogLevelFlag(flags); !s.ok()) return Fail(s);
 
@@ -604,6 +607,21 @@ int Main(int argc, const char* const* argv) {
             CounterValue("taxorec.serve.degraded")));
   }
 
+  // Requests ranked by an exact sweep, the catalogue items each swept, and
+  // the share the double tier's score bound skipped (0 on reduced tiers).
+  const uint64_t exact = CounterValue("taxorec.serve.computed") -
+                         CounterValue("taxorec.serve.ivf.queries");
+  const uint64_t swept = CounterValue("taxorec.rank.items_swept");
+  if (exact > 0 && swept > 0) {
+    std::printf(
+        "exact: %llu sweeps  %.0f items swept per request  %.1f%% pruned by "
+        "the score bound\n",
+        static_cast<unsigned long long>(exact),
+        static_cast<double>(swept) / static_cast<double>(exact),
+        100.0 *
+            static_cast<double>(CounterValue("taxorec.rank.items_pruned")) /
+            static_cast<double>(swept));
+  }
   if (server.options().retrieval == RetrievalMode::kIvf) {
     const uint64_t q = CounterValue("taxorec.serve.ivf.queries");
     const uint64_t probed = CounterValue("taxorec.serve.ivf.cells_probed");
