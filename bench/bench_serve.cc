@@ -233,12 +233,14 @@ double ScoreSweepSeconds(const FrozenModel& model,
                          std::span<const uint32_t> users, int reps) {
   const size_t n = model.num_items();
   std::vector<double> scratch(std::min(n, kServeItemBlock));
+  std::vector<double> work(model.ScoreBlockScratch(1, kServeItemBlock));
   return bench::TimeBestSeconds(reps, [&] {
     for (uint32_t u : users) {
       for (size_t begin = 0; begin < n; begin += kServeItemBlock) {
         const size_t end = std::min(begin + kServeItemBlock, n);
-        model.ScoreBlock(u, begin, end,
-                         std::span<double>(scratch.data(), end - begin));
+        model.ScoreBlock({&u, 1}, begin, end,
+                         std::span<double>(scratch.data(), end - begin), {},
+                         work);
       }
     }
   });

@@ -38,6 +38,8 @@ constexpr double kEuclidMaxNorm = 1.5;
 
 TaxoRecModel::TaxoRecModel(const ModelConfig& config, TaxoRecOptions options)
     : config_(config), options_(std::move(options)) {
+  // The tag channel's width comes out of dim; check before subtracting.
+  TAXOREC_CHECK(!options_.use_tags || config_.dim > config_.tag_dim);
   const size_t di =
       options_.use_tags ? config_.dim - config_.tag_dim : config_.dim;
   const size_t dt = options_.use_tags ? config_.tag_dim : 0;

@@ -42,10 +42,14 @@ EvalResult EvaluateRanking(const Recommender& model, const DataSplit& split,
   std::vector<uint8_t> evaluated(split.num_users, 0);
 
   struct Scratch {
-    TopKHeap heap;
+    std::vector<TopKHeap> heaps;
     std::vector<double> scores;
-    std::vector<uint32_t> exclude;  // sorted train ∪ val (test protocol)
-    std::vector<TopKEntry> top;
+    std::vector<uint32_t> group;  // users with targets, in id order
+    std::vector<size_t> ks;
+    // Per group member: the sorted train ∪ val list (test protocol).
+    std::vector<uint32_t> merged[kScoreGroup];
+    std::span<const uint32_t> exclude[kScoreGroup];
+    std::vector<std::vector<TopKEntry>> top;
     std::vector<uint32_t> ranked;
   };
   ThreadLocalAccumulator<Scratch> scratch;
@@ -54,34 +58,56 @@ EvalResult EvaluateRanking(const Recommender& model, const DataSplit& split,
       0, split.num_users, /*grain=*/16,
       [&](size_t u0, size_t u1, int worker) {
         Scratch& s = scratch.Local(worker);
-        for (size_t uu = u0; uu < u1; ++uu) {
-          const uint32_t u = static_cast<uint32_t>(uu);
-          const auto& targets_vec =
-              opts.use_test ? split.test_items[u] : split.val_items[u];
-          if (targets_vec.empty()) continue;
-          const TargetLookup targets(targets_vec);
-
+        const auto targets_of = [&](size_t u) -> const std::vector<uint32_t>& {
+          return opts.use_test ? split.test_items[u] : split.val_items[u];
+        };
+        // The chunk's users with targets are ranked in groups of
+        // kScoreGroup; a list does not depend on its group, so neither do
+        // the metrics.
+        for (size_t next = u0; next < u1;) {
+          s.group.clear();
+          for (; next < u1 && s.group.size() < kScoreGroup; ++next) {
+            if (!targets_of(next).empty()) {
+              s.group.push_back(static_cast<uint32_t>(next));
+            }
+          }
+          if (s.group.empty()) break;
           // Already-seen items are masked out of the ranking: train, plus
           // val on the test protocol. val_items is in timestamp order, so
           // the merged list is sorted here.
-          std::span<const uint32_t> exclude = split.train.RowCols(u);
-          if (opts.use_test && !split.val_items[u].empty()) {
-            s.exclude.assign(exclude.begin(), exclude.end());
-            s.exclude.insert(s.exclude.end(), split.val_items[u].begin(),
-                             split.val_items[u].end());
-            std::sort(s.exclude.begin(), s.exclude.end());
-            exclude = s.exclude;
+          for (size_t i = 0; i < s.group.size(); ++i) {
+            const uint32_t u = s.group[i];
+            s.exclude[i] = split.train.RowCols(u);
+            if (opts.use_test && !split.val_items[u].empty()) {
+              std::vector<uint32_t>& merged = s.merged[i];
+              merged.assign(s.exclude[i].begin(), s.exclude[i].end());
+              merged.insert(merged.end(), split.val_items[u].begin(),
+                            split.val_items[u].end());
+              std::sort(merged.begin(), merged.end());
+              s.exclude[i] = merged;
+            }
           }
-          BlockedTopK(frozen, u, static_cast<size_t>(max_k), exclude, &s.heap,
-                      &s.scores, &s.top);
-          s.ranked.resize(s.top.size());
-          for (size_t i = 0; i < s.top.size(); ++i) s.ranked[i] = s.top[i].item;
+          s.ks.assign(s.group.size(), static_cast<size_t>(max_k));
+          const auto exclude_of = [&](uint32_t u) {
+            return s.exclude[std::find(s.group.begin(), s.group.end(), u) -
+                             s.group.begin()];
+          };
+          BlockedTopKBatch(frozen, s.group, s.ks, exclude_of, &s.heaps,
+                           &s.scores, &s.top);
 
-          for (size_t i = 0; i < nk; ++i) {
-            recall_uk[uu * nk + i] = RecallAtK(s.ranked, targets, opts.ks[i]);
-            ndcg_uk[uu * nk + i] = NdcgAtK(s.ranked, targets, opts.ks[i]);
+          for (size_t i = 0; i < s.group.size(); ++i) {
+            const size_t uu = s.group[i];
+            const TargetLookup targets(targets_of(uu));
+            s.ranked.resize(s.top[i].size());
+            for (size_t r = 0; r < s.top[i].size(); ++r) {
+              s.ranked[r] = s.top[i][r].item;
+            }
+            for (size_t j = 0; j < nk; ++j) {
+              recall_uk[uu * nk + j] = RecallAtK(s.ranked, targets, opts.ks[j]);
+              ndcg_uk[uu * nk + j] = NdcgAtK(s.ranked, targets, opts.ks[j]);
+            }
+            evaluated[uu] = 1;
           }
-          evaluated[uu] = 1;
         }
       });
 

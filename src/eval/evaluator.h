@@ -6,12 +6,14 @@
 //
 // The ranking is the serving kernel's (serve/topk.h): EvaluateRanking
 // freezes the model once per call on the double tier, whose scores are
-// bit-identical to ScoreItems, and runs BlockedTopK per user. Lists, and
-// so the metrics, are exactly those of scoring every item and sorting
-// (score descending, lower item id first on ties, non-finite scores
-// last), at any thread count. Besides the per-user metric slots, per-call
-// memory is the frozen embeddings plus per-worker O(block + K + seen
-// items) scratch — nothing grows with interactions or users x items.
+// bit-identical to ScoreItems, and ranks each pool chunk's users that
+// have targets in groups of kScoreGroup through BlockedTopKBatch. A list
+// never depends on its group, so lists, and so the metrics, are exactly
+// those of scoring every item and sorting (score descending, lower item
+// id first on ties, non-finite scores last), at any thread count. Besides
+// the per-user metric slots, per-call memory is the frozen embeddings
+// plus per-worker O(kScoreGroup · (block + K + seen items)) scratch —
+// nothing grows with interactions or users x items.
 #ifndef TAXOREC_EVAL_EVALUATOR_H_
 #define TAXOREC_EVAL_EVALUATOR_H_
 

@@ -1,8 +1,9 @@
 // Runtime SIMD dispatch shared by every vectorized kernel.
 //
 // The AVX2 kernels (the SpMM row kernel in math/csr.cc, the float32 serving
-// kernels in serve/kernels_f32.cc) are compiled in only when the build
-// defines TAXOREC_ENABLE_AVX2 for their translation unit, via
+// kernels in serve/kernels_f32.cc, the double tier's one-user-per-lane
+// distance kernels in serve/frozen_model.cc) are compiled in only when the
+// build defines TAXOREC_ENABLE_AVX2 for their translation unit, via
 // function-level target attributes, so the binary stays portable. One CPUID
 // probe decides at run time whether they run, and one test switch forces
 // the portable paths. Every AVX2 kernel is bit-identical to its portable

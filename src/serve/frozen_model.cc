@@ -1,7 +1,9 @@
 #include "serve/frozen_model.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "baselines/recommender.h"
 #include "common/check.h"
@@ -10,23 +12,40 @@
 #include "common/log.h"
 #include "common/metrics.h"
 #include "hyperbolic/lorentz.h"
+#include "math/simd.h"
 #include "math/vec_ops.h"
 #include "serve/ivf_index.h"
 #include "serve/kernels_f32.h"
+
+#if TAXOREC_HAVE_AVX2_BUILD
+#include <immintrin.h>
+#endif
 
 namespace taxorec {
 namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 /// The double tier's two distance metrics, split into the pieces of the
-/// live model's per-pair function that DistanceRowRange needs:
-///   Raw(u, v)   the raw distance, summed in the per-pair function's order;
-///   Raw4        the same for the four item rows at v, v + stride, ...;
-///   Finish(r)   raw distance -> squared distance;
-///   Bound(t)    a raw distance above it has Finish(raw) > t.
+/// live model's per-pair function that DistanceBlock needs:
+///   Raw(u, v)      the raw distance, summed in the per-pair function's
+///                  order;
+///   Raw4           the same for the four item rows at v, v + stride, ...;
+///   kLorentz       which chain a lane runs (LanesAvx2);
+///   Finish(r)      raw distance -> squared distance;
+///   MakeCut(t, a, m)  the prune test of one user and block (below).
 /// Finish(Raw(u, v)) is the per-pair function, bit for bit.
+///
+/// MakeCut: the score is -(Finish(raw) + a * Finish(raw_tg)), the tag term
+/// added only when a > 0, and an item scores below the cutoff -t exactly
+/// when that sum exceeds t. m is the smallest non-NaN tag-channel raw
+/// distance in the block (NaN when there is none, or when the cutoff is
+/// -Inf). Cut::Prunes(raw) holds only for items whose sum provably
+/// exceeds t; a NaN anywhere in the test makes it false, so it prunes
+/// nothing. With a = 0 the test is the item channel's alone.
 struct LorentzMetric {
+  static constexpr bool kLorentz = true;
   // beta = -<u,v>_L, as lorentz::Inner sums it: (-u0)*v0, then + ui*vi.
   static double Raw(vec::ConstSpan u, vec::ConstSpan v) {
     return -lorentz::Inner(u, v);
@@ -54,15 +73,26 @@ struct LorentzMetric {
     const double d = std::acosh(beta < 1.0 ? 1.0 : beta);
     return d * d;
   }
-  // d^2 > t <=> beta > cosh(sqrt(t)). The 1e-9 relative cushion moves d by
-  // >= 1e-9 (even at beta = 1e308 that is 3e-12 of d^2), far above the
-  // few-ulp rounding of sqrt, cosh, acosh and d * d. t < 0 gives NaN.
-  static double Bound(double t) {
-    return std::cosh(std::sqrt(t)) * (1.0 + 1e-9);
+  struct Cut {
+    double beta;
+    bool Prunes(double raw) const { return raw > beta; }
+  };
+  // Every tag term in the block is >= a * g with g = Finish(m) * (1 - 1e-9),
+  // so an item with d^2 > t - a * g scores below the cutoff, and
+  // d^2 > t' <=> beta > cosh(sqrt(t')). Both 1e-9 cushions are far above
+  // the few-ulp rounding of acosh, cosh, sqrt, the squares and the sums:
+  // the one on cosh moves d by >= 1e-9 (so d^2 by >= 2e-9 * d), the one on
+  // g keeps >= 1e-9 of the tag term in hand, and t = (t - a * g) + a * g
+  // means one of the two is at least half of t. A negative t - a * g, or
+  // a NaN or infinite g, gives a NaN bound.
+  static Cut MakeCut(double t, double a, double m) {
+    const double rest = a > 0.0 ? t - a * (Finish(m) * (1.0 - 1e-9)) : t;
+    return {std::cosh(std::sqrt(rest)) * (1.0 + 1e-9)};
   }
 };
 
 struct EuclidMetric {
+  static constexpr bool kLorentz = false;
   // ||u - v||^2, as vec::SqDist sums it.
   static double Raw(vec::ConstSpan u, vec::ConstSpan v) {
     return vec::SqDist(u, v);
@@ -87,76 +117,245 @@ struct EuclidMetric {
     raw[3] = a3;
   }
   static double Finish(double sq) { return sq; }
-  // The raw value already is the squared distance.
-  static double Bound(double t) { return t; }
+  struct Cut {
+    double t, tag;
+    bool Prunes(double raw) const { return raw + tag > t; }
+  };
+  // The raw value already is d^2, and rounded products and sums are
+  // monotone: every item's fl(a * raw_tg) >= fl(a * m), so
+  // fl(raw + fl(a * m)) > t implies the score's own sum exceeds t. No
+  // cushion is needed; with a = 0 the test is fl(raw) > t.
+  static Cut MakeCut(double t, double a, double m) {
+    return {t, a > 0.0 ? a * m : 0.0};
+  }
 };
 
-/// Scores items [begin, end) for one user with `Metric`, plus alpha_u times
-/// the metric on the tag channel (Eq. 17), and returns how many items it
-/// pruned. The score is -(d^2 + a * d_tg^2) with the tag term added only
-/// when a > 0, so it is at most -Finish(raw): an item whose raw distance
-/// exceeds Bound(-cutoff) scores below `cutoff` and is written as -Inf
-/// without its acosh or its tag channel. A NaN raw distance or bound
-/// compares false, so it prunes nothing. Raw distances accumulate four item
-/// rows at a time, each row in its own chain (DESIGN.md §10).
+/// Raw distances of one user against items [begin, end), four item rows
+/// at a time, each row in its own chain; the 0-3 rows left over use the
+/// per-pair function.
 template <typename Metric>
-size_t DistanceRowRange(const ScoringSnapshot& s, uint32_t user, size_t begin,
-                        size_t end, double cutoff, double* dst) {
-  const auto u = s.users.row(user);
-  const double a = s.has_tag_channel() ? s.alpha[user] : 0.0;
-  const vec::ConstSpan u_tg =
-      a > 0.0 ? s.users_tg.row(user) : vec::ConstSpan();
-  const double bound = Metric::Bound(-cutoff);
-  size_t pruned = 0;
-  const auto score = [&](size_t v, double raw) {
-    if (raw > bound) {
-      dst[v - begin] = kNegInf;
-      ++pruned;
-    } else if (a > 0.0) {
-      dst[v - begin] =
-          -(Metric::Finish(raw) +
-            a * Metric::Finish(Metric::Raw(u_tg, s.items_tg.row(v))));
-    } else {
-      dst[v - begin] = -Metric::Finish(raw);
-    }
-  };
+void RowRaws(vec::ConstSpan u, const Matrix& items, size_t begin, size_t end,
+             double* out) {
   size_t v = begin;
   for (; v + 4 <= end; v += 4) {
-    double raw[4];
-    Metric::Raw4(u.data(), s.items.row(v).data(), s.items.cols(), u.size(),
-                 raw);
-    for (size_t j = 0; j < 4; ++j) score(v + j, raw[j]);
+    Metric::Raw4(u.data(), items.row(v).data(), items.cols(), u.size(),
+                 out + (v - begin));
   }
-  for (; v < end; ++v) score(v, Metric::Raw(u, s.items.row(v)));
-  return pruned;
+  for (; v < end; ++v) out[v - begin] = Metric::Raw(u, items.row(v));
 }
 
-/// Scores items [begin, end) for one user into `dst` with the kernel
-/// dispatched once and the user's rows hoisted out of the item loop — the
-/// exact per-pair arithmetic of the exporting model's ScoreItems (the same
-/// operations in the same order on copies of the same parameters), so
-/// every score it writes is bit-for-bit equal to the live model's. Returns
-/// how many items the distance kernels pruned below `cutoff`.
-size_t ScoreRowRange(const ScoringSnapshot& s, uint32_t user, size_t begin,
-                     size_t end, double cutoff, double* dst) {
-  switch (s.kernel) {
-    case ScoreKernel::kDot: {
-      const auto u = s.users.row(user);
-      for (size_t v = begin; v < end; ++v) {
-        dst[v - begin] = vec::Dot(u, s.items.row(v));
-      }
-      return 0;
-    }
-    case ScoreKernel::kNegSqDist:
-      return DistanceRowRange<EuclidMetric>(s, user, begin, end, cutoff, dst);
-    case ScoreKernel::kNegLorentzSqDist:
-      return DistanceRowRange<LorentzMetric>(s, user, begin, end, cutoff,
-                                             dst);
-    case ScoreKernel::kVirtual:
-      break;
+#if TAXOREC_HAVE_AVX2_BUILD
+// One user per lane. A lane's chain is its user's per-pair function: the
+// Lorentz lane starts from (-u_0) * v_0 (the transposed rows hold -u_0)
+// and adds u_c * v_c for c = 1 ... n-1 in order; the Euclidean lane starts
+// from 0 and adds (u_c - v_c)^2 for c = 0 ... n-1. Multiply and add stay
+// separate instructions: the "avx2" target does not enable FMA, so the
+// compiler cannot contract them. Every helper carries the target itself
+// (GCC 12 does not pass it on to lambdas).
+template <bool kLorentz>
+__attribute__((target("avx2"))) inline __m256d LaneStart(__m256d u0,
+                                                         const double* v) {
+  if constexpr (kLorentz) {
+    return _mm256_mul_pd(u0, _mm256_broadcast_sd(v));
+  } else {
+    return _mm256_setzero_pd();
   }
-  TAXOREC_CHECK_MSG(false, "kVirtual snapshots cannot score blocks");
-  return 0;
+}
+
+template <bool kLorentz>
+__attribute__((target("avx2"))) inline __m256d LaneStep(__m256d acc,
+                                                        __m256d u,
+                                                        const double* v) {
+  const __m256d b = _mm256_broadcast_sd(v);
+  if constexpr (kLorentz) {
+    return _mm256_add_pd(acc, _mm256_mul_pd(u, b));
+  } else {
+    const __m256d d = _mm256_sub_pd(u, b);
+    return _mm256_add_pd(acc, _mm256_mul_pd(d, d));
+  }
+}
+
+// The raw distance from a finished chain: beta = -acc for Lorentz.
+template <bool kLorentz>
+__attribute__((target("avx2"))) inline __m256d LaneRaw(__m256d acc) {
+  if constexpr (kLorentz) {
+    return _mm256_xor_pd(acc, _mm256_set1_pd(-0.0));
+  } else {
+    return acc;
+  }
+}
+
+// Register k holds item k of four for lanes 0-3; stores lane i's four
+// items to out[i * count ...] for the first `lanes` lanes.
+__attribute__((target("avx2"))) inline void Transpose4Store(
+    __m256d a0, __m256d a1, __m256d a2, __m256d a3, size_t lanes,
+    size_t count, double* out) {
+  const __m256d t0 = _mm256_unpacklo_pd(a0, a1);
+  const __m256d t1 = _mm256_unpackhi_pd(a0, a1);
+  const __m256d t2 = _mm256_unpacklo_pd(a2, a3);
+  const __m256d t3 = _mm256_unpackhi_pd(a2, a3);
+  const __m256d rows[4] = {_mm256_permute2f128_pd(t0, t2, 0x20),
+                           _mm256_permute2f128_pd(t1, t3, 0x20),
+                           _mm256_permute2f128_pd(t0, t2, 0x31),
+                           _mm256_permute2f128_pd(t1, t3, 0x31)};
+  for (size_t i = 0; i < lanes; ++i) {
+    _mm256_storeu_pd(out + i * count, rows[i]);
+  }
+}
+
+// One user per lane over kRegs registers of four lanes (groups of 2-4
+// users: one register, 5-8: two), four items in flight, for the first
+// count - count % 4 items. `ut` holds the rows lane-major:
+// ut[4 * kRegs * c + i] is lane i's coordinate c. Lane i's raws go to
+// out[i * count ...]; lanes >= g are dropped.
+template <bool kLorentz, size_t kRegs>
+__attribute__((target("avx2"))) void LanesAvx2(const double* ut, size_t n,
+                                               const double* v, size_t stride,
+                                               size_t count, size_t g,
+                                               double* out) {
+  constexpr size_t kLanes = 4 * kRegs;
+  constexpr size_t c0 = kLorentz ? 1 : 0;
+  for (size_t j = 0; j + 4 <= count; j += 4) {
+    const double* const vk[4] = {v + j * stride, v + (j + 1) * stride,
+                                 v + (j + 2) * stride, v + (j + 3) * stride};
+    __m256d acc[kRegs][4];
+#pragma GCC unroll 2
+    for (size_t r = 0; r < kRegs; ++r) {
+      const __m256d u0 = _mm256_loadu_pd(ut + 4 * r);
+#pragma GCC unroll 4
+      for (size_t k = 0; k < 4; ++k) {
+        acc[r][k] = LaneStart<kLorentz>(u0, vk[k]);
+      }
+    }
+    for (size_t c = c0; c < n; ++c) {
+#pragma GCC unroll 2
+      for (size_t r = 0; r < kRegs; ++r) {
+        const __m256d u = _mm256_loadu_pd(ut + kLanes * c + 4 * r);
+#pragma GCC unroll 4
+        for (size_t k = 0; k < 4; ++k) {
+          acc[r][k] = LaneStep<kLorentz>(acc[r][k], u, vk[k] + c);
+        }
+      }
+    }
+#pragma GCC unroll 2
+    for (size_t r = 0; r < kRegs; ++r) {
+      Transpose4Store(LaneRaw<kLorentz>(acc[r][0]),
+                      LaneRaw<kLorentz>(acc[r][1]),
+                      LaneRaw<kLorentz>(acc[r][2]),
+                      LaneRaw<kLorentz>(acc[r][3]),
+                      g > 4 * r ? std::min<size_t>(g - 4 * r, 4) : 0, count,
+                      out + 4 * r * count + j);
+    }
+  }
+}
+
+/// Raw distances of the group's rows of `users_m` against items
+/// [begin, begin + count) of `items`, one user per lane, into one row of
+/// `out` per user; the 0-3 items left over run RowRaws per user. `ut`
+/// receives the rows lane-major (kScoreGroup * cols doubles); idle lanes
+/// hold zeros and are never stored.
+template <typename Metric>
+void LaneRaws(const Matrix& users_m, std::span<const uint32_t> users,
+              const Matrix& items, size_t begin, size_t count, double* out,
+              double* ut) {
+  const size_t g = users.size(), n = users_m.cols();
+  const size_t lanes = g <= 4 ? 4 : 8;
+  std::fill(ut, ut + lanes * n, 0.0);
+  for (size_t i = 0; i < g; ++i) {
+    const auto u = users_m.row(users[i]);
+    for (size_t c = 0; c < n; ++c) ut[c * lanes + i] = u[c];
+    if (Metric::kLorentz) ut[i] = -u[0];
+  }
+  const double* v = items.row(begin).data();
+  if (lanes == 4) {
+    LanesAvx2<Metric::kLorentz, 1>(ut, n, v, items.cols(), count, g, out);
+  } else {
+    LanesAvx2<Metric::kLorentz, 2>(ut, n, v, items.cols(), count, g, out);
+  }
+  const size_t done = count - count % 4;
+  for (size_t i = 0; done < count && i < g; ++i) {
+    RowRaws<Metric>(users_m.row(users[i]), items, begin + done,
+                    begin + count, out + i * count + done);
+  }
+}
+#endif  // TAXOREC_HAVE_AVX2_BUILD
+
+/// Smallest non-NaN value of x[0 .. n), or NaN when there is none.
+double SmallestNonNan(const double* x, size_t n) {
+  double m = kNaN;
+  for (size_t j = 0; j < n; ++j) {
+    if (x[j] < m || std::isnan(m)) m = x[j];
+  }
+  return m;
+}
+
+/// Scores items [begin, end) for the group `users` with `Metric`, plus
+/// alpha_u times the metric on the tag channel (Eq. 17), into one row of
+/// `dst` per user, and returns how many items it pruned below `cutoffs`.
+/// First the raw distances of both channels: a group of two or more on
+/// the AVX2 backend runs one user per lane (LaneRaws); a group of one,
+/// and the portable backend, run RowRaws per user. Either way every raw
+/// is the per-pair function's, bit for bit, so a row never depends on
+/// the group or the backend. Then each user's row is finished alone: an
+/// item its MakeCut prunes is written as -Inf without its acosh calls,
+/// every other item as -(Finish(raw) + a * Finish(raw_tg)) (DESIGN.md
+/// §10). `work` holds ScoreBlockScratch's doubles: the tag-channel raws,
+/// then the lane-major rows.
+template <typename Metric>
+size_t DistanceBlock(const ScoringSnapshot& s, std::span<const uint32_t> users,
+                     size_t begin, size_t end, const double* cutoffs,
+                     double* dst, double* work) {
+  const size_t g = users.size(), count = end - begin;
+  double alpha[kScoreGroup];
+  bool tags = false;
+  for (size_t i = 0; i < g; ++i) {
+    alpha[i] = s.has_tag_channel() ? s.alpha[users[i]] : 0.0;
+    tags = tags || alpha[i] > 0.0;
+  }
+  double* const tag_raws = work;
+  bool lanes = false;
+#if TAXOREC_HAVE_AVX2_BUILD
+  lanes = g > 1 && simd::Avx2Enabled();
+  if (lanes) {
+    double* const ut = work + (tags ? g * count : 0);
+    LaneRaws<Metric>(s.users, users, s.items, begin, count, dst, ut);
+    if (tags) {
+      LaneRaws<Metric>(s.users_tg, users, s.items_tg, begin, count, tag_raws,
+                       ut);
+    }
+  }
+#endif
+  if (!lanes) {
+    for (size_t i = 0; i < g; ++i) {
+      RowRaws<Metric>(s.users.row(users[i]), s.items, begin, end,
+                      dst + i * count);
+      if (alpha[i] > 0.0) {
+        RowRaws<Metric>(s.users_tg.row(users[i]), s.items_tg, begin, end,
+                        tag_raws + i * count);
+      }
+    }
+  }
+  size_t pruned = 0;
+  for (size_t i = 0; i < g; ++i) {
+    const double a = alpha[i];
+    double* const row = dst + i * count;
+    const double* const tg = a > 0.0 ? tag_raws + i * count : nullptr;
+    const double m =
+        a > 0.0 && cutoffs[i] > kNegInf ? SmallestNonNan(tg, count) : kNaN;
+    const typename Metric::Cut cut = Metric::MakeCut(-cutoffs[i], a, m);
+    for (size_t j = 0; j < count; ++j) {
+      const double raw = row[j];
+      if (cut.Prunes(raw)) {
+        row[j] = kNegInf;
+        ++pruned;
+      } else if (a > 0.0) {
+        row[j] = -(Metric::Finish(raw) + a * Metric::Finish(tg[j]));
+      } else {
+        row[j] = -Metric::Finish(raw);
+      }
+    }
+  }
+  return pruned;
 }
 
 /// Checks a native snapshot's shapes. A tag channel rides only on a
@@ -277,26 +476,71 @@ void FrozenModel::ScoreAll(uint32_t user, std::span<double> out) const {
     snap_.live->ScoreItems(user, out);
     return;
   }
-  ScoreBlock(user, 0, snap_.num_items, out);
+  std::vector<double> scratch(ScoreBlockScratch(1, snap_.num_items));
+  ScoreBlock({&user, 1}, 0, snap_.num_items, out, {}, scratch);
 }
 
-size_t FrozenModel::ScoreBlock(uint32_t user, size_t begin, size_t end,
-                               std::span<double> out, double cutoff) const {
+size_t FrozenModel::ScoreBlockScratch(size_t group, size_t items) const {
+  if (tier_ != PrecisionTier::kDouble || snap_.kernel == ScoreKernel::kDot) {
+    return 0;
+  }
+  const size_t lane_rows =
+      group > 1 ? kScoreGroup * std::max(snap_.users.cols(),
+                                         snap_.users_tg.cols())
+                : 0;
+  return (snap_.has_tag_channel() ? group * items : 0) + lane_rows;
+}
+
+size_t FrozenModel::ScoreBlock(std::span<const uint32_t> users, size_t begin,
+                               size_t end, std::span<double> out,
+                               std::span<const double> cutoffs,
+                               std::span<double> scratch) const {
   TAXOREC_CHECK_MSG(native(), "ScoreBlock requires a native kernel");
-  TAXOREC_DCHECK(user < snap_.num_users);
+  const size_t g = users.size(), count = end - begin;
+  TAXOREC_CHECK(g >= 1 && g <= kScoreGroup);
   TAXOREC_DCHECK(begin <= end && end <= snap_.num_items);
-  TAXOREC_DCHECK(out.size() == end - begin);
+  TAXOREC_DCHECK(out.size() == g * count);
+  TAXOREC_DCHECK(cutoffs.empty() || cutoffs.size() == g);
+  TAXOREC_DCHECK(std::all_of(users.begin(), users.end(), [&](uint32_t u) {
+    return u < snap_.num_users;
+  }));
+  TAXOREC_CHECK(scratch.size() >= ScoreBlockScratch(g, count));
+  if (count == 0) return 0;
   switch (tier_) {
     case PrecisionTier::kDouble:
-      return ScoreRowRange(snap_, user, begin, end, cutoff, out.data());
+      break;
     case PrecisionTier::kFloat32:
-      f32::ScoreRowRangeF32(*compact_, user, begin, end, out.data());
+      for (size_t i = 0; i < g; ++i) {
+        f32::ScoreRowRangeF32(*compact_, users[i], begin, end,
+                              out.data() + i * count);
+      }
       return 0;
     case PrecisionTier::kInt8:
-      f32::ScoreRowRangeInt8(*compact_, user, begin, end, out.data());
+      for (size_t i = 0; i < g; ++i) {
+        f32::ScoreRowRangeInt8(*compact_, users[i], begin, end,
+                               out.data() + i * count);
+      }
       return 0;
   }
-  return 0;
+  if (snap_.kernel == ScoreKernel::kDot) {
+    for (size_t i = 0; i < g; ++i) {
+      const auto u = snap_.users.row(users[i]);
+      double* const dst = out.data() + i * count;
+      for (size_t v = begin; v < end; ++v) {
+        dst[v - begin] = vec::Dot(u, snap_.items.row(v));
+      }
+    }
+    return 0;
+  }
+  double cut[kScoreGroup];
+  for (size_t i = 0; i < g; ++i) {
+    cut[i] = cutoffs.empty() ? kNegInf : cutoffs[i];
+  }
+  return snap_.kernel == ScoreKernel::kNegSqDist
+             ? DistanceBlock<EuclidMetric>(snap_, users, begin, end, cut,
+                                           out.data(), scratch.data())
+             : DistanceBlock<LorentzMetric>(snap_, users, begin, end, cut,
+                                            out.data(), scratch.data());
 }
 
 }  // namespace taxorec

@@ -13,10 +13,13 @@
 // (ScoringSnapshot::has_tag_channel). The default kDouble tier is
 // bit-identical to the live model's ScoreItems: every kernel evaluates the
 // same per-pair operations in the same order on copies of the same
-// parameters (the distance loop interleaves four item rows, each summed in
-// its own chain, but never reorders the math within a pair). Given a
-// cutoff, the double tier's distance loop also skips items that provably
-// score below it (ScoreBlock). The kFloat32
+// parameters. Its distance loop scores a block for a group of up to
+// kScoreGroup users at once, one user per AVX2 lane, so each item
+// coordinate is loaded once for the group while every lane runs its own
+// user's chain (a group of one, and the portable backend, interleave four
+// item rows per user instead); neither reorders the math within a pair.
+// Given one cutoff per user, it also skips items that provably score below
+// it, bounding both channels of Eq. 17 (ScoreBlock). The kFloat32
 // tier scores through the vectorized float32 kernels (serve/kernels_f32.h)
 // over a padded, 64-byte-aligned CompactSnapshot — deterministic across
 // backends (AVX2 vs portable) and within a documented top-K rank-stability
@@ -33,6 +36,7 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "data/dataset.h"
 #include "serve/compact_snapshot.h"
@@ -43,6 +47,10 @@ namespace taxorec {
 class Recommender;
 class IvfIndex;
 struct IvfOptions;
+
+/// Most users one ScoreBlock call scores: one per lane of two AVX2
+/// registers in the double tier's distance loop.
+inline constexpr size_t kScoreGroup = 8;
 
 class FrozenModel {
  public:
@@ -84,17 +92,28 @@ class FrozenModel {
   /// every kernel (kVirtual delegates to the live model).
   void ScoreAll(uint32_t user, std::span<double> out) const;
 
-  /// Scores items [begin, end) for `user` into out[0 .. end-begin).
-  /// Native kernels only (checked). On the double tier's distance kernels,
-  /// an item whose item-channel distance alone puts it below `cutoff` is
-  /// written as -Inf without the rest of its score; the return value counts
-  /// those items. Every other slot is exactly ScoreAll's value, and a slot
-  /// is pruned only if ScoreAll's value is < cutoff (or NaN, which ranks as
-  /// -Inf anyway). kDot and the float32 and int8 tiers ignore `cutoff` and
-  /// return 0.
-  size_t ScoreBlock(
-      uint32_t user, size_t begin, size_t end, std::span<double> out,
-      double cutoff = -std::numeric_limits<double>::infinity()) const;
+  /// Scores items [begin, end) for each user of `users`, a group of 1 to
+  /// kScoreGroup users, into one row per user: out[i * (end - begin) + j]
+  /// is users[i]'s score for item begin + j. Native kernels only (checked).
+  /// cutoffs[i] is users[i]'s pruning cutoff (empty: none). On the double
+  /// tier's distance kernels, an item that provably scores below its
+  /// user's cutoff — by its item-channel distance plus the block's
+  /// smallest tag-channel term — is written as -Inf without the rest of
+  /// its score; the return value counts those items over the group. Every
+  /// other slot is exactly ScoreAll's value, a slot is pruned only if
+  /// ScoreAll's value is < the cutoff (or NaN, which ranks as -Inf
+  /// anyway), and a row never depends on the rest of the group. kDot and
+  /// the float32 and int8 tiers ignore the cutoffs and return 0.
+  /// `scratch` is the caller's working space: at least
+  /// ScoreBlockScratch(users.size(), end - begin) doubles (checked).
+  size_t ScoreBlock(std::span<const uint32_t> users, size_t begin, size_t end,
+                    std::span<double> out,
+                    std::span<const double> cutoffs = {},
+                    std::span<double> scratch = {}) const;
+
+  /// Doubles of `scratch` a ScoreBlock call over `group` users and at most
+  /// `items` items uses.
+  size_t ScoreBlockScratch(size_t group, size_t items) const;
 
   /// Builds the IVF retrieval index (serve/ivf_index.h) over this model's
   /// snapshot. Returns false (with a warning) when the model cannot host

@@ -474,9 +474,9 @@ std::vector<ServeResult> BatchServer::ServeInternal(
                              obs ? &s.batch_rerank_us : nullptr);
           }
           if (obs) {
-            // The sub-batch's requests are ranked one after another; each
-            // is charged an even share of the kernel time (re-rank is
-            // per-user exact).
+            // The sub-batch's requests are ranked together in group
+            // sweeps; each is charged an even share of the kernel time
+            // (re-rank is per-user exact).
             const uint64_t kernel_us =
                 internal::TraceNowMicros() - kernel_t0;
             const uint64_t share = kernel_us / s.batch_slots.size();

@@ -57,11 +57,12 @@
 //   taxorec.serve.ivf.cells_pruned   cells cut by the score bound
 //   taxorec.serve.ivf.cells_skipped  cells left unprobed (nprobe cap/empty)
 //   taxorec.serve.ivf.items_scored   item rows swept by the IVF kernels
-//   taxorec.rank.items_swept         catalogue items swept by exact
-//                                    BlockedTopK calls (serve, eval and
+//   taxorec.rank.items_swept         catalogue items swept per user by
+//                                    exact group sweeps (serve, eval and
 //                                    RecommendAllUsers alike)
 //   taxorec.rank.items_pruned        … of those, items the double tier's
-//                                    score bound skipped (serve/topk.h)
+//                                    two-channel score bound skipped
+//                                    (serve/topk.h)
 //   gauges: taxorec.serve.{pressure,queue_depth,degrade_steps}
 //
 // Retrieval (DESIGN.md §15). --retrieval exact (default) scores the full
@@ -97,7 +98,8 @@ struct ServeOptions {
   size_t cache_capacity = 0;
   /// Items per scoring block (native kernels).
   size_t item_block = kServeItemBlock;
-  /// Requests a worker ranks between two deadline checks (a sub-batch).
+  /// Requests a worker ranks between two deadline checks (a sub-batch);
+  /// BlockedTopKBatch sweeps them in groups of kScoreGroup.
   size_t user_batch = 8;
   /// Requests per thread-pool chunk in the miss fan-out.
   size_t grain = 16;

@@ -21,7 +21,9 @@ inline bool WorseThan(const TopKEntry& a, const TopKEntry& b) {
 /// entries falling in [begin, end) to -Inf, then offers items [begin, end)
 /// with sanitized scores. `exclude` is sorted ascending; *cursor advances
 /// monotonically across consecutive blocks so the whole walk is
-/// O(|exclude|) per user.
+/// O(|exclude|) per user. A full heap is offered finite scores only: its
+/// worst entry scores >= -Inf and has a smaller id than any later item, so
+/// a -Inf offer could never enter it.
 void OfferBlock(std::span<const uint32_t> exclude, size_t* cursor,
                 size_t begin, size_t end, std::span<double> block_scores,
                 TopKHeap* heap) {
@@ -31,9 +33,93 @@ void OfferBlock(std::span<const uint32_t> exclude, size_t* cursor,
     block_scores[v - begin] = kNegInf;
     ++*cursor;
   }
-  for (size_t v = begin; v < end; ++v) {
+  size_t v = begin;
+  for (; v < end && !heap->full(); ++v) {
     heap->Offer(static_cast<uint32_t>(v),
                 SanitizeScore(block_scores[v - begin]));
+  }
+  for (; v < end; ++v) {
+    const double score = block_scores[v - begin];
+    if (std::isfinite(score)) heap->Offer(static_cast<uint32_t>(v), score);
+  }
+}
+
+/// One user of a group sweep: what BlockedTopK takes for one user.
+struct GroupMember {
+  uint32_t user;
+  size_t k;
+  std::span<const uint32_t> exclude;
+  TopKHeap* heap;
+  std::vector<TopKEntry>* out;
+  uint64_t* rerank_us;
+};
+
+/// Ranks a group of 1 to kScoreGroup users in one walk over the item
+/// blocks: each block is scored for the whole group (one row per member,
+/// FrozenModel::ScoreBlock), then every member's row feeds its own heap
+/// through its own exclusion cursor. Each member's cutoff is its own
+/// heap's worst score, and ScoreBlock's rows never depend on the group,
+/// so every list is exactly the one its member would get alone.
+/// `scratch` holds the rows, then ScoreBlock's working space.
+void SweepGroup(const FrozenModel& model,
+                std::span<const GroupMember> members,
+                std::vector<double>* scratch, size_t block) {
+  TAXOREC_CHECK(block > 0);
+  const size_t g = members.size();
+  TAXOREC_CHECK(g >= 1 && g <= (model.native() ? kScoreGroup : 1));
+  const size_t n = model.num_items();
+  // kVirtual snapshots score through the live model's ScoreItems: one full
+  // row, swept as a single block, for a group of one.
+  if (!model.native()) block = n;
+  const size_t width = std::min(block, n);
+  uint32_t users[kScoreGroup];
+  double cutoffs[kScoreGroup];
+  size_t cursors[kScoreGroup] = {};
+  for (size_t i = 0; i < g; ++i) {
+    users[i] = members[i].user;
+    members[i].heap->Reset(CoarseK(model.tier(), members[i].k, n));
+  }
+  const size_t work_size =
+      model.native() ? model.ScoreBlockScratch(g, width) : 0;
+  scratch->resize(g * width + work_size);
+  const std::span<double> work(scratch->data() + g * width, work_size);
+  size_t pruned = 0;
+  for (size_t begin = 0; begin < n; begin += block) {
+    const size_t end = std::min(begin + block, n), count = end - begin;
+    const std::span<double> rows(scratch->data(), g * count);
+    if (model.native()) {
+      // An item scoring below a full heap's worst entry can never enter,
+      // and within the block the worst only improves, so the cutoff read
+      // here stays valid for the whole block.
+      for (size_t i = 0; i < g; ++i) {
+        const TopKHeap& heap = *members[i].heap;
+        cutoffs[i] = heap.full() ? heap.worst().score : kNegInf;
+      }
+      pruned += model.ScoreBlock({users, g}, begin, end, rows, {cutoffs, g},
+                                 work);
+    } else {
+      for (size_t i = 0; i < g; ++i) {
+        model.ScoreAll(users[i], rows.subspan(i * count, count));
+      }
+    }
+    for (size_t i = 0; i < g; ++i) {
+      OfferBlock(members[i].exclude, &cursors[i], begin, end,
+                 rows.subspan(i * count, count), members[i].heap);
+    }
+  }
+  static Counter* const items_swept =
+      MetricsRegistry::Instance().GetCounter("taxorec.rank.items_swept");
+  static Counter* const items_pruned =
+      MetricsRegistry::Instance().GetCounter("taxorec.rank.items_pruned");
+  items_swept->Increment(g * n);
+  items_pruned->Increment(pruned);
+  for (const GroupMember& m : members) {
+    m.heap->Finish(m.out);
+    if (model.tier() == PrecisionTier::kInt8) {
+      RerankScratch rerank;
+      RerankInt8Head(*model.compact(), {}, m.user, m.k, &rerank, m.out,
+                     m.rerank_us);
+    }
   }
 }
 
@@ -110,39 +196,8 @@ void BlockedTopK(const FrozenModel& model, uint32_t user, size_t k,
                  std::span<const uint32_t> exclude, TopKHeap* heap,
                  std::vector<double>* scratch, std::vector<TopKEntry>* out,
                  size_t block, uint64_t* rerank_us) {
-  TAXOREC_CHECK(block > 0);
-  const size_t n = model.num_items();
-  // kVirtual snapshots score through the live model's ScoreItems: one full
-  // row, swept as a single block.
-  if (!model.native()) block = n;
-  heap->Reset(CoarseK(model.tier(), k, n));
-  scratch->resize(std::min(block, n));
-  size_t cursor = 0, pruned = 0;
-  for (size_t begin = 0; begin < n; begin += block) {
-    const size_t end = std::min(begin + block, n);
-    const std::span<double> scores(scratch->data(), end - begin);
-    if (model.native()) {
-      // An item scoring below a full heap's worst entry can never enter,
-      // and within the block the worst only improves, so the cutoff read
-      // here stays valid for the whole block.
-      pruned += model.ScoreBlock(user, begin, end, scores,
-                                 heap->full() ? heap->worst().score : kNegInf);
-    } else {
-      model.ScoreAll(user, scores);
-    }
-    OfferBlock(exclude, &cursor, begin, end, scores, heap);
-  }
-  static Counter* const items_swept =
-      MetricsRegistry::Instance().GetCounter("taxorec.rank.items_swept");
-  static Counter* const items_pruned =
-      MetricsRegistry::Instance().GetCounter("taxorec.rank.items_pruned");
-  items_swept->Increment(n);
-  items_pruned->Increment(pruned);
-  heap->Finish(out);
-  if (model.tier() == PrecisionTier::kInt8) {
-    RerankScratch rerank;
-    RerankInt8Head(*model.compact(), {}, user, k, &rerank, out, rerank_us);
-  }
+  const GroupMember member{user, k, exclude, heap, out, rerank_us};
+  SweepGroup(model, {&member, 1}, scratch, block);
 }
 
 void BlockedTopKBatch(
@@ -155,11 +210,22 @@ void BlockedTopKBatch(
   TAXOREC_CHECK(users.size() == ks.size());
   out->resize(users.size());
   if (rerank_us != nullptr) rerank_us->assign(users.size(), 0);
-  if (heaps->empty()) heaps->resize(1);
-  for (size_t i = 0; i < users.size(); ++i) {
-    BlockedTopK(model, users[i], ks[i], exclude_of(users[i]), &heaps->front(),
-                scratch, &(*out)[i], block,
-                rerank_us != nullptr ? &(*rerank_us)[i] : nullptr);
+  // A kVirtual group gains nothing from sharing a walk (one full row per
+  // member), so it ranks one user at a time through one catalogue row.
+  const size_t group = model.native() ? kScoreGroup : 1;
+  if (heaps->size() < std::min(users.size(), group)) {
+    heaps->resize(std::min(users.size(), group));
+  }
+  GroupMember members[kScoreGroup];
+  for (size_t g0 = 0; g0 < users.size(); g0 += group) {
+    const size_t g = std::min(group, users.size() - g0);
+    for (size_t i = 0; i < g; ++i) {
+      const size_t r = g0 + i;
+      members[i] = {users[r], ks[r], exclude_of(users[r]), &(*heaps)[i],
+                    &(*out)[r],
+                    rerank_us != nullptr ? &(*rerank_us)[r] : nullptr};
+    }
+    SweepGroup(model, {members, g}, scratch, block);
   }
 }
 

@@ -3,19 +3,23 @@
 // Every ranked list in the library comes out of this file: served lists
 // (BatchServer), offline evaluation (EvaluateRanking ranks on a double-tier
 // FrozenModel, bit-identical to the live model's ScoreItems) and the IVF
-// probe's int8 re-rank. Every exact list is one per-user BlockedTopK
-// sweep; BlockedTopKBatch only loops it over users. The only other
-// selector is RecommendTopK (eval/recommend.h), kept as the independent
+// probe's int8 re-rank. Every exact list comes out of one group sweep:
+// BlockedTopKBatch walks the item blocks once per group of up to
+// kScoreGroup users, each with its own heap, exclusion cursor and cutoff,
+// and BlockedTopK is the group of one. The only other selector is
+// RecommendTopK (eval/recommend.h), kept as the independent
 // score-everything-then-partial_sort oracle that tests compare these lists
 // against.
 //
 // The catalogue streams through in fixed-size item blocks: each block is
-// scored into a small scratch buffer (L1-resident), exclusions are masked
-// by walking a sorted exclusion list in lockstep, and survivors feed a
-// K-bounded binary heap. Memory per request is O(block + K) regardless of
-// catalogue size. Once the heap is full, each block is scored with the
-// heap's worst score as a cutoff, so the double tier skips items that
-// cannot enter (FrozenModel::ScoreBlock); the lists do not change.
+// scored for the group into a small scratch buffer (L1-resident), one row
+// per user (FrozenModel::ScoreBlock), exclusions are masked by walking a
+// sorted exclusion list in lockstep, and survivors feed a K-bounded binary
+// heap. Memory per request is O(block + K) regardless of catalogue size.
+// Once a user's heap is full, the block is scored with the heap's worst
+// score as that user's cutoff, so the double tier skips items that cannot
+// enter, and only finite scores are offered; the lists do not change, and
+// a list never depends on the group it was ranked in.
 //
 // Ranking order is the repo-wide deterministic total order: score
 // descending, item id ascending on ties. Non-finite scores (NaN, ±Inf) are
@@ -44,10 +48,12 @@
 
 namespace taxorec {
 
-/// Items per scoring block: 256 doubles = 2 KiB of scratch, cache-resident
-/// while the heap consumes it. The pruning cutoff is read once per block,
-/// so small blocks let it tighten early in the sweep.
-inline constexpr size_t kServeItemBlock = 256;
+/// Items per scoring block: a group's rows are 8 x 64 doubles = 4 KiB of
+/// scratch, cache-resident while the heaps consume them. The pruning
+/// cutoffs and the smallest tag-channel term are taken once per block, so
+/// small blocks let the cutoffs tighten early and keep the tag bound close
+/// to each item's own tag term.
+inline constexpr size_t kServeItemBlock = 64;
 
 /// Maps non-finite scores (NaN, +Inf, -Inf) to -Inf so the ranking
 /// comparator stays a strict weak order and defective scores rank last.
@@ -159,14 +165,16 @@ void RerankInt8Head(const CompactSnapshot& compact,
                     RerankScratch* scratch, std::vector<TopKEntry>* entries,
                     uint64_t* rerank_us);
 
-/// Top-k items for `user`, best first, over the frozen model. `exclude`
-/// is a sorted-ascending item list (e.g. split.train.RowCols(user);
-/// duplicates allowed) whose scores are forced to -Inf before ranking, so
-/// excluded items can still appear (at -Inf) when k exceeds the remaining
-/// catalogue. `scratch` is caller-owned reusable scoring space; `heap`
-/// likewise (both resized internally). Native kernels stream `block`-sized
-/// item blocks; kVirtual snapshots score one full row (the live model's
-/// ScoreItems) as a single block.
+/// Top-k items for `user`, best first, over the frozen model: the group
+/// sweep for a group of one. `exclude` is a sorted-ascending item list
+/// (e.g. split.train.RowCols(user); duplicates allowed) whose scores are
+/// forced to -Inf before ranking, so excluded items can still appear (at
+/// -Inf) when k exceeds the remaining catalogue. `scratch` is caller-owned
+/// reusable space for the block scores and ScoreBlock's working space;
+/// `heap` likewise (both resized internally, so a warm double-tier sweep
+/// allocates nothing). Native kernels stream `block`-sized item blocks;
+/// kVirtual snapshots score one full row (the live model's ScoreItems) as
+/// a single block.
 /// When `rerank_us` is non-null, the wall time of the int8-tier float32
 /// re-rank stage is added to it (microseconds; untouched on the other
 /// tiers) — the request-observability hook. Null skips all timing.
@@ -175,11 +183,13 @@ void BlockedTopK(const FrozenModel& model, uint32_t user, size_t k,
                  std::vector<double>* scratch, std::vector<TopKEntry>* out,
                  size_t block = kServeItemBlock, uint64_t* rerank_us = nullptr);
 
-/// Ranks users[i] with bound ks[i] into (*out)[i], one BlockedTopK sweep
-/// per user, so each list is a pure function of (model, user, k,
-/// exclusions) and never of the batch around it. exclude_of(u) must return
-/// u's sorted exclusion list (empty span for none); the first heap of
-/// `heaps` is the reusable selection heap.
+/// Ranks users[i] with bound ks[i] into (*out)[i], one group sweep per
+/// kScoreGroup consecutive users (per user on kVirtual snapshots, which
+/// score a full row per member). Each list is a pure function of (model,
+/// user, k, exclusions) — identical to BlockedTopK's — and never of the
+/// batch or group around it. exclude_of(u) must return u's sorted
+/// exclusion list (empty span for none); `heaps` holds one reusable heap
+/// per group member and `scratch` the group's block scores.
 /// Non-null `rerank_us` is resized to users.size() and filled with each
 /// user's float32 re-rank wall time (0 on non-int8 tiers).
 void BlockedTopKBatch(

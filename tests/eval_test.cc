@@ -9,12 +9,14 @@
 
 #include "baselines/hyperml.h"
 #include "common/metrics.h"
+#include "common/parallel.h"
 #include "core/taxorec_model.h"
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "eval/evaluator.h"
 #include "eval/metrics.h"
 #include "math/rng.h"
+#include "math/simd.h"
 
 namespace taxorec {
 namespace {
@@ -308,6 +310,8 @@ EvalResult ScoreAndSortMetrics(const Recommender& model,
       r.recall[i] += RecallAtK(ranked, relevant, opts.ks[i]);
       r.ndcg[i] += NdcgAtK(ranked, relevant, opts.ks[i]);
     }
+    r.per_user_recall.push_back(RecallAtK(ranked, relevant, opts.ks[0]));
+    r.per_user_ndcg.push_back(NdcgAtK(ranked, relevant, opts.ks[0]));
     ++r.num_eval_users;
   }
   for (size_t i = 0; i < opts.ks.size(); ++i) {
@@ -318,9 +322,12 @@ EvalResult ScoreAndSortMetrics(const Recommender& model,
 }
 
 // Trained native models over a catalogue of several kServeItemBlock
-// blocks, so EvaluateRanking's sweeps run with the pruning cutoff set:
-// its metrics must equal the score-and-sort oracle's bit for bit on both
-// protocols, for a Lorentz model with a tag channel and one without.
+// blocks, so EvaluateRanking's grouped sweeps run with the pruning cutoffs
+// set: its metrics, aggregate and per user, must equal the score-and-sort
+// oracle's bit for bit on both protocols, for a Lorentz and a Euclidean
+// TaxoRec (two-channel bounds on trained embeddings) and a Lorentz model
+// without a tag channel. Pool chunking decides group membership, so the
+// evaluation runs at 1 and 4 threads, on both SIMD backends.
 TEST(EvaluatorTest, PrunedSweepsMatchScoreAndSortOracle) {
   SyntheticConfig data;
   data.num_users = 120;
@@ -336,8 +343,13 @@ TEST(EvaluatorTest, PrunedSweepsMatchScoreAndSortOracle) {
   cfg.batch_size = 128;
   cfg.gcn_layers = 2;
   TaxoRecModel taxorec(cfg, TaxoRecOptions{});
+  TaxoRecOptions euclid_opts;
+  euclid_opts.hyperbolic = false;
+  TaxoRecModel taxorec_euclid(cfg, euclid_opts);
   HyperMl hyperml(cfg);
+  const int saved_threads = GetNumThreads();
   for (Recommender* model : {static_cast<Recommender*>(&taxorec),
+                             static_cast<Recommender*>(&taxorec_euclid),
                              static_cast<Recommender*>(&hyperml)}) {
     Rng rng(7);
     model->Fit(split, &rng);
@@ -345,18 +357,29 @@ TEST(EvaluatorTest, PrunedSweepsMatchScoreAndSortOracle) {
       EvalOptions opts;
       opts.ks = {10, 20};
       opts.use_test = use_test;
-      Counter* pruned =
-          MetricsRegistry::Instance().GetCounter("taxorec.rank.items_pruned");
-      const uint64_t pruned_before = pruned->value();
-      const EvalResult got = EvaluateRanking(*model, split, opts);
-      EXPECT_GT(pruned->value(), pruned_before) << model->name();
       const EvalResult want = ScoreAndSortMetrics(*model, split, opts);
       ASSERT_GT(want.num_eval_users, 0u);
-      EXPECT_EQ(got.num_eval_users, want.num_eval_users);
-      EXPECT_EQ(got.recall, want.recall)
-          << model->name() << " use_test " << use_test;
-      EXPECT_EQ(got.ndcg, want.ndcg)
-          << model->name() << " use_test " << use_test;
+      for (const bool portable : {false, true}) {
+        for (const int threads : {1, 4}) {
+          simd::ForcePortableForTest(portable);
+          SetNumThreads(threads);
+          Counter* pruned = MetricsRegistry::Instance().GetCounter(
+              "taxorec.rank.items_pruned");
+          const uint64_t pruned_before = pruned->value();
+          const EvalResult got = EvaluateRanking(*model, split, opts);
+          simd::ForcePortableForTest(false);
+          SetNumThreads(saved_threads);
+          SCOPED_TRACE(::testing::Message()
+                       << model->name() << " use_test " << use_test
+                       << " portable " << portable << " threads " << threads);
+          EXPECT_GT(pruned->value(), pruned_before);
+          EXPECT_EQ(got.num_eval_users, want.num_eval_users);
+          EXPECT_EQ(got.recall, want.recall);
+          EXPECT_EQ(got.ndcg, want.ndcg);
+          EXPECT_EQ(got.per_user_recall, want.per_user_recall);
+          EXPECT_EQ(got.per_user_ndcg, want.per_user_ndcg);
+        }
+      }
     }
   }
 }

@@ -185,7 +185,7 @@ TEST(IvfIndexTest, CellBoundsDominateMemberScores) {
     std::vector<double> scores(kItems);
     std::vector<double> bounds;
     for (uint32_t u = 0; u < kUsers; ++u) {
-      f32model.ScoreBlock(u, 0, kItems, std::span<double>(scores));
+      f32model.ScoreBlock({&u, 1}, 0, kItems, std::span<double>(scores));
       index.CellScoreBounds(u, &bounds);
       ASSERT_EQ(bounds.size(), index.num_cells());
       for (size_t c = 0; c < index.num_cells(); ++c) {

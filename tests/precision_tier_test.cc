@@ -9,12 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <iterator>
 #include <limits>
+#include <numeric>
 #include <ostream>
 #include <vector>
 
@@ -24,6 +26,7 @@
 #include "data/synthetic.h"
 #include "math/rng.h"
 #include "math/simd.h"
+#include "math/vec_ops.h"
 #include "serve/compact_snapshot.h"
 #include "serve/kernels_f32.h"
 #include "serve/server.h"
@@ -112,60 +115,120 @@ ScoringSnapshot MakeSnapshot(KernelFamily family, size_t users, size_t items,
   return snap;
 }
 
-// FrozenModel::ScoreBlock's contract for one kernel family. With no cutoff
-// every slot is ScoreAll's value bit for bit, NaN included; with a cutoff
-// each slot is that value, or -Inf where ScoreAll's value is below the
-// cutoff, and the return value counts the -Inf writes. Blocks start off
-// the four-row grid and the catalogue is not a multiple of 4. The tag
-// families' alpha = 0 users score on the item channel alone, so there the
-// bound has no slack: a bound 0.1% too tight prunes the item whose score
-// is the cutoff. The reduced tiers ignore the cutoff.
-void CheckBlockContract(KernelFamily family) {
+// FrozenModel::ScoreBlock's contract for one kernel family, in group
+// form. Groups of 1 to kScoreGroup users, each member with its own cutoff,
+// sweep the catalogue in blocks off the four-item and two-item lane grids
+// (and a catalogue that is a multiple of neither). With no cutoff every
+// slot of a member's row is ScoreAll's value bit for bit, NaN included;
+// with one, each slot is that value, or -Inf where ScoreAll's value is
+// below the cutoff, and the return value counts the -Inf writes.
+// NaN coordinates sit in an item's item-channel row, and on tag families
+// in an item's tag row and in a user's tag row. Under a finite cutoff the
+// bound may prune the NaN-tag item, whose NaN score ranks as -Inf anyway:
+// its item channel is finite and the block minimum skips its tag raw. The
+// other NaN scores are never pruned: the NaN item's raw is NaN, and the
+// NaN-tag user's block minimum is NaN, so the bound prunes nothing for
+// that user (whose two-channel scores are all NaN). Two cases leave the
+// bound no slack, so a bound 0.1% too tight prunes the item whose score
+// is the cutoff: the tag families' alpha = 0 users, which score on the
+// item channel alone, and with `shared_tag_row` every alpha > 0 user,
+// because every item carries the same tag row (as items with the same tag
+// set nearly do after TagAggregation) and the block's smallest tag term
+// is each item's own. The reduced tiers ignore the cutoffs. Every value
+// written is appended to *written, so two backends can be compared.
+void CheckBlockContract(KernelFamily family, bool shared_tag_row,
+                        std::vector<double>* written) {
   constexpr size_t kUsers = 9, kItems = 203, kNanItem = 50;
+  constexpr size_t kNanTagItem = 121, kNanTagUser = 4;
   constexpr size_t kBlockSizes[] = {1, 6, 3, 13, 5, 37, 2, 64};
   ScoringSnapshot snap = MakeSnapshot(family, kUsers, kItems, 24, 12, 61);
   ASSERT_EQ(snap.has_tag_channel(), family.tags);
+  if (shared_tag_row) {
+    for (size_t v = 1; v < kItems; ++v) {
+      vec::Copy(snap.items_tg.row(0), snap.items_tg.row(v));
+    }
+  }
   const FrozenModel f32model(ScoringSnapshot(snap), PrecisionTier::kFloat32);
   const FrozenModel q8model(ScoringSnapshot(snap), PrecisionTier::kInt8);
-  snap.items.at(kNanItem, 3) = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  snap.items.at(kNanItem, 3) = kNaN;
+  if (family.tags) {
+    ASSERT_GT(snap.alpha[kNanTagUser], 0.0);
+    snap.items_tg.at(kNanTagItem, 2) = kNaN;
+    snap.users_tg.at(kNanTagUser, 1) = kNaN;
+  }
   const FrozenModel model(std::move(snap));
-  std::vector<double> full(kItems), block(kItems);
-  size_t pruned_total = 0;
+  // full[u]: ScoreAll's row; cutoffs[u]: -Inf, then the 1st, 3rd and 10th
+  // best non-NaN score (a fixed -1 for a user whose scores are all NaN).
+  std::vector<std::vector<double>> full(kUsers, std::vector<double>(kItems));
+  std::vector<std::array<double, 4>> cutoffs(kUsers);
   for (uint32_t u = 0; u < kUsers; ++u) {
-    model.ScoreAll(u, std::span<double>(full));
-    ASSERT_TRUE(std::isnan(full[kNanItem]));
+    model.ScoreAll(u, std::span<double>(full[u]));
+    ASSERT_TRUE(std::isnan(full[u][kNanItem]));
     std::vector<double> ranked;
-    for (const double x : full) {
+    for (const double x : full[u]) {
       ASSERT_NE(x, kNegInf);
       if (!std::isnan(x)) ranked.push_back(x);
     }
     std::sort(ranked.begin(), ranked.end(), std::greater<double>());
-    for (const double cutoff : {kNegInf, ranked[0], ranked[2], ranked[9]}) {
-      size_t pruned = 0;
-      for (size_t b = 0, begin = 0; begin < kItems; ++b) {
-        const size_t end = std::min(
-            begin + kBlockSizes[b % std::size(kBlockSizes)], kItems);
-        pruned += model.ScoreBlock(
-            u, begin, end,
-            std::span<double>(block.data() + begin, end - begin), cutoff);
-        begin = end;
-      }
-      size_t neg_inf_writes = 0;
-      for (size_t v = 0; v < kItems; ++v) {
-        if (std::bit_cast<uint64_t>(block[v]) ==
-            std::bit_cast<uint64_t>(full[v])) {
-          continue;
+    if (ranked.empty()) {
+      cutoffs[u] = {kNegInf, -1.0, -1.0, -1.0};
+    } else {
+      cutoffs[u] = {kNegInf, ranked[0], ranked[2], ranked[9]};
+    }
+  }
+  std::vector<double> rows(kScoreGroup * kItems);
+  std::vector<double> scratch(model.ScoreBlockScratch(kScoreGroup, 64));
+  size_t pruned_total = 0;
+  for (size_t g = 1; g <= kScoreGroup; ++g) {
+    for (size_t first = 0; first < kUsers; ++first) {
+      for (size_t shift = 0; shift < 4; ++shift) {
+        uint32_t group[kScoreGroup];
+        double cut[kScoreGroup];
+        for (size_t i = 0; i < g; ++i) {
+          group[i] = static_cast<uint32_t>((first + i) % kUsers);
+          cut[i] = cutoffs[group[i]][(i + shift) % 4];
         }
-        ASSERT_EQ(block[v], kNegInf) << "user " << u << " item " << v;
-        ASSERT_LT(full[v], cutoff)
-            << "user " << u << " item " << v << " pruned at " << cutoff;
-        ++neg_inf_writes;
+        size_t pruned = 0, neg_inf_writes = 0;
+        for (size_t b = 0, begin = 0; begin < kItems; ++b) {
+          const size_t end = std::min(
+              begin + kBlockSizes[b % std::size(kBlockSizes)], kItems);
+          const size_t count = end - begin;
+          pruned += model.ScoreBlock({group, g}, begin, end,
+                                     std::span<double>(rows.data(), g * count),
+                                     {cut, g}, scratch);
+          for (size_t i = 0; i < g; ++i) {
+            for (size_t j = 0; j < count; ++j) {
+              const double x = rows[i * count + j];
+              written->push_back(x);
+              const size_t v = begin + j;
+              const double want = full[group[i]][v];
+              if (std::bit_cast<uint64_t>(x) == std::bit_cast<uint64_t>(want)) {
+                continue;
+              }
+              ASSERT_NE(cut[i], kNegInf)
+                  << "user " << group[i] << " item " << v << " group of "
+                  << g << " scores " << want << ", written " << x
+                  << " with no cutoff";
+              ASSERT_EQ(x, kNegInf) << "user " << group[i] << " item " << v
+                                    << " group of " << g;
+              ++neg_inf_writes;
+              if (v == kNanTagItem && family.tags && std::isnan(want)) {
+                continue;
+              }
+              ASSERT_LT(want, cut[i]) << "user " << group[i] << " item " << v
+                                      << " pruned at " << cut[i];
+            }
+          }
+          begin = end;
+        }
+        ASSERT_EQ(pruned, neg_inf_writes)
+            << "group of " << g << " from user " << first;
+        if (std::all_of(cut, cut + g, [](double c) { return c == kNegInf; })) {
+          ASSERT_EQ(pruned, 0u) << "group of " << g << " from user " << first;
+        }
+        pruned_total += pruned;
       }
-      ASSERT_EQ(pruned, neg_inf_writes) << "user " << u;
-      if (cutoff == kNegInf) {
-        ASSERT_EQ(pruned, 0u);
-      }
-      pruned_total += pruned;
     }
   }
   if (family.kernel == ScoreKernel::kDot) {
@@ -173,20 +236,126 @@ void CheckBlockContract(KernelFamily family) {
   } else {
     EXPECT_GT(pruned_total, 0u);
   }
+  const uint32_t all[] = {0, 1, 2, 3, 4, 5, 6, 7};
   for (const FrozenModel* reduced : {&f32model, &q8model}) {
-    reduced->ScoreAll(0, std::span<double>(full));
-    const double best = *std::max_element(full.begin(), full.end());
-    EXPECT_EQ(
-        reduced->ScoreBlock(0, 0, kItems, std::span<double>(block), best),
-        0u);
-    EXPECT_EQ(block, full) << PrecisionTierName(reduced->tier());
+    std::vector<double> want;
+    double best[kScoreGroup];
+    for (uint32_t u = 0; u < kScoreGroup; ++u) {
+      std::vector<double> row(kItems);
+      reduced->ScoreAll(u, std::span<double>(row));
+      best[u] = *std::max_element(row.begin(), row.end());
+      want.insert(want.end(), row.begin(), row.end());
+    }
+    EXPECT_EQ(reduced->ScoreBlock(all, 0, kItems, std::span<double>(rows),
+                                  best),
+              0u);
+    EXPECT_EQ(rows, want) << PrecisionTierName(reduced->tier());
   }
 }
 
 TEST(FrozenModelTest, BlockScoringMatchesScoreAllOrPrunesBelowCutoff) {
   for (const KernelFamily& family : kNativeKernels) {
-    SCOPED_TRACE(::testing::Message() << "kernel " << family);
-    CheckBlockContract(family);
+    for (const bool shared_tag_row : {false, true}) {
+      if (shared_tag_row && !family.tags) continue;
+      SCOPED_TRACE(::testing::Message()
+                   << "kernel " << family
+                   << (shared_tag_row ? " shared tag row" : ""));
+      std::vector<double> dispatched, portable;
+      {
+        PortableBackendGuard guard(false);
+        CheckBlockContract(family, shared_tag_row, &dispatched);
+      }
+      {
+        PortableBackendGuard guard(true);
+        CheckBlockContract(family, shared_tag_row, &portable);
+      }
+      ASSERT_EQ(dispatched.size(), portable.size());
+      for (size_t i = 0; i < dispatched.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(dispatched[i]),
+                  std::bit_cast<uint64_t>(portable[i]))
+            << "value " << i;
+      }
+    }
+  }
+}
+
+// A list must not depend on the group it is ranked in. Every user is
+// ranked alone with BlockedTopK, then through BlockedTopKBatch in groups
+// of 1 to kScoreGroup at every lane position (rotating windows over the
+// users, which mix alpha = 0 and alpha > 0 users on the tag families),
+// in a group that repeats a user, and in one batch of all users. Every
+// native kernel family and all three tiers, blocks of 7 and 64 items,
+// dispatched and forced-portable kernels: the lists must be equal item
+// for item and score for score, bit for bit.
+TEST(TopKTest, ListsDoNotDependOnTheGroup) {
+  constexpr size_t kUsers = 11, kItems = 203;
+  for (const KernelFamily& family : kNativeKernels) {
+    const ScoringSnapshot snap =
+        MakeSnapshot(family, kUsers, kItems, 24, 12, 83);
+    for (const PrecisionTier tier :
+         {PrecisionTier::kDouble, PrecisionTier::kFloat32,
+          PrecisionTier::kInt8}) {
+      const FrozenModel model(ScoringSnapshot(snap), tier);
+      // Each user excludes every (user + 3)-th item and asks for its own k.
+      std::vector<std::vector<uint32_t>> exclude(kUsers);
+      std::vector<size_t> ks(kUsers);
+      for (uint32_t u = 0; u < kUsers; ++u) {
+        for (uint32_t v = u; v < kItems; v += u + 3) exclude[u].push_back(v);
+        ks[u] = 5 + 9 * (u % 4);
+      }
+      const auto exclude_of = [&](uint32_t u) {
+        return std::span<const uint32_t>(exclude[u]);
+      };
+      for (const size_t block : {size_t{7}, size_t{64}}) {
+        std::vector<std::vector<TopKEntry>> alone(kUsers);
+        TopKHeap heap;
+        std::vector<double> scratch;
+        for (uint32_t u = 0; u < kUsers; ++u) {
+          BlockedTopK(model, u, ks[u], exclude[u], &heap, &scratch, &alone[u],
+                      block);
+        }
+        std::vector<std::vector<uint32_t>> groups;
+        for (size_t g = 1; g <= kScoreGroup; ++g) {
+          for (uint32_t first = 0; first < kUsers; ++first) {
+            std::vector<uint32_t> group;
+            for (size_t i = 0; i < g; ++i) {
+              group.push_back(static_cast<uint32_t>((first + i) % kUsers));
+            }
+            groups.push_back(group);
+          }
+        }
+        groups.push_back({3, 3, 5, 3, 0});
+        std::vector<uint32_t> everyone(kUsers);
+        std::iota(everyone.begin(), everyone.end(), 0u);
+        groups.push_back(everyone);
+        for (const bool portable : {false, true}) {
+          PortableBackendGuard guard(portable);
+          std::vector<TopKHeap> heaps;
+          std::vector<std::vector<TopKEntry>> out;
+          for (const std::vector<uint32_t>& group : groups) {
+            std::vector<size_t> group_ks;
+            for (const uint32_t u : group) group_ks.push_back(ks[u]);
+            BlockedTopKBatch(model, group, group_ks, exclude_of, &heaps,
+                             &scratch, &out, block);
+            ASSERT_EQ(out.size(), group.size());
+            for (size_t i = 0; i < group.size(); ++i) {
+              const std::vector<TopKEntry>& want = alone[group[i]];
+              ASSERT_EQ(out[i].size(), want.size());
+              for (size_t r = 0; r < want.size(); ++r) {
+                ASSERT_EQ(out[i][r].item, want[r].item)
+                    << "kernel " << family << " "
+                    << PrecisionTierName(tier) << " block " << block
+                    << " portable " << portable << " group of "
+                    << group.size() << " lane " << i << " rank " << r;
+                ASSERT_EQ(std::bit_cast<uint64_t>(out[i][r].score),
+                          std::bit_cast<uint64_t>(want[r].score))
+                    << "kernel " << family << " user " << group[i];
+              }
+            }
+          }
+        }
+      }
+    }
   }
 }
 
@@ -460,7 +629,7 @@ TEST(Int8RerankTest, ServedScoresAreFloat32Exact) {
           for (const TopKEntry& e : got) {
             if (e.score == kNegInf) continue;
             double exact = 0.0;
-            f32model.ScoreBlock(u, e.item, e.item + 1,
+            f32model.ScoreBlock({&u, 1}, e.item, e.item + 1,
                                 std::span<double>(&exact, 1));
             ASSERT_EQ(e.score, exact)
                 << "kernel " << family << " " << simd::ActiveBackend()

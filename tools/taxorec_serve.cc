@@ -305,8 +305,35 @@ int Main(int argc, const char* const* argv) {
   DefineThreadsFlag(&flags);
   DefineLogLevelFlag(&flags);
   if (Status s = flags.Parse(argc, argv, 1); !s.ok()) return Fail(s);
+  // Sizes are cast to size_t below, so a negative value would wrap.
   if (flags.GetInt("k") < 1) {
     return Fail(Status::InvalidArgument("--k must be >= 1"));
+  }
+  if (flags.GetInt("batch") < 1) {
+    return Fail(Status::InvalidArgument("--batch must be >= 1"));
+  }
+  if (flags.GetInt("cache") < 0) {
+    return Fail(Status::InvalidArgument("--cache must be >= 0"));
+  }
+  if (flags.GetInt("max-queue") < 0) {
+    return Fail(Status::InvalidArgument("--max-queue must be >= 0"));
+  }
+  if (flags.GetInt("epochs") < 0) {
+    return Fail(Status::InvalidArgument("--epochs must be >= 0"));
+  }
+  if (flags.GetInt("tag-dim") < 0) {
+    return Fail(Status::InvalidArgument("--tag-dim must be >= 0"));
+  }
+  if (flags.GetInt("dim") < 1) {
+    return Fail(Status::InvalidArgument("--dim must be >= 1"));
+  }
+  // TaxoRec (trained or restored) and AMF carve the tag channel out of
+  // --dim; the other models ignore --tag-dim.
+  const bool splits_dim = !flags.GetString("checkpoint").empty() ||
+                          flags.GetString("model") == "TaxoRec" ||
+                          flags.GetString("model") == "AMF";
+  if (splits_dim && flags.GetInt("dim") <= flags.GetInt("tag-dim")) {
+    return Fail(Status::InvalidArgument("--dim must be > --tag-dim"));
   }
   if (Status s = ApplyThreadsFlag(flags); !s.ok()) return Fail(s);
   if (Status s = ApplyLogLevelFlag(flags); !s.ok()) return Fail(s);
@@ -516,8 +543,7 @@ int Main(int argc, const char* const* argv) {
       queued_mode ? ", bounded queue" : "",
       serve_opts.admission.degrade ? ", degrade" : "");
 
-  const size_t batch = std::max<size_t>(
-      1, static_cast<size_t>(flags.GetInt("batch")));
+  const size_t batch = static_cast<size_t>(flags.GetInt("batch"));
   std::vector<ServeResult> results;
   results.reserve(requests.size());
   const auto t0 = std::chrono::steady_clock::now();
