@@ -147,6 +147,18 @@ constexpr GoldenDigest kGolden[] = {
     {"CMLAgg", "ivf.int8", 0x9143ac3a304c27f0ULL},
     {"CMLAgg", "recommend", 0x93d20c65061053a0ULL},
     {"CMLAgg", "state", 0x277688885e012cf2ULL},
+    // Table III's Hyper+CML+Agg: hyperbolic TaxoRec with λ = 0, so the
+    // taxonomy regularizer never runs. Its eval digests equal TaxoRec's
+    // (the regularizer moves scores here, but no top-20 hit).
+    {"HyperCMLAgg", "eval.test", 0x62589bf1b0ee726dULL},
+    {"HyperCMLAgg", "eval.val", 0x9436c0a206d4b5faULL},
+    {"HyperCMLAgg", "serve.double", 0xef4bc736414a0e8cULL},
+    {"HyperCMLAgg", "serve.float32", 0x66e8a8b955ba2a7aULL},
+    {"HyperCMLAgg", "serve.int8", 0x66e8a8b955ba2a7aULL},
+    {"HyperCMLAgg", "ivf.float32", 0xc6f713671b5a4cbaULL},
+    {"HyperCMLAgg", "ivf.int8", 0xc6f713671b5a4cbaULL},
+    {"HyperCMLAgg", "recommend", 0xef4bc736414a0e8cULL},
+    {"HyperCMLAgg", "state", 0xe7a44b8ba68552d1ULL},
     // Served lists with a different k per request, so each sub-batch mixes
     // heap bounds on every tier (native models only).
     {"TaxoRec", "serve_mixed_k.double", 0xd2b1c987d77913d4ULL},
@@ -170,6 +182,9 @@ constexpr GoldenDigest kGolden[] = {
     {"CMLAgg", "serve_mixed_k.double", 0x1a70388945edcbf9ULL},
     {"CMLAgg", "serve_mixed_k.float32", 0x24e7b38b02e2a96fULL},
     {"CMLAgg", "serve_mixed_k.int8", 0x24e7b38b02e2a96fULL},
+    {"HyperCMLAgg", "serve_mixed_k.double", 0xd3475e70360297d7ULL},
+    {"HyperCMLAgg", "serve_mixed_k.float32", 0x88d84c8e05409883ULL},
+    {"HyperCMLAgg", "serve_mixed_k.int8", 0x88d84c8e05409883ULL},
 };
 
 class Fnv1a {
@@ -411,7 +426,8 @@ INSTANTIATE_TEST_SUITE_P(
                       GoldenCase{"NGCF", "NGCF", 16, 4},
                       GoldenCase{"AGCN", "AGCN", 16, 4},
                       GoldenCase{"NMF", "NMF", 16, 4},
-                      GoldenCase{"CMLAgg", "CML+Agg", 16, 4}),
+                      GoldenCase{"CMLAgg", "CML+Agg", 16, 4},
+                      GoldenCase{"HyperCMLAgg", "Hyper+CML+Agg", 16, 4}),
     [](const auto& info) { return std::string(info.param.label); });
 
 }  // namespace
