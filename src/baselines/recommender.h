@@ -44,10 +44,6 @@ struct ModelConfig {
   /// (see DESIGN.md §4). The effective weight is min(1, alpha_scale·α_u).
   double alpha_scale = 4.0;
   double grad_clip = 1.0;
-  /// Negative candidates per triplet for hinge models that support hard
-  /// negative mining (the most-violating candidate is used). 1 = plain
-  /// uniform sampling.
-  int num_negatives = 1;
   /// Negative sampling strategy (uniform or popularity-weighted).
   NegativeSampling neg_sampling = NegativeSampling::kUniform;
   uint64_t seed = 13;

@@ -153,6 +153,22 @@ Status ApplyThreadsFlag(const FlagSet& flags) {
   return Status::OK();
 }
 
+Status CheckModelSizeFlags(const FlagSet& flags, bool splits_dim) {
+  if (flags.GetInt("epochs") < 0) {
+    return Status::InvalidArgument("--epochs must be >= 0");
+  }
+  if (flags.GetInt("tag-dim") < 0) {
+    return Status::InvalidArgument("--tag-dim must be >= 0");
+  }
+  if (flags.GetInt("dim") < 1) {
+    return Status::InvalidArgument("--dim must be >= 1");
+  }
+  if (splits_dim && flags.GetInt("dim") <= flags.GetInt("tag-dim")) {
+    return Status::InvalidArgument("--dim must be > --tag-dim");
+  }
+  return Status::OK();
+}
+
 void DefineLogLevelFlag(FlagSet* flags) {
   flags->DefineString("log-level", "",
                       "log threshold: debug|info|warn|error|off (empty = "

@@ -62,6 +62,13 @@ void DefineThreadsFlag(FlagSet* flags);
 /// InvalidArgument) and installs it via SetNumThreads.
 Status ApplyThreadsFlag(const FlagSet& flags);
 
+/// Validates the model-size flags taxorec_cli and taxorec_serve share
+/// (values that would wrap when cast to size_t, or abort in a model
+/// constructor): --epochs >= 0, --tag-dim >= 0, --dim >= 1 and, when
+/// `splits_dim` (the model carves the tag channel out of --dim, as TaxoRec
+/// and AMF do), --dim > --tag-dim. Returns InvalidArgument naming the flag.
+Status CheckModelSizeFlags(const FlagSet& flags, bool splits_dim);
+
 /// Declares the shared --log-level flag (debug|info|warn|error|off; empty =
 /// keep the TAXOREC_LOG_LEVEL / default threshold).
 void DefineLogLevelFlag(FlagSet* flags);

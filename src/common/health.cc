@@ -5,10 +5,19 @@
 #include <sstream>
 
 #include "hyperbolic/lorentz.h"
+#include "hyperbolic/poincare.h"
 #include "math/vec_ops.h"
 
 namespace taxorec {
 namespace {
+
+// Poincaré rows are flagged past 1 - kBallEps + kBallSlack; the slack
+// covers the rounding of ProjectToBall's rescale.
+constexpr double kBallSlack = 1e-9;
+// Lorentz rows are flagged when |<x,x>_L + 1| exceeds this.
+constexpr double kLorentzTol = 1e-6;
+// Findings kept per report (all of them are counted).
+constexpr size_t kMaxIssues = 8;
 
 bool AllFinite(std::span<const double> row) {
   for (double v : row) {
@@ -42,16 +51,17 @@ std::string HealthReport::ToString() const {
   out << "unhealthy: " << nonfinite_values << " non-finite value(s), "
       << off_manifold_rows << " off-manifold row(s), " << bad_losses
       << " bad loss(es)";
-  for (const std::string& issue : issues) out << "; " << issue;
+  for (const HealthIssue& issue : structured_issues) {
+    out << "; " << issue.ToString();
+  }
   return out.str();
 }
 
 HealthMonitor::HealthMonitor(HealthOptions options)
     : options_(options) {}
 
-void HealthMonitor::AddIssue(std::string message, HealthIssue issue) {
-  if (report_.issues.size() < options_.max_issues) {
-    report_.issues.push_back(std::move(message));
+void HealthMonitor::AddIssue(HealthIssue issue) {
+  if (report_.structured_issues.size() < kMaxIssues) {
     report_.structured_issues.push_back(std::move(issue));
   }
 }
@@ -66,32 +76,26 @@ void HealthMonitor::CheckFinite(std::string_view name, const Matrix& m) {
     if (bad > 0) {
       report_.nonfinite_values += bad;
       const double v = FirstNonFinite(m.row(r));
-      AddIssue(std::string(name) + " row " + std::to_string(r) +
-                   ": non-finite",
-               {std::string(name), r, NonFiniteKind(v), v});
+      AddIssue({std::string(name), r, NonFiniteKind(v), v});
     }
   }
 }
 
 void HealthMonitor::CheckBallRows(std::string_view name, const Matrix& m) {
   report_.values_scanned += m.rows() * m.cols();
-  const double max_norm = 1.0 - options_.ball_eps + options_.ball_slack;
+  const double max_norm = 1.0 - poincare::kBallEps + kBallSlack;
   for (size_t r = 0; r < m.rows(); ++r) {
     const auto row = m.row(r);
     if (!AllFinite(row)) {
       ++report_.nonfinite_values;
       const double v = FirstNonFinite(row);
-      AddIssue(std::string(name) + " row " + std::to_string(r) +
-                   ": non-finite",
-               {std::string(name), r, NonFiniteKind(v), v});
+      AddIssue({std::string(name), r, NonFiniteKind(v), v});
       continue;
     }
     const double n = vec::Norm(row);
     if (n > max_norm) {
       ++report_.off_manifold_rows;
-      AddIssue(std::string(name) + " row " + std::to_string(r) +
-                   ": escaped ball (norm " + std::to_string(n) + ")",
-               {std::string(name), r, "ball-escape", n});
+      AddIssue({std::string(name), r, "ball-escape", n});
     }
   }
 }
@@ -103,18 +107,13 @@ void HealthMonitor::CheckLorentzRows(std::string_view name, const Matrix& m) {
     if (!AllFinite(row)) {
       ++report_.nonfinite_values;
       const double v = FirstNonFinite(row);
-      AddIssue(std::string(name) + " row " + std::to_string(r) +
-                   ": non-finite",
-               {std::string(name), r, NonFiniteKind(v), v});
+      AddIssue({std::string(name), r, NonFiniteKind(v), v});
       continue;
     }
     const double residual = lorentz::ConstraintResidual(row);
-    if (std::abs(residual) > options_.lorentz_tol) {
+    if (std::abs(residual) > kLorentzTol) {
       ++report_.off_manifold_rows;
-      AddIssue(std::string(name) + " row " + std::to_string(r) +
-                   ": off hyperboloid (residual " + std::to_string(residual) +
-                   ")",
-               {std::string(name), r, "lorentz-residual", residual});
+      AddIssue({std::string(name), r, "lorentz-residual", residual});
     }
   }
 }
@@ -128,10 +127,7 @@ void HealthMonitor::CheckLoss(int epoch, double loss) {
     ++report_.bad_losses;
     const std::string kind =
         exploded ? "loss-explosion" : "loss-" + NonFiniteKind(loss);
-    AddIssue("epoch " + std::to_string(epoch) + ": " +
-                 (finite ? "exploding" : "non-finite") + " loss " +
-                 std::to_string(loss),
-             {"loss", static_cast<size_t>(epoch), kind, loss});
+    AddIssue({"loss", static_cast<size_t>(epoch), kind, loss});
   }
 }
 

@@ -20,26 +20,15 @@
 namespace taxorec {
 
 struct HealthOptions {
-  /// Poincaré rows are flagged when ||x|| > 1 - ball_eps + ball_slack.
-  /// Defaults match poincare::kBallEps, with slack for the rounding of
-  /// ProjectToBall's rescale (a freshly projected row sits exactly at the
-  /// 1 - eps radius and must not be flagged).
-  double ball_eps = 1e-5;
-  double ball_slack = 1e-9;
-  /// Lorentz rows are flagged when |<x,x>_L + 1| > lorentz_tol.
-  double lorentz_tol = 1e-6;
   /// When > 0, losses with |loss| above this are flagged (non-finite
   /// losses are always flagged).
   double max_abs_loss = 0.0;
-  /// Cap on recorded human-readable issue strings.
-  size_t max_issues = 8;
 };
 
-/// One structured finding: which matrix (or "loss"), which row (epoch for
-/// losses), how the value is bad, and the offending value (norm, residual,
-/// or loss; NaN for non-finite findings). Feeds divergence Status messages
-/// and telemetry events, where the free-text `issues` strings are too
-/// lossy to act on.
+/// One finding: which matrix (or "loss"), which row (epoch for losses),
+/// how the value is bad, and the offending value (norm, residual, or loss;
+/// NaN for non-finite findings). Feeds divergence Status messages,
+/// telemetry events and HealthReport::ToString.
 struct HealthIssue {
   std::string matrix;  // parameter matrix name, or "loss"
   size_t row = 0;      // row index (epoch number for loss issues)
@@ -58,10 +47,8 @@ struct HealthReport {
   size_t nonfinite_values = 0;
   size_t off_manifold_rows = 0;
   size_t bad_losses = 0;
-  /// First few issues, human-readable ("users_ir row 17: non-finite").
-  std::vector<std::string> issues;
-  /// Structured counterparts of `issues` (same cap, same order; the first
-  /// entry is the first defect the scan encountered).
+  /// The first eight findings in scan order (the first entry is the first
+  /// defect the scan encountered).
   std::vector<HealthIssue> structured_issues;
 
   bool healthy() const {
@@ -91,11 +78,13 @@ class HealthMonitor {
   void CheckFinite(std::string_view name, const Matrix& m);
 
   /// Flags non-finite rows and rows escaping the Poincaré ball
-  /// (||row|| > 1 - ball_eps + ball_slack).
+  /// (||row|| > 1 - poincare::kBallEps, plus slack for the rounding of
+  /// ProjectToBall's rescale: a freshly projected row sits exactly at that
+  /// radius and is not flagged).
   void CheckBallRows(std::string_view name, const Matrix& m);
 
   /// Flags non-finite rows and rows off the hyperboloid
-  /// (|<row,row>_L + 1| > lorentz_tol). Rows are d+1 Lorentz points.
+  /// (|<row,row>_L + 1| > 1e-6). Rows are d+1 Lorentz points.
   void CheckLorentzRows(std::string_view name, const Matrix& m);
 
   /// Flags non-finite (and, if configured, exploding) epoch losses.
@@ -103,11 +92,10 @@ class HealthMonitor {
 
   bool healthy() const { return report_.healthy(); }
   const HealthReport& report() const { return report_; }
-  const HealthOptions& options() const { return options_; }
   void Reset() { report_ = HealthReport(); }
 
  private:
-  void AddIssue(std::string message, HealthIssue issue);
+  void AddIssue(HealthIssue issue);
 
   HealthOptions options_;
   HealthReport report_;

@@ -48,6 +48,8 @@ namespace taxorec {
 namespace {
 
 constexpr int kMaxFrames = 26;
+// Ring capacity in samples; the handler drops (and counts) past this.
+constexpr size_t kRingCapacity = 1 << 16;
 
 struct Sample {
   int32_t depth = 0;
@@ -73,7 +75,6 @@ struct SamplingState {
   std::mutex mu;                   // registry + arm/disarm transitions
   std::vector<ThreadReg*> threads;
   Sample* ring = nullptr;          // allocated at first Start, kept
-  size_t capacity = 0;
   uint64_t interval_us = 1000;
   bool handler_installed = false;
 };
@@ -84,11 +85,10 @@ SamplingState& State() {
 }
 
 // Read by the signal handler; the mutex-ordered writes in Start/Stop are
-// published by the relaxed armed flag (handler tolerates a stale ring
-// view: it only writes into slots below `capacity`).
+// published by the relaxed armed flag. The ring is allocated once and
+// never moves, so the handler sees either null or the ring.
 std::atomic<bool> g_armed{false};
 std::atomic<Sample*> g_ring{nullptr};
-std::atomic<size_t> g_capacity{0};
 std::atomic<uint64_t> g_head{0};
 std::atomic<uint64_t> g_dropped{0};
 
@@ -99,8 +99,7 @@ std::atomic<uint64_t> g_dropped{0};
 void SigprofHandler(int, siginfo_t*, void* ucontext) {
   if (!g_armed.load(std::memory_order_relaxed)) return;
   Sample* ring = g_ring.load(std::memory_order_acquire);
-  const size_t capacity = g_capacity.load(std::memory_order_relaxed);
-  if (ring == nullptr || capacity == 0) return;
+  if (ring == nullptr) return;
 
   const auto* uc = static_cast<const ucontext_t*>(ucontext);
   uintptr_t pc = static_cast<uintptr_t>(uc->uc_mcontext.gregs[REG_RIP]);
@@ -129,7 +128,7 @@ void SigprofHandler(int, siginfo_t*, void* ucontext) {
   }
 
   const uint64_t idx = g_head.fetch_add(1, std::memory_order_relaxed);
-  if (idx >= capacity) {
+  if (idx >= kRingCapacity) {
     g_dropped.fetch_add(1, std::memory_order_relaxed);
     return;
   }
@@ -195,22 +194,17 @@ bool SamplingProfilerSupported() { return true; }
 bool SamplingActive() { return g_armed.load(std::memory_order_relaxed); }
 
 Status StartSampling(const SamplingOptions& options) {
-  if (options.interval_us == 0 || options.ring_capacity == 0) {
-    return Status::InvalidArgument("sampling interval/capacity must be > 0");
+  if (options.interval_us == 0) {
+    return Status::InvalidArgument("sampling interval must be > 0");
   }
   SamplingState& state = State();
   std::lock_guard<std::mutex> lock(state.mu);
   if (g_armed.load(std::memory_order_relaxed)) {
     return Status::FailedPrecondition("sampling already active");
   }
-  if (state.ring == nullptr || state.capacity < options.ring_capacity) {
-    delete[] state.ring;
-    state.ring = new Sample[options.ring_capacity];
-    state.capacity = options.ring_capacity;
-  }
+  if (state.ring == nullptr) state.ring = new Sample[kRingCapacity];
   state.interval_us = options.interval_us;
   g_ring.store(state.ring, std::memory_order_release);
-  g_capacity.store(state.capacity, std::memory_order_relaxed);
 
   if (!state.handler_installed) {
     struct sigaction sa;
@@ -255,9 +249,8 @@ void ClearSamples() {
 }
 
 uint64_t SampleCount() {
-  const uint64_t head = g_head.load(std::memory_order_relaxed);
-  const size_t capacity = g_capacity.load(std::memory_order_relaxed);
-  return head < capacity ? head : capacity;
+  return std::min<uint64_t>(g_head.load(std::memory_order_relaxed),
+                            kRingCapacity);
 }
 
 uint64_t SampleDroppedCount() {
@@ -268,9 +261,7 @@ std::map<std::string, uint64_t> FoldedStacks() {
   std::map<std::string, uint64_t> folded;
   SamplingState& state = State();
   std::lock_guard<std::mutex> lock(state.mu);
-  const uint64_t count =
-      std::min<uint64_t>(g_head.load(std::memory_order_relaxed),
-                         state.capacity);
+  const uint64_t count = SampleCount();
   std::map<uintptr_t, std::string> symbols;
   for (uint64_t s = 0; s < count; ++s) {
     const Sample& sample = state.ring[s];

@@ -41,8 +41,6 @@ struct SamplingOptions {
   /// 1 ms of work keeps the armed SpMM overhead well under the 5% budget
   /// asserted by bench_micro_kernels).
   uint64_t interval_us = 1000;
-  /// Ring capacity in samples; the handler drops (and counts) past this.
-  size_t ring_capacity = 1 << 16;
 };
 
 /// False when the subsystem is stubbed out (sanitizer builds, non-Linux).

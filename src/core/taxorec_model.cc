@@ -39,13 +39,12 @@ constexpr double kEuclidMaxNorm = 1.5;
 TaxoRecModel::TaxoRecModel(const ModelConfig& config, TaxoRecOptions options)
     : config_(config), options_(std::move(options)) {
   // The tag channel's width comes out of dim; check before subtracting.
-  TAXOREC_CHECK(!options_.use_tags || config_.dim > config_.tag_dim);
-  const size_t di =
-      options_.use_tags ? config_.dim - config_.tag_dim : config_.dim;
-  const size_t dt = options_.use_tags ? config_.tag_dim : 0;
+  TAXOREC_CHECK(config_.dim > config_.tag_dim);
+  const size_t di = config_.dim - config_.tag_dim;
+  const size_t dt = config_.tag_dim;
   TAXOREC_CHECK(di >= 2);
   di_cols_ = options_.hyperbolic ? di + 1 : di;
-  dt_cols_ = options_.use_tags ? (options_.hyperbolic ? dt + 1 : dt) : 0;
+  dt_cols_ = options_.hyperbolic ? dt + 1 : dt;
 }
 
 void TaxoRecModel::ComputeAlpha(const DataSplit& split) {
@@ -183,22 +182,15 @@ void TaxoRecModel::RebuildTaxonomy(int epoch) {
 
 void TaxoRecModel::Propagate() {
   // Local aggregation: item tag-relevant leaves from the tag table.
-  if (options_.use_tags) {
-    if (options_.hyperbolic) {
-      tag_agg_->Forward(tags_, &tag_ctx_, &items_tg_leaf_);
-    } else {
-      items_tg_leaf_ = RowMeans(item_tags_, tags_);
-    }
+  if (options_.hyperbolic) {
+    tag_agg_->Forward(tags_, &tag_ctx_, &items_tg_leaf_);
+  } else {
+    items_tg_leaf_ = RowMeans(item_tags_, tags_);
   }
   // Global aggregation on both channels.
   auto run_channel = [&](const Matrix& users_leaf, const Matrix& items_leaf,
                          ChannelWorkspace* ws, Matrix* sum_u, Matrix* sum_v,
                          Matrix* out_u, Matrix* out_v) {
-    if (!options_.use_gcn) {
-      *out_u = users_leaf;
-      *out_v = items_leaf;
-      return;
-    }
     if (options_.hyperbolic) {
       nn::LogMapOriginForward(users_leaf, &ws->tan_u);
       nn::LogMapOriginForward(items_leaf, &ws->tan_v);
@@ -213,10 +205,8 @@ void TaxoRecModel::Propagate() {
   };
   run_channel(users_ir_, items_ir_, &ws_.ir, &sum_u_ir_, &sum_v_ir_,
               &out_u_ir_, &out_v_ir_);
-  if (options_.use_tags) {
-    run_channel(users_tg_, items_tg_leaf_, &ws_.tg, &sum_u_tg_, &sum_v_tg_,
-                &out_u_tg_, &out_v_tg_);
-  }
+  run_channel(users_tg_, items_tg_leaf_, &ws_.tg, &sum_u_tg_, &sum_v_tg_,
+              &out_u_tg_, &out_v_tg_);
 }
 
 double TaxoRecModel::Similarity(uint32_t user, uint32_t item) const {
@@ -224,13 +214,11 @@ double TaxoRecModel::Similarity(uint32_t user, uint32_t item) const {
   double g = hyp ? lorentz::SqDistance(out_u_ir_.row(user),
                                        out_v_ir_.row(item))
                  : vec::SqDist(out_u_ir_.row(user), out_v_ir_.row(item));
-  if (options_.use_tags) {
-    const double a = alpha_[user];
-    if (a > 0.0) {
-      g += a * (hyp ? lorentz::SqDistance(out_u_tg_.row(user),
-                                          out_v_tg_.row(item))
-                    : vec::SqDist(out_u_tg_.row(user), out_v_tg_.row(item)));
-    }
+  const double a = alpha_[user];
+  if (a > 0.0) {
+    g += a * (hyp ? lorentz::SqDistance(out_u_tg_.row(user),
+                                        out_v_tg_.row(item))
+                  : vec::SqDist(out_u_tg_.row(user), out_v_tg_.row(item)));
   }
   return g;
 }
@@ -251,18 +239,17 @@ double TaxoRecModel::TrainStep(const TripletSampler& sampler, int epoch,
     }
   };
 
-  // Phase 1 — per-sample fan-out. Each sample's triplet draw and hard
-  // negative mining consume a counter-based stream derived from
-  // (seed, epoch, sample_index), and its gradients land in sample-owned
-  // rows of a scratch buffer, so this phase reads the (frozen) propagated
-  // embeddings and writes disjoint memory: the batch is a pure function of
-  // the seed, not of the thread count.
+  // Phase 1 — per-sample fan-out. Each sample's triplet draw consumes a
+  // counter-based stream derived from (seed, epoch, sample_index), and its
+  // gradients land in sample-owned rows of a scratch buffer, so this phase
+  // reads the (frozen) propagated embeddings and writes disjoint memory:
+  // the batch is a pure function of the seed, not of the thread count.
   std::vector<SampleRec>& recs = ws_.recs;
   recs.assign(batch, SampleRec{});
   Matrix& gbuf_ir = ws_.gbuf_ir;
   Matrix& gbuf_tg = ws_.gbuf_tg;
   gbuf_ir.EnsureShape(batch * 3, di_cols_);
-  if (options_.use_tags) gbuf_tg.EnsureShape(batch * 3, dt_cols_);
+  gbuf_tg.EnsureShape(batch * 3, dt_cols_);
   // Zeroes sample j's three gradient rows before they accumulate.
   auto zero_rows = [](Matrix* gbuf, size_t j) {
     for (size_t r = 3 * j; r < 3 * j + 3; ++r) vec::Zero(gbuf->row(r));
@@ -273,25 +260,10 @@ double TaxoRecModel::TrainStep(const TripletSampler& sampler, int epoch,
       const uint64_t sample_index = batch_index * batch + j;
       Rng stream = Rng::Derive(config_.seed, static_cast<uint64_t>(epoch),
                                sample_index);
-      Triplet t = sampler.Sample(&stream);
-      const double a = options_.use_tags ? alpha_[t.user] : 0.0;
+      const Triplet t = sampler.Sample(&stream);
+      const double a = alpha_[t.user];
       const double g_pos = Similarity(t.user, t.pos);
-      double g_neg = Similarity(t.user, t.neg);
-      // Hard negative mining: of num_negatives uniform candidates, keep the
-      // most-violating (closest) one. Uniform negatives quickly stop being
-      // informative for margin losses.
-      for (int c = 1; c < config_.num_negatives; ++c) {
-        uint32_t cand = static_cast<uint32_t>(stream.Uniform(num_items_));
-        for (int tries = 0; tries < 16 && train_.Contains(t.user, cand);
-             ++tries) {
-          cand = static_cast<uint32_t>(stream.Uniform(num_items_));
-        }
-        const double g_cand = Similarity(t.user, cand);
-        if (g_cand < g_neg) {
-          g_neg = g_cand;
-          t.neg = cand;
-        }
-      }
+      const double g_neg = Similarity(t.user, t.neg);
       double dpos, dneg;
       const double hinge =
           nn::HingeTriplet(config_.margin, g_pos, g_neg, &dpos, &dneg);
@@ -302,7 +274,7 @@ double TaxoRecModel::TrainStep(const TripletSampler& sampler, int epoch,
                    gbuf_ir.row(3 * j), gbuf_ir.row(3 * j + 1));
       sq_dist_grad(out_u_ir_.row(t.user), out_v_ir_.row(t.neg), dneg * scale,
                    gbuf_ir.row(3 * j), gbuf_ir.row(3 * j + 2));
-      if (options_.use_tags && a > 0.0) {
+      if (a > 0.0) {
         zero_rows(&gbuf_tg, j);
         sq_dist_grad(out_u_tg_.row(t.user), out_v_tg_.row(t.pos),
                      a * dpos * scale, gbuf_tg.row(3 * j),
@@ -325,12 +297,8 @@ double TaxoRecModel::TrainStep(const TripletSampler& sampler, int epoch,
   };
   Matrix& up_u_ir = zeroed(&ws_.ir.grad_u, num_users_, di_cols_);
   Matrix& up_v_ir = zeroed(&ws_.ir.grad_v, num_items_, di_cols_);
-  Matrix& up_u_tg = ws_.tg.grad_u;
-  Matrix& up_v_tg = ws_.tg.grad_v;
-  if (options_.use_tags) {
-    zeroed(&up_u_tg, num_users_, dt_cols_);
-    zeroed(&up_v_tg, num_items_, dt_cols_);
-  }
+  Matrix& up_u_tg = zeroed(&ws_.tg.grad_u, num_users_, dt_cols_);
+  Matrix& up_v_tg = zeroed(&ws_.tg.grad_v, num_items_, dt_cols_);
   double batch_loss = 0.0;
   for (size_t j = 0; j < batch; ++j) {
     const SampleRec& rec = recs[j];
@@ -339,7 +307,7 @@ double TaxoRecModel::TrainStep(const TripletSampler& sampler, int epoch,
     vec::Axpy(1.0, gbuf_ir.row(3 * j), up_u_ir.row(rec.user));
     vec::Axpy(1.0, gbuf_ir.row(3 * j + 1), up_v_ir.row(rec.pos));
     vec::Axpy(1.0, gbuf_ir.row(3 * j + 2), up_v_ir.row(rec.neg));
-    if (options_.use_tags && rec.a > 0.0) {
+    if (rec.a > 0.0) {
       vec::Axpy(1.0, gbuf_tg.row(3 * j), up_u_tg.row(rec.user));
       vec::Axpy(1.0, gbuf_tg.row(3 * j + 1), up_v_tg.row(rec.pos));
       vec::Axpy(1.0, gbuf_tg.row(3 * j + 2), up_v_tg.row(rec.neg));
@@ -359,7 +327,6 @@ double TaxoRecModel::TrainStep(const TripletSampler& sampler, int epoch,
   auto channel_backward = [&](const Matrix& users_leaf,
                               const Matrix& items_leaf, const Matrix& sum_u,
                               const Matrix& sum_v, ChannelWorkspace* ws) {
-    if (!options_.use_gcn) return;  // the leaves are the final embeddings
     if (hyp) {
       nn::ExpMapOriginBackward(
           sum_u, ws->grad_u, &zeroed(&ws->gsum_u, sum_u.rows(), sum_u.cols()));
@@ -396,46 +363,41 @@ double TaxoRecModel::TrainStep(const TripletSampler& sampler, int epoch,
   }
 
   // --- tag channel ---
-  if (options_.use_tags) {
-    const double tag_lr = config_.lr * std::max(1.0, config_.tag_lr_mult);
-    channel_backward(users_tg_, items_tg_leaf_, sum_u_tg_, sum_v_tg_,
-                     &ws_.tg);
-    const Matrix& leaf_gu_tg = ws_.tg.grad_u;
-    const Matrix& leaf_gv_tg = ws_.tg.grad_v;
-    Matrix& grad_tags = zeroed(&ws_.grad_tags, num_tags_, tags_.cols());
-    if (hyp) {
-      optim::LorentzRsgdUpdate(&users_tg_, leaf_gu_tg, tag_lr,
-                               config_.grad_clip);
-      // Local aggregation backward: item tag-leaf grads → Poincaré tags.
-      tag_agg_->Backward(tags_, tag_ctx_, leaf_gv_tg, &grad_tags);
-    } else {
-      optim::SgdUpdate(&users_tg_, leaf_gu_tg, tag_lr);
-      optim::ProjectRowsToBall(&users_tg_, kEuclidMaxNorm);
-      // Euclidean mean backward.
-      for (size_t v = 0; v < num_items_; ++v) {
-        const auto tags = item_tags_.RowCols(v);
-        if (tags.empty()) continue;
-        const double w = 1.0 / static_cast<double>(tags.size());
-        for (uint32_t tg : tags) {
-          vec::Axpy(w, leaf_gv_tg.row(v), grad_tags.row(tg));
-        }
+  const double tag_lr = config_.lr * std::max(1.0, config_.tag_lr_mult);
+  channel_backward(users_tg_, items_tg_leaf_, sum_u_tg_, sum_v_tg_, &ws_.tg);
+  const Matrix& leaf_gu_tg = ws_.tg.grad_u;
+  const Matrix& leaf_gv_tg = ws_.tg.grad_v;
+  Matrix& grad_tags = zeroed(&ws_.grad_tags, num_tags_, tags_.cols());
+  if (hyp) {
+    optim::LorentzRsgdUpdate(&users_tg_, leaf_gu_tg, tag_lr, config_.grad_clip);
+    // Local aggregation backward: item tag-leaf grads → Poincaré tags.
+    tag_agg_->Backward(tags_, tag_ctx_, leaf_gv_tg, &grad_tags);
+  } else {
+    optim::SgdUpdate(&users_tg_, leaf_gu_tg, tag_lr);
+    optim::ProjectRowsToBall(&users_tg_, kEuclidMaxNorm);
+    // Euclidean mean backward.
+    for (size_t v = 0; v < num_items_; ++v) {
+      const auto tags = item_tags_.RowCols(v);
+      if (tags.empty()) continue;
+      const double w = 1.0 / static_cast<double>(tags.size());
+      for (uint32_t tg : tags) {
+        vec::Axpy(w, leaf_gv_tg.row(v), grad_tags.row(tg));
       }
     }
-    // Taxonomy-aware regularization (Eq. 8), hyperbolic mode only. The
-    // per-call scale normalizes by the tag count so λ is comparable across
-    // datasets.
-    if (hyp && options_.lambda > 0.0 && taxonomy_ != nullptr) {
-      TaxonomyRegLossAndGrad(*taxonomy_, tags_,
-                             options_.lambda / static_cast<double>(num_tags_),
-                             &grad_tags, options_.reg);
-    }
-    if (hyp) {
-      optim::PoincareRsgdUpdate(&tags_, grad_tags, tag_lr,
-                                config_.grad_clip);
-    } else {
-      optim::SgdUpdate(&tags_, grad_tags, tag_lr);
-      optim::ProjectRowsToBall(&tags_, kEuclidMaxNorm);
-    }
+  }
+  // Taxonomy-aware regularization (Eq. 8), hyperbolic mode only. The
+  // per-call scale normalizes by the tag count so λ is comparable across
+  // datasets.
+  if (hyp && options_.lambda > 0.0 && taxonomy_ != nullptr) {
+    TaxonomyRegLossAndGrad(*taxonomy_, tags_,
+                           options_.lambda / static_cast<double>(num_tags_),
+                           &grad_tags, options_.reg);
+  }
+  if (hyp) {
+    optim::PoincareRsgdUpdate(&tags_, grad_tags, tag_lr, config_.grad_clip);
+  } else {
+    optim::SgdUpdate(&tags_, grad_tags, tag_lr);
+    optim::ProjectRowsToBall(&tags_, kEuclidMaxNorm);
   }
   return batch_loss;
 }
@@ -456,15 +418,10 @@ void TaxoRecModel::InitFromSplit(const DataSplit& split, Rng* rng,
   const bool hyp = options_.hyperbolic;
   users_ir_ = Matrix(num_users_, di_cols_);
   items_ir_ = Matrix(num_items_, di_cols_);
-  if (options_.use_tags) {
-    users_tg_ = Matrix(num_users_, dt_cols_);
-    const size_t dt = hyp ? dt_cols_ - 1 : dt_cols_;
-    tags_ = Matrix(num_tags_, dt);
-    if (hyp) tag_agg_ = std::make_unique<nn::TagAggregation>(&item_tags_);
-  }
-  if (options_.use_gcn) {
-    gcn_ = std::make_unique<nn::BipartiteGcn>(split.train, config_.gcn_layers);
-  }
+  users_tg_ = Matrix(num_users_, dt_cols_);
+  tags_ = Matrix(num_tags_, config_.tag_dim);
+  if (hyp) tag_agg_ = std::make_unique<nn::TagAggregation>(&item_tags_);
+  gcn_ = std::make_unique<nn::BipartiteGcn>(split.train, config_.gcn_layers);
   if (!init_params) return;
   TAXOREC_CHECK(rng != nullptr);
   if (hyp) {
@@ -474,28 +431,23 @@ void TaxoRecModel::InitFromSplit(const DataSplit& split, Rng* rng,
     for (size_t v = 0; v < num_items_; ++v) {
       lorentz::RandomPoint(rng, 0.1, items_ir_.row(v));
     }
+    for (size_t u = 0; u < num_users_; ++u) {
+      lorentz::RandomPoint(rng, 0.1, users_tg_.row(u));
+    }
+    for (size_t t = 0; t < num_tags_; ++t) {
+      poincare::RandomPoint(rng, 0.5, tags_.row(t));
+    }
   } else {
     users_ir_.FillGaussian(rng, 0.1);
     items_ir_.FillGaussian(rng, 0.1);
-  }
-  if (options_.use_tags) {
-    if (hyp) {
-      for (size_t u = 0; u < num_users_; ++u) {
-        lorentz::RandomPoint(rng, 0.1, users_tg_.row(u));
-      }
-      for (size_t t = 0; t < num_tags_; ++t) {
-        poincare::RandomPoint(rng, 0.5, tags_.row(t));
-      }
-    } else {
-      users_tg_.FillGaussian(rng, 0.1);
-      tags_.FillGaussian(rng, 0.1);
-    }
+    users_tg_.FillGaussian(rng, 0.1);
+    tags_.FillGaussian(rng, 0.1);
   }
 }
 
 void TaxoRecModel::BeginFit(const DataSplit& split, Rng* rng) {
   InitFromSplit(split, rng, /*init_params=*/true);
-  if (options_.use_tags && options_.hyperbolic) {
+  if (options_.hyperbolic) {
     WarmUpTags(rng);
     InitUserTagEmbeddings();
     RebuildTaxonomy(/*epoch=*/0);
@@ -509,7 +461,7 @@ double TaxoRecModel::FitEpoch(const DataSplit& split, int epoch, Rng* rng) {
   // at any --threads value, and a run resumed at epoch k replays exactly
   // the updates of the uninterrupted run.
   TraceSpan span("fit_epoch");
-  if (options_.use_tags && options_.hyperbolic && epoch > 0 &&
+  if (options_.hyperbolic && epoch > 0 &&
       epoch % std::max(1, config_.taxo_rebuild_every) == 0) {
     RebuildTaxonomy(epoch);
   }
@@ -525,9 +477,7 @@ double TaxoRecModel::FitEpoch(const DataSplit& split, int epoch, Rng* rng) {
 }
 
 void TaxoRecModel::EndFit(const DataSplit& split) {
-  if (options_.use_tags && options_.hyperbolic) {
-    RebuildTaxonomy(config_.epochs);
-  }
+  if (options_.hyperbolic) RebuildTaxonomy(config_.epochs);
   Propagate();
   ws_ = StepWorkspace();  // scoring and serving need none of it
 }
@@ -549,33 +499,19 @@ void TaxoRecModel::CheckHealth(HealthMonitor* monitor) const {
   if (options_.hyperbolic) {
     monitor->CheckLorentzRows("users_ir", users_ir_);
     monitor->CheckLorentzRows("items_ir", items_ir_);
-    if (options_.use_tags) {
-      monitor->CheckLorentzRows("users_tg", users_tg_);
-      monitor->CheckBallRows("tags", tags_);
-    }
+    monitor->CheckLorentzRows("users_tg", users_tg_);
+    monitor->CheckBallRows("tags", tags_);
   } else {
     monitor->CheckFinite("users_ir", users_ir_);
     monitor->CheckFinite("items_ir", items_ir_);
-    if (options_.use_tags) {
-      monitor->CheckFinite("users_tg", users_tg_);
-      monitor->CheckFinite("tags", tags_);
-    }
+    monitor->CheckFinite("users_tg", users_tg_);
+    monitor->CheckFinite("tags", tags_);
   }
 }
 
 void TaxoRecModel::ScoreItems(uint32_t user, std::span<double> out) const {
-  const bool hyp = options_.hyperbolic;
-  const auto u_ir = out_u_ir_.row(user);
-  const double a = options_.use_tags ? alpha_[user] : 0.0;
   for (size_t v = 0; v < num_items_; ++v) {
-    double g = hyp ? lorentz::SqDistance(u_ir, out_v_ir_.row(v))
-                   : vec::SqDist(u_ir, out_v_ir_.row(v));
-    if (options_.use_tags && a > 0.0) {
-      g += a * (hyp ? lorentz::SqDistance(out_u_tg_.row(user),
-                                          out_v_tg_.row(v))
-                    : vec::SqDist(out_u_tg_.row(user), out_v_tg_.row(v)));
-    }
-    out[v] = -g;
+    out[v] = -Similarity(user, static_cast<uint32_t>(v));
   }
 }
 
@@ -587,11 +523,9 @@ ScoringSnapshot TaxoRecModel::ExportScoringSnapshot() const {
                                     : ScoreKernel::kNegSqDist;
   snap.users = out_u_ir_;
   snap.items = out_v_ir_;
-  if (options_.use_tags) {
-    snap.users_tg = out_u_tg_;
-    snap.items_tg = out_v_tg_;
-    snap.alpha = alpha_;
-  }
+  snap.users_tg = out_u_tg_;
+  snap.items_tg = out_v_tg_;
+  snap.alpha = alpha_;
   return snap;
 }
 
@@ -599,10 +533,8 @@ Checkpoint TaxoRecModel::SaveCheckpoint() const {
   Checkpoint ckpt;
   ckpt.Put("users_ir", users_ir_);
   ckpt.Put("items_ir", items_ir_);
-  if (options_.use_tags) {
-    ckpt.Put("users_tg", users_tg_);
-    ckpt.Put("tags", tags_);
-  }
+  ckpt.Put("users_tg", users_tg_);
+  ckpt.Put("tags", tags_);
   return ckpt;
 }
 
@@ -624,17 +556,14 @@ Status TaxoRecModel::RestoreCheckpoint(const Checkpoint& ckpt,
   };
   TAXOREC_RETURN_NOT_OK(load("users_ir", &users_ir_));
   TAXOREC_RETURN_NOT_OK(load("items_ir", &items_ir_));
-  if (options_.use_tags) {
-    TAXOREC_RETURN_NOT_OK(load("users_tg", &users_tg_));
-    TAXOREC_RETURN_NOT_OK(load("tags", &tags_));
-    if (options_.hyperbolic) RebuildTaxonomy(/*epoch=*/-1);
-  }
+  TAXOREC_RETURN_NOT_OK(load("users_tg", &users_tg_));
+  TAXOREC_RETURN_NOT_OK(load("tags", &tags_));
+  if (options_.hyperbolic) RebuildTaxonomy(/*epoch=*/-1);
   Propagate();
   return Status::OK();
 }
 
 std::vector<double> TaxoRecModel::UserTagDistances(uint32_t user) const {
-  TAXOREC_CHECK(options_.use_tags);
   std::vector<double> dist(num_tags_, 0.0);
   const auto u = out_u_tg_.row(user);
   if (options_.hyperbolic) {

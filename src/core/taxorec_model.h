@@ -14,10 +14,11 @@
 //     Riemannian SGD (§IV-E); the taxonomy is rebuilt from the current tag
 //     embeddings every few epochs (Algorithm 1).
 //
-// The switches in TaxoRecOptions realize the paper's ablations (Table III):
-//   hyperbolic=false              →  "CML + Agg" (Euclidean variant)
-//   use_tags=false, use_gcn=false →  "Hyper + CML" (= HyperML)
-//   lambda=0                      →  "Hyper + CML + Agg"
+// TaxoRecOptions realizes two of the paper's ablations (Table III):
+//   hyperbolic=false  →  "CML + Agg" (Euclidean variant)
+//   lambda=0          →  "Hyper + CML + Agg"
+// "Hyper + CML" (no tag channel, no GCN) is HyperML (baselines/hyperml.h),
+// which MakeAblationVariant returns for it.
 #ifndef TAXOREC_CORE_TAXOREC_MODEL_H_
 #define TAXOREC_CORE_TAXOREC_MODEL_H_
 
@@ -40,8 +41,6 @@ namespace taxorec {
 
 struct TaxoRecOptions {
   bool hyperbolic = true;
-  bool use_tags = true;
-  bool use_gcn = true;
   /// Taxonomy regularization weight λ (0 disables; only meaningful in
   /// hyperbolic mode, where the tag table lives in the Poincaré ball).
   double lambda = 0.1;
@@ -63,7 +62,7 @@ class TaxoRecModel : public Recommender {
   void Fit(const DataSplit& split, Rng* rng) override;
   void ScoreItems(uint32_t user, std::span<double> out) const override;
   /// Native serving export: a distance kernel, hyperbolic or Euclidean per
-  /// the options, carrying the tag channel and alpha when use_tags.
+  /// the options, carrying the tag channel and alpha.
   ScoringSnapshot ExportScoringSnapshot() const override;
 
   // Native epoch-granular protocol (see recommender.h): Fit() is exactly
@@ -84,8 +83,7 @@ class TaxoRecModel : public Recommender {
     return RestoreCheckpoint(ckpt, split);
   }
 
-  /// Latest constructed taxonomy (null before Fit or when use_tags=false
-  /// or in Euclidean mode).
+  /// Latest constructed taxonomy (null before Fit or in Euclidean mode).
   const Taxonomy* taxonomy() const { return taxonomy_.get(); }
 
   /// Poincaré tag embeddings (hyperbolic mode).
@@ -95,11 +93,11 @@ class TaxoRecModel : public Recommender {
   double alpha(uint32_t user) const { return alpha_[user]; }
 
   /// Distances from the user's tag-channel representation to every tag
-  /// (hyperbolic mode; used by the Table V case study). Requires use_tags.
+  /// (used by the Table V case study).
   std::vector<double> UserTagDistances(uint32_t user) const;
 
   /// Exports the trained leaf parameters as a named-matrix checkpoint
-  /// ("users_ir", "items_ir", and with tags "users_tg", "tags").
+  /// ("users_ir", "items_ir", "users_tg", "tags").
   Checkpoint SaveCheckpoint() const;
 
   /// Restores a model from a checkpoint + the dataset split it was trained
@@ -129,8 +127,8 @@ class TaxoRecModel : public Recommender {
   /// Runs the full forward pass from the current leaves.
   void Propagate();
   /// One minibatch step; returns the summed hinge loss of the batch.
-  /// Sampling, hard-negative mining and per-sample gradient evaluation fan
-  /// out over the batch with counter-based RNG streams
+  /// Sampling and per-sample gradient evaluation fan out over the batch
+  /// with counter-based RNG streams
   /// (Rng::Derive(seed, epoch, sample_index)); gradients are then
   /// accumulated in sample order and the optimizers stepped — so the update
   /// is bit-identical at any thread count.

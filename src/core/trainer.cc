@@ -17,6 +17,9 @@
 namespace taxorec {
 namespace {
 
+// Learning-rate multiplier applied on every rollback.
+constexpr double kLrBackoff = 0.5;
+
 bool FileExists(const std::string& path) {
   return std::ifstream(path).good();
 }
@@ -236,8 +239,8 @@ StatusOr<TrainLoopResult> RunTrainLoop(Recommender* model,
             FirstDefectClause(monitor.report()));
       }
       TAXOREC_RETURN_NOT_OK(model->RestoreState(snapshot, split));
-      model->ScaleLearningRate(opts.lr_backoff);
-      lr_scale *= opts.lr_backoff;
+      model->ScaleLearningRate(kLrBackoff);
+      lr_scale *= kLrBackoff;
       ++rollbacks;
       rollbacks_counter->Increment();
       TAXOREC_LOG(WARN) << "divergence rollback" << Kv("epoch", epoch)

@@ -54,8 +54,6 @@ struct TrainLoopOptions {
   /// Divergence budget: after this many rollbacks the loop returns an
   /// error Status instead of retrying (never aborts the process).
   int max_divergence_retries = 3;
-  /// Learning-rate multiplier applied on every rollback.
-  double lr_backoff = 0.5;
   HealthOptions health;
   std::function<void(const TrainLoopEvent&)> callback;
   /// Optional JSONL sink; the loop emits epoch/health/rollback/checkpoint/
@@ -74,8 +72,8 @@ struct TrainLoopResult {
   int rollbacks = 0;
   int checkpoints_written = 0;
   double final_loss = 0.0;
-  /// Cumulative learning-rate scale (lr_backoff ^ rollbacks, carried
-  /// across resumes).
+  /// Cumulative learning-rate scale (0.5 ^ rollbacks, carried across
+  /// resumes).
   double lr_scale = 1.0;
 };
 
@@ -85,9 +83,9 @@ struct TrainLoopResult {
 /// (2) scans parameters and the epoch loss with a HealthMonitor after each
 /// epoch, (3) snapshots the trainable state after every healthy epoch (in
 /// memory; to `checkpoint_path` every `save_every` epochs), and (4) on
-/// divergence rolls back to the last healthy snapshot, multiplies the
-/// learning rate by `lr_backoff`, and retries — up to
-/// `max_divergence_retries` times, after which it returns an error Status.
+/// divergence rolls back to the last healthy snapshot, halves the learning
+/// rate, and retries — up to `max_divergence_retries` times, after which it
+/// returns an error Status.
 ///
 /// Determinism contract: a run that never trips the monitor performs
 /// exactly the model's Fit() operations (snapshots are const scans), so it

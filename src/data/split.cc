@@ -6,11 +6,18 @@
 #include "common/check.h"
 
 namespace taxorec {
+namespace {
 
-DataSplit TemporalSplit(const Dataset& data, const SplitOptions& opts) {
+// Per-user fractions of the time-ordered history; the rest is the test set.
+constexpr double kTrainFrac = 0.6;
+constexpr double kValFrac = 0.2;
+static_assert(kTrainFrac > 0.0 && kValFrac >= 0.0 &&
+              kTrainFrac + kValFrac < 1.0 + 1e-12);
+
+}  // namespace
+
+DataSplit TemporalSplit(const Dataset& data) {
   TAXOREC_CHECK(data.Valid());
-  TAXOREC_CHECK(opts.train_frac > 0.0 && opts.val_frac >= 0.0 &&
-                opts.train_frac + opts.val_frac < 1.0 + 1e-12);
 
   DataSplit split;
   split.num_users = data.num_users;
@@ -43,8 +50,8 @@ DataSplit TemporalSplit(const Dataset& data, const SplitOptions& opts) {
       n_val = 0;
     } else {
       n_train = std::max<size_t>(
-          1, static_cast<size_t>(opts.train_frac * static_cast<double>(n)));
-      n_val = static_cast<size_t>(opts.val_frac * static_cast<double>(n));
+          1, static_cast<size_t>(kTrainFrac * static_cast<double>(n)));
+      n_val = static_cast<size_t>(kValFrac * static_cast<double>(n));
       if (n_train + n_val >= n) {
         // Keep at least one test item for users with enough history.
         if (n_train + n_val == n) {

@@ -6,17 +6,11 @@
 
 namespace taxorec {
 
-struct SplitOptions {
-  double train_frac = 0.6;
-  double val_frac = 0.2;
-  // Remainder is the test fraction.
-};
-
-/// Splits each user's interactions by timestamp: the earliest train_frac go
-/// to training, the next val_frac to validation, the rest to test. Users
-/// with fewer than 3 interactions put everything in training. Duplicated
+/// Splits each user's interactions by timestamp: the earliest 60% go to
+/// training, the next 20% to validation, the rest to test. Users with
+/// fewer than 3 interactions put everything in training. Duplicated
 /// (user, item) pairs are collapsed (first occurrence wins).
-DataSplit TemporalSplit(const Dataset& data, const SplitOptions& opts = {});
+DataSplit TemporalSplit(const Dataset& data);
 
 }  // namespace taxorec
 

@@ -11,6 +11,9 @@
 namespace taxorec {
 namespace {
 
+// Users draw 1..kMaxInterests interest subtrees.
+constexpr uint64_t kMaxInterests = 3;
+
 // Builds the planted tag tree; fills parent (-1 for depth-1 roots), depth
 // (1-based), and path-encoded names.
 void BuildTree(const SyntheticConfig& cfg, Rng* rng,
@@ -122,9 +125,7 @@ Dataset GenerateSynthetic(const SyntheticConfig& cfg) {
   int64_t clock = 0;
   std::vector<double> all_item_weights = popularity;
   for (size_t u = 0; u < cfg.num_users; ++u) {
-    const int num_interests =
-        1 + static_cast<int>(rng.Uniform(static_cast<uint64_t>(
-                std::max(1, cfg.max_interests))));
+    const int num_interests = 1 + static_cast<int>(rng.Uniform(kMaxInterests));
     std::vector<uint32_t> interests;
     for (int i = 0; i < num_interests; ++i) {
       interests.push_back(interest_pool[rng.Uniform(interest_pool.size())]);

@@ -9,8 +9,8 @@
 //      as in Fig. 1's Hand Roll = {Asian food, Japanese food, Sushi}),
 //      plus occasional noise tags.
 //   3. Power-law item popularity.
-//   4. Users with interests concentrated on 1..max_interests taxonomy
-//      subtrees; a per-user tag-affinity mixes subtree-driven picks with
+//   4. Users with interests concentrated on 1..3 taxonomy subtrees; a
+//      per-user tag-affinity mixes subtree-driven picks with
 //      popularity-driven picks (this realizes the heterogeneity that the
 //      personalized weight alpha_u of Eq. 16 models).
 //   5. Sequential per-user timestamps so the 60/20/20 temporal split is
@@ -47,8 +47,6 @@ struct SyntheticConfig {
   /// Item popularity follows rank^(-popularity_alpha).
   double popularity_alpha = 0.8;
 
-  /// Users draw 1..max_interests interest subtrees.
-  int max_interests = 3;
   /// Mean interactions per user (min enforced at 6 for splittable users).
   double mean_interactions_per_user = 25.0;
   /// Beta-like spread of the per-user tag affinity in [0,1]. Higher mean

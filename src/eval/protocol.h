@@ -15,7 +15,6 @@ namespace taxorec {
 
 struct ProtocolOptions {
   int num_seeds = 3;
-  uint64_t base_seed = 1000;
   EvalOptions eval;
 };
 

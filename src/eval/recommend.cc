@@ -24,10 +24,8 @@ std::vector<TopKEntry> RecommendTopK(const Recommender& model,
   for (double& x : scores) {
     if (!std::isfinite(x)) x = -std::numeric_limits<double>::infinity();
   }
-  if (opts.exclude_train) {
-    for (uint32_t v : split.train.RowCols(user)) {
-      scores[v] = -std::numeric_limits<double>::infinity();
-    }
+  for (uint32_t v : split.train.RowCols(user)) {
+    scores[v] = -std::numeric_limits<double>::infinity();
   }
   std::vector<uint32_t> order(split.num_items);
   std::iota(order.begin(), order.end(), 0u);
@@ -53,9 +51,7 @@ std::vector<std::vector<uint32_t>> RecommendAllUsers(
   // score-everything-then-partial_sort loop per user. Results land in
   // per-user slots, so the lists are bit-identical at any --threads value
   // — and identical to calling RecommendTopK per user.
-  ServeOptions serve_opts;
-  serve_opts.exclude_train = opts.exclude_train;
-  BatchServer server(model, split, serve_opts);
+  BatchServer server(model, split);
   std::vector<ServeRequest> requests(split.num_users);
   for (uint32_t u = 0; u < split.num_users; ++u) {
     requests[u] = ServeRequest{u, opts.k};

@@ -13,13 +13,12 @@ namespace taxorec {
 
 struct RecommendOptions {
   size_t k = 10;
-  /// Remove items the user already interacted with in training.
-  bool exclude_train = true;
 };
 
 /// Returns the top-k items for `user`, best first, deterministic under
-/// score ties (lower item id wins). Non-finite model scores (NaN, ±Inf)
-/// rank last, like excluded items.
+/// score ties (lower item id wins). Items the user interacted with in
+/// training are excluded (scored -Inf). Non-finite model scores (NaN,
+/// ±Inf) rank last, like excluded items.
 ///
 /// This is the ranking oracle: it scores the whole catalogue through the
 /// live model's ScoreItems and partial_sorts it, independently of the

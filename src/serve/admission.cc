@@ -8,6 +8,14 @@
 #include "common/metrics.h"
 
 namespace taxorec {
+namespace {
+
+// The ladder steps back up only once the offered-load EWMA has fallen
+// below this fraction of the load measured at the last step down (see the
+// oscillation note in admission.h).
+constexpr double kStepUpLoadFraction = 0.75;
+
+}  // namespace
 
 const char* ServeStatusName(ServeStatus status) {
   switch (status) {
@@ -32,8 +40,6 @@ AdmissionController::AdmissionController(AdmissionOptions options)
   TAXOREC_CHECK(options_.pressure_step_up <= options_.pressure_step_down);
   TAXOREC_CHECK(options_.hysteresis_batches > 0);
   TAXOREC_CHECK(options_.pressure_window > 0);
-  TAXOREC_CHECK(options_.step_up_load_fraction > 0.0 &&
-                options_.step_up_load_fraction <= 1.0);
   window_.resize(options_.pressure_window, 0.0);
 }
 
@@ -160,8 +166,7 @@ void AdmissionController::ObserveBatch(double batch_seconds,
   // ladder recover rather than pinning it down forever.
   const bool load_receded =
       rate_at_step_down_ <= 0.0 ||
-      offered_rate_ewma_ <
-          options_.step_up_load_fraction * rate_at_step_down_;
+      offered_rate_ewma_ < kStepUpLoadFraction * rate_at_step_down_;
   if (high_run_ >= options_.hysteresis_batches && steps < 2) {
     ++steps;
     rate_at_step_down_ = offered_rate_ewma_;

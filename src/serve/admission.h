@@ -30,8 +30,8 @@
 //         next decision is made from fresh measurements at the new tier
 //         (stale slow-tier samples would otherwise overshoot the ladder);
 //       * stepping back up additionally requires the offered-load EWMA to
-//         fall below `step_up_load_fraction` of the load measured when the
-//         ladder last stepped down. Low pressure at a degraded tier only
+//         fall below 75% of the load measured when the ladder last
+//         stepped down. Low pressure at a degraded tier only
 //         proves the *degraded* tier keeps up — without the guard the
 //         ladder steps up, collapses, sheds, steps down again, forever.
 //
@@ -77,10 +77,6 @@ struct AdmissionOptions {
   int hysteresis_batches = 3;
   /// Sliding-window length (batches) for the recent-p95 estimate.
   size_t pressure_window = 32;
-  /// Step up only when the offered-load EWMA has fallen below this
-  /// fraction of the load measured at the last step down (see the
-  /// oscillation note above). 1.0 disables the guard.
-  double step_up_load_fraction = 0.75;
 };
 
 class AdmissionController {

@@ -21,6 +21,17 @@ namespace taxorec {
 namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+// Catalogues larger than this train the quantizer on a deterministic
+// stride-sample of this many items; every item is still assigned to its
+// nearest centroid afterwards.
+constexpr size_t kMaxTrainPoints = 65536;
+// Seed for the quantizer's k-means++ draw.
+constexpr uint64_t kQuantizerSeed = 1234;
+// Slack added to every cell score bound, covering the gap between the
+// double-precision bound arithmetic and the float32 kernel scores it must
+// dominate (DESIGN.md §15 derives why a small cushion suffices at serving
+// magnitudes).
+constexpr double kBoundSlack = 1e-3;
 
 /// Maps every item row into the Poincaré ball for the coarse quantizer:
 /// Lorentz rows through the direct hyperboloid->ball map, Euclidean rows
@@ -182,7 +193,6 @@ IvfIndex IvfIndex::Build(const ScoringSnapshot& snapshot, PrecisionTier tier,
 
   IvfIndex index;
   index.tier_ = tier;
-  index.bound_slack_ = opts.bound_slack;
 
   size_t c_count = opts.num_cells != 0
                        ? opts.num_cells
@@ -194,9 +204,8 @@ IvfIndex IvfIndex::Build(const ScoringSnapshot& snapshot, PrecisionTier tier,
   // catalogue, then a bulk nearest-centroid pass over every item.
   const Matrix ball = BallPoints(snapshot);
   std::vector<uint32_t> train;
-  const size_t step = n > opts.max_train_points
-                          ? (n + opts.max_train_points - 1) / opts.max_train_points
-                          : 1;
+  const size_t step =
+      n > kMaxTrainPoints ? (n + kMaxTrainPoints - 1) / kMaxTrainPoints : 1;
   for (size_t i = 0; i < n; i += step) {
     train.push_back(static_cast<uint32_t>(i));
   }
@@ -204,7 +213,7 @@ IvfIndex IvfIndex::Build(const ScoringSnapshot& snapshot, PrecisionTier tier,
     train.resize(n);
     std::iota(train.begin(), train.end(), 0u);
   }
-  Rng rng(opts.seed);
+  Rng rng(kQuantizerSeed);
   KMeansOptions kopts;
   kopts.max_iters = opts.kmeans_iters;
   const KMeansResult kmeans = PoincareKMeans(ball, train,
@@ -322,7 +331,7 @@ void IvfIndex::ComputeBounds(uint32_t user, IvfScratch* scratch) const {
     }
     // Absolute-plus-relative slack dominating the double-vs-float32
     // arithmetic gap at any score magnitude.
-    scratch->bounds[c] = bound + bound_slack_ * (1.0 + std::abs(bound));
+    scratch->bounds[c] = bound + kBoundSlack * (1.0 + std::abs(bound));
   }
 }
 

@@ -63,17 +63,6 @@ struct IvfOptions {
   size_t nprobe = 8;
   /// K-means iterations for the coarse quantizer.
   int kmeans_iters = 10;
-  /// Catalogues larger than this train the quantizer on a deterministic
-  /// stride-sample of this many items; every item is still assigned to its
-  /// nearest centroid afterwards.
-  size_t max_train_points = 65536;
-  /// Seed for the quantizer's k-means++ draw.
-  uint64_t seed = 1234;
-  /// Absolute slack added to every cell score bound, covering the gap
-  /// between the double-precision bound arithmetic and the float32 kernel
-  /// scores it must dominate (DESIGN.md §15 derives why a small absolute
-  /// cushion suffices at serving magnitudes).
-  double bound_slack = 1e-3;
 };
 
 /// Per-query probe accounting (flows into taxorec.serve.ivf.* counters).
@@ -142,7 +131,6 @@ class IvfIndex {
   void ComputeBounds(uint32_t user, IvfScratch* scratch) const;
 
   PrecisionTier tier_ = PrecisionTier::kFloat32;
-  double bound_slack_ = 1e-3;
   CompactSnapshot compact_;
   /// slot -> original item id; ascending within each cell.
   std::vector<uint32_t> perm_;

@@ -28,10 +28,9 @@ ResultCache::ResultCache(size_t capacity) : capacity_(capacity) {
   TAXOREC_CHECK(capacity_ > 0);
 }
 
-bool ResultCache::Get(uint32_t user, size_t k, uint64_t version,
-                      std::vector<TopKEntry>* out) {
+bool ResultCache::Get(uint32_t user, size_t k, std::vector<TopKEntry>* out) {
   std::lock_guard<std::mutex> lock(mu_);
-  const Key key{user, k, version, generation_};
+  const Key key{user, k, generation_};
   auto it = index_.find(key);
   if (it == index_.end()) {
     ++misses_;
@@ -45,10 +44,10 @@ bool ResultCache::Get(uint32_t user, size_t k, uint64_t version,
   return true;
 }
 
-void ResultCache::Put(uint32_t user, size_t k, uint64_t version,
+void ResultCache::Put(uint32_t user, size_t k,
                       const std::vector<TopKEntry>& list) {
   std::lock_guard<std::mutex> lock(mu_);
-  const Key key{user, k, version, generation_};
+  const Key key{user, k, generation_};
   auto it = index_.find(key);
   if (it != index_.end()) {
     it->second->second = list;

@@ -1,21 +1,15 @@
-// LRU cache of served top-K lists, keyed by (user, k, exclusion version).
+// LRU cache of served top-K lists, keyed by (user, k).
 //
-// The exclusion version is owned by the server (serve/server.h): whenever
-// the exclusion sets change — e.g. the training matrix is swapped after a
-// retrain — the server bumps its version, and every cached entry keyed to
-// an older version simply stops matching (stale entries are evicted lazily
-// by LRU pressure rather than scanned out eagerly). The cache stores final
-// ranked lists, so a hit is a lock, a hash probe, and one copy; correctness
-// never depends on it — a hit returns exactly what recomputation would.
+// The cache stores final ranked lists, so a hit is a lock, a hash probe,
+// and one copy; correctness never depends on it — a hit returns exactly
+// what recomputation would.
 //
-// Invalidation is also available explicitly: Invalidate() bumps an internal
-// generation that is part of every key, so all current entries stop
-// matching at once without the caller owning a version — the lever drain
-// (BatchServer::Drain) and hot snapshot swap pull. Invalidated entries are
-// evicted lazily like version-stale ones: they keep their LRU positions
-// and fall out under insertion pressure oldest-first, which keeps
-// Invalidate O(1) and the LRU state a pure function of the request stream.
-// Clear() remains the eager variant.
+// Invalidate() bumps an internal generation that is part of every key, so
+// all current entries stop matching at once — the lever drain
+// (BatchServer::Drain) pulls. Invalidated entries are evicted lazily: they
+// keep their LRU positions and fall out under insertion pressure
+// oldest-first, which keeps Invalidate O(1) and the LRU state a pure
+// function of the request stream.
 //
 // Thread-safe: one mutex around the map + recency list. The serving fan-out
 // only touches the cache once per request (miss) or once total (hit), far
@@ -47,15 +41,13 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// Copies the cached list for (user, k, version) into *out and refreshes
-  /// its recency; false on miss.
-  bool Get(uint32_t user, size_t k, uint64_t version,
-           std::vector<TopKEntry>* out);
+  /// Copies the cached list for (user, k) into *out and refreshes its
+  /// recency; false on miss.
+  bool Get(uint32_t user, size_t k, std::vector<TopKEntry>* out);
 
-  /// Inserts (or refreshes) the list for (user, k, version), evicting the
+  /// Inserts (or refreshes) the list for (user, k), evicting the
   /// least-recently-used entry when full.
-  void Put(uint32_t user, size_t k, uint64_t version,
-           const std::vector<TopKEntry>& list);
+  void Put(uint32_t user, size_t k, const std::vector<TopKEntry>& list);
 
   /// Deterministically invalidates every current entry by bumping the
   /// cache generation (O(1); stale entries are evicted lazily by LRU
@@ -74,17 +66,15 @@ class ResultCache {
   struct Key {
     uint32_t user;
     uint64_t k;
-    uint64_t version;
     uint64_t generation;
     bool operator==(const Key&) const = default;
   };
   struct KeyHash {
     size_t operator()(const Key& key) const {
-      // splitmix64-style mix of the four fields.
+      // splitmix64-style mix of the three fields.
       uint64_t h = key.user;
       h = (h ^ (key.k + 0x9E3779B97F4A7C15ULL)) * 0xBF58476D1CE4E5B9ULL;
-      h = (h ^ (h >> 31) ^ key.version) * 0x94D049BB133111EBULL;
-      h = (h ^ (h >> 29) ^ key.generation) * 0xBF58476D1CE4E5B9ULL;
+      h = (h ^ (h >> 31) ^ key.generation) * 0x94D049BB133111EBULL;
       return static_cast<size_t>(h ^ (h >> 32));
     }
   };

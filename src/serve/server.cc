@@ -221,11 +221,6 @@ BatchServer::BatchServer(FrozenModel model, const DataSplit& split,
   }
 }
 
-std::span<const uint32_t> BatchServer::ExclusionsFor(uint32_t user) const {
-  if (!options_.exclude_train) return {};
-  return split_->train.RowCols(user);
-}
-
 const FrozenModel* BatchServer::ModelForSteps(int steps) const {
   const int base = TierIndex(model_.tier());
   int eff = std::min(2, base + std::max(0, steps));
@@ -329,7 +324,6 @@ std::vector<ServeResult> BatchServer::ServeInternal(
   TraceSpan span("serve_batch");
   const auto start = std::chrono::steady_clock::now();
   ServeMetrics& metrics = ServeMetrics::Instance();
-  const uint64_t version = exclusion_version();
 
   // Request observability (serve/request_log.h). Disarmed, this is the
   // batch's single relaxed load: no clocks, no allocations, no ids.
@@ -397,8 +391,8 @@ std::vector<ServeResult> BatchServer::ServeInternal(
   size_t hits = 0;
   for (size_t i = 0; i < requests.size(); ++i) {
     if (results[i].status != ServeStatus::kOk) continue;
-    if (use_cache && cache_->Get(requests[i].user, requests[i].k, version,
-                                 &results[i].items)) {
+    if (use_cache &&
+        cache_->Get(requests[i].user, requests[i].k, &results[i].items)) {
       ++hits;
       if (obs) obs_hit[i] = 1;
     } else {
@@ -414,8 +408,9 @@ std::vector<ServeResult> BatchServer::ServeInternal(
   // requests that died while earlier sub-batches ran are shed without
   // touching a kernel — the mid-batch deadline stop.
   ThreadLocalAccumulator<WorkerScratch> scratch;
+  // Every list masks the user's training items.
   const auto exclude_of = [this](uint32_t user) {
-    return ExclusionsFor(user);
+    return split_->train.RowCols(user);
   };
   ParallelForWorker(
       0, misses.size(), options_.grain,
@@ -517,7 +512,7 @@ std::vector<ServeResult> BatchServer::ServeInternal(
   if (use_cache) {
     for (size_t i : misses) {
       if (IsShed(results[i].status)) continue;
-      cache_->Put(requests[i].user, requests[i].k, version, results[i].items);
+      cache_->Put(requests[i].user, requests[i].k, results[i].items);
     }
   }
 

@@ -92,8 +92,6 @@
 namespace taxorec {
 
 struct ServeOptions {
-  /// Mask items the user interacted with in training (seed semantics).
-  bool exclude_train = true;
   /// LRU result-cache capacity in lists; 0 disables caching.
   size_t cache_capacity = 0;
   /// Items per scoring block (native kernels).
@@ -117,8 +115,8 @@ struct ServeOptions {
   /// precision tier — otherwise the server logs a warning and serves
   /// exact.
   RetrievalMode retrieval = RetrievalMode::kExact;
-  /// IVF build/probe parameters (cells, nprobe, quantizer seed); consulted
-  /// only when retrieval == kIvf.
+  /// IVF build/probe parameters (cells, nprobe, k-means iterations);
+  /// consulted only when retrieval == kIvf.
   IvfOptions ivf;
 };
 
@@ -160,16 +158,6 @@ class BatchServer {
   std::vector<ServeResult> Drain();
   bool draining() const { return admission_->draining(); }
 
-  /// Bumps the exclusion-set version: call after the exclusion sets change
-  /// (e.g. the split's training matrix was rebuilt in place). Cached lists
-  /// keyed to older versions stop matching from the next request on.
-  void BumpExclusionVersion() {
-    exclusion_version_.fetch_add(1, std::memory_order_relaxed);
-  }
-  uint64_t exclusion_version() const {
-    return exclusion_version_.load(std::memory_order_relaxed);
-  }
-
   const FrozenModel& model() const { return model_; }
   const ServeOptions& options() const { return options_; }
   /// Null when caching is disabled.
@@ -183,7 +171,6 @@ class BatchServer {
   PrecisionTier effective_tier() const;
 
  private:
-  std::span<const uint32_t> ExclusionsFor(uint32_t user) const;
   /// The model serving `steps` rungs below the configured tier (clamped
   /// to the rungs that were actually built).
   const FrozenModel* ModelForSteps(int steps) const;
@@ -198,7 +185,6 @@ class BatchServer {
   /// (kFloat32 = 1, kInt8 = 2); null when unavailable (not built, virtual
   /// snapshot, or a failed compact build).
   std::unique_ptr<FrozenModel> degraded_[3];
-  std::atomic<uint64_t> exclusion_version_{0};
   std::atomic<bool> drained_logged_{false};
 };
 

@@ -4,9 +4,15 @@
 #include <deque>
 
 #include "common/check.h"
+#include "taxonomy/scoring.h"
 
 namespace taxorec {
 namespace {
+
+// Recursion depth cap of the top-down construction.
+constexpr int kMaxDepth = 4;
+// Safety cap on Algorithm 1's refinement loop.
+constexpr int kMaxRefineIters = 10;
 
 // Runs Algorithm 1 on the member tags of `node_id`: returns the K final
 // clusters (some possibly empty) with their scores.
@@ -21,7 +27,7 @@ SplitResult SplitNode(const std::vector<uint32_t>& members,
                       const TaxonomyBuildConfig& config, Rng* rng) {
   SplitResult out;
   std::vector<uint32_t> t_sub = members;  // line 1: T_sub <- T
-  for (int round = 0; round < config.max_refine_iters; ++round) {
+  for (int round = 0; round < kMaxRefineIters; ++round) {
     if (t_sub.size() < static_cast<size_t>(config.K)) break;
     // Line 3: Poincaré K-means over the current subset.
     const KMeansResult km =
@@ -41,7 +47,7 @@ SplitResult SplitNode(const std::vector<uint32_t>& members,
     // small scale (see DESIGN.md §4). The relative cut keeps the paper's
     // delta grid {0.25, 0.5, 0.75} meaningful at any dataset size.
     std::vector<std::vector<double>> stru;
-    auto scores = ScorePartition(score_ctx, clusters, config.scoring, &stru);
+    auto scores = ScorePartition(score_ctx, clusters, &stru);
     std::vector<std::vector<uint32_t>> kept(config.K);
     std::vector<std::vector<double>> kept_scores(config.K);
     for (int k = 0; k < config.K; ++k) {
@@ -92,7 +98,7 @@ Taxonomy BuildTaxonomy(const Matrix& tag_embeddings,
     // Copy: AddNode below may reallocate the node vector.
     const std::vector<uint32_t> members = taxo.node(id).member_tags;
     const int depth = taxo.node(id).depth;
-    if (depth >= config.max_depth) continue;
+    if (depth >= kMaxDepth) continue;
     if (members.size() < config.min_node_size ||
         members.size() < static_cast<size_t>(config.K)) {
       continue;

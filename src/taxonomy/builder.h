@@ -5,7 +5,7 @@
 // (Eq. 7) falls below delta are pushed back up ("general" tags stay at the
 // parent) and the remaining tags are re-clustered until the subset is
 // stable. Non-empty clusters become children and are split recursively
-// until max_depth or min_node_size is reached.
+// until depth 4 or min_node_size is reached.
 #ifndef TAXOREC_TAXONOMY_BUILDER_H_
 #define TAXOREC_TAXONOMY_BUILDER_H_
 
@@ -13,7 +13,6 @@
 #include "math/matrix.h"
 #include "math/rng.h"
 #include "taxonomy/poincare_kmeans.h"
-#include "taxonomy/scoring.h"
 #include "taxonomy/tree.h"
 
 namespace taxorec {
@@ -21,15 +20,12 @@ namespace taxorec {
 struct TaxonomyBuildConfig {
   int K = 3;             // clusters per split (paper grid: {2,3,4})
   double delta = 0.5;    // tag score threshold (paper grid: {.25,.5,.75})
-  int max_depth = 4;     // recursion depth cap
   size_t min_node_size = 4;  // do not split smaller nodes
-  int max_refine_iters = 10; // safety cap on Algorithm 1's loop
   uint64_t seed = 7;
   KMeansOptions kmeans;
   /// When false, skips the score-based push-up (plain recursive K-means) —
   /// the design ablation of DESIGN.md §4.
   bool adaptive = true;
-  ScoringOptions scoring;
 };
 
 /// Builds a taxonomy from the current Poincaré tag embeddings and the

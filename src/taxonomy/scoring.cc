@@ -9,6 +9,9 @@ namespace {
 
 // Caps rank values before exponentiation in the stru softmax.
 constexpr double kMaxRank = 50.0;
+// BM25 k1 and b of the rank (Eq. 6), the paper's empirical setting.
+constexpr double kBm25K1 = 1.2;
+constexpr double kBm25B = 0.5;
 
 struct ClusterStats {
   std::vector<uint8_t> item_in_ek;  // num_items flags
@@ -21,7 +24,6 @@ struct ClusterStats {
 std::vector<std::vector<double>> ScorePartition(
     const TagScoringContext& ctx,
     const std::vector<std::vector<uint32_t>>& partition,
-    const ScoringOptions& opts,
     std::vector<std::vector<double>>* stru_out) {
   TAXOREC_CHECK(ctx.item_tags != nullptr && ctx.tag_items != nullptr);
   const size_t K = partition.size();
@@ -81,8 +83,8 @@ std::vector<std::vector<double>> ScorePartition(
         std::log((s.tf_ek - tf + 0.5) / (tf + 0.5) + 1.0);
     const double avgdl = s.tf_ek / s.num_items_ek;
     const double denom =
-        tf + opts.k1 * (1.0 - opts.b + opts.b * s.tf_ek / avgdl);
-    double r = idf * tf * (opts.k1 + 1.0) / denom;
+        tf + kBm25K1 * (1.0 - kBm25B + kBm25B * s.tf_ek / avgdl);
+    double r = idf * tf * (kBm25K1 + 1.0) / denom;
     if (r > kMaxRank) r = kMaxRank;
     return r;
   };

@@ -23,11 +23,6 @@
 
 namespace taxorec {
 
-struct ScoringOptions {
-  double k1 = 1.2;  // BM25 k1 (paper's empirical setting)
-  double b = 0.5;   // BM25 b  (paper's empirical setting)
-};
-
 /// Precomputed views of the item-tag relation used by scoring.
 struct TagScoringContext {
   /// item × tag membership.
@@ -46,7 +41,6 @@ struct TagScoringContext {
 std::vector<std::vector<double>> ScorePartition(
     const TagScoringContext& ctx,
     const std::vector<std::vector<uint32_t>>& partition,
-    const ScoringOptions& opts = {},
     std::vector<std::vector<double>>* stru_out = nullptr);
 
 }  // namespace taxorec

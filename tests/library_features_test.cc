@@ -57,10 +57,6 @@ TEST(RecommendTest, TopKExcludesTrainAndIsSorted) {
   for (const auto& r : recs) {
     EXPECT_FALSE(fx.split.train.Contains(0, r.item));
   }
-  // Without exclusion, train items may appear.
-  const auto all = RecommendTopK(model, fx.split, 0,
-                                 {.k = 80, .exclude_train = false});
-  EXPECT_EQ(all.size(), 80u);
 }
 
 TEST(RecommendTest, AllUsersShapesAndCoverage) {

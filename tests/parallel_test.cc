@@ -326,7 +326,6 @@ TEST(ParallelKernelsTest, TaxoRecFitBitIdenticalAcrossThreadCounts) {
   cfg.epochs = 1;
   cfg.batches_per_epoch = 3;
   cfg.batch_size = 64;
-  cfg.num_negatives = 4;  // exercise the mined-negative stream
   cfg.tag_warmup_per_tag = 10;
   cfg.seed = 31;
 

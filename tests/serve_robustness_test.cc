@@ -385,34 +385,34 @@ TEST(ResultCacheTest, InvalidateDropsAllEntriesLazily) {
   ResultCache cache(2);
   const std::vector<TopKEntry> list_a = {{1, 0.9}, {2, 0.8}};
   const std::vector<TopKEntry> list_b = {{3, 0.7}};
-  cache.Put(10, 5, 0, list_a);
-  cache.Put(11, 5, 0, list_b);
+  cache.Put(10, 5, list_a);
+  cache.Put(11, 5, list_b);
   std::vector<TopKEntry> out;
-  ASSERT_TRUE(cache.Get(10, 5, 0, &out));
+  ASSERT_TRUE(cache.Get(10, 5, &out));
 
   cache.Invalidate();
   EXPECT_EQ(cache.generation(), 1u);
   // Every pre-invalidation key misses; the entries are still resident
   // (lazy eviction) but unreachable.
-  EXPECT_FALSE(cache.Get(10, 5, 0, &out));
-  EXPECT_FALSE(cache.Get(11, 5, 0, &out));
+  EXPECT_FALSE(cache.Get(10, 5, &out));
+  EXPECT_FALSE(cache.Get(11, 5, &out));
   EXPECT_EQ(cache.size(), 2u);
 
   // New insertions evict the stale entries LRU-first and are served from
   // the new generation.
-  cache.Put(10, 5, 0, list_b);
-  cache.Put(12, 5, 0, list_a);
+  cache.Put(10, 5, list_b);
+  cache.Put(12, 5, list_a);
   EXPECT_EQ(cache.size(), 2u);
-  ASSERT_TRUE(cache.Get(10, 5, 0, &out));
+  ASSERT_TRUE(cache.Get(10, 5, &out));
   EXPECT_EQ(out.size(), list_b.size());
-  ASSERT_TRUE(cache.Get(12, 5, 0, &out));
+  ASSERT_TRUE(cache.Get(12, 5, &out));
   EXPECT_EQ(out.size(), list_a.size());
 
   // A second invalidation hides the refilled entries too.
   cache.Invalidate();
   EXPECT_EQ(cache.generation(), 2u);
-  EXPECT_FALSE(cache.Get(10, 5, 0, &out));
-  EXPECT_FALSE(cache.Get(12, 5, 0, &out));
+  EXPECT_FALSE(cache.Get(10, 5, &out));
+  EXPECT_FALSE(cache.Get(12, 5, &out));
 }
 
 TEST(ResultCacheTest, ExportsProbeCounters) {

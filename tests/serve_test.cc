@@ -140,30 +140,17 @@ TEST(FrozenModelTest, TaxoRecTwoChannelLorentzRoundTrip) {
   ExpectFrozenMatchesLive(model, split, /*expect_native=*/true);
 }
 
-TEST(FrozenModelTest, TaxoRecEuclideanAndNoTagVariants) {
+TEST(FrozenModelTest, TaxoRecEuclideanVariant) {
   const DataSplit split = MakeSplit();
-  {
-    TaxoRecOptions opts;
-    opts.hyperbolic = false;
-    TaxoRecModel model(TinyConfig(), opts);
-    Rng rng(5);
-    model.Fit(split, &rng);
-    const FrozenModel frozen = FrozenModel::Freeze(model, split);
-    EXPECT_EQ(frozen.kernel(), ScoreKernel::kNegSqDist);
-    EXPECT_TRUE(frozen.snapshot().has_tag_channel());
-    ExpectFrozenMatchesLive(model, split, true);
-  }
-  {
-    TaxoRecOptions opts;
-    opts.use_tags = false;
-    TaxoRecModel model(TinyConfig(), opts);
-    Rng rng(5);
-    model.Fit(split, &rng);
-    const FrozenModel frozen = FrozenModel::Freeze(model, split);
-    EXPECT_EQ(frozen.kernel(), ScoreKernel::kNegLorentzSqDist);
-    EXPECT_FALSE(frozen.snapshot().has_tag_channel());
-    ExpectFrozenMatchesLive(model, split, true);
-  }
+  TaxoRecOptions opts;
+  opts.hyperbolic = false;
+  TaxoRecModel model(TinyConfig(), opts);
+  Rng rng(5);
+  model.Fit(split, &rng);
+  const FrozenModel frozen = FrozenModel::Freeze(model, split);
+  EXPECT_EQ(frozen.kernel(), ScoreKernel::kNegSqDist);
+  EXPECT_TRUE(frozen.snapshot().has_tag_channel());
+  ExpectFrozenMatchesLive(model, split, true);
 }
 
 TEST(FrozenModelTest, NativeBaselinesRoundTrip) {
@@ -278,27 +265,26 @@ TEST(TopKTest, BlockedTopKMatchesReferenceWithExclusions) {
   EXPECT_GT(ItemsPruned(), pruned_before);
 }
 
-TEST(ResultCacheTest, HitMissLruAndVersioning) {
+TEST(ResultCacheTest, HitMissAndLru) {
   ResultCache cache(2);
   const std::vector<TopKEntry> a = {{1, 0.5}}, b = {{2, 0.25}}, c = {{3, 0.1}};
   std::vector<TopKEntry> out;
-  EXPECT_FALSE(cache.Get(1, 10, 0, &out));
-  cache.Put(1, 10, 0, a);
-  ASSERT_TRUE(cache.Get(1, 10, 0, &out));
+  EXPECT_FALSE(cache.Get(1, 10, &out));
+  cache.Put(1, 10, a);
+  ASSERT_TRUE(cache.Get(1, 10, &out));
   EXPECT_EQ(out, a);
-  // Same user, different k or version → distinct entries.
-  EXPECT_FALSE(cache.Get(1, 5, 0, &out));
-  EXPECT_FALSE(cache.Get(1, 10, 1, &out));
+  // Same user, different k → distinct entries.
+  EXPECT_FALSE(cache.Get(1, 5, &out));
 
-  cache.Put(2, 10, 0, b);
-  ASSERT_TRUE(cache.Get(1, 10, 0, &out));  // Refreshes user 1 → user 2 is LRU.
-  cache.Put(3, 10, 0, c);                  // Evicts user 2.
-  EXPECT_FALSE(cache.Get(2, 10, 0, &out));
-  ASSERT_TRUE(cache.Get(3, 10, 0, &out));
+  cache.Put(2, 10, b);
+  ASSERT_TRUE(cache.Get(1, 10, &out));  // Refreshes user 1 → user 2 is LRU.
+  cache.Put(3, 10, c);                  // Evicts user 2.
+  EXPECT_FALSE(cache.Get(2, 10, &out));
+  ASSERT_TRUE(cache.Get(3, 10, &out));
   EXPECT_EQ(out, c);
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.hits(), 3u);
-  EXPECT_EQ(cache.misses(), 4u);
+  EXPECT_EQ(cache.misses(), 3u);
 }
 
 TEST(BatchServerTest, CachedAndUncachedListsMatchReference) {
@@ -330,13 +316,6 @@ TEST(BatchServerTest, CachedAndUncachedListsMatchReference) {
     ASSERT_EQ(first[i], ReferenceTopK(raw, requests[i].k,
                                       split.train.RowCols(requests[i].user)));
   }
-
-  // Bumping the exclusion version invalidates every cached list.
-  const uint64_t hits_before = server.cache()->hits();
-  server.BumpExclusionVersion();
-  const auto third = server.ServeBatch(requests);
-  ASSERT_EQ(first, third);
-  EXPECT_EQ(server.cache()->hits(), hits_before);
 }
 
 TEST(BatchServerTest, ListsAreThreadCountInvariant) {

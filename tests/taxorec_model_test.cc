@@ -223,19 +223,6 @@ TEST(TaxoRecModelTest, EuclideanModeTrains) {
   EXPECT_EQ(model.taxonomy(), nullptr);  // No taxonomy in Euclidean mode.
 }
 
-TEST(TaxoRecModelTest, NoGcnNoTagsModeTrains) {
-  const DataSplit split = SmallSplit();
-  TaxoRecOptions opts;
-  opts.use_tags = false;
-  opts.use_gcn = false;
-  TaxoRecModel model(TinyConfig(), opts);
-  Rng rng(7);
-  model.Fit(split, &rng);
-  std::vector<double> scores(split.num_items);
-  model.ScoreItems(1, std::span<double>(scores));
-  for (double s : scores) EXPECT_TRUE(std::isfinite(s));
-}
-
 TEST(TrainerTest, AblationVariantsResolve) {
   const ModelConfig cfg = TinyConfig();
   // "Hyper+CML" resolves to the HyperML baseline, as in the paper's

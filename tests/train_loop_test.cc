@@ -116,7 +116,7 @@ TEST(HealthMonitorTest, FlagsNonFiniteValues) {
 TEST(HealthMonitorTest, FlagsBallEscapeButNotProjectedRows) {
   Matrix m(2, 2);
   m.at(0, 0) = 1.0 - 1e-5;  // exactly on the projection radius: fine
-  m.at(1, 0) = 0.9999999;   // past 1 - ball_eps: escaped
+  m.at(1, 0) = 0.9999999;   // past 1 - kBallEps: escaped
   HealthMonitor mon;
   mon.CheckBallRows("tags", m);
   EXPECT_FALSE(mon.healthy());

@@ -17,6 +17,7 @@
 #include <fstream>
 #include <numeric>
 #include <string>
+#include <utility>
 
 #include "common/checkpoint.h"
 #include "common/fault_injection.h"
@@ -55,7 +56,13 @@ StatusOr<Dataset> LoadData(const FlagSet& flags) {
   return LoadDataset(path);
 }
 
-ModelConfig ConfigFromFlags(const FlagSet& flags) {
+/// The model flags as a config; rejects sizes that would wrap or abort
+/// (`splits_dim`: the model carves the tag channel out of --dim).
+StatusOr<ModelConfig> ConfigFromFlags(const FlagSet& flags, bool splits_dim) {
+  TAXOREC_RETURN_NOT_OK(CheckModelSizeFlags(flags, splits_dim));
+  if (flags.GetInt("layers") < 1) {
+    return Status::InvalidArgument("--layers must be >= 1");
+  }
   ModelConfig cfg;
   cfg.dim = static_cast<size_t>(flags.GetInt("dim"));
   cfg.tag_dim = static_cast<size_t>(flags.GetInt("tag-dim"));
@@ -100,6 +107,15 @@ int CmdGenerate(int argc, const char* const* argv) {
   flags.DefineInt("tags", 60, "tags (custom profile)");
   flags.DefineInt("seed", 42, "generator seed");
   if (Status s = flags.Parse(argc, argv, 2); !s.ok()) return Fail(s);
+  // The generator plants num_roots root subtrees, each with its own tag.
+  const std::pair<std::string, int64_t> min_sizes[] = {
+      {"users", 1}, {"items", 1}, {"tags", SyntheticConfig().num_roots}};
+  for (const auto& [size, min] : min_sizes) {
+    if (flags.GetInt(size) < min) {
+      return Fail(Status::InvalidArgument("--" + size + " must be >= " +
+                                          std::to_string(min)));
+    }
+  }
 
   Dataset data;
   if (!flags.GetString("profile").empty()) {
@@ -181,6 +197,11 @@ int CmdTrain(int argc, const char* const* argv) {
                      "here (flamegraph.pl input; render a table with "
                      "`telemetry_report --flame`)");
   if (Status s = flags.Parse(argc, argv, 2); !s.ok()) return Fail(s);
+  const std::string name = flags.GetString("model");
+  const auto cfg_or =
+      ConfigFromFlags(flags, /*splits_dim=*/name == "TaxoRec" || name == "AMF");
+  if (!cfg_or.ok()) return Fail(cfg_or.status());
+  const ModelConfig& cfg = *cfg_or;
   if (Status s = ApplyThreadsFlag(flags); !s.ok()) return Fail(s);
   if (Status s = ApplyLoggingFlags(flags); !s.ok()) return Fail(s);
   const std::string fault_spec = flags.GetString("inject-fault");
@@ -194,9 +215,7 @@ int CmdTrain(int argc, const char* const* argv) {
   auto data = LoadData(flags);
   if (!data.ok()) return Fail(data.status());
   const DataSplit split = TemporalSplit(*data);
-  const ModelConfig cfg = ConfigFromFlags(flags);
 
-  const std::string name = flags.GetString("model");
   auto model = MakeModel(name, cfg);
   if (model == nullptr) {
     return Fail(Status::InvalidArgument("unknown model: " + name));
@@ -369,10 +388,12 @@ int CmdRecommend(int argc, const char* const* argv) {
   if (flags.GetInt("k") < 1) {
     return Fail(Status::InvalidArgument("--k must be >= 1"));
   }
+  const auto cfg = ConfigFromFlags(flags, /*splits_dim=*/true);
+  if (!cfg.ok()) return Fail(cfg.status());
   if (Status s = ApplyThreadsFlag(flags); !s.ok()) return Fail(s);
   if (Status s = ApplyLoggingFlags(flags); !s.ok()) return Fail(s);
 
-  TaxoRecModel model(ConfigFromFlags(flags), TaxoRecOptions{});
+  TaxoRecModel model(*cfg, TaxoRecOptions{});
   DataSplit split;
   auto data = RestoreTaxoRec(flags, &model, &split);
   if (!data.ok()) return Fail(data.status());
@@ -404,10 +425,12 @@ int CmdTaxonomy(int argc, const char* const* argv) {
   flags.DefineString("dot", "", "write Graphviz DOT here");
   flags.DefineString("json", "", "write JSON here");
   if (Status s = flags.Parse(argc, argv, 2); !s.ok()) return Fail(s);
+  const auto cfg = ConfigFromFlags(flags, /*splits_dim=*/true);
+  if (!cfg.ok()) return Fail(cfg.status());
   if (Status s = ApplyThreadsFlag(flags); !s.ok()) return Fail(s);
   if (Status s = ApplyLoggingFlags(flags); !s.ok()) return Fail(s);
 
-  TaxoRecModel model(ConfigFromFlags(flags), TaxoRecOptions{});
+  TaxoRecModel model(*cfg, TaxoRecOptions{});
   DataSplit split;
   auto data = RestoreTaxoRec(flags, &model, &split);
   if (!data.ok()) return Fail(data.status());

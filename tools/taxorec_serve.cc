@@ -318,22 +318,13 @@ int Main(int argc, const char* const* argv) {
   if (flags.GetInt("max-queue") < 0) {
     return Fail(Status::InvalidArgument("--max-queue must be >= 0"));
   }
-  if (flags.GetInt("epochs") < 0) {
-    return Fail(Status::InvalidArgument("--epochs must be >= 0"));
-  }
-  if (flags.GetInt("tag-dim") < 0) {
-    return Fail(Status::InvalidArgument("--tag-dim must be >= 0"));
-  }
-  if (flags.GetInt("dim") < 1) {
-    return Fail(Status::InvalidArgument("--dim must be >= 1"));
-  }
   // TaxoRec (trained or restored) and AMF carve the tag channel out of
   // --dim; the other models ignore --tag-dim.
   const bool splits_dim = !flags.GetString("checkpoint").empty() ||
                           flags.GetString("model") == "TaxoRec" ||
                           flags.GetString("model") == "AMF";
-  if (splits_dim && flags.GetInt("dim") <= flags.GetInt("tag-dim")) {
-    return Fail(Status::InvalidArgument("--dim must be > --tag-dim"));
+  if (Status s = CheckModelSizeFlags(flags, splits_dim); !s.ok()) {
+    return Fail(s);
   }
   if (Status s = ApplyThreadsFlag(flags); !s.ok()) return Fail(s);
   if (Status s = ApplyLogLevelFlag(flags); !s.ok()) return Fail(s);
