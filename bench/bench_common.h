@@ -18,7 +18,6 @@
 #include "common/log.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
-#include "common/perf_counters.h"
 #include "common/profiler.h"
 #include "common/sampling_profiler.h"
 #include "common/trace.h"
@@ -221,8 +220,7 @@ inline bool HasArg(int argc, const char* const* argv,
 /// --metrics-out (metrics snapshot path; written by ~BenchRun). Returns the
 /// trace path ("" = tracing stays off). Span aggregation (profiling) is
 /// armed unconditionally — every BENCH_<name>.json embeds the call-path
-/// profile of its own run, with hardware counters when a PMU exists;
-/// --profile-out additionally writes it as JSONL.
+/// profile of its own run; --profile-out additionally writes it as JSONL.
 inline std::string InitObservability(int argc, const char* const* argv) {
   const std::string level = ArgValue(argc, argv, "log-level");
   if (!level.empty()) {
@@ -237,8 +235,8 @@ inline std::string InitObservability(int argc, const char* const* argv) {
 }
 
 /// Times a bench binary and records {threads, wall_seconds, peak RSS,
-/// getrusage counters, per-site hardware counters (PMU machines only),
-/// the call-path profile, the metrics-registry snapshot} to
+/// getrusage counters, the call-path profile, the metrics-registry
+/// snapshot} to
 /// BENCH_<name>.json on destruction; also honors
 /// --trace-out/--profile-out/--metrics-out/--flame-out/--log-level.
 /// Declare one at the top of main():
@@ -300,20 +298,14 @@ class BenchRun {
     const std::string path = "BENCH_" + name_ + ".json";
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) return;
-    // The perf section exists only when counters were actually read — a
-    // PMU-less machine omits the key entirely (no zero-filled stub), so
-    // the file is byte-identical run to run there.
-    const std::string perf_json = PerfCountersJsonObject();
-    const std::string perf_section =
-        perf_json.empty() ? "" : " \"perf\": " + perf_json + ",\n";
     std::fprintf(f,
                  "{\"bench\": \"%s\", \"threads\": %d, "
                  "\"hardware_concurrency\": %d, \"wall_seconds\": %.3f, "
                  "\"peak_rss_bytes\": %llu,\n"
-                 " \"rusage\": %s,\n%s \"profile\": %s,\n \"metrics\": %s}\n",
+                 " \"rusage\": %s,\n \"profile\": %s,\n \"metrics\": %s}\n",
                  name_.c_str(), threads_, HardwareThreads(), secs,
                  static_cast<unsigned long long>(PeakRssBytes()),
-                 RusageJsonObject(SelfRusage()).c_str(), perf_section.c_str(),
+                 RusageJsonObject(SelfRusage()).c_str(),
                  ProfileJsonArray().c_str(), metrics_json.c_str());
     std::fclose(f);
     std::printf("[bench] %s: threads=%d wall=%.2fs -> %s\n", name_.c_str(),

@@ -268,12 +268,6 @@ void RunThreadScalingReport(int threads,
                           .count();
   std::FILE* f = std::fopen("BENCH_micro.json", "w");
   if (f == nullptr) return;
-  // Per-site hardware counters (the spmm/eval spans above fold into them
-  // when a PMU exists); the key is omitted entirely on PMU-less machines
-  // so the json stays byte-stable there.
-  const std::string perf_json = PerfCountersJsonObject();
-  const std::string perf_section =
-      perf_json.empty() ? "" : " \"perf\": " + perf_json + ",\n";
   std::fprintf(
       f,
       "{\"bench\": \"micro\", \"threads\": %d, \"hardware_concurrency\": %d,\n"
@@ -283,22 +277,22 @@ void RunThreadScalingReport(int threads,
       " \"eval\": {\"t1_seconds\": %.6f, \"tN_seconds\": %.6f, "
       "\"speedup\": %.3f},\n"
       " \"wall_seconds\": %.3f, \"peak_rss_bytes\": %llu,\n"
-      " \"rusage\": %s,\n%s \"profile\": %s,\n \"metrics\": %s}\n",
+      " \"rusage\": %s,\n \"profile\": %s,\n \"metrics\": %s}\n",
       threads, HardwareThreads(), quick ? "true" : "false",
       simd::ActiveBackend(), spmm_t1, spmm_tn,
       spmm_t1 / spmm_tn, eval_t1, eval_tn, eval_t1 / eval_tn, wall,
       static_cast<unsigned long long>(PeakRssBytes()),
       taxorec::RusageJsonObject(taxorec::SelfRusage()).c_str(),
-      perf_section.c_str(), taxorec::ProfileJsonArray().c_str(),
+      taxorec::ProfileJsonArray().c_str(),
       MetricsRegistry::Instance().SnapshotJson().c_str());
   std::fclose(f);
   std::printf("[bench] micro: threads=%d -> BENCH_micro.json\n", threads);
 }
 
 /// Asserts the observability budget from common/trace.h: armed tracing and
-/// armed profiling (with its hardware counters when a PMU exists) may each
-/// slow the SpMM hot path by at most 3% (plus a small absolute slack for
-/// timer noise on sub-millisecond kernels) over a fully disarmed run.
+/// armed profiling may each slow the SpMM hot path by at most 3% (plus a
+/// small absolute slack for timer noise on sub-millisecond kernels) over a
+/// fully disarmed run.
 /// Best-of-N timings with retries keep scheduler hiccups from failing the
 /// checks spuriously. Every consumer is disarmed on return.
 void RunInstrumentationOverheadChecks() {
@@ -342,14 +336,8 @@ void RunInstrumentationOverheadChecks() {
   };
   check_armed("trace", kRelBudget, &StartTracing, &StopTracing,
               &ClearTraceBuffers);
-  // With a PMU the profile arm also reads the counter group (two syscalls
-  // per span, same shape as the clock reads) inside the same 3% budget.
   check_armed("profile", kRelBudget, &StartProfiling, &StopProfiling,
               &ClearProfile);
-  if (!PerfCountersSupported()) {
-    std::printf("  spmm profile overhead measured without counters: no "
-                "usable PMU\n");
-  }
   // The sampling profiler is asynchronous (1 kHz SIGPROF per thread), so
   // its budget is the ISSUE's 5% rather than the synchronous consumers'
   // 3%. Disarmed cost is one relaxed load, covered by the trace check's

@@ -628,11 +628,9 @@ OverloadTimeline RunOverloadTimeline(const Recommender& model,
 /// results[] share index order with kTierNames.
 constexpr const char* kTierNames[] = {"double", "float32", "int8"};
 
-/// Span names of the tier sweeps — their counters are flattened by
-/// bench_compare as perf.serve.<tier>.* (e.g. perf.serve.f32.llc_miss_rate
-/// gates).
-constexpr const char* kTierPerfSites[] = {"serve.double", "serve.f32",
-                                          "serve.int8"};
+/// Span names of the tier sweeps (one call-path profile site per tier).
+constexpr const char* kTierSpans[] = {"serve.double", "serve.f32",
+                                      "serve.int8"};
 
 std::vector<TierReport> RunTierBench(size_t num_items, int reps,
                                      bool assert_speedup) {
@@ -662,10 +660,7 @@ std::vector<TierReport> RunTierBench(size_t num_items, int reps,
     TierReport r;
     double secs;
     {
-      // Hardware counters per tier: the sweep is the serving hot loop, so
-      // its IPC / LLC miss rate is the per-precision memory-bandwidth
-      // story DESIGN.md §14 gates on.
-      TraceSpan span(kTierPerfSites[reports.size()]);
+      TraceSpan span(kTierSpans[reports.size()]);
       secs = ScoreSweepSeconds(model, users, reps);
     }
     r.items_per_second =
@@ -835,11 +830,6 @@ int Main(int argc, const char* const* argv) {
   StopProfiling();
   std::FILE* f = std::fopen("BENCH_serve.json", "w");
   if (f == nullptr) return 1;
-  // Omitted entirely (not zero-filled) on PMU-less machines so the json
-  // stays byte-stable there.
-  const std::string perf_json = PerfCountersJsonObject();
-  const std::string perf_section =
-      perf_json.empty() ? "" : " \"perf\": " + perf_json + ",\n";
   std::fprintf(
       f,
       "{\"bench\": \"serve\", \"threads\": %d, \"hardware_concurrency\": %d,\n"
@@ -875,7 +865,7 @@ int Main(int argc, const char* const* argv) {
       "\"windowed_p99_ms\": %.4f, \"max_window_shed_rate\": %.4f, "
       "\"recovered\": %s, \"stats_path\": \"%s\"}},\n"
       " \"wall_seconds\": %.3f, \"peak_rss_bytes\": %llu,\n"
-      " \"rusage\": %s,\n%s \"profile\": %s,\n \"metrics\": %s}\n",
+      " \"rusage\": %s,\n \"profile\": %s,\n \"metrics\": %s}\n",
       threads, HardwareThreads(), quick ? "true" : "false",
       static_cast<size_t>(split.num_users),
       static_cast<size_t>(split.num_items), kTopK, dot_t.seed_seconds,
@@ -900,8 +890,7 @@ int Main(int argc, const char* const* argv) {
       timeline.max_window_shed_rate, timeline.recovered ? "true" : "false",
       kTimelineStats, wall,
       static_cast<unsigned long long>(PeakRssBytes()),
-      RusageJsonObject(SelfRusage()).c_str(), perf_section.c_str(),
-      ProfileJsonArray().c_str(),
+      RusageJsonObject(SelfRusage()).c_str(), ProfileJsonArray().c_str(),
       MetricsRegistry::Instance().SnapshotJson().c_str());
   std::fclose(f);
   std::printf("[bench] serve: threads=%d wall=%.2fs -> BENCH_serve.json\n",

@@ -64,7 +64,14 @@ Status CompareBenchJson(std::string_view baseline_json,
   for (const auto& [key, base_text] : base) {
     const auto it = cur.find(key);
     if (it == cur.end()) {
-      result->only_base.push_back(key);
+      // A key the gate names but the bench stopped writing compares
+      // nothing, so it fails; other drift only reports.
+      if (!options.gate_keys.empty() && IsGated(key, options)) {
+        result->missing_gate_keys.push_back(key);
+        result->regression = true;
+      } else {
+        result->only_base.push_back(key);
+      }
       continue;
     }
     double base_value = 0.0, cur_value = 0.0;
@@ -145,6 +152,9 @@ std::string FormatBenchComparison(const BenchCompareResult& result) {
                   : d.skipped ? "  SKIPPED (baseline <= 0)"
                               : "");
     out += buf;
+  }
+  for (const std::string& key : result.missing_gate_keys) {
+    out += "MISSING (gated, in baseline, absent from current): " + key + "\n";
   }
   for (const std::string& key : result.absent_gate_keys) {
     out += "SKIPPED (absent from both files): " + key + "\n";

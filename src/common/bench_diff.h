@@ -23,16 +23,18 @@ namespace taxorec {
 /// ("spmm.t1_seconds"); when empty, every key whose final segment ends in
 /// "_seconds" gates (the wall-time convention of BENCH_<name>.json).
 ///
+/// A `gate_keys` entry the baseline has but the candidate lacks fails the
+/// comparison (MISSING): a gate that compares nothing must not pass. Keys
+/// gated by the "_seconds" rule only report such drift.
+///
 /// A gated key present in the candidate but absent from the baseline
 /// cannot regress numerically, so by default it only reports as a
-/// `new-key` line — new counter keys (perf.<site>.*) would otherwise
-/// silently pass forever on a stale baseline. `require_baseline_keys`
-/// turns those into failures, forcing a baseline refresh.
+/// `new-key` line; `require_baseline_keys` turns those into failures,
+/// forcing a baseline refresh.
 ///
 /// Two more cases gate nothing and are reported as SKIPPED, never as a
 /// pass: a gated key whose baseline is <= 0 (no relative tolerance can
-/// trip), and a `gate_keys` entry found in neither document (e.g. perf.*
-/// counter keys on a machine without a PMU).
+/// trip), and a `gate_keys` entry found in neither document.
 struct BenchCompareOptions {
   double tolerance = 0.2;  // regression when cur > base * (1 + tolerance)
   std::vector<std::string> gate_keys;
@@ -53,9 +55,11 @@ struct BenchDelta {
 /// Full comparison outcome. `regression` is the tool's exit-code signal.
 struct BenchCompareResult {
   std::vector<BenchDelta> deltas;        // sorted by key
-  std::vector<std::string> only_base;    // keys missing from current
+  std::vector<std::string> only_base;    // other keys missing from current
   std::vector<std::string> only_current; // keys missing from baseline
   std::vector<std::string> new_gated_keys;  // gated subset of only_current
+  /// Gate keys in the baseline but not in current (MISSING; each fails).
+  std::vector<std::string> missing_gate_keys;
   /// Gate keys found in neither document (SKIPPED).
   std::vector<std::string> absent_gate_keys;
   bool regression = false;
@@ -79,8 +83,8 @@ Status CompareBenchFiles(const std::string& baseline_path,
                          BenchCompareResult* result);
 
 /// Human-readable per-key delta table ("KEY base -> current (+x.x%) [GATE]"
-/// rows, REGRESSION and SKIPPED markers, missing-key sections, and a count
-/// of the skipped gates).
+/// rows, REGRESSION, MISSING and SKIPPED markers, missing-key sections, and
+/// a count of the skipped gates).
 std::string FormatBenchComparison(const BenchCompareResult& result);
 
 }  // namespace taxorec

@@ -153,7 +153,7 @@ Status ApplyThreadsFlag(const FlagSet& flags) {
   return Status::OK();
 }
 
-Status CheckModelSizeFlags(const FlagSet& flags, bool splits_dim) {
+Status CheckModelSizeFlags(const FlagSet& flags, size_t min_item_dim) {
   if (flags.GetInt("epochs") < 0) {
     return Status::InvalidArgument("--epochs must be >= 0");
   }
@@ -163,8 +163,14 @@ Status CheckModelSizeFlags(const FlagSet& flags, bool splits_dim) {
   if (flags.GetInt("dim") < 1) {
     return Status::InvalidArgument("--dim must be >= 1");
   }
-  if (splits_dim && flags.GetInt("dim") <= flags.GetInt("tag-dim")) {
+  if (min_item_dim == 0) return Status::OK();
+  const int64_t item_dim = flags.GetInt("dim") - flags.GetInt("tag-dim");
+  if (item_dim < 1) {
     return Status::InvalidArgument("--dim must be > --tag-dim");
+  }
+  if (static_cast<size_t>(item_dim) < min_item_dim) {
+    return Status::InvalidArgument("--dim - --tag-dim must be >= " +
+                                   std::to_string(min_item_dim));
   }
   return Status::OK();
 }

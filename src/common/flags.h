@@ -65,9 +65,11 @@ Status ApplyThreadsFlag(const FlagSet& flags);
 /// Validates the model-size flags taxorec_cli and taxorec_serve share
 /// (values that would wrap when cast to size_t, or abort in a model
 /// constructor): --epochs >= 0, --tag-dim >= 0, --dim >= 1 and, when
-/// `splits_dim` (the model carves the tag channel out of --dim, as TaxoRec
-/// and AMF do), --dim > --tag-dim. Returns InvalidArgument naming the flag.
-Status CheckModelSizeFlags(const FlagSet& flags, bool splits_dim);
+/// `min_item_dim` > 0 (the model carves the tag channel out of --dim, as
+/// TaxoRec and AMF do), --dim > --tag-dim and
+/// --dim − --tag-dim >= `min_item_dim`. Returns InvalidArgument naming the
+/// flag.
+Status CheckModelSizeFlags(const FlagSet& flags, size_t min_item_dim);
 
 /// Declares the shared --log-level flag (debug|info|warn|error|off; empty =
 /// keep the TAXOREC_LOG_LEVEL / default threshold).

@@ -17,7 +17,6 @@ void ZeroStats(internal::SiteNode* node) {
   node->incl_us = 0;
   node->min_us = std::numeric_limits<uint64_t>::max();
   node->max_us = 0;
-  node->counters = PerfSiteCounters();
   for (auto& [name, child] : node->children) ZeroStats(child.get());
 }
 
@@ -28,7 +27,6 @@ struct MergeNode {
   uint64_t incl_us = 0;
   uint64_t min_us = std::numeric_limits<uint64_t>::max();
   uint64_t max_us = 0;
-  PerfSiteCounters counters;
   std::map<std::string, MergeNode> children;
 };
 
@@ -39,7 +37,6 @@ void Accumulate(const internal::SiteNode& src, MergeNode* dst) {
     if (src.min_us < dst->min_us) dst->min_us = src.min_us;
     if (src.max_us > dst->max_us) dst->max_us = src.max_us;
   }
-  dst->counters.Add(src.counters);
   for (const auto& [name, child] : src.children) {
     Accumulate(*child, &dst->children[name]);
   }
@@ -54,7 +51,6 @@ ProfileNode ToProfile(const std::string& name, const MergeNode& m) {
   out.inclusive_us = m.incl_us;
   out.min_us = m.calls > 0 ? m.min_us : 0;
   out.max_us = m.max_us;
-  out.counters = m.counters;
   uint64_t children_incl = 0;
   for (const auto& [child_name, child] : m.children) {
     ProfileNode c = ToProfile(child_name, child);
@@ -80,7 +76,6 @@ void RenderJsonLines(const ProfileNode& node, const std::string& prefix,
   w.Key("self_us").Uint(node.self_us);
   w.Key("min_us").Uint(node.min_us);
   w.Key("max_us").Uint(node.max_us);
-  if (node.counters.enters > 0) node.counters.WriteJsonFields(&w);
   w.EndObject();
   out->push_back(w.TakeString());
   for (const ProfileNode& child : node.children) {
@@ -97,8 +92,6 @@ bool ProfilingEnabled() {
 
 void StartProfiling() {
   internal::TraceNowMicros();  // pin the epoch before the first span
-  internal::g_counter_specs.store(internal::CounterSpecsToArm(),
-                                  std::memory_order_release);
   internal::g_instrument_mode.fetch_or(internal::kProfileArmed,
                                        std::memory_order_relaxed);
 }

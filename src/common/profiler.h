@@ -8,12 +8,6 @@
 // Memory is bounded by the number of distinct call paths, so arbitrarily
 // long runs profile in a few KiB with nothing dropped.
 //
-// Arming profiling also arms the hardware counter group whenever the PMU
-// probe passes (StartProfiling runs the probe, which WARNs once when it
-// fails): each node then carries the counter deltas of its calls beside
-// the wall time (common/perf_counters.h). Without a reading a node has no
-// counter fields at all.
-//
 // Disarmed (the default) a span costs the same single relaxed load as
 // disarmed tracing — the two consumers share one instrument-mode word —
 // and profiling never touches model numerics: a profiled run is
@@ -21,8 +15,8 @@
 //
 // MergedProfile folds every thread's tree into one deterministic tree
 // (children sorted by site name; sums/min/max are order-independent) with
-// per-site {calls, inclusive time, exclusive/self time, min/max, counter
-// deltas}, where self = inclusive − Σ(direct children inclusive).
+// per-site {calls, inclusive time, exclusive/self time, min/max}, where
+// self = inclusive − Σ(direct children inclusive).
 // Serializations:
 //   - ProfileJsonLines / WriteProfileJsonl: flat one-object-per-site JSONL
 //     in depth-first preorder (the `--profile-out` format, parseable with
@@ -37,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "common/perf_counters.h"
 #include "common/status.h"
 
 namespace taxorec {
@@ -50,25 +43,22 @@ struct ProfileNode {
   uint64_t self_us = 0;       // inclusive − Σ(children inclusive), >= 0
   uint64_t min_us = 0;        // fastest single call (inclusive)
   uint64_t max_us = 0;        // slowest single call (inclusive)
-  PerfSiteCounters counters;  // counter deltas; enters == 0 without any
   std::vector<ProfileNode> children;  // sorted by name
 };
 
 /// True while spans are being aggregated.
 bool ProfilingEnabled();
 
-/// Arms span aggregation, with the hardware counter group when the PMU
-/// probe passes. Aggregates keep accumulating across Start/Stop cycles
-/// until ClearProfile.
+/// Arms span aggregation. Aggregates keep accumulating across Start/Stop
+/// cycles until ClearProfile.
 void StartProfiling();
 
 /// Disarms span aggregation (spans armed at construction still fold in
 /// once when they exit).
 void StopProfiling();
 
-/// Zeroes every site aggregate and its counters (test isolation). Call
-/// with no armed spans in flight; an open armed span that exits after a
-/// clear is dropped.
+/// Zeroes every site aggregate (test isolation). Call with no armed spans
+/// in flight; an open armed span that exits after a clear is dropped.
 void ClearProfile();
 
 /// Deterministic merge of every thread's aggregates. The returned root is
@@ -77,10 +67,10 @@ void ClearProfile();
 /// times sum, min/max fold, and children sort by name.
 ProfileNode MergedProfile();
 
-/// Flat site objects in depth-first preorder (children by name), e.g.
+/// Flat site objects in depth-first preorder (children by name), each with
+/// exactly six keys, e.g.
 /// {"path":"train_loop/fit_epoch/spmm","calls":3,"inclusive_us":...,
-///  "self_us":...,"min_us":...,"max_us":...}, followed by the node's
-/// counter fields ("cycles":...,"ipc":...) when it has a reading.
+///  "self_us":...,"min_us":...,"max_us":...}.
 std::vector<std::string> ProfileJsonLines();
 
 /// ProfileJsonLines as a single JSON array ("[]" when empty).

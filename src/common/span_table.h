@@ -1,17 +1,14 @@
 // The per-thread span table behind every TraceSpan site (internal).
 //
 // Each thread that runs an armed span owns one ThreadSpans entry holding
-// everything the span consumers record: the trace ring (common/trace.h),
-// the call-path tree (common/profiler.h) and the hardware counter group
-// whose deltas ride on the tree's nodes (common/perf_counters.h). One
-// registry lists the entries (trace.cc). The owning thread is the only
-// writer; the entry's mutex only guards against a concurrent export or
-// clear, so an armed span takes it uncontended, once on enter (when
-// profiled) and once on exit.
+// everything the span consumers record: the trace ring (common/trace.h)
+// and the call-path tree (common/profiler.h). One registry lists the
+// entries (trace.cc). The owning thread is the only writer; the entry's
+// mutex only guards against a concurrent export or clear, so an armed span
+// takes it uncontended, once on enter (when profiled) and once on exit.
 #ifndef TAXOREC_COMMON_SPAN_TABLE_H_
 #define TAXOREC_COMMON_SPAN_TABLE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -20,8 +17,6 @@
 #include <mutex>
 #include <string>
 #include <vector>
-
-#include "common/perf_counters.h"
 
 namespace taxorec::internal {
 
@@ -42,10 +37,6 @@ struct SiteNode {
   uint64_t incl_us = 0;
   uint64_t min_us = std::numeric_limits<uint64_t>::max();
   uint64_t max_us = 0;
-  PerfSiteCounters counters;  // deltas summed over the counted exits
-  // Group reading at the open call's enter; empty when the call is not
-  // counted. Recursion opens a child node, so a node is open at most once.
-  std::vector<uint64_t> entry;
   // Keyed by site-name content (not pointer identity: equal literals are
   // not guaranteed to be merged across translation units). Heterogeneous
   // lookup keeps the armed hot path allocation-free after first visit.
@@ -66,21 +57,7 @@ struct ThreadSpans {
   // Call-path tree; `cur` is the innermost open profiled span.
   SiteNode root{nullptr};
   SiteNode* cur = &root;
-
-  // Counter group, (re)opened by the first profiled enter after the armed
-  // set (g_counter_specs) changes; `reading` is the exit-read scratch.
-  PerfEventGroup group;
-  const std::vector<PerfEventSpec>* group_specs = nullptr;
-  std::vector<uint64_t> reading;
 };
-
-/// Counter set armed with profiling (StartProfiling); nullptr when spans
-/// record wall time only.
-extern std::atomic<const std::vector<PerfEventSpec>*> g_counter_specs;
-
-/// The event set StartProfiling arms (perf_counters.cc): the test override,
-/// else the hardware set when PerfCountersSupported(), else nullptr.
-const std::vector<PerfEventSpec>* CounterSpecsToArm();
 
 /// Runs `fn` on every thread's entry, each under its lock.
 void ForEachThreadSpans(const std::function<void(ThreadSpans&)>& fn);

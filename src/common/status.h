@@ -45,8 +45,8 @@ class Status {
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
   }
-  /// The capability is absent in this environment (no PMU, sanitizer
-  /// stub, unsupported OS) — expected and non-fatal, unlike IOError.
+  /// The capability is absent here (no CPU timers, sanitizer stub,
+  /// unsupported OS) — expected and non-fatal, unlike IOError.
   static Status Unavailable(std::string msg) {
     return Status(StatusCode::kUnavailable, std::move(msg));
   }

@@ -13,7 +13,6 @@ namespace taxorec {
 namespace internal {
 
 std::atomic<uint32_t> g_instrument_mode{0};
-std::atomic<const std::vector<PerfEventSpec>*> g_counter_specs{nullptr};
 
 namespace {
 
@@ -58,32 +57,14 @@ void RecordEvent(ThreadSpans* t, const TraceEvent& e) {
       << Kv("dropped", t->dropped) << Kv("ring_capacity", kRingCapacity);
 }
 
-/// Reads the counter group for the innermost open span; false when that
-/// span is not counted (no group, or it is the root after ClearProfile).
-bool ReadExitCounters(ThreadSpans* t) {
-  return !t->cur->entry.empty() && t->group.Read(&t->reading).ok();
-}
-
 /// Folds one completed call into the innermost open node and pops it.
-void FoldExit(ThreadSpans* t, uint64_t dur_us, bool counted) {
+void FoldExit(ThreadSpans* t, uint64_t dur_us) {
   SiteNode* node = t->cur;
   if (node->parent == nullptr) return;  // stack reset by ClearProfile
   ++node->calls;
   node->incl_us += dur_us;
   if (dur_us < node->min_us) node->min_us = dur_us;
   if (dur_us > node->max_us) node->max_us = dur_us;
-  if (counted) {
-    PerfSiteCounters& c = node->counters;
-    ++c.enters;
-    const std::vector<bool>& opened = t->group.opened();
-    for (size_t i = 0; i < opened.size() && i < kPerfHwEventCount; ++i) {
-      if (!opened[i]) continue;
-      c.have[i] = true;
-      if (t->reading[i] >= node->entry[i]) {
-        c.counts[i] += t->reading[i] - node->entry[i];
-      }
-    }
-  }
   t->cur = node->parent;
 }
 
@@ -109,47 +90,27 @@ uint64_t TraceNowMicros() {
 void ProfileEnter(const char* name) {
   ThreadSpans* t = CurrentThreadSpans();
   std::lock_guard<std::mutex> lock(t->mu);
-  const auto* specs = g_counter_specs.load(std::memory_order_acquire);
-  if (specs != t->group_specs) {
-    t->group_specs = specs;
-    // A per-thread open failure (fd exhaustion) leaves this thread's spans
-    // uncounted; the process-level probe already passed.
-    if (specs != nullptr) {
-      (void)t->group.Open(*specs);
-    } else {
-      t->group.Close();
-    }
-  }
   auto it = t->cur->children.find(std::string_view(name));
   if (it == t->cur->children.end()) {
     it = t->cur->children
              .emplace(std::string(name), std::make_unique<SiteNode>(t->cur))
              .first;
   }
-  SiteNode* node = it->second.get();
-  t->cur = node;
-  // Snapshot last, so the lookup above stays outside the counter window.
-  if (!t->group.open() || !t->group.Read(&node->entry).ok()) {
-    node->entry.clear();
-  }
+  t->cur = it->second.get();
 }
 
 void ProfileExit(const char* /*name*/, uint64_t dur_us) {
   ThreadSpans* t = CurrentThreadSpans();
   std::lock_guard<std::mutex> lock(t->mu);
-  FoldExit(t, dur_us, ReadExitCounters(t));
+  FoldExit(t, dur_us);
 }
 
 void SpanExit(uint32_t mode, const char* name, uint64_t start_us) {
   ThreadSpans* t = CurrentThreadSpans();
   std::lock_guard<std::mutex> lock(t->mu);
-  const bool profiled = (mode & kProfileArmed) != 0;
-  // Counters before the clock, mirroring enter, so the span's own
-  // bookkeeping stays outside its counter window.
-  const bool counted = profiled && ReadExitCounters(t);
   const uint64_t dur_us = TraceNowMicros() - start_us;
   if (mode & kTraceArmed) RecordEvent(t, {name, start_us, dur_us});
-  if (profiled) FoldExit(t, dur_us, counted);
+  if (mode & kProfileArmed) FoldExit(t, dur_us);
 }
 
 }  // namespace internal

@@ -20,12 +20,10 @@
 //     dropped). WriteChromeTrace drains every buffer into a JSON file
 //     loadable by chrome://tracing / Perfetto.
 //   - profiling (StartProfiling / `--profile-out`, common/profiler.h):
-//     spans roll up per call path into aggregate site statistics, with
-//     hardware counter deltas on each node when a PMU is present
-//     (common/perf_counters.h).
+//     spans roll up per call path into aggregate wall-time statistics.
 // Both record into one per-thread span table (common/span_table.h): an
 // armed span looks up its thread's entry and takes that entry's lock once
-// on enter (when profiled) and once on exit.
+// on enter (when profiled) and once on exit, where it reads the clock.
 //
 // Span names must be string literals (or otherwise outlive the drain).
 #ifndef TAXOREC_COMMON_TRACE_H_
@@ -44,14 +42,12 @@ namespace internal {
 inline constexpr uint32_t kTraceArmed = 1u << 0;
 inline constexpr uint32_t kProfileArmed = 1u << 1;
 extern std::atomic<uint32_t> g_instrument_mode;
-/// Opens `name` as a child of the calling thread's innermost profiled span
-/// and snapshots its counter group when one is armed.
+/// Opens `name` as a child of the calling thread's innermost profiled span.
 void ProfileEnter(const char* name);
-/// Folds `dur_us` and the counter delta into the innermost open node and
-/// closes it.
+/// Folds `dur_us` into the innermost open node and closes it.
 void ProfileExit(const char* name, uint64_t dur_us);
-/// Closes a span armed with `mode`: reads the counters, then the clock,
-/// then records the ring event and/or folds the profile node.
+/// Closes a span armed with `mode`: reads the clock, then records the ring
+/// event and/or folds the profile node.
 void SpanExit(uint32_t mode, const char* name, uint64_t start_us);
 /// Microseconds since process start (steady clock).
 uint64_t TraceNowMicros();

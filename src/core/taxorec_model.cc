@@ -42,7 +42,7 @@ TaxoRecModel::TaxoRecModel(const ModelConfig& config, TaxoRecOptions options)
   TAXOREC_CHECK(config_.dim > config_.tag_dim);
   const size_t di = config_.dim - config_.tag_dim;
   const size_t dt = config_.tag_dim;
-  TAXOREC_CHECK(di >= 2);
+  TAXOREC_CHECK(di >= kTaxoRecMinItemDim);
   di_cols_ = options_.hyperbolic ? di + 1 : di;
   dt_cols_ = options_.hyperbolic ? dt + 1 : dt;
 }

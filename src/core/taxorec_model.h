@@ -39,6 +39,10 @@
 
 namespace taxorec {
 
+/// Fewest coordinates of the tag-irrelevant channel (dim − tag_dim). The
+/// constructor CHECKs it; taxorec_cli and taxorec_serve reject fewer.
+inline constexpr size_t kTaxoRecMinItemDim = 2;
+
 struct TaxoRecOptions {
   bool hyperbolic = true;
   /// Taxonomy regularization weight λ (0 disables; only meaningful in

@@ -141,38 +141,74 @@ TEST(BenchDiffTest, KeySetDriftIsReportedButDoesNotGate) {
 }
 
 TEST(BenchDiffTest, NewGatedKeysReportButPassByDefault) {
-  // A gated counter key (perf.<site>.*) that only exists in the candidate
-  // — the PMU-less baseline never recorded it. Default policy: surface a
-  // "new-key (no baseline)" line but do not fail, so counterless CI and
-  // counterful dev boxes share one committed baseline.
+  // A gated key that only exists in the candidate: the baseline predates
+  // it. Default policy: surface a "new-key (no baseline)" line but do not
+  // fail, so a bench can add a key before its baseline is refreshed.
   const std::string base = R"({"spmm":{"t1_seconds":1.0}})";
   const std::string cur =
-      R"({"spmm":{"t1_seconds":1.0},"perf":{"spmm":{"cpi":0.6}}})";
+      R"({"spmm":{"t1_seconds":1.0},"serve":{"p99_ms":0.6}})";
   BenchCompareOptions options;
-  options.gate_keys = {"spmm.t1_seconds", "perf.spmm.cpi"};
+  options.gate_keys = {"spmm.t1_seconds", "serve.p99_ms"};
   BenchCompareResult result;
   ASSERT_TRUE(CompareBenchJson(base, cur, options, &result).ok());
   EXPECT_FALSE(result.regression);
   EXPECT_EQ(result.new_gated_keys,
-            (std::vector<std::string>{"perf.spmm.cpi"}));
+            (std::vector<std::string>{"serve.p99_ms"}));
   const std::string report = FormatBenchComparison(result);
   EXPECT_NE(report.find("new-key (no baseline)"), std::string::npos)
       << report;
-  EXPECT_NE(report.find("perf.spmm.cpi"), std::string::npos) << report;
+  EXPECT_NE(report.find("serve.p99_ms"), std::string::npos) << report;
 }
 
 TEST(BenchDiffTest, RequireBaselineKeysFailsOnNewGatedKey) {
   const std::string base = R"({"spmm":{"t1_seconds":1.0}})";
   const std::string cur =
-      R"({"spmm":{"t1_seconds":1.0},"perf":{"spmm":{"cpi":0.6}}})";
+      R"({"spmm":{"t1_seconds":1.0},"serve":{"p99_ms":0.6}})";
   BenchCompareOptions options;
-  options.gate_keys = {"spmm.t1_seconds", "perf.spmm.cpi"};
+  options.gate_keys = {"spmm.t1_seconds", "serve.p99_ms"};
   options.require_baseline_keys = true;
   BenchCompareResult result;
   ASSERT_TRUE(CompareBenchJson(base, cur, options, &result).ok());
   EXPECT_TRUE(result.regression) << "stale baseline must fail strict mode";
   EXPECT_EQ(result.new_gated_keys,
-            (std::vector<std::string>{"perf.spmm.cpi"}));
+            (std::vector<std::string>{"serve.p99_ms"}));
+}
+
+TEST(BenchDiffTest, NamedGateKeyMissingFromCurrentFails) {
+  // The bench stopped writing a key its gate names: the gate compares
+  // nothing, so it must fail (in default and strict mode alike) with a
+  // line of its own, not pass after a drift line.
+  const std::string base = R"({"o":{"p99_ms":1.0,"shed_rate":0.1}})";
+  const std::string cur = R"({"o":{"shed_rate":0.1}})";
+  BenchCompareOptions options;
+  options.gate_keys = {"o.p99_ms", "o.shed_rate"};
+  BenchCompareResult result;
+  for (const bool strict : {false, true}) {
+    options.require_baseline_keys = strict;
+    ASSERT_TRUE(CompareBenchJson(base, cur, options, &result).ok());
+    EXPECT_TRUE(result.regression) << "strict=" << strict;
+    EXPECT_EQ(result.missing_gate_keys,
+              (std::vector<std::string>{"o.p99_ms"}));
+    EXPECT_EQ(result.skipped_gates(), 0u);
+    const std::string report = FormatBenchComparison(result);
+    EXPECT_NE(report.find("MISSING (gated, in baseline, absent from "
+                          "current): o.p99_ms"),
+              std::string::npos)
+        << report;
+    EXPECT_EQ(report.find("missing from current: o.p99_ms"),
+              std::string::npos)
+        << report;
+  }
+
+  // The same drift on a key no --gate-keys entry names only reports.
+  options.gate_keys = {"o.shed_rate"};
+  options.require_baseline_keys = false;
+  ASSERT_TRUE(CompareBenchJson(base, cur, options, &result).ok());
+  EXPECT_FALSE(result.regression);
+  EXPECT_TRUE(result.missing_gate_keys.empty());
+  EXPECT_NE(FormatBenchComparison(result).find("missing from current: "
+                                               "o.p99_ms"),
+            std::string::npos);
 }
 
 TEST(BenchDiffTest, UngatedNewKeysNeverTripStrictMode) {
@@ -191,21 +227,21 @@ TEST(BenchDiffTest, UngatedNewKeysNeverTripStrictMode) {
 }
 
 TEST(BenchDiffTest, GatedKeyPresentBothSidesGatesNormally) {
-  // Once the baseline is refreshed with counters, the same keys gate by
-  // value: a CPI regression beyond tolerance fails even in default mode.
-  const std::string base = R"({"perf":{"spmm":{"cpi":0.5}}})";
-  const std::string cur = R"({"perf":{"spmm":{"cpi":0.9}}})";
+  // Once the baseline is refreshed, the same key gates by value: a p99
+  // regression beyond tolerance fails even in default mode.
+  const std::string base = R"({"serve":{"p99_ms":0.5}})";
+  const std::string cur = R"({"serve":{"p99_ms":0.9}})";
   BenchCompareOptions options;
-  options.gate_keys = {"perf.spmm.cpi"};
+  options.gate_keys = {"serve.p99_ms"};
   options.tolerance = 0.2;
   BenchCompareResult result;
   ASSERT_TRUE(CompareBenchJson(base, cur, options, &result).ok());
   EXPECT_TRUE(result.regression);
   EXPECT_TRUE(result.new_gated_keys.empty());
-  const BenchDelta* cpi = FindDelta(result, "perf.spmm.cpi");
-  ASSERT_NE(cpi, nullptr);
-  EXPECT_TRUE(cpi->gated);
-  EXPECT_TRUE(cpi->regressed);
+  const BenchDelta* p99 = FindDelta(result, "serve.p99_ms");
+  ASSERT_NE(p99, nullptr);
+  EXPECT_TRUE(p99->gated);
+  EXPECT_TRUE(p99->regressed);
 }
 
 TEST(BenchDiffTest, ZeroBaselineNeverDividesOrRegresses) {
@@ -232,20 +268,19 @@ TEST(BenchDiffTest, ZeroBaselineNeverDividesOrRegresses) {
 }
 
 TEST(BenchDiffTest, GateKeyAbsentFromBothFilesIsSkipped) {
-  // The PMU-less counter gates: perf.* keys exist in neither file.
+  // Gate keys that neither file carries compare nothing.
   const std::string doc = R"({"spmm":{"t1_seconds":1.0}})";
   BenchCompareOptions options;
-  options.gate_keys = {"perf.spmm.cpi", "spmm.t1_seconds",
-                       "perf.spmm.llc_miss_rate"};
+  options.gate_keys = {"serve.p99_ms", "spmm.t1_seconds",
+                       "serve.shed_rate"};
   BenchCompareResult result;
   ASSERT_TRUE(CompareBenchJson(doc, doc, options, &result).ok());
   EXPECT_FALSE(result.regression);
   EXPECT_EQ(result.absent_gate_keys,
-            (std::vector<std::string>{"perf.spmm.cpi",
-                                      "perf.spmm.llc_miss_rate"}));
+            (std::vector<std::string>{"serve.p99_ms", "serve.shed_rate"}));
   EXPECT_EQ(result.skipped_gates(), 2u);
   const std::string report = FormatBenchComparison(result);
-  EXPECT_NE(report.find("SKIPPED (absent from both files): perf.spmm.cpi"),
+  EXPECT_NE(report.find("SKIPPED (absent from both files): serve.p99_ms"),
             std::string::npos)
       << report;
   EXPECT_NE(report.find("SKIPPED: 2 gated key(s)"), std::string::npos)

@@ -185,10 +185,13 @@ TEST_F(ProfilerTest, JsonLinesUseSlashPathsInPreorder) {
     std::map<std::string, std::string> obj;
     std::string error;
     ASSERT_TRUE(ParseFlatJsonObject(line, &obj, &error)) << error;
-    for (const char* key :
-         {"path", "calls", "inclusive_us", "self_us", "min_us", "max_us"}) {
-      EXPECT_EQ(obj.count(key), 1u) << key;
-    }
+    // Exactly the six wall-time keys: no other field rides on a line.
+    std::vector<std::string> keys;
+    for (const auto& [key, value] : obj) keys.push_back(key);
+    EXPECT_EQ(keys, (std::vector<std::string>{"calls", "inclusive_us",
+                                              "max_us", "min_us", "path",
+                                              "self_us"}))
+        << line;
     paths.push_back(obj["path"]);
   }
   EXPECT_EQ(paths, (std::vector<std::string>{"a", "a/b", "z"}));

@@ -10,9 +10,11 @@
 // and every numeric key present in both becomes a delta row. Keys whose
 // final segment ends in "_seconds" gate by default (override the set with
 // --gate-keys); the tool exits 1 when any gated key regresses past
-// base * (1 + tolerance), 0 otherwise, 2 on usage or I/O errors. Gated
-// keys that cannot compare (baseline <= 0, or a --gate-keys entry absent
-// from both files) print as SKIPPED with a count instead of passing.
+// base * (1 + tolerance) or when a --gate-keys entry of the baseline is
+// missing from the current file, 0 otherwise, 2 on usage or I/O errors.
+// Gated keys that cannot compare (baseline <= 0, or a --gate-keys entry
+// absent from both files) print as SKIPPED with a count instead of
+// passing.
 // Directory mode pairs files by name (BENCH_micro.baseline.json matches
 // BENCH_micro.json) and fails if no pair is found. --update-baseline
 // copies the current file(s) over the baseline path(s) instead of gating —
@@ -104,7 +106,8 @@ int Main(int argc, const char* const* argv) {
                      "the comparison fails");
   flags.DefineString("gate-keys", "",
                      "comma-separated flattened keys to gate (default: "
-                     "every key ending in _seconds)");
+                     "every key ending in _seconds); a listed key the "
+                     "baseline has and current lacks fails");
   flags.DefineBool("update-baseline", false,
                    "copy current over baseline instead of gating");
   flags.DefineBool("require-baseline-keys", false,
@@ -178,7 +181,9 @@ int Main(int argc, const char* const* argv) {
     skipped += result.skipped_gates();
   }
   if (regression) {
-    std::fprintf(stderr, "bench_compare: REGRESSION beyond tolerance\n");
+    std::fprintf(stderr,
+                 "bench_compare: FAIL (a gated key regressed beyond "
+                 "tolerance or is missing; see the report above)\n");
     return 1;
   }
   if (skipped > 0) {

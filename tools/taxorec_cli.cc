@@ -57,9 +57,11 @@ StatusOr<Dataset> LoadData(const FlagSet& flags) {
 }
 
 /// The model flags as a config; rejects sizes that would wrap or abort
-/// (`splits_dim`: the model carves the tag channel out of --dim).
-StatusOr<ModelConfig> ConfigFromFlags(const FlagSet& flags, bool splits_dim) {
-  TAXOREC_RETURN_NOT_OK(CheckModelSizeFlags(flags, splits_dim));
+/// (`min_item_dim`: what the model needs of --dim − --tag-dim, 0 when it
+/// ignores --tag-dim).
+StatusOr<ModelConfig> ConfigFromFlags(const FlagSet& flags,
+                                      size_t min_item_dim) {
+  TAXOREC_RETURN_NOT_OK(CheckModelSizeFlags(flags, min_item_dim));
   if (flags.GetInt("layers") < 1) {
     return Status::InvalidArgument("--layers must be >= 1");
   }
@@ -188,18 +190,19 @@ int CmdTrain(int argc, const char* const* argv) {
   flags.DefineString("trace-out", "",
                      "collect trace spans and write Chrome trace JSON here");
   flags.DefineString("profile-out", "",
-                     "aggregate trace spans into a call-path profile and "
-                     "write it as JSONL here (render with `telemetry_report "
-                     "--profile`); hardware counters per trace site ride "
-                     "along when the PMU is available");
+                     "aggregate trace spans into a call-path wall-time "
+                     "profile and write it as JSONL here (render with "
+                     "`telemetry_report --profile`)");
   flags.DefineString("flame-out", "",
                      "run the sampling CPU profiler and write folded stacks "
                      "here (flamegraph.pl input; render a table with "
                      "`telemetry_report --flame`)");
   if (Status s = flags.Parse(argc, argv, 2); !s.ok()) return Fail(s);
   const std::string name = flags.GetString("model");
-  const auto cfg_or =
-      ConfigFromFlags(flags, /*splits_dim=*/name == "TaxoRec" || name == "AMF");
+  // TaxoRec and AMF carve the tag channel out of --dim; the other models
+  // ignore --tag-dim.
+  const auto cfg_or = ConfigFromFlags(
+      flags, name == "TaxoRec" ? kTaxoRecMinItemDim : name == "AMF" ? 1 : 0);
   if (!cfg_or.ok()) return Fail(cfg_or.status());
   const ModelConfig& cfg = *cfg_or;
   if (Status s = ApplyThreadsFlag(flags); !s.ok()) return Fail(s);
@@ -290,8 +293,6 @@ int CmdTrain(int argc, const char* const* argv) {
   const bool tracing = !flags.GetString("trace-out").empty();
   if (tracing) StartTracing();
   const bool profiling = !flags.GetString("profile-out").empty();
-  // Hardware counters ride on the profile when a PMU exists; without one
-  // the profile is wall time only (WARN once inside).
   if (profiling) StartProfiling();
   const std::string flame_path = flags.GetString("flame-out");
   bool sampling = false;
@@ -388,7 +389,7 @@ int CmdRecommend(int argc, const char* const* argv) {
   if (flags.GetInt("k") < 1) {
     return Fail(Status::InvalidArgument("--k must be >= 1"));
   }
-  const auto cfg = ConfigFromFlags(flags, /*splits_dim=*/true);
+  const auto cfg = ConfigFromFlags(flags, kTaxoRecMinItemDim);
   if (!cfg.ok()) return Fail(cfg.status());
   if (Status s = ApplyThreadsFlag(flags); !s.ok()) return Fail(s);
   if (Status s = ApplyLoggingFlags(flags); !s.ok()) return Fail(s);
@@ -425,7 +426,7 @@ int CmdTaxonomy(int argc, const char* const* argv) {
   flags.DefineString("dot", "", "write Graphviz DOT here");
   flags.DefineString("json", "", "write JSON here");
   if (Status s = flags.Parse(argc, argv, 2); !s.ok()) return Fail(s);
-  const auto cfg = ConfigFromFlags(flags, /*splits_dim=*/true);
+  const auto cfg = ConfigFromFlags(flags, kTaxoRecMinItemDim);
   if (!cfg.ok()) return Fail(cfg.status());
   if (Status s = ApplyThreadsFlag(flags); !s.ok()) return Fail(s);
   if (Status s = ApplyLoggingFlags(flags); !s.ok()) return Fail(s);

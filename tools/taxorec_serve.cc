@@ -320,10 +320,11 @@ int Main(int argc, const char* const* argv) {
   }
   // TaxoRec (trained or restored) and AMF carve the tag channel out of
   // --dim; the other models ignore --tag-dim.
-  const bool splits_dim = !flags.GetString("checkpoint").empty() ||
-                          flags.GetString("model") == "TaxoRec" ||
-                          flags.GetString("model") == "AMF";
-  if (Status s = CheckModelSizeFlags(flags, splits_dim); !s.ok()) {
+  const bool taxorec = !flags.GetString("checkpoint").empty() ||
+                       flags.GetString("model") == "TaxoRec";
+  const size_t min_item_dim =
+      taxorec ? kTaxoRecMinItemDim : flags.GetString("model") == "AMF" ? 1 : 0;
+  if (Status s = CheckModelSizeFlags(flags, min_item_dim); !s.ok()) {
     return Fail(s);
   }
   if (Status s = ApplyThreadsFlag(flags); !s.ok()) return Fail(s);
