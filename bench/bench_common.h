@@ -215,29 +215,59 @@ inline bool HasArg(int argc, const char* const* argv,
   return false;
 }
 
-/// Applies the shared observability flags: --log-level (threshold),
-/// --trace-out (arms span collection; the trace is written by ~BenchRun),
-/// --metrics-out (metrics snapshot path; written by ~BenchRun). Returns the
-/// trace path ("" = tracing stays off). Span aggregation (profiling) is
+/// Applies the shared observability flags: --log-level (threshold) and
+/// --trace-out (arms span collection). Span aggregation (profiling) is
 /// armed unconditionally — every BENCH_<name>.json embeds the call-path
-/// profile of its own run; --profile-out additionally writes it as JSONL.
-inline std::string InitObservability(int argc, const char* const* argv) {
+/// profile of its own run. WriteObservabilityFiles writes what the flags
+/// name once the run is done.
+inline void InitObservability(int argc, const char* const* argv) {
   const std::string level = ArgValue(argc, argv, "log-level");
   if (!level.empty()) {
     auto parsed = ParseLogLevel(level);
     TAXOREC_CHECK_MSG(parsed.ok(), parsed.status().ToString().c_str());
     SetLogLevel(*parsed);
   }
-  const std::string trace_out = ArgValue(argc, argv, "trace-out");
-  if (!trace_out.empty()) StartTracing();
+  if (!ArgValue(argc, argv, "trace-out").empty()) StartTracing();
   StartProfiling();
-  return trace_out;
+}
+
+/// Stops tracing and profiling and writes the files the shared flags name:
+/// --trace-out (Chrome trace), --profile-out (call-path profile as JSONL)
+/// and --metrics-out (metrics-registry snapshot). Returns false, after
+/// printing why, when a named file could not be written.
+inline bool WriteObservabilityFiles(int argc, const char* const* argv) {
+  bool ok = true;
+  auto check = [&ok](const Status& s) {
+    if (s.ok()) return;
+    std::fprintf(stderr, "[bench] %s\n", s.ToString().c_str());
+    ok = false;
+  };
+  const std::string trace_out = ArgValue(argc, argv, "trace-out");
+  if (!trace_out.empty()) {
+    StopTracing();
+    check(WriteChromeTrace(trace_out));
+  }
+  StopProfiling();
+  const std::string profile_out = ArgValue(argc, argv, "profile-out");
+  if (!profile_out.empty()) check(WriteProfileJsonl(profile_out));
+  const std::string metrics_out = ArgValue(argc, argv, "metrics-out");
+  if (!metrics_out.empty()) {
+    std::FILE* f = std::fopen(metrics_out.c_str(), "w");
+    if (f == nullptr ||
+        std::fprintf(f, "%s\n",
+                     MetricsRegistry::Instance().SnapshotJson().c_str()) < 0) {
+      check(Status::IOError("cannot write metrics file: " + metrics_out));
+    }
+    if (f != nullptr && std::fclose(f) != 0) {
+      check(Status::IOError("short write: " + metrics_out));
+    }
+  }
+  return ok;
 }
 
 /// Times a bench binary and records {threads, wall_seconds, peak RSS,
 /// getrusage counters, the call-path profile, the metrics-registry
-/// snapshot} to
-/// BENCH_<name>.json on destruction; also honors
+/// snapshot} to BENCH_<name>.json on destruction; also honors
 /// --trace-out/--profile-out/--metrics-out/--flame-out/--log-level.
 /// Declare one at the top of main():
 ///   taxorec::bench::BenchRun run("table2_overall", argc, argv);
@@ -245,12 +275,12 @@ class BenchRun {
  public:
   BenchRun(std::string name, int argc, const char* const* argv)
       : name_(std::move(name)),
+        argc_(argc),
+        argv_(argv),
         threads_(InitThreads(argc, argv)),
-        trace_out_(InitObservability(argc, argv)),
-        profile_out_(ArgValue(argc, argv, "profile-out")),
-        metrics_out_(ArgValue(argc, argv, "metrics-out")),
         flame_out_(ArgValue(argc, argv, "flame-out")),
         start_(std::chrono::steady_clock::now()) {
+    InitObservability(argc, argv);
     if (!flame_out_.empty()) {
       if (Status s = StartSampling(SamplingOptions{}); s.ok()) {
         sampling_ = true;
@@ -269,30 +299,11 @@ class BenchRun {
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start_)
             .count();
-    if (!trace_out_.empty()) {
-      StopTracing();
-      if (Status s = WriteChromeTrace(trace_out_); !s.ok()) {
-        std::fprintf(stderr, "[bench] %s\n", s.ToString().c_str());
-      }
-    }
-    StopProfiling();
-    if (!profile_out_.empty()) {
-      if (Status s = WriteProfileJsonl(profile_out_); !s.ok()) {
-        std::fprintf(stderr, "[bench] %s\n", s.ToString().c_str());
-      }
-    }
+    WriteObservabilityFiles(argc_, argv_);
     if (sampling_) {
       StopSampling();
       if (Status s = WriteFoldedStacks(flame_out_); !s.ok()) {
         std::fprintf(stderr, "[bench] %s\n", s.ToString().c_str());
-      }
-    }
-    const std::string metrics_json =
-        MetricsRegistry::Instance().SnapshotJson();
-    if (!metrics_out_.empty()) {
-      if (std::FILE* mf = std::fopen(metrics_out_.c_str(), "w")) {
-        std::fprintf(mf, "%s\n", metrics_json.c_str());
-        std::fclose(mf);
       }
     }
     const std::string path = "BENCH_" + name_ + ".json";
@@ -306,7 +317,8 @@ class BenchRun {
                  name_.c_str(), threads_, HardwareThreads(), secs,
                  static_cast<unsigned long long>(PeakRssBytes()),
                  RusageJsonObject(SelfRusage()).c_str(),
-                 ProfileJsonArray().c_str(), metrics_json.c_str());
+                 ProfileJsonArray().c_str(),
+                 MetricsRegistry::Instance().SnapshotJson().c_str());
     std::fclose(f);
     std::printf("[bench] %s: threads=%d wall=%.2fs -> %s\n", name_.c_str(),
                 threads_, secs, path.c_str());
@@ -316,10 +328,9 @@ class BenchRun {
 
  private:
   std::string name_;
+  int argc_;
+  const char* const* argv_;
   int threads_;
-  std::string trace_out_;
-  std::string profile_out_;
-  std::string metrics_out_;
   std::string flame_out_;
   bool sampling_ = false;
   std::chrono::steady_clock::time_point start_;

@@ -361,11 +361,7 @@ int main(int argc, char** argv) {
   const auto start = std::chrono::steady_clock::now();
   const bool quick = taxorec::bench::HasArg(argc, argv, "quick");
   const int threads = taxorec::bench::InitThreads(argc, argv);
-  const std::string trace_out = taxorec::bench::InitObservability(argc, argv);
-  const std::string profile_out =
-      taxorec::bench::ArgValue(argc, argv, "profile-out");
-  const std::string metrics_out =
-      taxorec::bench::ArgValue(argc, argv, "metrics-out");
+  taxorec::bench::InitObservability(argc, argv);
   if (!quick) {
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
@@ -373,26 +369,8 @@ int main(int argc, char** argv) {
   taxorec::RunThreadScalingReport(threads, start, quick);
   // Drain the armed sinks before the overhead checks, which toggle and
   // clear the instrumentation machinery themselves.
-  if (!trace_out.empty()) {
-    taxorec::StopTracing();
-    if (taxorec::Status s = taxorec::WriteChromeTrace(trace_out); !s.ok()) {
-      std::fprintf(stderr, "[bench] %s\n", s.ToString().c_str());
-    }
-  }
-  if (!profile_out.empty()) {
-    if (taxorec::Status s = taxorec::WriteProfileJsonl(profile_out);
-        !s.ok()) {
-      std::fprintf(stderr, "[bench] %s\n", s.ToString().c_str());
-    }
-  }
-  if (!metrics_out.empty()) {
-    if (std::FILE* mf = std::fopen(metrics_out.c_str(), "w")) {
-      std::fprintf(mf, "%s\n",
-                   taxorec::MetricsRegistry::Instance().SnapshotJson().c_str());
-      std::fclose(mf);
-    }
-  }
+  const bool wrote = taxorec::bench::WriteObservabilityFiles(argc, argv);
   taxorec::RunInstrumentationOverheadChecks();
   if (!quick) benchmark::Shutdown();
-  return 0;
+  return wrote ? 0 : 1;
 }

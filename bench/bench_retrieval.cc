@@ -207,6 +207,7 @@ int Main(int argc, const char* const* argv) {
   TAXOREC_CHECK_MSG(gate != nullptr, "nprobe-8 operating point missing");
 
   const double wall = Seconds(start);
+  const bool wrote = bench::WriteObservabilityFiles(argc, argv);
   std::FILE* f = std::fopen("BENCH_retrieval.json", "w");
   if (f == nullptr) return 1;
   std::fprintf(
@@ -243,15 +244,15 @@ int Main(int argc, const char* const* argv) {
       f,
       "]},\n"
       " \"wall_seconds\": %.3f, \"peak_rss_bytes\": %llu,\n"
-      " \"rusage\": %s,\n \"metrics\": %s}\n",
+      " \"rusage\": %s,\n \"profile\": %s,\n \"metrics\": %s}\n",
       wall, static_cast<unsigned long long>(PeakRssBytes()),
-      RusageJsonObject(SelfRusage()).c_str(),
+      RusageJsonObject(SelfRusage()).c_str(), ProfileJsonArray().c_str(),
       MetricsRegistry::Instance().SnapshotJson().c_str());
   std::fclose(f);
   std::printf(
       "[bench] retrieval: threads=%d wall=%.2fs -> BENCH_retrieval.json\n",
       threads, wall);
-  return 0;
+  return wrote ? 0 : 1;
 }
 
 }  // namespace

@@ -827,7 +827,7 @@ int Main(int argc, const char* const* argv) {
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  StopProfiling();
+  const bool wrote = bench::WriteObservabilityFiles(argc, argv);
   std::FILE* f = std::fopen("BENCH_serve.json", "w");
   if (f == nullptr) return 1;
   std::fprintf(
@@ -895,7 +895,7 @@ int Main(int argc, const char* const* argv) {
   std::fclose(f);
   std::printf("[bench] serve: threads=%d wall=%.2fs -> BENCH_serve.json\n",
               threads, wall);
-  return 0;
+  return wrote ? 0 : 1;
 }
 
 }  // namespace

@@ -148,9 +148,9 @@ Matrix Embed(const Tree& t, size_t dim, bool hyperbolic, Rng* rng) {
       // compensate so far-apart targets remain reachable.
       const double boost_a = 2.0 / (1.0 - vec::SqNorm(emb.row(a)) + 1e-6);
       const double boost_b = 2.0 / (1.0 - vec::SqNorm(emb.row(b)) + 1e-6);
-      poincare::RsgdStep(emb.row(a), vec::ConstSpan(ga),
+      poincare::RsgdStep(emb.row(a), vec::Span(ga),
                          std::min(lr * boost_a, 2.0));
-      poincare::RsgdStep(emb.row(b), vec::ConstSpan(gb),
+      poincare::RsgdStep(emb.row(b), vec::Span(gb),
                          std::min(lr * boost_b, 2.0));
     } else {
       const double d =

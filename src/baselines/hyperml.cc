@@ -59,9 +59,9 @@ double HyperMl::FitEpoch(const DataSplit& split, int epoch, Rng* rng) {
       vec::ClipNorm(vec::Span(gp), config_.grad_clip);
       vec::ClipNorm(vec::Span(gq), config_.grad_clip);
     }
-    lorentz::RsgdStep(u, vec::ConstSpan(gu), config_.lr);
-    lorentz::RsgdStep(vp, vec::ConstSpan(gp), config_.lr);
-    lorentz::RsgdStep(vq, vec::ConstSpan(gq), config_.lr);
+    lorentz::RsgdStep(u, vec::Span(gu), config_.lr);
+    lorentz::RsgdStep(vp, vec::Span(gp), config_.lr);
+    lorentz::RsgdStep(vq, vec::Span(gq), config_.lr);
   }
   return epoch_loss;
 }

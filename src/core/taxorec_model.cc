@@ -70,6 +70,59 @@ void TaxoRecModel::ComputeAlpha(const DataSplit& split) {
   }
 }
 
+double TagWarmUpStep(Matrix* tags, uint32_t t1, uint32_t t2, uint32_t t3,
+                     double margin, double lr, double grad_clip,
+                     std::span<double> scratch) {
+  const size_t dt = tags->cols();
+  TAXOREC_DCHECK(scratch.size() == 3 * dt);
+  const vec::Span r1 = tags->row(t1);
+  const vec::Span r2 = tags->row(t2);
+  const vec::Span r3 = tags->row(t3);
+  // The hinge's five reductions in one pass, each summed in index order as
+  // vec::SqNorm and vec::SqDist sum, so the sums run side by side and keep
+  // their bits.
+  double sq1 = 0.0, sq2 = 0.0, sq3 = 0.0, dist_pos = 0.0, dist_neg = 0.0;
+  for (size_t i = 0; i < dt; ++i) {
+    sq1 += r1[i] * r1[i];
+    sq2 += r2[i] * r2[i];
+    sq3 += r3[i] * r3[i];
+    const double dp = r1[i] - r2[i];
+    dist_pos += dp * dp;
+    const double dq = r1[i] - r3[i];
+    dist_neg += dq * dq;
+  }
+  const poincare::PairTerms pos(sq1, sq2, dist_pos);
+  const poincare::PairTerms neg(sq1, sq3, dist_neg);
+  double dpos, dneg;
+  const double hinge = nn::HingeTriplet(margin, pos.Distance(),
+                                        neg.Distance(), &dpos, &dneg);
+  if (hinge <= 0.0) return hinge;
+  double dot_pos = 0.0, dot_neg = 0.0;  // as vec::Dot sums
+  for (size_t i = 0; i < dt; ++i) {
+    dot_pos += r1[i] * r2[i];
+    dot_neg += r1[i] * r3[i];
+  }
+  const vec::Span g1 = scratch.subspan(0, dt);
+  const vec::Span g2 = scratch.subspan(dt, dt);
+  const vec::Span g3 = scratch.subspan(2 * dt, dt);
+  vec::Zero(g1);
+  vec::Zero(g2);
+  vec::Zero(g3);
+  pos.AddGradX(r1, r2, dot_pos, dpos, g1);
+  pos.AddGradY(r1, r2, dot_pos, dpos, g2);
+  neg.AddGradX(r1, r3, dot_neg, dneg, g1);
+  neg.AddGradY(r1, r3, dot_neg, dneg, g3);
+  if (grad_clip > 0.0) {
+    vec::ClipNorm(g1, grad_clip);
+    vec::ClipNorm(g2, grad_clip);
+    vec::ClipNorm(g3, grad_clip);
+  }
+  poincare::RsgdStep(r1, g1, lr);
+  poincare::RsgdStep(r2, g2, lr);
+  poincare::RsgdStep(r3, g3, lr);
+  return hinge;
+}
+
 void TaxoRecModel::WarmUpTags(Rng* rng) {
   const size_t steps =
       static_cast<size_t>(std::max(0, config_.tag_warmup_per_tag)) *
@@ -77,8 +130,7 @@ void TaxoRecModel::WarmUpTags(Rng* rng) {
   if (steps == 0) return;
   TraceSpan span("tag_warmup");
   const double kWarmupMargin = 0.5;
-  const size_t dt = tags_.cols();
-  std::vector<double> g1(dt), g2(dt), g3(dt);
+  std::vector<double> scratch(3 * tags_.cols());
   for (size_t step = 0; step < steps; ++step) {
     const uint32_t v = static_cast<uint32_t>(rng->Uniform(num_items_));
     const auto tags = item_tags_.RowCols(v);
@@ -90,27 +142,8 @@ void TaxoRecModel::WarmUpTags(Rng* rng) {
     for (int tries = 0; tries < 16 && item_tags_.Contains(v, t3); ++tries) {
       t3 = static_cast<uint32_t>(rng->Uniform(num_tags_));
     }
-    const double dp = poincare::Distance(tags_.row(t1), tags_.row(t2));
-    const double dq = poincare::Distance(tags_.row(t1), tags_.row(t3));
-    double dpos, dneg;
-    if (nn::HingeTriplet(kWarmupMargin, dp, dq, &dpos, &dneg) <= 0.0) {
-      continue;
-    }
-    vec::Zero(vec::Span(g1));
-    vec::Zero(vec::Span(g2));
-    vec::Zero(vec::Span(g3));
-    poincare::DistanceGradX(tags_.row(t1), tags_.row(t2), dpos, vec::Span(g1));
-    poincare::DistanceGradX(tags_.row(t2), tags_.row(t1), dpos, vec::Span(g2));
-    poincare::DistanceGradX(tags_.row(t1), tags_.row(t3), dneg, vec::Span(g1));
-    poincare::DistanceGradX(tags_.row(t3), tags_.row(t1), dneg, vec::Span(g3));
-    if (config_.grad_clip > 0.0) {
-      vec::ClipNorm(vec::Span(g1), config_.grad_clip);
-      vec::ClipNorm(vec::Span(g2), config_.grad_clip);
-      vec::ClipNorm(vec::Span(g3), config_.grad_clip);
-    }
-    poincare::RsgdStep(tags_.row(t1), vec::ConstSpan(g1), config_.lr);
-    poincare::RsgdStep(tags_.row(t2), vec::ConstSpan(g2), config_.lr);
-    poincare::RsgdStep(tags_.row(t3), vec::ConstSpan(g3), config_.lr);
+    TagWarmUpStep(&tags_, t1, t2, t3, kWarmupMargin, config_.lr,
+                  config_.grad_clip, scratch);
   }
 }
 

@@ -43,6 +43,19 @@ namespace taxorec {
 /// constructor CHECKs it; taxorec_cli and taxorec_serve reject fewer.
 inline constexpr size_t kTaxoRecMinItemDim = 2;
 
+/// One step of the tag warm-up (DESIGN.md §4 item 6) on the Poincaré rows
+/// t1 and t2 (two tags of one item) and t3 (a random tag): the hinge
+/// max(0, margin + d_P(t1, t2) - d_P(t1, t3)) and, when it is active, one
+/// RSGD step on each row, its gradient first clipped to grad_clip (<= 0: no
+/// clip). Each pair term is computed once: three squared norms, two squared
+/// distances, two dot products and two gamma (poincare::PairTerms). Nothing
+/// is allocated; `scratch` (3 x tags->cols()) holds the three gradient
+/// rows. t3 may equal t1 or t2; its row then steps twice, in the order
+/// t1, t2, t3. Returns the hinge.
+double TagWarmUpStep(Matrix* tags, uint32_t t1, uint32_t t2, uint32_t t3,
+                     double margin, double lr, double grad_clip,
+                     std::span<double> scratch);
+
 struct TaxoRecOptions {
   bool hyperbolic = true;
   /// Taxonomy regularization weight λ (0 disables; only meaningful in

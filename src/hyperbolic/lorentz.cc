@@ -18,6 +18,21 @@ double SafeBeta(ConstSpan x, ConstSpan y) {
   return beta < 1.0 ? 1.0 : beta;
 }
 
+// ExpMap given eta_sq = <eta, eta>_L.
+void ExpMapWithSqNorm(ConstSpan x, ConstSpan eta, double eta_sq, Span out) {
+  if (eta_sq < 0.0) eta_sq = 0.0;  // Tangent vectors have non-negative norm.
+  const double n = std::sqrt(eta_sq);
+  if (n < 1e-15) {
+    vec::Copy(x, out);
+    return;
+  }
+  const double ch = std::cosh(n);
+  const double sh_over_n = std::sinh(n) / n;
+  for (size_t i = 0; i < x.size(); ++i) {
+    out[i] = ch * x[i] + sh_over_n * eta[i];
+  }
+}
+
 }  // namespace
 
 double Inner(ConstSpan x, ConstSpan y) {
@@ -92,35 +107,29 @@ void EuclideanToRiemannianGrad(ConstSpan x, Span grad) {
 
 void ExpMap(ConstSpan x, ConstSpan eta, Span out) {
   TAXOREC_DCHECK(x.size() == eta.size() && x.size() == out.size());
-  double sq = Inner(eta, eta);
-  if (sq < 0.0) sq = 0.0;  // Tangent vectors have non-negative Lorentz norm.
-  const double n = std::sqrt(sq);
-  if (n < 1e-15) {
-    vec::Copy(x, out);
-    return;
-  }
-  const double ch = std::cosh(n);
-  const double sh_over_n = std::sinh(n) / n;
-  for (size_t i = 0; i < x.size(); ++i) {
-    out[i] = ch * x[i] + sh_over_n * eta[i];
-  }
+  ExpMapWithSqNorm(x, eta, Inner(eta, eta), out);
 }
 
-void RsgdStep(Span x, ConstSpan euclidean_grad, double lr) {
-  std::vector<double> eta(euclidean_grad.begin(), euclidean_grad.end());
-  EuclideanToRiemannianGrad(x, Span(eta));
-  vec::Scale(Span(eta), -lr);
+void RsgdStep(Span x, Span grad, double lr) {
+  TAXOREC_DCHECK(x.size() == grad.size() && !x.empty());
+  // The step's squared length rides on the pass that scales it by -lr, in
+  // Inner's order, and ExpMap reuses it unless the cap rescales the step.
+  EuclideanToRiemannianGrad(x, grad);
+  grad[0] *= -lr;
+  double step_sq = -grad[0] * grad[0];
+  for (size_t i = 1; i < x.size(); ++i) {
+    grad[i] *= -lr;
+    step_sq += grad[i] * grad[i];
+  }
   // Cap the tangent step length: the tangent projection can amplify an
   // already-clipped Euclidean gradient when x is far from the origin, and
   // cosh of a large step overflows within a few iterations.
   constexpr double kMaxStepLength = 1.0;
-  double step_sq = Inner(ConstSpan(eta), ConstSpan(eta));
   if (step_sq > kMaxStepLength * kMaxStepLength) {
-    vec::Scale(Span(eta), kMaxStepLength / std::sqrt(step_sq));
+    vec::Scale(grad, kMaxStepLength / std::sqrt(step_sq));
+    step_sq = Inner(grad, grad);
   }
-  std::vector<double> out(x.size());
-  ExpMap(x, ConstSpan(eta), Span(out));
-  vec::Copy(ConstSpan(out), x);
+  ExpMapWithSqNorm(x, grad, step_sq, x);
   ProjectToHyperboloid(x);
 }
 

@@ -14,7 +14,6 @@
 #define TAXOREC_HYPERBOLIC_LORENTZ_H_
 
 #include <span>
-#include <vector>
 
 #include "math/rng.h"
 
@@ -64,11 +63,16 @@ void EuclideanToRiemannianGrad(ConstSpan x, Span grad);
 
 /// Exponential map at x for a tangent vector eta (Eq. 23):
 /// exp_x(eta) = cosh(||eta||_L) x + sinh(||eta||_L) eta/||eta||_L.
+/// out may alias x or eta: the norm is reduced before the element-wise
+/// write.
 void ExpMap(ConstSpan x, ConstSpan eta, Span out);
 
 /// Riemannian SGD step: x <- exp_x(-lr * grad_R), from a Euclidean gradient;
-/// re-projects onto the hyperboloid.
-void RsgdStep(Span x, ConstSpan euclidean_grad, double lr);
+/// re-projects onto the hyperboloid. Allocates nothing: `grad` is consumed
+/// as the tangent-step scratch (it holds the capped step on return) and the
+/// step is written into x in place, bit for bit what the same chain through
+/// a separate ExpMap output would give. grad must not alias x.
+void RsgdStep(Span x, Span grad, double lr);
 
 /// Log map at the origin (Eq. 12): maps a hyperboloid point x to the tangent
 /// space at o. Output has the same d+1 layout with out[0] == 0.

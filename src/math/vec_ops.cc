@@ -71,4 +71,11 @@ void ClipNorm(Span x, double max_norm) {
   if (n > max_norm) Scale(x, max_norm / n);
 }
 
+bool AllZero(ConstSpan x) {
+  for (double v : x) {
+    if (v != 0.0) return false;
+  }
+  return true;
+}
+
 }  // namespace taxorec::vec

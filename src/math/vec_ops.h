@@ -54,6 +54,9 @@ void Hadamard(ConstSpan x, ConstSpan y, Span out);
 /// Clamps the Euclidean norm of x to at most max_norm (rescales in place).
 void ClipNorm(Span x, double max_norm);
 
+/// True when every entry of x is +0.0 or -0.0.
+bool AllZero(ConstSpan x);
+
 }  // namespace taxorec::vec
 
 #endif  // TAXOREC_MATH_VEC_OPS_H_

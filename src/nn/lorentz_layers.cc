@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "hyperbolic/lorentz.h"
+#include "math/vec_ops.h"
 
 namespace taxorec::nn {
 namespace {
@@ -71,8 +72,12 @@ void ExpMapOriginBackward(const Matrix& Z, const Matrix& upstream,
   TAXOREC_CHECK(grad_Z->rows() == Z.rows() && grad_Z->cols() == Z.cols());
   const size_t d1 = Z.cols();
   for (size_t r = 0; r < Z.rows(); ++r) {
-    const auto z = Z.row(r);
     const auto g = upstream.row(r);
+    // Most rows of a batch's upstream are zero (the loss reached few
+    // users and items); for a row whose map is finite the arithmetic below
+    // adds +0.0 there, which leaves a zeroed grad_Z row as it is.
+    if (vec::AllZero(g)) continue;
+    const auto z = Z.row(r);
     auto gz = grad_Z->row(r);
     double r_sq = 0.0;
     double zg = 0.0;  // <z_spatial, g_spatial>

@@ -26,7 +26,8 @@ void LogMapOriginBackward(const Matrix& X, const Matrix& upstream,
 void ExpMapOriginForward(const Matrix& Z, Matrix* Y);
 
 /// Accumulates grad_Z += J_expmap(Z)^T * upstream, row-wise. Column 0 of
-/// grad_Z is left untouched (the tangent space at o has z_0 = 0).
+/// grad_Z is left untouched (the tangent space at o has z_0 = 0), and so is
+/// every row whose upstream row is all zero.
 void ExpMapOriginBackward(const Matrix& Z, const Matrix& upstream,
                           Matrix* grad_Z);
 

@@ -43,16 +43,21 @@ double TaxonomyRegLossAndGrad(const Taxonomy& taxo,
     double weight_total = 0.0;
     for (double w : node.tag_scores) weight_total += w > 0.0 ? w : 0.0;
     vec::Zero(vec::Span(grad_center));
+    // One pair (t, c) per member: the loss and both gradients share its
+    // terms, and ||c||^2 is shared by the node.
+    const vec::ConstSpan c(center);
+    const double center_sq = vec::SqNorm(c);
     for (uint32_t t : node.member_tags) {
-      loss +=
-          poincare::Distance(tags_poincare.row(t), vec::ConstSpan(center));
-      poincare::DistanceGradX(tags_poincare.row(t), vec::ConstSpan(center),
-                              scale, grad->row(t));
+      const vec::ConstSpan row = tags_poincare.row(t);
+      const poincare::PairTerms terms(vec::SqNorm(row), center_sq,
+                                      vec::SqDist(row, c));
+      const double dot = vec::Dot(row, c);
+      loss += terms.Distance();
+      terms.AddGradX(row, c, dot, scale, grad->row(t));
       if (!opts.center_stop_gradient) {
         // d d(t, c)/dc accumulated once per member, then distributed
         // through c = sum_j w_j T_j / sum w.
-        poincare::DistanceGradX(vec::ConstSpan(center), tags_poincare.row(t),
-                                scale, vec::Span(grad_center));
+        terms.AddGradY(row, c, dot, scale, vec::Span(grad_center));
       }
     }
     if (!opts.center_stop_gradient && weight_total > 0.0) {

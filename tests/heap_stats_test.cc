@@ -2,8 +2,11 @@
 // the registered subsystem, frees debit the allocating subsystem even when
 // released outside the scope (headers carry the tag), peaks are sticky,
 // external accounting folds in, and PublishHeapStats surfaces
-// taxorec.heap.<name>.{current,peak}_bytes gauges. All cases GTEST_SKIP
-// when the replacement allocator is compiled out (sanitizer builds).
+// taxorec.heap.<name>.{current,peak}_bytes gauges. The allocation counts
+// also pin that the RSGD steps and the tag warm-up step allocate nothing
+// and that the row-wise RSGD updates allocate per call, not per row. All
+// cases GTEST_SKIP when the replacement allocator is compiled out
+// (sanitizer builds).
 #include "common/heap_stats.h"
 
 #include <gtest/gtest.h>
@@ -15,6 +18,12 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "core/taxorec_model.h"
+#include "hyperbolic/lorentz.h"
+#include "hyperbolic/poincare.h"
+#include "math/matrix.h"
+#include "math/rng.h"
+#include "optim/rsgd.h"
 
 namespace taxorec {
 namespace {
@@ -139,6 +148,74 @@ TEST_F(HeapStatsTest, SnapshotIncludesTotalAndPublishesGauges) {
             std::string::npos);
   EXPECT_NE(json.find("taxorec.heap.total.current_bytes"),
             std::string::npos);
+}
+
+// Heap allocations the calling thread makes while fn runs.
+template <typename Fn>
+uint64_t AllocationsIn(Fn&& fn) {
+  static const int kTag = RegisterHeapSubsystem("heap_test.kernels");
+  auto count = [] {
+    for (const auto& s : HeapStatsSnapshot()) {
+      if (s.name == "heap_test.kernels") return s.alloc_count;
+    }
+    return uint64_t{0};
+  };
+  const uint64_t before = count();
+  {
+    HeapScope scope(kTag);
+    fn();
+  }
+  return count() - before;
+}
+
+TEST_F(HeapStatsTest, RsgdStepsAllocateNothing) {
+  Rng rng(7);
+  std::vector<double> x(12), gx(12);
+  poincare::RandomPoint(&rng, 0.9, x);
+  for (double& v : gx) v = rng.NextGaussian();
+  EXPECT_EQ(AllocationsIn([&] { poincare::RsgdStep(x, gx, 0.1); }), 0u);
+  std::vector<double> y(13), gy(13);
+  lorentz::RandomPoint(&rng, 0.5, y);
+  for (double& v : gy) v = rng.NextGaussian();
+  EXPECT_EQ(AllocationsIn([&] { lorentz::RsgdStep(y, gy, 0.1); }), 0u);
+}
+
+TEST_F(HeapStatsTest, TagWarmUpStepAllocatesNothing) {
+  Rng rng(8);
+  Matrix tags(3, 12);
+  for (size_t t = 0; t < 3; ++t) poincare::RandomPoint(&rng, 0.5, tags.row(t));
+  std::vector<double> scratch(3 * 12);
+  double hinge = 0.0;
+  EXPECT_EQ(AllocationsIn([&] {
+              hinge = TagWarmUpStep(&tags, 0, 1, 2, /*margin=*/10.0,
+                                    /*lr=*/0.05, /*grad_clip=*/1.0, scratch);
+            }),
+            0u);
+  EXPECT_GT(hinge, 0.0) << "the step must be active to move the rows";
+}
+
+TEST_F(HeapStatsTest, RsgdUpdatesAllocateTheSameForAnyRowCount) {
+  auto allocations = [](size_t rows, bool on_hyperboloid) {
+    Rng rng(9);
+    Matrix params(rows, 13), grads(rows, 13);
+    for (size_t r = 0; r < rows; ++r) {
+      if (on_hyperboloid) {
+        lorentz::RandomPoint(&rng, 0.5, params.row(r));
+      } else {
+        poincare::RandomPoint(&rng, 0.5, params.row(r));
+      }
+    }
+    grads.FillGaussian(&rng, 1.0);  // every row steps
+    return AllocationsIn([&] {
+      if (on_hyperboloid) {
+        optim::LorentzRsgdUpdate(&params, grads, 0.1, 1.0);
+      } else {
+        optim::PoincareRsgdUpdate(&params, grads, 0.1, 1.0);
+      }
+    });
+  };
+  EXPECT_EQ(allocations(10, false), allocations(1000, false));
+  EXPECT_EQ(allocations(10, true), allocations(1000, true));
 }
 
 }  // namespace

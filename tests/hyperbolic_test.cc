@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
@@ -67,6 +70,80 @@ void PoincareGeodesic(vec::ConstSpan x, vec::ConstSpan y, double t,
   // by the conformal factor lambda_x = 2/(1-||x||^2).
   vec::Scale(vec::Span(v), 2.0 / PoincareAlpha(x));
   poincare::ExpMap(x, vec::ConstSpan(v), out);
+}
+
+// Fail unless a and b hold the same doubles bit for bit.
+void ExpectSameBits(double a, double b, const char* what) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(a), std::bit_cast<uint64_t>(b)) << what;
+}
+
+void ExpectSameBits(vec::ConstSpan a, vec::ConstSpan b, const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
+      << what;
+}
+
+// The Poincaré distance and its gradient written out term by term, one
+// reduction per use: the bit-for-bit reference for poincare::PairTerms.
+double ReferenceAlpha(vec::ConstSpan x) {
+  const double a = 1.0 - vec::SqNorm(x);
+  return a < poincare::kAlphaFloor ? poincare::kAlphaFloor : a;
+}
+
+double ReferenceDistance(vec::ConstSpan x, vec::ConstSpan y) {
+  const double alpha = ReferenceAlpha(x);
+  const double beta = ReferenceAlpha(y);
+  const double arg = 1.0 + 2.0 * vec::SqDist(x, y) / (alpha * beta);
+  return std::acosh(arg < 1.0 ? 1.0 : arg);
+}
+
+void ReferenceDistanceGradX(vec::ConstSpan x, vec::ConstSpan y, double scale,
+                            vec::Span grad_x) {
+  const double alpha = ReferenceAlpha(x);
+  const double beta = ReferenceAlpha(y);
+  const double gamma = 1.0 + 2.0 * vec::SqDist(x, y) / (alpha * beta);
+  double radicand = gamma * gamma - 1.0;
+  if (radicand < 1e-15) radicand = 1e-15;
+  const double c = 4.0 / (beta * std::sqrt(radicand));
+  const double cx =
+      (vec::SqNorm(y) - 2.0 * vec::Dot(x, y) + 1.0) / (alpha * alpha);
+  const double cy = -1.0 / alpha;
+  for (size_t i = 0; i < x.size(); ++i) {
+    grad_x[i] += scale * c * (cx * x[i] + cy * y[i]);
+  }
+}
+
+// The two RSGD steps composed from the public helpers over separate
+// buffers: the tangent vector in a copy of the gradient and the exp-map
+// result in a buffer of its own (the Poincaré summand in a third), copied
+// back into x. The in-place steps must match them bit for bit.
+void ReferencePoincareRsgdStep(vec::Span x, vec::ConstSpan grad, double lr) {
+  std::vector<double> eta(grad.begin(), grad.end());
+  poincare::EuclideanToRiemannianGrad(x, vec::Span(eta));
+  vec::Scale(vec::Span(eta), -lr);
+  std::vector<double> out(x.size());
+  const double n = vec::Norm(eta);
+  if (n < 1e-15) {
+    vec::Copy(x, vec::Span(out));
+  } else {
+    std::vector<double> y(x.size());
+    vec::ScaleTo(eta, std::tanh(n / 2.0) / n, vec::Span(y));
+    poincare::MobiusAdd(x, y, vec::Span(out));
+  }
+  poincare::ProjectToBall(vec::Span(out));
+  vec::Copy(out, x);
+}
+
+void ReferenceLorentzRsgdStep(vec::Span x, vec::ConstSpan grad, double lr) {
+  std::vector<double> eta(grad.begin(), grad.end());
+  lorentz::EuclideanToRiemannianGrad(x, vec::Span(eta));
+  vec::Scale(vec::Span(eta), -lr);
+  const double step_sq = lorentz::Inner(eta, eta);
+  if (step_sq > 1.0) vec::Scale(vec::Span(eta), 1.0 / std::sqrt(step_sq));
+  std::vector<double> out(x.size());
+  lorentz::ExpMap(x, eta, vec::Span(out));
+  vec::Copy(out, x);
+  lorentz::ProjectToHyperboloid(x);
 }
 
 // Unit-weight Einstein midpoint over every row of `points`.
@@ -480,6 +557,107 @@ TEST(LorentzTest, RsgdStepLengthIsCapped) {
   lorentz::RsgdStep(vec::Span(x), g, 1.0);
   EXPECT_NEAR(lorentz::Inner(x, x), -1.0, 1e-8);
   EXPECT_LT(lorentz::Distance(before, x), 1.5);
+}
+
+// The pairs the kernel must handle like the term-by-term formulas: random
+// rows, rows whose conformal term is floored at kAlphaFloor (on and past
+// the boundary), and identical rows (gamma = 1, radicand floored).
+std::vector<std::pair<std::vector<double>, std::vector<double>>>
+KernelCasePairs() {
+  Rng rng(51);
+  std::vector<std::pair<std::vector<double>, std::vector<double>>> pairs;
+  for (int trial = 0; trial < 20; ++trial) {
+    pairs.emplace_back(RandomBallPoint(&rng, 12, 0.95),
+                       RandomBallPoint(&rng, 12, 0.95));
+  }
+  for (double norm : {1.0, 1.0 + 1e-3}) {
+    auto at_floor = RandomBallPoint(&rng, 12, 0.5);
+    vec::Scale(vec::Span(at_floor), norm / vec::Norm(at_floor));
+    EXPECT_EQ(ReferenceAlpha(at_floor), poincare::kAlphaFloor);
+    pairs.emplace_back(at_floor, RandomBallPoint(&rng, 12, 0.9));
+    pairs.emplace_back(RandomBallPoint(&rng, 12, 0.9), at_floor);
+    pairs.emplace_back(at_floor, at_floor);
+  }
+  for (int trial = 0; trial < 3; ++trial) {
+    const auto x = RandomBallPoint(&rng, 12, 0.9);
+    pairs.emplace_back(x, x);
+  }
+  return pairs;
+}
+
+TEST(PoincareTest, PairTermsMatchTermByTermFormulasBitForBit) {
+  Rng rng(52);
+  for (const auto& [x, y] : KernelCasePairs()) {
+    const poincare::PairTerms terms(vec::SqNorm(x), vec::SqNorm(y),
+                                    vec::SqDist(x, y));
+    const double want = ReferenceDistance(x, y);
+    ExpectSameBits(terms.Distance(), want, "PairTerms::Distance");
+    ExpectSameBits(poincare::Distance(x, y), want, "Distance");
+
+    // Gradients accumulate into a nonzero row, as in the warm-up.
+    std::vector<double> start(x.size());
+    for (double& v : start) v = rng.NextGaussian();
+    const double scale = rng.NextGaussian();
+    const double xy = vec::Dot(x, y);
+    std::vector<double> want_x = start, got_x = start, api_x = start;
+    ReferenceDistanceGradX(x, y, scale, vec::Span(want_x));
+    terms.AddGradX(x, y, xy, scale, vec::Span(got_x));
+    poincare::DistanceGradX(x, y, scale, vec::Span(api_x));
+    ExpectSameBits(got_x, want_x, "AddGradX");
+    ExpectSameBits(api_x, want_x, "DistanceGradX");
+    std::vector<double> want_y = start, got_y = start;
+    ReferenceDistanceGradX(y, x, scale, vec::Span(want_y));
+    terms.AddGradY(x, y, xy, scale, vec::Span(got_y));
+    ExpectSameBits(got_y, want_y, "AddGradY");
+  }
+}
+
+TEST(PoincareTest, InPlaceRsgdStepMatchesCopyingStepBitForBit) {
+  Rng rng(53);
+  for (int trial = 0; trial < 40; ++trial) {
+    // Near the boundary the step lands past 1 - kBallEps and is projected;
+    // a zero gradient takes the too-short-to-move branch.
+    auto x = RandomBallPoint(&rng, 12, trial % 2 == 0 ? 0.6 : 0.99999);
+    std::vector<double> grad(12, 0.0);
+    if (trial % 10 != 0) {
+      for (double& v : grad) v = (trial % 3 + 1) * rng.NextGaussian();
+    }
+    std::vector<double> want = x;
+    ReferencePoincareRsgdStep(vec::Span(want), grad, 0.3);
+    poincare::RsgdStep(vec::Span(x), vec::Span(grad), 0.3);
+    ExpectSameBits(x, want, "poincare::RsgdStep");
+  }
+}
+
+TEST(LorentzTest, InPlaceRsgdStepMatchesCopyingStepBitForBit) {
+  Rng rng(54);
+  for (int trial = 0; trial < 40; ++trial) {
+    auto x = RandomLorentzPoint(&rng, 12, 0.2 + 0.1 * (trial % 10));
+    std::vector<double> grad(13, 0.0);
+    if (trial % 10 != 0) {
+      // Large gradients hit the step-length cap.
+      for (double& v : grad) v = (trial % 4 == 0 ? 50.0 : 1.0) *
+                                 rng.NextGaussian();
+    }
+    std::vector<double> want = x;
+    ReferenceLorentzRsgdStep(vec::Span(want), grad, 0.3);
+    lorentz::RsgdStep(vec::Span(x), vec::Span(grad), 0.3);
+    ExpectSameBits(x, want, "lorentz::RsgdStep");
+  }
+}
+
+// LorentzRsgdUpdate relies on this: RsgdStep's own projection is its last
+// write, so a second one could not change a bit.
+TEST(LorentzTest, ProjectToHyperboloidTwiceEqualsOnce) {
+  Rng rng(55);
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<double> x(13);
+    for (double& v : x) v = 3.0 * rng.NextGaussian();
+    lorentz::ProjectToHyperboloid(vec::Span(x));
+    const std::vector<double> once = x;
+    lorentz::ProjectToHyperboloid(vec::Span(x));
+    ExpectSameBits(x, once, "ProjectToHyperboloid");
+  }
 }
 
 TEST(KleinTest, MidpointStaysInBall) {

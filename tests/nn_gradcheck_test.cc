@@ -12,6 +12,7 @@
 #include "math/csr.h"
 #include "math/matrix.h"
 #include "math/rng.h"
+#include "math/vec_ops.h"
 #include "nn/losses.h"
 #include "nn/lorentz_layers.h"
 #include "nn/midpoint.h"
@@ -110,6 +111,35 @@ TEST(GradCheckTest, ExpMapNearOriginIsStable) {
     EXPECT_TRUE(std::isfinite(grad.at(0, c)));
     EXPECT_NEAR(grad.at(0, c), 1.0, 1e-6);  // Identity limit.
   }
+}
+
+// A row whose upstream is all zero, -0.0 entries included, keeps the +0.0
+// of its zeroed gradient row (the arithmetic would add +0.0 there for a
+// finite row), and the other rows get what they get on their own.
+TEST(GradCheckTest, ExpMapBackwardKeepsZeroUpstreamRowsZero) {
+  Rng rng(24);
+  const size_t d1 = 6;
+  Matrix z(3, d1);
+  z.FillGaussian(&rng, 0.8);
+  Matrix upstream(3, d1);
+  for (size_t r = 0; r < 3; ++r) z.at(r, 0) = 0.0;  // Tangent at origin.
+  for (size_t c = 0; c < d1; ++c) {
+    upstream.at(0, c) = -0.0;
+    upstream.at(1, c) = rng.NextGaussian();
+  }
+  Matrix grad(3, d1);
+  nn::ExpMapOriginBackward(z, upstream, &grad);
+  for (size_t r : {0, 2}) {
+    for (size_t c = 0; c < d1; ++c) {
+      EXPECT_EQ(grad.at(r, c), 0.0);
+      EXPECT_FALSE(std::signbit(grad.at(r, c))) << "row " << r;
+    }
+  }
+  Matrix z1(1, d1), up1(1, d1), grad1(1, d1);
+  vec::Copy(z.row(1), z1.row(0));
+  vec::Copy(upstream.row(1), up1.row(0));
+  nn::ExpMapOriginBackward(z1, up1, &grad1);
+  for (size_t c = 0; c < d1; ++c) EXPECT_EQ(grad.at(1, c), grad1.at(0, c));
 }
 
 TEST(GradCheckTest, TagAggregationLayer) {

@@ -1,7 +1,8 @@
 // Unit tests for the TaxoRec core model: the personalized weight α_u
 // (Eq. 16), ablation variants, taxonomy access, user-tag distances, the
-// Euclidean/hyperbolic mode switches, and the step workspace (no
-// embedding-sized allocation per step; re-sized on restore).
+// Euclidean/hyperbolic mode switches, the step workspace (no
+// embedding-sized allocation per step; re-sized on restore) and the tag
+// warm-up step (bit for bit the call-per-term composition).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,6 +15,9 @@
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "eval/evaluator.h"
+#include "hyperbolic/poincare.h"
+#include "math/vec_ops.h"
+#include "nn/losses.h"
 
 namespace taxorec {
 namespace {
@@ -56,6 +60,67 @@ DataSplit HandSplit() {
   split.test_items[0] = {2};
   split.test_items[1] = {0};
   return split;
+}
+
+// The warm-up step composed call per term: two Distance and four
+// DistanceGradX calls, each reducing its own terms, then the RSGD steps.
+double ReferenceWarmUpStep(Matrix* tags, uint32_t t1, uint32_t t2,
+                           uint32_t t3, double margin, double lr,
+                           double grad_clip) {
+  const double dp = poincare::Distance(tags->row(t1), tags->row(t2));
+  const double dq = poincare::Distance(tags->row(t1), tags->row(t3));
+  double dpos, dneg;
+  const double hinge = nn::HingeTriplet(margin, dp, dq, &dpos, &dneg);
+  if (hinge <= 0.0) return hinge;
+  const size_t dt = tags->cols();
+  std::vector<double> g1(dt, 0.0), g2(dt, 0.0), g3(dt, 0.0);
+  poincare::DistanceGradX(tags->row(t1), tags->row(t2), dpos, vec::Span(g1));
+  poincare::DistanceGradX(tags->row(t2), tags->row(t1), dpos, vec::Span(g2));
+  poincare::DistanceGradX(tags->row(t1), tags->row(t3), dneg, vec::Span(g1));
+  poincare::DistanceGradX(tags->row(t3), tags->row(t1), dneg, vec::Span(g3));
+  for (auto* g : {&g1, &g2, &g3}) {
+    if (grad_clip > 0.0) vec::ClipNorm(vec::Span(*g), grad_clip);
+  }
+  poincare::RsgdStep(tags->row(t1), vec::Span(g1), lr);
+  poincare::RsgdStep(tags->row(t2), vec::Span(g2), lr);
+  poincare::RsgdStep(tags->row(t3), vec::Span(g3), lr);
+  return hinge;
+}
+
+// The warm-up step computes each pair term once and must land on the same
+// bits as the call-per-term composition, including steps whose random tag
+// t3 is t1 or t2 (the draw gives up after 16 tries), steps with inactive
+// hinges, and both clip settings.
+TEST(TaxoRecModelTest, TagWarmUpStepMatchesCallPerTermStepBitForBit) {
+  Rng rng(21);
+  constexpr size_t kTags = 12, kDim = 12;
+  Matrix got(kTags, kDim);
+  for (size_t t = 0; t < kTags; ++t) {
+    poincare::RandomPoint(&rng, 0.9, got.row(t));
+  }
+  Matrix want = got;
+  std::vector<double> scratch(3 * kDim);
+  for (int step = 0; step < 3000; ++step) {
+    const uint32_t t1 = static_cast<uint32_t>(rng.Uniform(kTags));
+    uint32_t t2 = static_cast<uint32_t>(rng.Uniform(kTags));
+    if (t2 == t1) t2 = (t1 + 1) % kTags;
+    uint32_t t3 = static_cast<uint32_t>(rng.Uniform(kTags));
+    if (step % 7 == 0) t3 = t1;
+    if (step % 11 == 0) t3 = t2;
+    const double margin = step % 5 == 0 ? -1.0 : 0.5;  // some inactive
+    const double clip = step % 2 == 0 ? 1.0 : 0.0;
+    const double want_hinge =
+        ReferenceWarmUpStep(&want, t1, t2, t3, margin, 0.05, clip);
+    const double got_hinge =
+        TagWarmUpStep(&got, t1, t2, t3, margin, 0.05, clip, scratch);
+    ASSERT_EQ(std::memcmp(&got_hinge, &want_hinge, sizeof(double)), 0)
+        << "step " << step;
+    ASSERT_EQ(std::memcmp(got.flat().data(), want.flat().data(),
+                          kTags * kDim * sizeof(double)),
+              0)
+        << "step " << step << " (t1 " << t1 << ", t2 " << t2 << ", t3 "
+        << t3 << ")";
+  }
 }
 
 // A training step reuses the model's step workspace: once the first epoch
