@@ -14,8 +14,10 @@ constexpr double kAttrLossWeight = 0.2;
 }  // namespace
 
 void Agcn::Propagate(nn::GcnContext* ctx) {
-  items_aug_ = items0_;
-  items_aug_.Axpy(1.0, RowMeans(*item_tags_, tags_));
+  // items0_ + the mean tag embedding, added as mean + items0_: addition
+  // commutes exactly, so the bits are those of items0_ + mean.
+  RowMeans(*item_tags_, tags_, &items_aug_);
+  items_aug_.Axpy(1.0, items0_);
   gcn_->Forward(users0_, items_aug_, ctx, &users_out_, &items_out_);
 }
 
@@ -84,14 +86,7 @@ void Agcn::Fit(const DataSplit& split, Rng* rng) {
       Matrix leaf_gu, leaf_gv;
       gcn_->Backward(up_u, up_v, &leaf_gu, &leaf_gv, &ctx);
       // Item leaf gradient feeds both items0_ and (via the mean) the tags.
-      for (size_t v = 0; v < split.num_items; ++v) {
-        const auto tags = item_tags_->RowCols(v);
-        if (tags.empty()) continue;
-        const double w = 1.0 / static_cast<double>(tags.size());
-        for (uint32_t tag : tags) {
-          vec::Axpy(w, leaf_gv.row(v), grad_tags.row(tag));
-        }
-      }
+      RowMeansBackward(*item_tags_, leaf_gv, &grad_tags);
       optim::SgdUpdate(&users0_, leaf_gu, config_.lr);
       optim::SgdUpdate(&items0_, leaf_gv, config_.lr);
       optim::SgdUpdate(&tags_, grad_tags, config_.lr);

@@ -20,17 +20,30 @@ void EuclidSqDistGrad(std::span<const double> x, std::span<const double> y,
   }
 }
 
-Matrix RowMeans(const CsrMatrix& memberships, const Matrix& table) {
+void RowMeans(const CsrMatrix& memberships, const Matrix& table,
+              Matrix* out) {
   TAXOREC_CHECK(memberships.cols() == table.rows());
-  Matrix out(memberships.rows(), table.cols());
+  out->EnsureShape(memberships.rows(), table.cols());
   for (size_t r = 0; r < memberships.rows(); ++r) {
     const auto cols = memberships.RowCols(r);
+    auto row = out->row(r);
+    vec::Zero(row);
     if (cols.empty()) continue;
-    auto row = out.row(r);
     for (uint32_t c : cols) vec::Axpy(1.0, table.row(c), row);
     vec::Scale(row, 1.0 / static_cast<double>(cols.size()));
   }
-  return out;
+}
+
+void RowMeansBackward(const CsrMatrix& memberships, const Matrix& grad_means,
+                      Matrix* grad_table) {
+  TAXOREC_CHECK(memberships.rows() == grad_means.rows() &&
+                memberships.cols() == grad_table->rows());
+  for (size_t r = 0; r < memberships.rows(); ++r) {
+    const auto cols = memberships.RowCols(r);
+    if (cols.empty()) continue;
+    const double w = 1.0 / static_cast<double>(cols.size());
+    for (uint32_t c : cols) vec::Axpy(w, grad_means.row(r), grad_table->row(c));
+  }
 }
 
 }  // namespace taxorec

@@ -16,9 +16,15 @@ void EuclidSqDistGrad(std::span<const double> x, std::span<const double> y,
                       double scale, std::span<double> grad_x,
                       std::span<double> grad_y);
 
-/// Per-row mean of `table` rows selected by each row of `memberships`
-/// (e.g. an item's mean tag embedding). Rows with no members are zero.
-Matrix RowMeans(const CsrMatrix& memberships, const Matrix& table);
+/// Mean of the `table` rows that each row of `memberships` selects (e.g. an
+/// item's mean tag embedding), into `out`; rows with no members are zero.
+void RowMeans(const CsrMatrix& memberships, const Matrix& table,
+              Matrix* out);
+
+/// Adjoint of RowMeans: adds each row of `grad_means`, over its member
+/// count, to its members' rows of `grad_table`.
+void RowMeansBackward(const CsrMatrix& memberships, const Matrix& grad_means,
+                      Matrix* grad_table);
 
 }  // namespace taxorec
 

@@ -3,7 +3,8 @@
 // space at the origin, propagated with the bipartite GCN, mapped back, and
 // trained with a margin loss on hyperbolic distances via Riemannian SGD.
 // This is the strongest tag-free baseline in Table II and the closest
-// relative of TaxoRec (TaxoRec = HGCF + tag channel + taxonomy).
+// relative of TaxoRec (TaxoRec = HGCF + tag channel + taxonomy): the model
+// is one hyperbolic nn::GcnChannel, the channel type TaxoRec runs twice.
 #ifndef TAXOREC_BASELINES_HGCF_H_
 #define TAXOREC_BASELINES_HGCF_H_
 
@@ -24,15 +25,10 @@ class Hgcf : public Recommender {
   void ScoreItems(uint32_t user, std::span<double> out) const override;
 
  private:
-  /// Runs log → GCN → exp from the current leaves into users_out_/items_out_.
-  void Propagate(nn::GcnContext* ctx);
-
   ModelConfig config_;
   std::unique_ptr<nn::BipartiteGcn> gcn_;
-  Matrix users0_, items0_;        // Lorentz leaves, (dim+1) coords
-  Matrix zu0_, zv0_;              // tangent inputs (cached per step)
-  Matrix sum_u_, sum_v_;          // GCN outputs (cached per step)
-  Matrix users_out_, items_out_;  // hyperboloid outputs
+  nn::GcnChannel channel_{/*hyperbolic=*/true};
+  Matrix users0_, items0_;  // Lorentz leaves, (dim+1) coords
 };
 
 }  // namespace taxorec

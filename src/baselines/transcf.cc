@@ -32,8 +32,8 @@ void TransCf::Fit(const DataSplit& split, Rng* rng) {
   std::vector<double> shifted(d), gu(d), gp(d), gq(d);
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     // Refresh neighbourhood means (stop-gradient snapshot).
-    user_nbr_ = RowMeans(split.train, items_);
-    item_nbr_ = RowMeans(train_t, users_);
+    RowMeans(split.train, items_, &user_nbr_);
+    RowMeans(train_t, users_, &item_nbr_);
     const size_t steps = config_.batches_per_epoch * config_.batch_size;
     for (size_t s = 0; s < steps; ++s) {
       const Triplet t = sampler.Sample(rng);
@@ -69,8 +69,8 @@ void TransCf::Fit(const DataSplit& split, Rng* rng) {
     }
   }
   // Final snapshot for scoring.
-  user_nbr_ = RowMeans(split.train, items_);
-  item_nbr_ = RowMeans(train_t, users_);
+  RowMeans(split.train, items_, &user_nbr_);
+  RowMeans(train_t, users_, &item_nbr_);
 }
 
 void TransCf::ScoreItems(uint32_t user, std::span<double> out) const {

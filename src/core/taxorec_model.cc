@@ -24,27 +24,15 @@
 #include "hyperbolic/poincare.h"
 #include "math/vec_ops.h"
 #include "nn/losses.h"
-#include "nn/lorentz_layers.h"
 #include "optim/rsgd.h"
-#include "optim/sgd.h"
 
 namespace taxorec {
-namespace {
-
-// Euclidean fallback max row norm (CML-style ball constraint).
-constexpr double kEuclidMaxNorm = 1.5;
-
-}  // namespace
 
 TaxoRecModel::TaxoRecModel(const ModelConfig& config, TaxoRecOptions options)
     : config_(config), options_(std::move(options)) {
   // The tag channel's width comes out of dim; check before subtracting.
   TAXOREC_CHECK(config_.dim > config_.tag_dim);
-  const size_t di = config_.dim - config_.tag_dim;
-  const size_t dt = config_.tag_dim;
-  TAXOREC_CHECK(di >= kTaxoRecMinItemDim);
-  di_cols_ = options_.hyperbolic ? di + 1 : di;
-  dt_cols_ = options_.hyperbolic ? dt + 1 : dt;
+  TAXOREC_CHECK(config_.dim - config_.tag_dim >= kTaxoRecMinItemDim);
 }
 
 void TaxoRecModel::ComputeAlpha(const DataSplit& split) {
@@ -218,59 +206,25 @@ void TaxoRecModel::Propagate() {
   if (options_.hyperbolic) {
     tag_agg_->Forward(tags_, &tag_ctx_, &items_tg_leaf_);
   } else {
-    items_tg_leaf_ = RowMeans(item_tags_, tags_);
+    RowMeans(item_tags_, tags_, &items_tg_leaf_);
   }
   // Global aggregation on both channels.
-  auto run_channel = [&](const Matrix& users_leaf, const Matrix& items_leaf,
-                         ChannelWorkspace* ws, Matrix* sum_u, Matrix* sum_v,
-                         Matrix* out_u, Matrix* out_v) {
-    if (options_.hyperbolic) {
-      nn::LogMapOriginForward(users_leaf, &ws->tan_u);
-      nn::LogMapOriginForward(items_leaf, &ws->tan_v);
-      gcn_->Forward(ws->tan_u, ws->tan_v, &ws->gcn, sum_u, sum_v);
-      nn::ExpMapOriginForward(*sum_u, out_u);
-      nn::ExpMapOriginForward(*sum_v, out_v);
-    } else {
-      gcn_->Forward(users_leaf, items_leaf, &ws->gcn, sum_u, sum_v);
-      *out_u = *sum_u;
-      *out_v = *sum_v;
-    }
-  };
-  run_channel(users_ir_, items_ir_, &ws_.ir, &sum_u_ir_, &sum_v_ir_,
-              &out_u_ir_, &out_v_ir_);
-  run_channel(users_tg_, items_tg_leaf_, &ws_.tg, &sum_u_tg_, &sum_v_tg_,
-              &out_u_tg_, &out_v_tg_);
+  ir_.Forward(*gcn_, users_ir_, items_ir_);
+  tg_.Forward(*gcn_, users_tg_, items_tg_leaf_);
 }
 
 double TaxoRecModel::Similarity(uint32_t user, uint32_t item) const {
-  const bool hyp = options_.hyperbolic;
-  double g = hyp ? lorentz::SqDistance(out_u_ir_.row(user),
-                                       out_v_ir_.row(item))
-                 : vec::SqDist(out_u_ir_.row(user), out_v_ir_.row(item));
+  double g = ir_.SqDistance(user, item);
   const double a = alpha_[user];
-  if (a > 0.0) {
-    g += a * (hyp ? lorentz::SqDistance(out_u_tg_.row(user),
-                                        out_v_tg_.row(item))
-                  : vec::SqDist(out_u_tg_.row(user), out_v_tg_.row(item)));
-  }
+  if (a > 0.0) g += a * tg_.SqDistance(user, item);
   return g;
 }
 
 double TaxoRecModel::TrainStep(const TripletSampler& sampler, int epoch,
                                size_t batch_index) {
-  const bool hyp = options_.hyperbolic;
   // Summed (not averaged) batch gradients, matching per-triplet SGD scale.
   const double scale = 1.0;
   const size_t batch = config_.batch_size;
-
-  auto sq_dist_grad = [&](vec::ConstSpan x, vec::ConstSpan y, double s,
-                          vec::Span gx, vec::Span gy) {
-    if (hyp) {
-      lorentz::SqDistanceGrad(x, y, s, gx, gy);
-    } else {
-      EuclidSqDistGrad(x, y, s, gx, gy);
-    }
-  };
 
   // Phase 1 — per-sample fan-out. Each sample's triplet draw consumes a
   // counter-based stream derived from (seed, epoch, sample_index), and its
@@ -281,8 +235,8 @@ double TaxoRecModel::TrainStep(const TripletSampler& sampler, int epoch,
   recs.assign(batch, SampleRec{});
   Matrix& gbuf_ir = ws_.gbuf_ir;
   Matrix& gbuf_tg = ws_.gbuf_tg;
-  gbuf_ir.EnsureShape(batch * 3, di_cols_);
-  gbuf_tg.EnsureShape(batch * 3, dt_cols_);
+  gbuf_ir.EnsureShape(batch * 3, users_ir_.cols());
+  gbuf_tg.EnsureShape(batch * 3, users_tg_.cols());
   // Zeroes sample j's three gradient rows before they accumulate.
   auto zero_rows = [](Matrix* gbuf, size_t j) {
     for (size_t r = 3 * j; r < 3 * j + 3; ++r) vec::Zero(gbuf->row(r));
@@ -303,18 +257,16 @@ double TaxoRecModel::TrainStep(const TripletSampler& sampler, int epoch,
       if (hinge <= 0.0) continue;
       recs[j] = {t.user, t.pos, t.neg, a, hinge, /*active=*/true};
       zero_rows(&gbuf_ir, j);
-      sq_dist_grad(out_u_ir_.row(t.user), out_v_ir_.row(t.pos), dpos * scale,
-                   gbuf_ir.row(3 * j), gbuf_ir.row(3 * j + 1));
-      sq_dist_grad(out_u_ir_.row(t.user), out_v_ir_.row(t.neg), dneg * scale,
-                   gbuf_ir.row(3 * j), gbuf_ir.row(3 * j + 2));
+      ir_.AddSqDistanceGrad(t.user, t.pos, dpos * scale, gbuf_ir.row(3 * j),
+                            gbuf_ir.row(3 * j + 1));
+      ir_.AddSqDistanceGrad(t.user, t.neg, dneg * scale, gbuf_ir.row(3 * j),
+                            gbuf_ir.row(3 * j + 2));
       if (a > 0.0) {
         zero_rows(&gbuf_tg, j);
-        sq_dist_grad(out_u_tg_.row(t.user), out_v_tg_.row(t.pos),
-                     a * dpos * scale, gbuf_tg.row(3 * j),
-                     gbuf_tg.row(3 * j + 1));
-        sq_dist_grad(out_u_tg_.row(t.user), out_v_tg_.row(t.neg),
-                     a * dneg * scale, gbuf_tg.row(3 * j),
-                     gbuf_tg.row(3 * j + 2));
+        tg_.AddSqDistanceGrad(t.user, t.pos, a * dpos * scale,
+                              gbuf_tg.row(3 * j), gbuf_tg.row(3 * j + 1));
+        tg_.AddSqDistanceGrad(t.user, t.neg, a * dneg * scale,
+                              gbuf_tg.row(3 * j), gbuf_tg.row(3 * j + 2));
       }
     }
   });
@@ -323,27 +275,20 @@ double TaxoRecModel::TrainStep(const TripletSampler& sampler, int epoch,
   // dense update matrices in ascending sample order on this thread, so the
   // summation order (and every optimizer step below) is independent of the
   // thread count. The sums land in each channel's grad_u/grad_v.
-  auto zeroed = [](Matrix* m, size_t rows, size_t cols) -> Matrix& {
-    m->EnsureShape(rows, cols);
-    m->SetZero();
-    return *m;
-  };
-  Matrix& up_u_ir = zeroed(&ws_.ir.grad_u, num_users_, di_cols_);
-  Matrix& up_v_ir = zeroed(&ws_.ir.grad_v, num_items_, di_cols_);
-  Matrix& up_u_tg = zeroed(&ws_.tg.grad_u, num_users_, dt_cols_);
-  Matrix& up_v_tg = zeroed(&ws_.tg.grad_v, num_items_, dt_cols_);
+  ir_.ZeroGrads();
+  tg_.ZeroGrads();
   double batch_loss = 0.0;
   for (size_t j = 0; j < batch; ++j) {
     const SampleRec& rec = recs[j];
     if (!rec.active) continue;
     batch_loss += rec.loss;
-    vec::Axpy(1.0, gbuf_ir.row(3 * j), up_u_ir.row(rec.user));
-    vec::Axpy(1.0, gbuf_ir.row(3 * j + 1), up_v_ir.row(rec.pos));
-    vec::Axpy(1.0, gbuf_ir.row(3 * j + 2), up_v_ir.row(rec.neg));
+    vec::Axpy(1.0, gbuf_ir.row(3 * j), ir_.grad_u().row(rec.user));
+    vec::Axpy(1.0, gbuf_ir.row(3 * j + 1), ir_.grad_v().row(rec.pos));
+    vec::Axpy(1.0, gbuf_ir.row(3 * j + 2), ir_.grad_v().row(rec.neg));
     if (rec.a > 0.0) {
-      vec::Axpy(1.0, gbuf_tg.row(3 * j), up_u_tg.row(rec.user));
-      vec::Axpy(1.0, gbuf_tg.row(3 * j + 1), up_v_tg.row(rec.pos));
-      vec::Axpy(1.0, gbuf_tg.row(3 * j + 2), up_v_tg.row(rec.neg));
+      vec::Axpy(1.0, gbuf_tg.row(3 * j), tg_.grad_u().row(rec.user));
+      vec::Axpy(1.0, gbuf_tg.row(3 * j + 1), tg_.grad_v().row(rec.pos));
+      vec::Axpy(1.0, gbuf_tg.row(3 * j + 2), tg_.grad_v().row(rec.neg));
     }
   }
 
@@ -351,86 +296,35 @@ double TaxoRecModel::TrainStep(const TripletSampler& sampler, int epoch,
   // rollback/retry machinery of the training loop can be exercised by real
   // tests. A single relaxed atomic load when disarmed.
   if (TAXOREC_FAULT(faults::kGradNan, epoch)) {
-    up_u_ir.at(0, 0) = std::numeric_limits<double>::quiet_NaN();
+    ir_.grad_u().at(0, 0) = std::numeric_limits<double>::quiet_NaN();
   }
 
-  // Backward through the global aggregation of one channel: on entry
-  // ws->grad_u/grad_v hold the gradients on the channel's final
-  // embeddings, on exit the gradients on its user and item leaves.
-  auto channel_backward = [&](const Matrix& users_leaf,
-                              const Matrix& items_leaf, const Matrix& sum_u,
-                              const Matrix& sum_v, ChannelWorkspace* ws) {
-    if (hyp) {
-      nn::ExpMapOriginBackward(
-          sum_u, ws->grad_u, &zeroed(&ws->gsum_u, sum_u.rows(), sum_u.cols()));
-      nn::ExpMapOriginBackward(
-          sum_v, ws->grad_v, &zeroed(&ws->gsum_v, sum_v.rows(), sum_v.cols()));
-      gcn_->Backward(ws->gsum_u, ws->gsum_v, &ws->tan_u, &ws->tan_v,
-                     &ws->gcn);
-      ws->grad_u.SetZero();
-      ws->grad_v.SetZero();
-      nn::LogMapOriginBackward(users_leaf, ws->tan_u, &ws->grad_u);
-      nn::LogMapOriginBackward(items_leaf, ws->tan_v, &ws->grad_v);
-    } else {
-      gcn_->Backward(ws->grad_u, ws->grad_v, &ws->tan_u, &ws->tan_v,
-                     &ws->gcn);
-      std::swap(ws->grad_u, ws->tan_u);
-      std::swap(ws->grad_v, ws->tan_v);
-    }
-  };
+  ir_.Backward(*gcn_, users_ir_, items_ir_);
+  ir_.Step(&users_ir_, ir_.grad_u(), config_.lr, config_.grad_clip);
+  ir_.Step(&items_ir_, ir_.grad_v(), config_.lr, config_.grad_clip);
 
-  // --- ir channel ---
-  channel_backward(users_ir_, items_ir_, sum_u_ir_, sum_v_ir_, &ws_.ir);
-  const Matrix& leaf_gu_ir = ws_.ir.grad_u;
-  const Matrix& leaf_gv_ir = ws_.ir.grad_v;
-  if (hyp) {
-    optim::LorentzRsgdUpdate(&users_ir_, leaf_gu_ir, config_.lr,
-                             config_.grad_clip);
-    optim::LorentzRsgdUpdate(&items_ir_, leaf_gv_ir, config_.lr,
-                             config_.grad_clip);
-  } else {
-    optim::SgdUpdate(&users_ir_, leaf_gu_ir, config_.lr);
-    optim::SgdUpdate(&items_ir_, leaf_gv_ir, config_.lr);
-    optim::ProjectRowsToBall(&users_ir_, kEuclidMaxNorm);
-    optim::ProjectRowsToBall(&items_ir_, kEuclidMaxNorm);
-  }
-
-  // --- tag channel ---
   const double tag_lr = config_.lr * std::max(1.0, config_.tag_lr_mult);
-  channel_backward(users_tg_, items_tg_leaf_, sum_u_tg_, sum_v_tg_, &ws_.tg);
-  const Matrix& leaf_gu_tg = ws_.tg.grad_u;
-  const Matrix& leaf_gv_tg = ws_.tg.grad_v;
-  Matrix& grad_tags = zeroed(&ws_.grad_tags, num_tags_, tags_.cols());
-  if (hyp) {
-    optim::LorentzRsgdUpdate(&users_tg_, leaf_gu_tg, tag_lr, config_.grad_clip);
-    // Local aggregation backward: item tag-leaf grads → Poincaré tags.
-    tag_agg_->Backward(tags_, tag_ctx_, leaf_gv_tg, &grad_tags);
-  } else {
-    optim::SgdUpdate(&users_tg_, leaf_gu_tg, tag_lr);
-    optim::ProjectRowsToBall(&users_tg_, kEuclidMaxNorm);
-    // Euclidean mean backward.
-    for (size_t v = 0; v < num_items_; ++v) {
-      const auto tags = item_tags_.RowCols(v);
-      if (tags.empty()) continue;
-      const double w = 1.0 / static_cast<double>(tags.size());
-      for (uint32_t tg : tags) {
-        vec::Axpy(w, leaf_gv_tg.row(v), grad_tags.row(tg));
-      }
+  tg_.Backward(*gcn_, users_tg_, items_tg_leaf_);
+  tg_.Step(&users_tg_, tg_.grad_u(), tag_lr, config_.grad_clip);
+  // Local aggregation backward (item tag-leaf grads → tags), tag step.
+  Matrix& grad_tags = ws_.grad_tags;
+  grad_tags.EnsureShape(num_tags_, tags_.cols());
+  grad_tags.SetZero();
+  if (options_.hyperbolic) {
+    tag_agg_->Backward(tags_, tag_ctx_, tg_.grad_v(), &grad_tags);
+    // Taxonomy-aware regularization (Eq. 8), hyperbolic mode only. The
+    // per-call scale normalizes by the tag count so λ is comparable across
+    // datasets.
+    if (options_.lambda > 0.0 && taxonomy_ != nullptr) {
+      TaxonomyRegLossAndGrad(*taxonomy_, tags_,
+                             options_.lambda / static_cast<double>(num_tags_),
+                             &grad_tags, options_.reg);
     }
-  }
-  // Taxonomy-aware regularization (Eq. 8), hyperbolic mode only. The
-  // per-call scale normalizes by the tag count so λ is comparable across
-  // datasets.
-  if (hyp && options_.lambda > 0.0 && taxonomy_ != nullptr) {
-    TaxonomyRegLossAndGrad(*taxonomy_, tags_,
-                           options_.lambda / static_cast<double>(num_tags_),
-                           &grad_tags, options_.reg);
-  }
-  if (hyp) {
     optim::PoincareRsgdUpdate(&tags_, grad_tags, tag_lr, config_.grad_clip);
   } else {
-    optim::SgdUpdate(&tags_, grad_tags, tag_lr);
-    optim::ProjectRowsToBall(&tags_, kEuclidMaxNorm);
+    RowMeansBackward(item_tags_, tg_.grad_v(), &grad_tags);
+    // The Euclidean tag table is the mean's operand, a channel leaf.
+    tg_.Step(&tags_, grad_tags, tag_lr, config_.grad_clip);
   }
   return batch_loss;
 }
@@ -449,31 +343,22 @@ void TaxoRecModel::InitFromSplit(const DataSplit& split, Rng* rng,
   sampler_ = std::make_unique<TripletSampler>(&train_, config_.neg_sampling);
 
   const bool hyp = options_.hyperbolic;
-  users_ir_ = Matrix(num_users_, di_cols_);
-  items_ir_ = Matrix(num_items_, di_cols_);
-  users_tg_ = Matrix(num_users_, dt_cols_);
+  users_ir_ = Matrix(num_users_, ir_.cols(config_.dim - config_.tag_dim));
+  items_ir_ = Matrix(num_items_, users_ir_.cols());
+  users_tg_ = Matrix(num_users_, tg_.cols(config_.tag_dim));
   tags_ = Matrix(num_tags_, config_.tag_dim);
   if (hyp) tag_agg_ = std::make_unique<nn::TagAggregation>(&item_tags_);
   gcn_ = std::make_unique<nn::BipartiteGcn>(split.train, config_.gcn_layers);
   if (!init_params) return;
   TAXOREC_CHECK(rng != nullptr);
+  ir_.InitLeaves(rng, &users_ir_);
+  ir_.InitLeaves(rng, &items_ir_);
+  tg_.InitLeaves(rng, &users_tg_);
   if (hyp) {
-    for (size_t u = 0; u < num_users_; ++u) {
-      lorentz::RandomPoint(rng, 0.1, users_ir_.row(u));
-    }
-    for (size_t v = 0; v < num_items_; ++v) {
-      lorentz::RandomPoint(rng, 0.1, items_ir_.row(v));
-    }
-    for (size_t u = 0; u < num_users_; ++u) {
-      lorentz::RandomPoint(rng, 0.1, users_tg_.row(u));
-    }
     for (size_t t = 0; t < num_tags_; ++t) {
       poincare::RandomPoint(rng, 0.5, tags_.row(t));
     }
   } else {
-    users_ir_.FillGaussian(rng, 0.1);
-    items_ir_.FillGaussian(rng, 0.1);
-    users_tg_.FillGaussian(rng, 0.1);
     tags_.FillGaussian(rng, 0.1);
   }
 }
@@ -512,7 +397,9 @@ double TaxoRecModel::FitEpoch(const DataSplit& split, int epoch, Rng* rng) {
 void TaxoRecModel::EndFit(const DataSplit& split) {
   if (options_.hyperbolic) RebuildTaxonomy(config_.epochs);
   Propagate();
-  ws_ = StepWorkspace();  // scoring and serving need none of it
+  ws_ = StepWorkspace();  // scoring and serving need the outputs alone
+  ir_.ReleaseStepBuffers();
+  tg_.ReleaseStepBuffers();
 }
 
 void TaxoRecModel::Fit(const DataSplit& split, Rng* rng) {
@@ -554,10 +441,10 @@ ScoringSnapshot TaxoRecModel::ExportScoringSnapshot() const {
   snap.num_items = num_items_;
   snap.kernel = options_.hyperbolic ? ScoreKernel::kNegLorentzSqDist
                                     : ScoreKernel::kNegSqDist;
-  snap.users = out_u_ir_;
-  snap.items = out_v_ir_;
-  snap.users_tg = out_u_tg_;
-  snap.items_tg = out_v_tg_;
+  snap.users = ir_.out_u();
+  snap.items = ir_.out_v();
+  snap.users_tg = tg_.out_u();
+  snap.items_tg = tg_.out_v();
   snap.alpha = alpha_;
   return snap;
 }
@@ -598,7 +485,7 @@ Status TaxoRecModel::RestoreCheckpoint(const Checkpoint& ckpt,
 
 std::vector<double> TaxoRecModel::UserTagDistances(uint32_t user) const {
   std::vector<double> dist(num_tags_, 0.0);
-  const auto u = out_u_tg_.row(user);
+  const auto u = tg_.out_u().row(user);
   if (options_.hyperbolic) {
     std::vector<double> lorentz_tag(tags_.cols() + 1);
     for (size_t t = 0; t < num_tags_; ++t) {

@@ -7,7 +7,8 @@
 //     embeddings v^tg' produced from the Poincaré tag table T^P by the
 //     Einstein-midpoint local aggregation (Eq. 9–11)
 //   - global aggregation: log_o → bipartite GCN (Eq. 13–14) → exp_o
-//     (Eq. 12, 15) applied to both channels
+//     (Eq. 12, 15) applied to both channels, each an nn::GcnChannel over
+//     one shared BipartiteGcn (HGCF is one such channel alone)
 //   - similarity: g(u,v) = d_H²(u^ir, v^ir) + α_u d_H²(u^tg, v^tg) (Eq. 17)
 //     with the personalized tag weight α_u of Eq. 16
 //   - objective: LMNN hinge (Eq. 18) + λ·L^reg (Eq. 8), optimized with
@@ -159,21 +160,10 @@ class TaxoRecModel : public Recommender {
     double loss = 0.0;
     bool active = false;
   };
-  // One channel's step buffers. A buffer serves two uses whose lifetimes
-  // do not overlap, so a channel holds three gradient-sized pairs.
-  struct ChannelWorkspace {
-    nn::GcnContext gcn;     // GCN layer buffers, forward and backward
-    Matrix tan_u, tan_v;    // log_o of the leaves, then the GCN's input grad
-    Matrix gsum_u, gsum_v;  // gradient on the GCN outputs
-    Matrix grad_u, grad_v;  // gradient on the final embeddings, then leaves
-  };
-  // Everything a step would otherwise allocate per call, kept across
-  // steps so that a step allocates no users- or items-sized matrix once
-  // sized. Contents are scratch between uses (every use zeroes or fully
-  // overwrites what it reads); shapes are re-checked at each use, and
-  // EndFit releases the buffers.
+  // What a step would allocate per call beside the channels' buffers.
+  // Contents are scratch between uses (every use zeroes or fully overwrites
+  // what it reads); EndFit releases the buffers.
   struct StepWorkspace {
-    ChannelWorkspace ir, tg;
     std::vector<SampleRec> recs;
     Matrix gbuf_ir, gbuf_tg;  // rows 3j..3j+2: sample j's user/pos/neg grads
     Matrix grad_tags;
@@ -189,18 +179,14 @@ class TaxoRecModel : public Recommender {
   size_t num_users_ = 0, num_items_ = 0, num_tags_ = 0;
   std::vector<double> alpha_;
 
-  // Dimensions: ir-channel Di, tag-channel Dt (columns include the Lorentz
-  // time coordinate in hyperbolic mode).
-  size_t di_cols_ = 0;
-  size_t dt_cols_ = 0;
-
-  // Parameters (leaves).
+  // Parameters (leaves; a Lorentz row has its time coordinate first).
   Matrix users_ir_, items_ir_;  // tag-irrelevant
   Matrix users_tg_;             // tag-relevant user embeddings
   Matrix tags_;                 // T^P (Poincaré, Dt) or Euclidean tag table
 
-  // Layers.
+  // Layers. Both channels propagate over gcn_.
   std::unique_ptr<nn::BipartiteGcn> gcn_;
+  nn::GcnChannel ir_{options_.hyperbolic}, tg_{options_.hyperbolic};
   std::unique_ptr<nn::TagAggregation> tag_agg_;
   std::unique_ptr<Taxonomy> taxonomy_;
 
@@ -208,11 +194,9 @@ class TaxoRecModel : public Recommender {
   // so FitEpoch works both after BeginFit and after RestoreCheckpoint.
   std::unique_ptr<TripletSampler> sampler_;
 
-  // Forward caches.
+  // Forward caches of the local aggregation (the channels keep theirs).
   nn::TagAggContext tag_ctx_;
   Matrix items_tg_leaf_;  // v^tg' before global aggregation
-  Matrix sum_u_ir_, sum_v_ir_, sum_u_tg_, sum_v_tg_;  // GCN outputs
-  Matrix out_u_ir_, out_v_ir_, out_u_tg_, out_v_tg_;  // final embeddings
 
   StepWorkspace ws_;
 };

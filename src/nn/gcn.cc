@@ -3,9 +3,16 @@
 #include <cmath>
 #include <span>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "baselines/embedding_model.h"
 #include "common/check.h"
+#include "hyperbolic/lorentz.h"
+#include "math/vec_ops.h"
+#include "nn/lorentz_layers.h"
+#include "optim/rsgd.h"
+#include "optim/sgd.h"
 
 namespace taxorec::nn {
 
@@ -52,6 +59,9 @@ CsrMatrix::RowEpilogue HalveAndAdd(Matrix* a, const Matrix* up) {
     for (size_t i = 0; i < ac.size(); ++i) ac[i] += uc[i];
   };
 }
+
+// Radius of the ball Euclidean channel leaves are projected into.
+constexpr double kEuclidMaxNorm = 1.5;
 
 }  // namespace
 
@@ -107,6 +117,86 @@ void BipartiteGcn::Backward(const Matrix& up_u, const Matrix& up_v,
     au = next_u;
     av = next_v;
   }
+}
+
+void GcnChannel::InitLeaves(Rng* rng, Matrix* leaves) const {
+  if (!hyperbolic_) {
+    leaves->FillGaussian(rng, 0.1);
+    return;
+  }
+  for (size_t r = 0; r < leaves->rows(); ++r) {
+    lorentz::RandomPoint(rng, 0.1, leaves->row(r));
+  }
+}
+
+void GcnChannel::Forward(const BipartiteGcn& gcn, const Matrix& users,
+                         const Matrix& items) {
+  if (!hyperbolic_) {
+    gcn.Forward(users, items, &ctx_, &out_u_, &out_v_);
+    return;
+  }
+  LogMapOriginForward(users, &tan_u_);
+  LogMapOriginForward(items, &tan_v_);
+  gcn.Forward(tan_u_, tan_v_, &ctx_, &sum_u_, &sum_v_);
+  ExpMapOriginForward(sum_u_, &out_u_);
+  ExpMapOriginForward(sum_v_, &out_v_);
+}
+
+double GcnChannel::SqDistance(uint32_t u, uint32_t v) const {
+  return hyperbolic_ ? lorentz::SqDistance(out_u_.row(u), out_v_.row(v))
+                     : vec::SqDist(out_u_.row(u), out_v_.row(v));
+}
+
+void GcnChannel::AddSqDistanceGrad(uint32_t u, uint32_t v, double s,
+                                   std::span<double> grad_u,
+                                   std::span<double> grad_v) const {
+  if (hyperbolic_) {
+    lorentz::SqDistanceGrad(out_u_.row(u), out_v_.row(v), s, grad_u, grad_v);
+  } else {
+    EuclidSqDistGrad(out_u_.row(u), out_v_.row(v), s, grad_u, grad_v);
+  }
+}
+
+void GcnChannel::ZeroGrads() {
+  grad_u_.EnsureShape(out_u_.rows(), out_u_.cols());
+  grad_v_.EnsureShape(out_v_.rows(), out_v_.cols());
+  grad_u_.SetZero();
+  grad_v_.SetZero();
+}
+
+void GcnChannel::Backward(const BipartiteGcn& gcn, const Matrix& users,
+                          const Matrix& items) {
+  if (!hyperbolic_) {
+    // The GCN is the whole channel: its input gradient is the leaves'.
+    gcn.Backward(grad_u_, grad_v_, &tan_u_, &tan_v_, &ctx_);
+    std::swap(grad_u_, tan_u_);
+    std::swap(grad_v_, tan_v_);
+    return;
+  }
+  tan_u_.SetZero();
+  tan_v_.SetZero();
+  ExpMapOriginBackward(sum_u_, grad_u_, &tan_u_);
+  ExpMapOriginBackward(sum_v_, grad_v_, &tan_v_);
+  gcn.Backward(tan_u_, tan_v_, &sum_u_, &sum_v_, &ctx_);
+  grad_u_.SetZero();
+  grad_v_.SetZero();
+  LogMapOriginBackward(users, sum_u_, &grad_u_);
+  LogMapOriginBackward(items, sum_v_, &grad_v_);
+}
+
+void GcnChannel::Step(Matrix* leaves, const Matrix& grad, double lr,
+                      double grad_clip) const {
+  if (hyperbolic_) {
+    optim::LorentzRsgdUpdate(leaves, grad, lr, grad_clip);
+  } else {
+    optim::SgdUpdate(leaves, grad, lr);
+    optim::ProjectRowsToBall(leaves, kEuclidMaxNorm);
+  }
+}
+
+void GcnChannel::ReleaseStepBuffers() {
+  ctx_ = GcnContext();
+  tan_u_ = tan_v_ = sum_u_ = sum_v_ = grad_u_ = grad_v_ = Matrix();
 }
 
 namespace {

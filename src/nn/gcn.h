@@ -21,8 +21,12 @@
 #ifndef TAXOREC_NN_GCN_H_
 #define TAXOREC_NN_GCN_H_
 
+#include <cstdint>
+#include <span>
+
 #include "math/csr.h"
 #include "math/matrix.h"
+#include "math/rng.h"
 
 namespace taxorec::nn {
 
@@ -64,6 +68,59 @@ class BipartiteGcn {
   CsrMatrix piu_;    // item → user, rows sum to 1
   CsrMatrix pui_t_;  // transpose of pui_
   CsrMatrix piu_t_;  // transpose of piu_
+};
+
+/// One channel of global aggregation over a BipartiteGcn (TaxoRec runs two,
+/// HGCF one): exp_o(GCN(log_o(leaves))) (Eq. 12–15), Lorentz squared
+/// distances and Lorentz RSGD on hyperboloid leaves; GCN(leaves), squared
+/// distances and SGD into the ball of radius 1.5 (CML's) on Euclidean ones.
+/// It owns its caches and step buffers, so once sized a step allocates no
+/// leaf-sized matrix; the operator and the leaves are the caller's.
+class GcnChannel {
+ public:
+  explicit GcnChannel(bool hyperbolic) : hyperbolic_(hyperbolic) {}
+
+  /// Leaf row width for `dim` coordinates (+1 on the hyperboloid).
+  size_t cols(size_t dim) const { return hyperbolic_ ? dim + 1 : dim; }
+  /// Sets each row, in order, to a random point near the origin (σ = 0.1).
+  void InitLeaves(Rng* rng, Matrix* leaves) const;
+
+  void Forward(const BipartiteGcn& gcn, const Matrix& users,
+               const Matrix& items);
+  const Matrix& out_u() const { return out_u_; }
+  const Matrix& out_v() const { return out_v_; }
+  /// Squared distance between user u's and item v's outputs; its gradients
+  /// times s accumulate into output-wide rows.
+  double SqDistance(uint32_t u, uint32_t v) const;
+  void AddSqDistanceGrad(uint32_t u, uint32_t v, double s,
+                         std::span<double> grad_u,
+                         std::span<double> grad_v) const;
+
+  /// Zeroes grad_u()/grad_v() in the outputs' shapes. Backward turns these
+  /// gradients on the outputs into ones on the last Forward's leaves, and
+  /// overwrites that Forward's caches (not its outputs).
+  void ZeroGrads();
+  Matrix& grad_u() { return grad_u_; }
+  Matrix& grad_v() { return grad_v_; }
+  void Backward(const BipartiteGcn& gcn, const Matrix& users,
+                const Matrix& items);
+
+  /// Steps `leaves` against `grad`; grad_clip (<= 0: none) clips each
+  /// gradient row on the hyperboloid only.
+  void Step(Matrix* leaves, const Matrix& grad, double lr,
+            double grad_clip) const;
+  /// Frees all but the outputs; the next Forward re-sizes what it needs.
+  void ReleaseStepBuffers();
+
+ private:
+  bool hyperbolic_;
+  GcnContext ctx_;
+  // On the hyperboloid tan_ holds log_o of the leaves, then the gradient on
+  // the GCN outputs, and sum_ the GCN outputs, then the gradient on its
+  // inputs. In Euclidean space tan_ takes the GCN's input gradient.
+  Matrix tan_u_, tan_v_, sum_u_, sum_v_;
+  Matrix out_u_, out_v_;
+  Matrix grad_u_, grad_v_;  // gradient on the outputs, then on the leaves
 };
 
 /// Faithful LightGCN propagation: symmetric-normalized pure neighbour

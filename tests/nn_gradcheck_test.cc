@@ -1,18 +1,24 @@
 // Finite-difference gradient checks for every manually-differentiated
-// layer: Lorentz log/exp map layers, the Einstein-midpoint tag aggregation,
-// and the scalar losses. These tests pin the closed-form Jacobians that
-// replace autograd (DESIGN.md §1).
+// layer: Lorentz log/exp map layers, the composed GCN channel, the
+// Einstein-midpoint tag aggregation, and the scalar losses. These tests pin
+// the closed-form Jacobians that replace autograd (DESIGN.md §1).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/heap_stats.h"
+#include "common/parallel.h"
 #include "hyperbolic/lorentz.h"
 #include "hyperbolic/poincare.h"
 #include "math/csr.h"
 #include "math/matrix.h"
 #include "math/rng.h"
 #include "math/vec_ops.h"
+#include "nn/gcn.h"
 #include "nn/losses.h"
 #include "nn/lorentz_layers.h"
 #include "nn/midpoint.h"
@@ -140,6 +146,169 @@ TEST(GradCheckTest, ExpMapBackwardKeepsZeroUpstreamRowsZero) {
   vec::Copy(upstream.row(1), up1.row(0));
   nn::ExpMapOriginBackward(z1, up1, &grad1);
   for (size_t c = 0; c < d1; ++c) EXPECT_EQ(grad.at(1, c), grad1.at(0, c));
+}
+
+// --- The composed channel: leaves → (log_o →) GCN (→ exp_o) → SqDistance.
+
+using Pairs = std::vector<std::pair<uint32_t, uint32_t>>;
+
+// Random bipartite graph; user 0 and the last item stay isolated.
+CsrMatrix ChannelGraph(Rng* rng, size_t users, size_t items) {
+  Pairs edges;
+  for (size_t i = 0; i < 3 * users; ++i) {
+    const uint32_t u = static_cast<uint32_t>(1 + rng->Uniform(users - 1));
+    const uint32_t v = static_cast<uint32_t>(rng->Uniform(items - 1));
+    edges.emplace_back(u, v);
+  }
+  return CsrMatrix::FromPairs(users, items, edges);
+}
+
+// Leaf rows of 5 coordinates, spread wider than InitLeaves' so the maps
+// work away from their near-origin branch.
+Matrix ChannelLeaves(bool hyperbolic, Rng* rng, size_t rows) {
+  Matrix leaves(rows, nn::GcnChannel(hyperbolic).cols(5));
+  if (!hyperbolic) {
+    leaves.FillGaussian(rng, 0.6);
+    return leaves;
+  }
+  for (size_t r = 0; r < rows; ++r) {
+    lorentz::RandomPoint(rng, 0.6, leaves.row(r));
+  }
+  return leaves;
+}
+
+double ChannelLoss(bool hyperbolic, const nn::BipartiteGcn& gcn,
+                   const Matrix& users, const Matrix& items,
+                   const Pairs& pairs) {
+  nn::GcnChannel channel(hyperbolic);
+  channel.Forward(gcn, users, items);
+  double loss = 0.0;
+  for (const auto& [u, v] : pairs) loss += channel.SqDistance(u, v);
+  return loss;
+}
+
+// Leaves' gradients of s × ChannelLoss into channel->grad_u()/grad_v().
+void ChannelGrad(nn::GcnChannel* channel, const nn::BipartiteGcn& gcn,
+                 const Matrix& users, const Matrix& items, const Pairs& pairs,
+                 double s) {
+  channel->Forward(gcn, users, items);
+  channel->ZeroGrads();
+  for (const auto& [u, v] : pairs) {
+    channel->AddSqDistanceGrad(u, v, s, channel->grad_u().row(u),
+                               channel->grad_v().row(v));
+  }
+  channel->Backward(gcn, users, items);
+}
+
+// ChannelGrad, then both leaf steps.
+void ChannelStep(nn::GcnChannel* channel, const nn::BipartiteGcn& gcn,
+                 Matrix* users, Matrix* items, const Pairs& pairs, double s) {
+  ChannelGrad(channel, gcn, *users, *items, pairs, s);
+  channel->Step(users, channel->grad_u(), 0.05, 1.0);
+  channel->Step(items, channel->grad_v(), 0.05, 1.0);
+}
+
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.flat().data(), b.flat().data(),
+                     a.flat().size() * sizeof(double)) == 0;
+}
+
+// Pairs that reach an isolated user (0) and item (9), and repeat a user.
+const Pairs kPairs = {{1, 2}, {3, 0}, {0, 4}, {5, 9}, {3, 7}, {6, 6}};
+
+// The whole chain against central differences of the summed squared
+// distances, on every coordinate of both leaf tables (hyperboloid leaves
+// are perturbed off the manifold, where the log map's formula still holds).
+TEST(GradCheckTest, GcnChannelMatchesFiniteDifferences) {
+  for (const bool hyperbolic : {true, false}) {
+    Rng rng(25);
+    const nn::BipartiteGcn gcn(ChannelGraph(&rng, 8, 10), /*num_layers=*/2);
+    const Matrix users = ChannelLeaves(hyperbolic, &rng, 8);
+    const Matrix items = ChannelLeaves(hyperbolic, &rng, 10);
+    nn::GcnChannel channel(hyperbolic);
+    ChannelGrad(&channel, gcn, users, items, kPairs, 1.0);
+    const char* what = hyperbolic ? "lorentz channel" : "euclid channel";
+    for (const bool user_side : {true, false}) {
+      const Matrix& leaves = user_side ? users : items;
+      const Matrix& grad = user_side ? channel.grad_u() : channel.grad_v();
+      for (size_t r = 0; r < leaves.rows(); ++r) {
+        for (size_t c = 0; c < leaves.cols(); ++c) {
+          Matrix plus = leaves, minus = leaves;
+          plus.at(r, c) += kEps;
+          minus.at(r, c) -= kEps;
+          const double fd =
+              user_side
+                  ? (ChannelLoss(hyperbolic, gcn, plus, items, kPairs) -
+                     ChannelLoss(hyperbolic, gcn, minus, items, kPairs))
+                  : (ChannelLoss(hyperbolic, gcn, users, plus, kPairs) -
+                     ChannelLoss(hyperbolic, gcn, users, minus, kPairs));
+          ExpectClose(grad.at(r, c), fd / (2.0 * kEps), what,
+                      static_cast<int>(c));
+        }
+      }
+    }
+  }
+}
+
+// A channel's second step reuses the buffers of its first (in Euclidean
+// space with the gradient and tangent buffers swapped) and must land on the
+// bits of a fresh channel taking that step.
+TEST(GradCheckTest, GcnChannelSecondStepMatchesFreshChannelBitForBit) {
+  const Pairs second = {{2, 3}, {7, 1}, {4, 8}, {2, 5}};
+  for (const bool hyperbolic : {true, false}) {
+    Rng rng(26);
+    const nn::BipartiteGcn gcn(ChannelGraph(&rng, 8, 10), /*num_layers=*/3);
+    Matrix users = ChannelLeaves(hyperbolic, &rng, 8);
+    Matrix items = ChannelLeaves(hyperbolic, &rng, 10);
+    nn::GcnChannel reused(hyperbolic);
+    ChannelStep(&reused, gcn, &users, &items, kPairs, 1.0);
+    Matrix fresh_users = users, fresh_items = items;
+    ChannelStep(&reused, gcn, &users, &items, second, 0.5);
+    nn::GcnChannel fresh(hyperbolic);
+    ChannelStep(&fresh, gcn, &fresh_users, &fresh_items, second, 0.5);
+    const std::string what = hyperbolic ? "lorentz " : "euclid ";
+    EXPECT_TRUE(SameBits(reused.out_u(), fresh.out_u())) << what << "out_u";
+    EXPECT_TRUE(SameBits(reused.out_v(), fresh.out_v())) << what << "out_v";
+    EXPECT_TRUE(SameBits(reused.grad_u(), fresh.grad_u())) << what << "grad_u";
+    EXPECT_TRUE(SameBits(reused.grad_v(), fresh.grad_v())) << what << "grad_v";
+    EXPECT_TRUE(SameBits(users, fresh_users)) << what << "users";
+    EXPECT_TRUE(SameBits(items, fresh_items)) << what << "items";
+  }
+}
+
+// Once the first step has sized the channel's buffers, a step allocates
+// less than one users × cols leaf matrix at any moment.
+TEST(GradCheckTest, GcnChannelSecondStepAllocatesNoLeafMatrix) {
+  if (!HeapStatsEnabled()) {
+    GTEST_SKIP() << "tagged allocator compiled out (sanitizer build)";
+  }
+  const int saved_threads = GetNumThreads();
+  SetNumThreads(1);  // HeapScope tags the calling thread's allocations
+  for (const bool hyperbolic : {true, false}) {
+    Rng rng(27);
+    const nn::BipartiteGcn gcn(ChannelGraph(&rng, 40, 60), /*num_layers=*/2);
+    Matrix users = ChannelLeaves(hyperbolic, &rng, 40);
+    Matrix items = ChannelLeaves(hyperbolic, &rng, 60);
+    nn::GcnChannel channel(hyperbolic);
+    ChannelStep(&channel, gcn, &users, &items, kPairs, 1.0);
+    const std::string name =
+        std::string("test.channel_step.") + (hyperbolic ? "lorentz" : "euclid");
+    const int tag = RegisterHeapSubsystem(name);
+    ASSERT_NE(tag, 0) << "heap subsystem table full";
+    {
+      HeapScope scope(tag);
+      ChannelStep(&channel, gcn, &users, &items, kPairs, 1.0);
+    }
+    int64_t peak = -1;
+    for (const auto& s : HeapStatsSnapshot()) {
+      if (s.name == name) peak = s.peak_bytes;
+    }
+    EXPECT_LT(peak, static_cast<int64_t>(users.rows() * users.cols() *
+                                         sizeof(double)))
+        << name;
+  }
+  SetNumThreads(saved_threads);
 }
 
 TEST(GradCheckTest, TagAggregationLayer) {

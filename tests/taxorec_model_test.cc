@@ -7,6 +7,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "common/heap_stats.h"
 #include "common/parallel.h"
@@ -123,9 +126,10 @@ TEST(TaxoRecModelTest, TagWarmUpStepMatchesCallPerTermStepBitForBit) {
   }
 }
 
-// A training step reuses the model's step workspace: once the first epoch
-// has sized it, an epoch without a taxonomy rebuild allocates less than one
-// users × D embedding matrix at any moment.
+// A training step reuses the model's step workspace and its channels'
+// buffers: once the first epoch has sized them, an epoch without a taxonomy
+// rebuild allocates less than the smallest embedding matrix, users ×
+// tag_dim, at any moment, in both geometries.
 TEST(TaxoRecModelTest, EpochAfterTheFirstAllocatesNoEmbeddingMatrix) {
   if (!HeapStatsEnabled()) {
     GTEST_SKIP() << "tagged allocator compiled out (sanitizer build)";
@@ -134,23 +138,29 @@ TEST(TaxoRecModelTest, EpochAfterTheFirstAllocatesNoEmbeddingMatrix) {
   SetNumThreads(1);  // HeapScope tags the calling thread's allocations
   const DataSplit split = SmallSplit();
   const ModelConfig cfg = TinyConfig();  // rebuilds at even epochs only
-  TaxoRecModel model(cfg, TaxoRecOptions{});
-  Rng rng(3);
-  model.BeginFit(split, &rng);
-  model.FitEpoch(split, 0, &rng);
-  static const int kTag = RegisterHeapSubsystem("test.fit_epoch");
-  {
-    HeapScope scope(kTag);
-    model.FitEpoch(split, 1, &rng);
+  const int64_t users_by_dt = static_cast<int64_t>(
+      split.num_users * cfg.tag_dim * sizeof(double));
+  std::vector<std::unique_ptr<Recommender>> models;
+  models.push_back(std::make_unique<TaxoRecModel>(cfg, TaxoRecOptions{}));
+  models.push_back(MakeAblationVariant("CML+Agg", cfg));
+  for (const auto& model : models) {
+    Rng rng(3);
+    model->BeginFit(split, &rng);
+    model->FitEpoch(split, 0, &rng);
+    const std::string tag_name = "test.fit_epoch." + model->name();
+    const int tag = RegisterHeapSubsystem(tag_name);
+    ASSERT_NE(tag, 0) << "heap subsystem table full";
+    {
+      HeapScope scope(tag);
+      model->FitEpoch(split, 1, &rng);
+    }
+    int64_t peak = 0;
+    for (const auto& s : HeapStatsSnapshot()) {
+      if (s.name == tag_name) peak = s.peak_bytes;
+    }
+    EXPECT_LT(peak, users_by_dt) << model->name();
   }
   SetNumThreads(saved_threads);
-  int64_t peak = 0;
-  for (const auto& s : HeapStatsSnapshot()) {
-    if (s.name == "test.fit_epoch") peak = s.peak_bytes;
-  }
-  const int64_t users_by_d = static_cast<int64_t>(
-      split.num_users * (cfg.dim - cfg.tag_dim + 1) * sizeof(double));
-  EXPECT_LT(peak, users_by_d);
 }
 
 // A model that trained on one split and is then restored onto another,
