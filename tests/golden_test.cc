@@ -133,6 +133,39 @@ constexpr GoldenDigest kGolden[] = {
     {"NMF", "serve.float32", 0xccb44344e990365cULL},
     {"NMF", "serve.int8", 0xccb44344e990365cULL},
     {"NMF", "recommend", 0xccb44344e990365cULL},
+    // Pinned before the baselines' training loops were split into
+    // BeginFit/FitEpoch/EndFit, and unchanged by it: the five registered
+    // models the table had left out.
+    {"TransCF", "eval.test", 0x7dbf5d014423cc2aULL},
+    {"TransCF", "eval.val", 0x1551bb51ac7acb45ULL},
+    {"TransCF", "serve.double", 0xc2bc75afe45e332eULL},
+    {"TransCF", "serve.float32", 0xc2bc75afe45e332eULL},
+    {"TransCF", "serve.int8", 0xc2bc75afe45e332eULL},
+    {"TransCF", "recommend", 0xc2bc75afe45e332eULL},
+    {"LRML", "eval.test", 0x1ccf2fd2301cb369ULL},
+    {"LRML", "eval.val", 0x311c3a0fa34dc192ULL},
+    {"LRML", "serve.double", 0x96fb93dc61b4909fULL},
+    {"LRML", "serve.float32", 0x96fb93dc61b4909fULL},
+    {"LRML", "serve.int8", 0x96fb93dc61b4909fULL},
+    {"LRML", "recommend", 0x96fb93dc61b4909fULL},
+    {"SML", "eval.test", 0xc626a9d638a04994ULL},
+    {"SML", "eval.val", 0x9b0ae405441421f0ULL},
+    {"SML", "serve.double", 0x1d13a390e1629a62ULL},
+    {"SML", "serve.float32", 0x1d13a390e1629a62ULL},
+    {"SML", "serve.int8", 0x1d13a390e1629a62ULL},
+    {"SML", "recommend", 0x1d13a390e1629a62ULL},
+    {"CMLF", "eval.test", 0x397931bcca568248ULL},
+    {"CMLF", "eval.val", 0xcba74e697214d3caULL},
+    {"CMLF", "serve.double", 0xd016ebd6630fd598ULL},
+    {"CMLF", "serve.float32", 0xd016ebd6630fd598ULL},
+    {"CMLF", "serve.int8", 0xd016ebd6630fd598ULL},
+    {"CMLF", "recommend", 0xd016ebd6630fd598ULL},
+    {"AMF", "eval.test", 0x884cba6a92ae846bULL},
+    {"AMF", "eval.val", 0xe46b3045795fcf03ULL},
+    {"AMF", "serve.double", 0x72e2f0047fce15c6ULL},
+    {"AMF", "serve.float32", 0x72e2f0047fce15c6ULL},
+    {"AMF", "serve.int8", 0x72e2f0047fce15c6ULL},
+    {"AMF", "recommend", 0x72e2f0047fce15c6ULL},
     // Pinned before the tag channel became optional snapshot data (one
     // distance loop per metric), and unchanged by it: the Euclidean
     // ablation with a tag channel (Table III's CML+Agg). The ivf.float32
@@ -426,6 +459,11 @@ INSTANTIATE_TEST_SUITE_P(
                       GoldenCase{"NGCF", "NGCF", 16, 4},
                       GoldenCase{"AGCN", "AGCN", 16, 4},
                       GoldenCase{"NMF", "NMF", 16, 4},
+                      GoldenCase{"TransCF", "TransCF", 16, 4},
+                      GoldenCase{"LRML", "LRML", 16, 4},
+                      GoldenCase{"SML", "SML", 16, 4},
+                      GoldenCase{"CMLF", "CMLF", 16, 4},
+                      GoldenCase{"AMF", "AMF", 16, 4},
                       GoldenCase{"CMLAgg", "CML+Agg", 16, 4},
                       GoldenCase{"HyperCMLAgg", "Hyper+CML+Agg", 16, 4}),
     [](const auto& info) { return std::string(info.param.label); });
