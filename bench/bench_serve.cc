@@ -52,7 +52,6 @@ class DotScorer : public Recommender {
   DotScorer(Matrix users, Matrix items)
       : users_(std::move(users)), items_(std::move(items)) {}
   std::string name() const override { return "DotScorer"; }
-  void Fit(const DataSplit&, Rng*) override {}
   void ScoreItems(uint32_t user, std::span<double> out) const override {
     const auto u = users_.row(user);
     for (size_t v = 0; v < out.size(); ++v) {
@@ -82,7 +81,6 @@ class LorentzScorer : public Recommender {
   LorentzScorer(Matrix users, Matrix items)
       : users_(std::move(users)), items_(std::move(items)) {}
   std::string name() const override { return "LorentzScorer"; }
-  void Fit(const DataSplit&, Rng*) override {}
   void ScoreItems(uint32_t user, std::span<double> out) const override {
     const auto u = users_.row(user);
     for (size_t v = 0; v < out.size(); ++v) {

@@ -9,6 +9,7 @@
 #define TAXOREC_BASELINES_AGCN_H_
 
 #include <memory>
+#include <vector>
 
 #include "baselines/recommender.h"
 #include "math/csr.h"
@@ -19,22 +20,34 @@ namespace taxorec {
 
 class Agcn : public Recommender {
  public:
-  explicit Agcn(const ModelConfig& config) : config_(config) {}
+  explicit Agcn(const ModelConfig& config) : Recommender(config) {}
 
   std::string name() const override { return "AGCN"; }
-  void Fit(const DataSplit& split, Rng* rng) override;
+  void BeginFit(const DataSplit& split, Rng* rng) override;
+  double FitEpoch(const DataSplit& split, int epoch, Rng* rng) override;
+  void EndFit(const DataSplit& split) override;
   void ScoreItems(uint32_t user, std::span<double> out) const override;
 
  private:
-  void Propagate(nn::GcnContext* ctx);
+  // Sized by BeginFit, reused by every batch, freed by EndFit.
+  struct StepBuffers {
+    std::unique_ptr<TripletSampler> sampler;
+    std::vector<Triplet> batch;
+    nn::GcnContext ctx;
+    Matrix up_u, up_v;        // gradient on the propagated outputs
+    Matrix leaf_gu, leaf_gv;  // ... on the leaves
+    Matrix grad_tags;
+  };
 
-  ModelConfig config_;
+  void Propagate();
+
   const CsrMatrix* item_tags_ = nullptr;
   std::unique_ptr<nn::LightGcnPropagation> gcn_;
   Matrix users0_, items0_;  // learned leaves
   Matrix tags_;             // learned tag table (dim-sized)
   Matrix items_aug_;        // items0_ + mean tag embedding (leaf input)
   Matrix users_out_, items_out_;
+  StepBuffers step_;
 };
 
 }  // namespace taxorec

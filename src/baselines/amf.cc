@@ -17,20 +17,23 @@ double Amf::Score(uint32_t user, uint32_t item) const {
   return score;
 }
 
-void Amf::Fit(const DataSplit& split, Rng* rng) {
+void Amf::BeginFit(const DataSplit& split, Rng* rng) {
   item_tags_ = &split.item_tags;
-  cf_dim_ = config_.dim - config_.tag_dim;
+  cf_dim_ = config().dim - config().tag_dim;
   users_cf_ = Matrix(split.num_users, cf_dim_);
   items_cf_ = Matrix(split.num_items, cf_dim_);
-  users_aspect_ = Matrix(split.num_users, config_.tag_dim);
-  tags_ = Matrix(split.num_tags, config_.tag_dim);
+  users_aspect_ = Matrix(split.num_users, config().tag_dim);
+  tags_ = Matrix(split.num_tags, config().tag_dim);
   users_cf_.FillGaussian(rng, 0.1);
   items_cf_.FillGaussian(rng, 0.1);
   users_aspect_.FillGaussian(rng, 0.1);
   tags_.FillGaussian(rng, 0.1);
+  sampler_ =
+      std::make_unique<TripletSampler>(&split.train, config().neg_sampling);
+}
 
-  TripletSampler sampler(&split.train, config_.neg_sampling);
-  std::vector<double> ga(config_.tag_dim);
+double Amf::FitEpoch(const DataSplit& split, int epoch, Rng* rng) {
+  std::vector<double> ga(config().tag_dim);
 
   // Applies the gradient chain of one scored pair with dLoss/dScore = c.
   auto backprop_pair = [&](uint32_t user, uint32_t item, double c) {
@@ -39,8 +42,8 @@ void Amf::Fit(const DataSplit& split, Rng* rng) {
     for (size_t i = 0; i < cf_dim_; ++i) {
       const double gu = c * v[i];
       const double gv = c * u[i];
-      u[i] -= config_.lr * gu;
-      v[i] -= config_.lr * gv;
+      u[i] -= config().lr * gu;
+      v[i] -= config().lr * gv;
     }
     const auto tags = item_tags_->RowCols(item);
     if (tags.empty()) return;
@@ -49,21 +52,20 @@ void Amf::Fit(const DataSplit& split, Rng* rng) {
     vec::Zero(vec::Span(ga));
     for (uint32_t t : tags) {
       vec::Axpy(w, tags_.row(t), vec::Span(ga));  // d score / d ua
-      vec::Axpy(-config_.lr * c * w, ua, tags_.row(t));
+      vec::Axpy(-config().lr * c * w, ua, tags_.row(t));
     }
-    vec::Axpy(-config_.lr * c, vec::ConstSpan(ga), ua);
+    vec::Axpy(-config().lr * c, vec::ConstSpan(ga), ua);
   };
 
-  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    const size_t steps = config_.batches_per_epoch * config_.batch_size;
-    for (size_t s = 0; s < steps; ++s) {
-      const Triplet t = sampler.Sample(rng);
-      double ddiff;
-      nn::Bpr(Score(t.user, t.pos) - Score(t.user, t.neg), &ddiff);
-      backprop_pair(t.user, t.pos, ddiff);
-      backprop_pair(t.user, t.neg, -ddiff);
-    }
+  const size_t steps = config().batches_per_epoch * config().batch_size;
+  for (size_t s = 0; s < steps; ++s) {
+    const Triplet t = sampler_->Sample(rng);
+    double ddiff;
+    nn::Bpr(Score(t.user, t.pos) - Score(t.user, t.neg), &ddiff);
+    backprop_pair(t.user, t.pos, ddiff);
+    backprop_pair(t.user, t.neg, -ddiff);
   }
+  return 0.0;
 }
 
 void Amf::ScoreItems(uint32_t user, std::span<double> out) const {

@@ -5,6 +5,8 @@
 #ifndef TAXOREC_BASELINES_AMF_H_
 #define TAXOREC_BASELINES_AMF_H_
 
+#include <memory>
+
 #include "baselines/recommender.h"
 #include "math/csr.h"
 #include "math/matrix.h"
@@ -13,21 +15,22 @@ namespace taxorec {
 
 class Amf : public Recommender {
  public:
-  explicit Amf(const ModelConfig& config) : config_(config) {}
+  explicit Amf(const ModelConfig& config) : Recommender(config) {}
 
   std::string name() const override { return "AMF"; }
-  void Fit(const DataSplit& split, Rng* rng) override;
+  void BeginFit(const DataSplit& split, Rng* rng) override;
+  double FitEpoch(const DataSplit& split, int epoch, Rng* rng) override;
   void ScoreItems(uint32_t user, std::span<double> out) const override;
 
  private:
   double Score(uint32_t user, uint32_t item) const;
 
-  ModelConfig config_;
   const CsrMatrix* item_tags_ = nullptr;
   size_t cf_dim_ = 0;
   Matrix users_cf_, items_cf_;
   Matrix users_aspect_;  // num_users × tag_dim
   Matrix tags_;          // num_tags × tag_dim
+  std::unique_ptr<TripletSampler> sampler_;
 };
 
 }  // namespace taxorec

@@ -4,6 +4,8 @@
 #ifndef TAXOREC_BASELINES_CML_H_
 #define TAXOREC_BASELINES_CML_H_
 
+#include <memory>
+
 #include "baselines/recommender.h"
 #include "math/matrix.h"
 
@@ -11,17 +13,18 @@ namespace taxorec {
 
 class Cml : public Recommender {
  public:
-  explicit Cml(const ModelConfig& config) : config_(config) {}
+  explicit Cml(const ModelConfig& config) : Recommender(config) {}
 
   std::string name() const override { return "CML"; }
-  void Fit(const DataSplit& split, Rng* rng) override;
+  void BeginFit(const DataSplit& split, Rng* rng) override;
+  double FitEpoch(const DataSplit& split, int epoch, Rng* rng) override;
   void ScoreItems(uint32_t user, std::span<double> out) const override;
   ScoringSnapshot ExportScoringSnapshot() const override;
 
  private:
-  ModelConfig config_;
   Matrix users_;
   Matrix items_;
+  std::unique_ptr<TripletSampler> sampler_;
 };
 
 }  // namespace taxorec

@@ -6,6 +6,8 @@
 #ifndef TAXOREC_BASELINES_CMLF_H_
 #define TAXOREC_BASELINES_CMLF_H_
 
+#include <memory>
+
 #include "baselines/recommender.h"
 #include "math/csr.h"
 #include "math/matrix.h"
@@ -14,21 +16,22 @@ namespace taxorec {
 
 class Cmlf : public Recommender {
  public:
-  explicit Cmlf(const ModelConfig& config) : config_(config) {}
+  explicit Cmlf(const ModelConfig& config) : Recommender(config) {}
 
   std::string name() const override { return "CMLF"; }
-  void Fit(const DataSplit& split, Rng* rng) override;
+  void BeginFit(const DataSplit& split, Rng* rng) override;
+  double FitEpoch(const DataSplit& split, int epoch, Rng* rng) override;
   void ScoreItems(uint32_t user, std::span<double> out) const override;
 
  private:
   /// Writes the effective item point (item emb + mean tag emb) into `out`.
   void ItemPoint(uint32_t item, std::span<double> out) const;
 
-  ModelConfig config_;
   const CsrMatrix* item_tags_ = nullptr;
   Matrix users_;
   Matrix items_;
   Matrix tags_;
+  std::unique_ptr<TripletSampler> sampler_;
 };
 
 }  // namespace taxorec

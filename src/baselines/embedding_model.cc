@@ -2,6 +2,7 @@
 
 #include "common/check.h"
 #include "math/vec_ops.h"
+#include "nn/losses.h"
 
 namespace taxorec {
 
@@ -17,6 +18,18 @@ void EuclidSqDistGrad(std::span<const double> x, std::span<const double> y,
   if (!grad_y.empty()) {
     TAXOREC_DCHECK(grad_y.size() == y.size());
     for (size_t i = 0; i < y.size(); ++i) grad_y[i] += c * (y[i] - x[i]);
+  }
+}
+
+void AddBprGrad(std::span<const double> u, std::span<const double> vp,
+                std::span<const double> vq, std::span<double> grad_u,
+                std::span<double> grad_p, std::span<double> grad_q) {
+  double c;
+  nn::Bpr(vec::Dot(u, vp) - vec::Dot(u, vq), &c);
+  for (size_t i = 0; i < u.size(); ++i) {
+    grad_u[i] += c * (vp[i] - vq[i]);
+    grad_p[i] += c * u[i];
+    grad_q[i] -= c * u[i];
   }
 }
 

@@ -16,6 +16,13 @@ void EuclidSqDistGrad(std::span<const double> x, std::span<const double> y,
                       double scale, std::span<double> grad_x,
                       std::span<double> grad_y);
 
+/// Adds the gradients of the BPR loss on <u, vp> - <u, vq> to grad_u,
+/// grad_p and grad_q. The graph baselines sum these over a batch rather
+/// than average them, so a sample's step matches the per-triplet models'.
+void AddBprGrad(std::span<const double> u, std::span<const double> vp,
+                std::span<const double> vq, std::span<double> grad_u,
+                std::span<double> grad_p, std::span<double> grad_q);
+
 /// Mean of the `table` rows that each row of `memberships` selects (e.g. an
 /// item's mean tag embedding), into `out`; rows with no members are zero.
 void RowMeans(const CsrMatrix& memberships, const Matrix& table,

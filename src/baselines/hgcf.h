@@ -9,6 +9,7 @@
 #define TAXOREC_BASELINES_HGCF_H_
 
 #include <memory>
+#include <vector>
 
 #include "baselines/recommender.h"
 #include "math/matrix.h"
@@ -18,17 +19,20 @@ namespace taxorec {
 
 class Hgcf : public Recommender {
  public:
-  explicit Hgcf(const ModelConfig& config) : config_(config) {}
+  explicit Hgcf(const ModelConfig& config) : Recommender(config) {}
 
   std::string name() const override { return "HGCF"; }
-  void Fit(const DataSplit& split, Rng* rng) override;
+  void BeginFit(const DataSplit& split, Rng* rng) override;
+  double FitEpoch(const DataSplit& split, int epoch, Rng* rng) override;
+  void EndFit(const DataSplit& split) override;
   void ScoreItems(uint32_t user, std::span<double> out) const override;
 
  private:
-  ModelConfig config_;
   std::unique_ptr<nn::BipartiteGcn> gcn_;
   nn::GcnChannel channel_{/*hyperbolic=*/true};
   Matrix users0_, items0_;  // Lorentz leaves, (dim+1) coords
+  std::unique_ptr<TripletSampler> sampler_;
+  std::vector<Triplet> batch_;
 };
 
 }  // namespace taxorec

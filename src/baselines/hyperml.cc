@@ -2,7 +2,6 @@
 
 #include <limits>
 
-#include "common/check.h"
 #include "common/fault_injection.h"
 #include "common/health.h"
 #include "data/sampler.h"
@@ -13,7 +12,7 @@
 namespace taxorec {
 
 void HyperMl::BeginFit(const DataSplit& split, Rng* rng) {
-  const size_t d1 = config_.dim + 1;
+  const size_t d1 = config().dim + 1;
   users_ = Matrix(split.num_users, d1);
   items_ = Matrix(split.num_items, d1);
   for (size_t u = 0; u < users_.rows(); ++u) {
@@ -22,18 +21,18 @@ void HyperMl::BeginFit(const DataSplit& split, Rng* rng) {
   for (size_t v = 0; v < items_.rows(); ++v) {
     lorentz::RandomPoint(rng, 0.1, items_.row(v));
   }
-  train_ = split.train;
-  sampler_ = std::make_unique<TripletSampler>(&train_, config_.neg_sampling);
+  sampler_ =
+      std::make_unique<TripletSampler>(&split.train, config().neg_sampling);
 }
 
 double HyperMl::FitEpoch(const DataSplit& split, int epoch, Rng* rng) {
-  const size_t d1 = config_.dim + 1;
+  const size_t d1 = config().dim + 1;
   std::vector<double> gu(d1), gp(d1), gq(d1);
   double epoch_loss = 0.0;
   // Deterministic fault site (see common/fault_injection.h): poisons the
   // first update of the epoch when armed.
   bool inject = TAXOREC_FAULT(faults::kGradNan, epoch);
-  const size_t steps = config_.batches_per_epoch * config_.batch_size;
+  const size_t steps = config().batches_per_epoch * config().batch_size;
   for (size_t s = 0; s < steps; ++s) {
     const Triplet t = sampler_->Sample(rng);
     auto u = users_.row(t.user);
@@ -42,7 +41,8 @@ double HyperMl::FitEpoch(const DataSplit& split, int epoch, Rng* rng) {
     const double dp = lorentz::SqDistance(u, vp);
     const double dq = lorentz::SqDistance(u, vq);
     double dpos, dneg;
-    const double hinge = nn::HingeTriplet(config_.margin, dp, dq, &dpos, &dneg);
+    const double hinge =
+        nn::HingeTriplet(config().margin, dp, dq, &dpos, &dneg);
     if (hinge <= 0.0) continue;
     epoch_loss += hinge;
     vec::Zero(vec::Span(gu));
@@ -54,23 +54,16 @@ double HyperMl::FitEpoch(const DataSplit& split, int epoch, Rng* rng) {
       gu[0] = std::numeric_limits<double>::quiet_NaN();
       inject = false;
     }
-    if (config_.grad_clip > 0.0) {
-      vec::ClipNorm(vec::Span(gu), config_.grad_clip);
-      vec::ClipNorm(vec::Span(gp), config_.grad_clip);
-      vec::ClipNorm(vec::Span(gq), config_.grad_clip);
+    if (config().grad_clip > 0.0) {
+      vec::ClipNorm(vec::Span(gu), config().grad_clip);
+      vec::ClipNorm(vec::Span(gp), config().grad_clip);
+      vec::ClipNorm(vec::Span(gq), config().grad_clip);
     }
-    lorentz::RsgdStep(u, vec::Span(gu), config_.lr);
-    lorentz::RsgdStep(vp, vec::Span(gp), config_.lr);
-    lorentz::RsgdStep(vq, vec::Span(gq), config_.lr);
+    lorentz::RsgdStep(u, vec::Span(gu), config().lr);
+    lorentz::RsgdStep(vp, vec::Span(gp), config().lr);
+    lorentz::RsgdStep(vq, vec::Span(gq), config().lr);
   }
   return epoch_loss;
-}
-
-void HyperMl::Fit(const DataSplit& split, Rng* rng) {
-  BeginFit(split, rng);
-  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    FitEpoch(split, epoch, rng);
-  }
 }
 
 void HyperMl::ScoreItems(uint32_t user, std::span<double> out) const {
@@ -88,11 +81,6 @@ ScoringSnapshot HyperMl::ExportScoringSnapshot() const {
   snap.users = users_;
   snap.items = items_;
   return snap;
-}
-
-void HyperMl::ScaleLearningRate(double factor) {
-  TAXOREC_CHECK(factor > 0.0);
-  config_.lr *= factor;
 }
 
 void HyperMl::CheckHealth(HealthMonitor* monitor) const {
@@ -113,15 +101,15 @@ Status HyperMl::RestoreState(const Checkpoint& ckpt, const DataSplit& split) {
   if (users == nullptr || items == nullptr) {
     return Status::NotFound("HyperML checkpoint missing users/items");
   }
-  const size_t d1 = config_.dim + 1;
+  const size_t d1 = config().dim + 1;
   if (users->rows() != split.num_users || users->cols() != d1 ||
       items->rows() != split.num_items || items->cols() != d1) {
     return Status::InvalidArgument("HyperML checkpoint shape mismatch");
   }
   users_ = *users;
   items_ = *items;
-  train_ = split.train;
-  sampler_ = std::make_unique<TripletSampler>(&train_, config_.neg_sampling);
+  sampler_ =
+      std::make_unique<TripletSampler>(&split.train, config().neg_sampling);
   return Status::OK();
 }
 

@@ -4,48 +4,40 @@
 // Riemannian SGD. This model doubles as the "Hyper + CML" row of the
 // paper's ablation (Table III).
 //
-// Implements the epoch-granular training protocol natively (the second
-// native implementer besides TaxoRecModel), so the fault-tolerant training
-// loop can health-check, checkpoint and roll it back between epochs. Note
-// the per-step RNG is the caller's sequential stream: a clean epoch-driven
-// run is bit-identical to Fit(), but a run resumed from disk replays the
-// remaining epochs with a fresh stream (still deterministic; documented in
-// DESIGN.md "Failure model & recovery").
+// Besides TaxoRecModel, the one model with a training state to save, so
+// the fault-tolerant training loop can checkpoint it and roll it back
+// between epochs. Note the per-step RNG is the caller's sequential stream:
+// a clean loop run is bit-identical to Fit(), but a run resumed from disk
+// replays the remaining epochs with a fresh stream (still deterministic;
+// documented in DESIGN.md "Failure model & recovery").
 #ifndef TAXOREC_BASELINES_HYPERML_H_
 #define TAXOREC_BASELINES_HYPERML_H_
 
 #include <memory>
 
 #include "baselines/recommender.h"
-#include "math/csr.h"
 #include "math/matrix.h"
 
 namespace taxorec {
 
 class HyperMl : public Recommender {
  public:
-  explicit HyperMl(const ModelConfig& config) : config_(config) {}
+  explicit HyperMl(const ModelConfig& config) : Recommender(config) {}
 
   std::string name() const override { return "HyperML"; }
-  void Fit(const DataSplit& split, Rng* rng) override;
   void ScoreItems(uint32_t user, std::span<double> out) const override;
   ScoringSnapshot ExportScoringSnapshot() const override;
 
-  bool SupportsEpochFit() const override { return true; }
-  int num_epochs() const override { return config_.epochs; }
   void BeginFit(const DataSplit& split, Rng* rng) override;
   double FitEpoch(const DataSplit& split, int epoch, Rng* rng) override;
-  void ScaleLearningRate(double factor) override;
   void CheckHealth(HealthMonitor* monitor) const override;
   Checkpoint SaveState() const override;
   Status RestoreState(const Checkpoint& ckpt,
                       const DataSplit& split) override;
 
  private:
-  ModelConfig config_;
   Matrix users_;  // num_users × (dim+1), Lorentz points
   Matrix items_;  // num_items × (dim+1)
-  CsrMatrix train_;  // owned copy backing sampler_ across restores
   std::unique_ptr<TripletSampler> sampler_;
 };
 

@@ -5,6 +5,7 @@
 #define TAXOREC_BASELINES_LIGHTGCN_H_
 
 #include <memory>
+#include <vector>
 
 #include "baselines/recommender.h"
 #include "math/matrix.h"
@@ -14,21 +15,32 @@ namespace taxorec {
 
 class LightGcn : public Recommender {
  public:
-  explicit LightGcn(const ModelConfig& config) : config_(config) {}
+  explicit LightGcn(const ModelConfig& config) : Recommender(config) {}
 
   std::string name() const override { return "LightGCN"; }
-  void Fit(const DataSplit& split, Rng* rng) override;
+  void BeginFit(const DataSplit& split, Rng* rng) override;
+  double FitEpoch(const DataSplit& split, int epoch, Rng* rng) override;
+  void EndFit(const DataSplit& split) override;
   void ScoreItems(uint32_t user, std::span<double> out) const override;
   ScoringSnapshot ExportScoringSnapshot() const override;
 
  private:
-  /// Recomputes the propagated output embeddings from the current leaves.
-  void Propagate(nn::GcnContext* ctx);
+  // Sized by BeginFit, reused by every batch, freed by EndFit.
+  struct StepBuffers {
+    std::unique_ptr<TripletSampler> sampler;
+    std::vector<Triplet> batch;
+    nn::GcnContext ctx;
+    Matrix grad_u, grad_v;    // on the propagated outputs
+    Matrix leaf_gu, leaf_gv;  // on the leaves
+  };
 
-  ModelConfig config_;
+  /// Recomputes the propagated output embeddings from the current leaves.
+  void Propagate();
+
   std::unique_ptr<nn::LightGcnPropagation> gcn_;
   Matrix users0_, items0_;      // leaf embeddings
   Matrix users_out_, items_out_;  // propagated means
+  StepBuffers step_;
 };
 
 }  // namespace taxorec

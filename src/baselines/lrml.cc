@@ -44,8 +44,8 @@ double Lrml::PairSqDist(std::span<const double> u, std::span<const double> v,
   return acc;
 }
 
-void Lrml::Fit(const DataSplit& split, Rng* rng) {
-  const size_t d = config_.dim;
+void Lrml::BeginFit(const DataSplit& split, Rng* rng) {
+  const size_t d = config().dim;
   users_ = Matrix(split.num_users, d);
   items_ = Matrix(split.num_items, d);
   keys_ = Matrix(kMemorySlices, d);
@@ -54,8 +54,12 @@ void Lrml::Fit(const DataSplit& split, Rng* rng) {
   items_.FillGaussian(rng, 0.1);
   keys_.FillGaussian(rng, 0.1);
   memory_.FillGaussian(rng, 0.1);
+  sampler_ =
+      std::make_unique<TripletSampler>(&split.train, config().neg_sampling);
+}
 
-  TripletSampler sampler(&split.train, config_.neg_sampling);
+double Lrml::FitEpoch(const DataSplit& split, int epoch, Rng* rng) {
+  const size_t d = config().dim;
   std::vector<double> attn(kMemorySlices), rel(d);
   std::vector<double> gu(d), gv(d), gs(d), ge(d), ga(kMemorySlices);
 
@@ -82,8 +86,8 @@ void Lrml::Fit(const DataSplit& split, Rng* rng) {
       // Parameter updates (immediate SGD).
       std::vector<double> s(d);
       vec::Hadamard(u, v, vec::Span(s));
-      vec::Axpy(-config_.lr * glogit, vec::ConstSpan(s), keys_.row(i));
-      vec::Axpy(-config_.lr * attn[i], vec::ConstSpan(ge), memory_.row(i));
+      vec::Axpy(-config().lr * glogit, vec::ConstSpan(s), keys_.row(i));
+      vec::Axpy(-config().lr * attn[i], vec::ConstSpan(ge), memory_.row(i));
     }
     // Into u and v: direct term ± ge, plus Hadamard chain through s.
     vec::Zero(vec::Span(gu));
@@ -92,28 +96,27 @@ void Lrml::Fit(const DataSplit& split, Rng* rng) {
       gu[i] = ge[i] + gs[i] * v[i];
       gv[i] = -ge[i] + gs[i] * u[i];
     }
-    vec::Axpy(-config_.lr, vec::ConstSpan(gu), u);
-    vec::Axpy(-config_.lr, vec::ConstSpan(gv), v);
+    vec::Axpy(-config().lr, vec::ConstSpan(gu), u);
+    vec::Axpy(-config().lr, vec::ConstSpan(gv), v);
     vec::ClipNorm(u, 1.0);
     vec::ClipNorm(v, 1.0);
   };
 
-  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    const size_t steps = config_.batches_per_epoch * config_.batch_size;
-    for (size_t s = 0; s < steps; ++s) {
-      const Triplet t = sampler.Sample(rng);
-      const double dp = PairSqDist(users_.row(t.user), items_.row(t.pos),
-                                   vec::Span(attn), vec::Span(rel));
-      const double dq = PairSqDist(users_.row(t.user), items_.row(t.neg),
-                                   vec::Span(attn), vec::Span(rel));
-      double dpos, dneg;
-      if (nn::HingeTriplet(config_.margin, dp, dq, &dpos, &dneg) <= 0.0) {
-        continue;
-      }
-      backprop_pair(t.user, t.pos, dpos);
-      backprop_pair(t.user, t.neg, dneg);
+  const size_t steps = config().batches_per_epoch * config().batch_size;
+  for (size_t s = 0; s < steps; ++s) {
+    const Triplet t = sampler_->Sample(rng);
+    const double dp = PairSqDist(users_.row(t.user), items_.row(t.pos),
+                                 vec::Span(attn), vec::Span(rel));
+    const double dq = PairSqDist(users_.row(t.user), items_.row(t.neg),
+                                 vec::Span(attn), vec::Span(rel));
+    double dpos, dneg;
+    if (nn::HingeTriplet(config().margin, dp, dq, &dpos, &dneg) <= 0.0) {
+      continue;
     }
+    backprop_pair(t.user, t.pos, dpos);
+    backprop_pair(t.user, t.neg, dneg);
   }
+  return 0.0;
 }
 
 void Lrml::ScoreItems(uint32_t user, std::span<double> out) const {

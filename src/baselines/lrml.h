@@ -6,6 +6,8 @@
 #ifndef TAXOREC_BASELINES_LRML_H_
 #define TAXOREC_BASELINES_LRML_H_
 
+#include <memory>
+
 #include "baselines/recommender.h"
 #include "math/matrix.h"
 
@@ -13,10 +15,11 @@ namespace taxorec {
 
 class Lrml : public Recommender {
  public:
-  explicit Lrml(const ModelConfig& config) : config_(config) {}
+  explicit Lrml(const ModelConfig& config) : Recommender(config) {}
 
   std::string name() const override { return "LRML"; }
-  void Fit(const DataSplit& split, Rng* rng) override;
+  void BeginFit(const DataSplit& split, Rng* rng) override;
+  double FitEpoch(const DataSplit& split, int epoch, Rng* rng) override;
   void ScoreItems(uint32_t user, std::span<double> out) const override;
 
  private:
@@ -27,11 +30,11 @@ class Lrml : public Recommender {
   double PairSqDist(std::span<const double> u, std::span<const double> v,
                     std::span<double> attn, std::span<double> rel) const;
 
-  ModelConfig config_;
   Matrix users_;
   Matrix items_;
   Matrix keys_;    // kMemorySlices × d
   Matrix memory_;  // kMemorySlices × d
+  std::unique_ptr<TripletSampler> sampler_;
 };
 
 }  // namespace taxorec

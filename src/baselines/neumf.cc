@@ -6,9 +6,9 @@
 
 namespace taxorec {
 
-void NeuMf::Fit(const DataSplit& split, Rng* rng) {
-  gmf_dim_ = config_.dim / 2;
-  mlp_dim_ = config_.dim - gmf_dim_;
+void NeuMf::BeginFit(const DataSplit& split, Rng* rng) {
+  gmf_dim_ = config().dim / 2;
+  mlp_dim_ = config().dim - gmf_dim_;
   gmf_users_ = Matrix(split.num_users, gmf_dim_);
   gmf_items_ = Matrix(split.num_items, gmf_dim_);
   mlp_users_ = Matrix(split.num_users, mlp_dim_);
@@ -20,10 +20,13 @@ void NeuMf::Fit(const DataSplit& split, Rng* rng) {
   h_.assign(gmf_dim_, 1.0 / static_cast<double>(gmf_dim_));
   tower_ = std::make_unique<nn::Mlp>(
       std::vector<size_t>{2 * mlp_dim_, mlp_dim_, mlp_dim_ / 2 + 1, 1}, rng);
+  sampler_ =
+      std::make_unique<TripletSampler>(&split.train, config().neg_sampling);
+}
 
-  TripletSampler sampler(&split.train, config_.neg_sampling);
+double NeuMf::FitEpoch(const DataSplit& split, int epoch, Rng* rng) {
   std::vector<double> concat(2 * mlp_dim_);
-  const double lr = config_.lr;
+  const double lr = config().lr;
 
   // Backward for one (user, item) pair with upstream dLoss/dScore = c.
   auto backprop_pair = [&](uint32_t user, uint32_t item, double c) {
@@ -54,18 +57,17 @@ void NeuMf::Fit(const DataSplit& split, Rng* rng) {
   };
 
   ScoreScratch scratch;
-  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    const size_t steps = config_.batches_per_epoch * config_.batch_size;
-    for (size_t s = 0; s < steps; ++s) {
-      const Triplet t = sampler.Sample(rng);
-      const double diff =
-          Score(t.user, t.pos, &scratch) - Score(t.user, t.neg, &scratch);
-      double ddiff;
-      nn::Bpr(diff, &ddiff);
-      backprop_pair(t.user, t.pos, ddiff);
-      backprop_pair(t.user, t.neg, -ddiff);
-    }
+  const size_t steps = config().batches_per_epoch * config().batch_size;
+  for (size_t s = 0; s < steps; ++s) {
+    const Triplet t = sampler_->Sample(rng);
+    const double diff =
+        Score(t.user, t.pos, &scratch) - Score(t.user, t.neg, &scratch);
+    double ddiff;
+    nn::Bpr(diff, &ddiff);
+    backprop_pair(t.user, t.pos, ddiff);
+    backprop_pair(t.user, t.neg, -ddiff);
   }
+  return 0.0;
 }
 
 double NeuMf::Score(uint32_t user, uint32_t item,

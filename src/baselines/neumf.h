@@ -16,10 +16,11 @@ namespace taxorec {
 
 class NeuMf : public Recommender {
  public:
-  explicit NeuMf(const ModelConfig& config) : config_(config) {}
+  explicit NeuMf(const ModelConfig& config) : Recommender(config) {}
 
   std::string name() const override { return "NeuMF"; }
-  void Fit(const DataSplit& split, Rng* rng) override;
+  void BeginFit(const DataSplit& split, Rng* rng) override;
+  double FitEpoch(const DataSplit& split, int epoch, Rng* rng) override;
   void ScoreItems(uint32_t user, std::span<double> out) const override;
 
  private:
@@ -31,13 +32,13 @@ class NeuMf : public Recommender {
 
   double Score(uint32_t user, uint32_t item, ScoreScratch* scratch) const;
 
-  ModelConfig config_;
   size_t gmf_dim_ = 0;
   size_t mlp_dim_ = 0;
   Matrix gmf_users_, gmf_items_;  // GMF branch embeddings
   Matrix mlp_users_, mlp_items_;  // MLP branch embeddings
   std::vector<double> h_;         // GMF output weights
   std::unique_ptr<nn::Mlp> tower_;
+  std::unique_ptr<TripletSampler> sampler_;
 };
 
 }  // namespace taxorec

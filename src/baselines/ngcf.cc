@@ -2,9 +2,8 @@
 
 #include <cmath>
 
-#include "data/sampler.h"
+#include "baselines/embedding_model.h"
 #include "math/vec_ops.h"
-#include "nn/losses.h"
 #include "optim/sgd.h"
 
 namespace taxorec {
@@ -29,37 +28,31 @@ void LeakyReluBackward(const Matrix& pre, Matrix* grad) {
 
 }  // namespace
 
-void Ngcf::Forward(ForwardCache* c) {
-  const int L = config_.gcn_layers;
-  c->zu.assign(L + 1, Matrix());
-  c->zv.assign(L + 1, Matrix());
-  c->su.assign(L, Matrix());
-  c->sv.assign(L, Matrix());
-  c->pre_u.assign(L, Matrix());
-  c->pre_v.assign(L, Matrix());
-  c->zu[0] = users0_;
-  c->zv[0] = items0_;
+void Ngcf::Forward() {
+  StepBuffers& c = step_;
+  c.zu[0] = users0_;
+  c.zv[0] = items0_;
   users_out_ = users0_;
   items_out_ = items0_;
-  for (int l = 0; l < L; ++l) {
-    c->su[l] = c->zu[l];
-    pui_.MultiplyAccum(c->zv[l], 1.0, &c->su[l]);
-    c->sv[l] = c->zv[l];
-    piu_.MultiplyAccum(c->zu[l], 1.0, &c->sv[l]);
-    MatMul(c->su[l], weights_[l], &c->pre_u[l]);
-    MatMul(c->sv[l], weights_[l], &c->pre_v[l]);
-    c->zu[l + 1] = c->pre_u[l];
-    c->zv[l + 1] = c->pre_v[l];
-    LeakyRelu(&c->zu[l + 1]);
-    LeakyRelu(&c->zv[l + 1]);
-    users_out_.Axpy(1.0, c->zu[l + 1]);
-    items_out_.Axpy(1.0, c->zv[l + 1]);
+  for (int l = 0; l < config().gcn_layers; ++l) {
+    c.su[l] = c.zu[l];
+    pui_.MultiplyAccum(c.zv[l], 1.0, &c.su[l]);
+    c.sv[l] = c.zv[l];
+    piu_.MultiplyAccum(c.zu[l], 1.0, &c.sv[l]);
+    MatMul(c.su[l], weights_[l], &c.pre_u[l]);
+    MatMul(c.sv[l], weights_[l], &c.pre_v[l]);
+    c.zu[l + 1] = c.pre_u[l];
+    c.zv[l + 1] = c.pre_v[l];
+    LeakyRelu(&c.zu[l + 1]);
+    LeakyRelu(&c.zv[l + 1]);
+    users_out_.Axpy(1.0, c.zu[l + 1]);
+    items_out_.Axpy(1.0, c.zv[l + 1]);
   }
 }
 
-void Ngcf::Fit(const DataSplit& split, Rng* rng) {
-  const size_t d = config_.dim;
-  const int L = config_.gcn_layers;
+void Ngcf::BeginFit(const DataSplit& split, Rng* rng) {
+  const size_t d = config().dim;
+  const int L = config().gcn_layers;
   users0_ = Matrix(split.num_users, d);
   items0_ = Matrix(split.num_items, d);
   users0_.FillGaussian(rng, 0.1);
@@ -76,76 +69,74 @@ void Ngcf::Fit(const DataSplit& split, Rng* rng) {
   piu_ = split.train.Transposed().RowNormalized();
   pui_t_ = pui_.Transposed();
   piu_t_ = piu_.Transposed();
+  step_.sampler =
+      std::make_unique<TripletSampler>(&split.train, config().neg_sampling);
+  for (auto* layers : {&step_.zu, &step_.zv}) layers->resize(L + 1);
+  for (auto* layers : {&step_.su, &step_.sv, &step_.pre_u, &step_.pre_v}) {
+    layers->resize(L);
+  }
+  step_.up_u.EnsureShape(split.num_users, d);
+  step_.up_v.EnsureShape(split.num_items, d);
+}
 
-  TripletSampler sampler(&split.train, config_.neg_sampling);
-  std::vector<Triplet> batch;
-  ForwardCache cache;
-
-  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    for (size_t b = 0; b < config_.batches_per_epoch; ++b) {
-      Forward(&cache);
-      sampler.SampleBatch(rng, config_.batch_size, &batch);
-      Matrix up_u(split.num_users, d);
-      Matrix up_v(split.num_items, d);
-      // Summed (not averaged) batch gradients: keeps the effective per-sample
-      // step size identical to the per-triplet SGD models.
-      const double scale = 1.0;
-      for (const Triplet& t : batch) {
-        const auto u = users_out_.row(t.user);
-        const auto vp = items_out_.row(t.pos);
-        const auto vq = items_out_.row(t.neg);
-        double ddiff;
-        nn::Bpr(vec::Dot(u, vp) - vec::Dot(u, vq), &ddiff);
-        const double c = ddiff * scale;
-        auto gu = up_u.row(t.user);
-        auto gp = up_v.row(t.pos);
-        auto gq = up_v.row(t.neg);
-        for (size_t i = 0; i < d; ++i) {
-          gu[i] += c * (vp[i] - vq[i]);
-          gp[i] += c * u[i];
-          gq[i] -= c * u[i];
-        }
-      }
-      // Adjoint through the layer stack (out = sum of z^0..z^L).
-      Matrix au = up_u;  // grad wrt z^{l+1} as we walk down
-      Matrix av = up_v;
-      std::vector<Matrix> grad_w(L);
-      for (int l = L - 1; l >= 0; --l) {
-        LeakyReluBackward(cache.pre_u[l], &au);
-        LeakyReluBackward(cache.pre_v[l], &av);
-        // gW += S^T gpre (both sides share the weight).
-        Matrix gw_u, gw_v;
-        MatMulTransposedA(cache.su[l], au, &gw_u);
-        MatMulTransposedA(cache.sv[l], av, &gw_v);
-        grad_w[l] = std::move(gw_u);
-        grad_w[l].Axpy(1.0, gw_v);
-        // gS = gpre W^T.
-        Matrix gsu, gsv;
-        MatMulTransposedB(au, weights_[l], &gsu);
-        MatMulTransposedB(av, weights_[l], &gsv);
-        // a^l = up (z^l term of the sum) + gS + P^T gS (cross side).
-        Matrix next_au = up_u;
-        next_au.Axpy(1.0, gsu);
-        piu_t_.MultiplyAccum(gsv, 1.0, &next_au);
-        Matrix next_av = up_v;
-        next_av.Axpy(1.0, gsv);
-        pui_t_.MultiplyAccum(gsu, 1.0, &next_av);
-        au = std::move(next_au);
-        av = std::move(next_av);
-      }
-      // Summed batch gradients can be large through the per-layer weight
-      // matrices; clip per-row before the step to keep training stable.
-      optim::ClipRowNorms(&au, config_.grad_clip);
-      optim::ClipRowNorms(&av, config_.grad_clip);
-      optim::SgdUpdate(&users0_, au, config_.lr);
-      optim::SgdUpdate(&items0_, av, config_.lr);
-      for (int l = 0; l < L; ++l) {
-        optim::ClipRowNorms(&grad_w[l], config_.grad_clip);
-        optim::SgdUpdate(&weights_[l], grad_w[l], 0.1 * config_.lr);
-      }
+double Ngcf::FitEpoch(const DataSplit& split, int epoch, Rng* rng) {
+  const int L = config().gcn_layers;
+  const Matrix& up_u = step_.up_u;
+  const Matrix& up_v = step_.up_v;
+  for (size_t b = 0; b < config().batches_per_epoch; ++b) {
+    Forward();
+    step_.sampler->SampleBatch(rng, config().batch_size, &step_.batch);
+    step_.up_u.SetZero();
+    step_.up_v.SetZero();
+    for (const Triplet& t : step_.batch) {
+      AddBprGrad(users_out_.row(t.user), items_out_.row(t.pos),
+                 items_out_.row(t.neg), step_.up_u.row(t.user),
+                 step_.up_v.row(t.pos), step_.up_v.row(t.neg));
+    }
+    // Adjoint through the layer stack (out = sum of z^0..z^L).
+    Matrix au = up_u;  // grad wrt z^{l+1} as we walk down
+    Matrix av = up_v;
+    std::vector<Matrix> grad_w(L);
+    for (int l = L - 1; l >= 0; --l) {
+      LeakyReluBackward(step_.pre_u[l], &au);
+      LeakyReluBackward(step_.pre_v[l], &av);
+      // gW += S^T gpre (both sides share the weight).
+      Matrix gw_u, gw_v;
+      MatMulTransposedA(step_.su[l], au, &gw_u);
+      MatMulTransposedA(step_.sv[l], av, &gw_v);
+      grad_w[l] = std::move(gw_u);
+      grad_w[l].Axpy(1.0, gw_v);
+      // gS = gpre W^T.
+      Matrix gsu, gsv;
+      MatMulTransposedB(au, weights_[l], &gsu);
+      MatMulTransposedB(av, weights_[l], &gsv);
+      // a^l = up (z^l term of the sum) + gS + P^T gS (cross side).
+      Matrix next_au = up_u;
+      next_au.Axpy(1.0, gsu);
+      piu_t_.MultiplyAccum(gsv, 1.0, &next_au);
+      Matrix next_av = up_v;
+      next_av.Axpy(1.0, gsv);
+      pui_t_.MultiplyAccum(gsu, 1.0, &next_av);
+      au = std::move(next_au);
+      av = std::move(next_av);
+    }
+    // Summed batch gradients can be large through the per-layer weight
+    // matrices; clip per-row before the step to keep training stable.
+    optim::ClipRowNorms(&au, config().grad_clip);
+    optim::ClipRowNorms(&av, config().grad_clip);
+    optim::SgdUpdate(&users0_, au, config().lr);
+    optim::SgdUpdate(&items0_, av, config().lr);
+    for (int l = 0; l < L; ++l) {
+      optim::ClipRowNorms(&grad_w[l], config().grad_clip);
+      optim::SgdUpdate(&weights_[l], grad_w[l], 0.1 * config().lr);
     }
   }
-  Forward(&cache);
+  return 0.0;
+}
+
+void Ngcf::EndFit(const DataSplit& split) {
+  Forward();
+  step_ = StepBuffers();  // scoring needs the outputs alone
 }
 
 void Ngcf::ScoreItems(uint32_t user, std::span<double> out) const {

@@ -7,6 +7,7 @@
 #ifndef TAXOREC_BASELINES_NGCF_H_
 #define TAXOREC_BASELINES_NGCF_H_
 
+#include <memory>
 #include <vector>
 
 #include "baselines/recommender.h"
@@ -17,26 +18,33 @@ namespace taxorec {
 
 class Ngcf : public Recommender {
  public:
-  explicit Ngcf(const ModelConfig& config) : config_(config) {}
+  explicit Ngcf(const ModelConfig& config) : Recommender(config) {}
 
   std::string name() const override { return "NGCF"; }
-  void Fit(const DataSplit& split, Rng* rng) override;
+  void BeginFit(const DataSplit& split, Rng* rng) override;
+  double FitEpoch(const DataSplit& split, int epoch, Rng* rng) override;
+  void EndFit(const DataSplit& split) override;
   void ScoreItems(uint32_t user, std::span<double> out) const override;
 
  private:
-  struct ForwardCache {
-    std::vector<Matrix> zu, zv;      // layer outputs, 0..L
-    std::vector<Matrix> su, sv;      // propagated sums per layer, 0..L-1
+  // Sized by BeginFit, reused by every batch, freed by EndFit.
+  struct StepBuffers {
+    std::unique_ptr<TripletSampler> sampler;
+    std::vector<Triplet> batch;
+    std::vector<Matrix> zu, zv;        // layer outputs, 0..L
+    std::vector<Matrix> su, sv;        // propagated sums per layer, 0..L-1
     std::vector<Matrix> pre_u, pre_v;  // pre-activations per layer, 0..L-1
+    Matrix up_u, up_v;                 // gradient on the outputs
   };
 
-  void Forward(ForwardCache* cache);
+  /// Recomputes the outputs and the layer caches from the current leaves.
+  void Forward();
 
-  ModelConfig config_;
   CsrMatrix pui_, piu_, pui_t_, piu_t_;
   Matrix users0_, items0_;
   std::vector<Matrix> weights_;  // one d×d matrix per layer
   Matrix users_out_, items_out_;
+  StepBuffers step_;
 };
 
 }  // namespace taxorec

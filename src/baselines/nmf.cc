@@ -53,23 +53,23 @@ void MultiplicativeUpdate(const Matrix& numer, const Matrix& denom,
 
 }  // namespace
 
-void Nmf::Fit(const DataSplit& split, Rng* rng) {
-  const size_t d = config_.dim;
-  w_ = Matrix(split.num_users, d);
-  h_ = Matrix(split.num_items, d);
+void Nmf::BeginFit(const DataSplit& split, Rng* rng) {
+  w_ = Matrix(split.num_users, config().dim);
+  h_ = Matrix(split.num_items, config().dim);
   w_.FillUniform(rng, 0.01, 1.0);
   h_.FillUniform(rng, 0.01, 1.0);
+  xt_ = split.train.Transposed();
+}
 
-  const CsrMatrix xt = split.train.Transposed();
+double Nmf::FitEpoch(const DataSplit& split, int epoch, Rng* rng) {
   Matrix xh, xtw;
-  for (int iter = 0; iter < config_.epochs; ++iter) {
-    split.train.Multiply(h_, &xh);                 // X H
-    const Matrix wg = MulGram(w_, Gram(h_));       // W (H^T H)
-    MultiplicativeUpdate(xh, wg, &w_);
-    xt.Multiply(w_, &xtw);                         // X^T W
-    const Matrix hg = MulGram(h_, Gram(w_));       // H (W^T W)
-    MultiplicativeUpdate(xtw, hg, &h_);
-  }
+  split.train.Multiply(h_, &xh);                 // X H
+  const Matrix wg = MulGram(w_, Gram(h_));       // W (H^T H)
+  MultiplicativeUpdate(xh, wg, &w_);
+  xt_.Multiply(w_, &xtw);                        // X^T W
+  const Matrix hg = MulGram(h_, Gram(w_));       // H (W^T W)
+  MultiplicativeUpdate(xtw, hg, &h_);
+  return 0.0;
 }
 
 void Nmf::ScoreItems(uint32_t user, std::span<double> out) const {

@@ -5,22 +5,25 @@
 #define TAXOREC_BASELINES_NMF_H_
 
 #include "baselines/recommender.h"
+#include "math/csr.h"
 #include "math/matrix.h"
 
 namespace taxorec {
 
 class Nmf : public Recommender {
  public:
-  explicit Nmf(const ModelConfig& config) : config_(config) {}
+  explicit Nmf(const ModelConfig& config) : Recommender(config) {}
 
   std::string name() const override { return "NMF"; }
-  void Fit(const DataSplit& split, Rng* rng) override;
+  void BeginFit(const DataSplit& split, Rng* rng) override;
+  /// One multiplicative update of both factors.
+  double FitEpoch(const DataSplit& split, int epoch, Rng* rng) override;
   void ScoreItems(uint32_t user, std::span<double> out) const override;
 
  private:
-  ModelConfig config_;
   Matrix w_;  // users × d
   Matrix h_;  // items × d (H^T of the classical formulation)
+  CsrMatrix xt_;  // X^T of the training matrix X
 };
 
 }  // namespace taxorec

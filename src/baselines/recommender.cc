@@ -27,23 +27,13 @@ ScoringSnapshot Recommender::ExportScoringSnapshot() const {
   return snap;
 }
 
-void Recommender::BeginFit(const DataSplit& split, Rng* rng) {}
-
-double Recommender::FitEpoch(const DataSplit& split, int epoch, Rng* rng) {
-  // Legacy models train monolithically: the whole Fit runs as "epoch 0"
-  // and later epochs are no-ops, so the epoch-granular driver still
-  // produces a fully trained model.
-  if (epoch == 0) Fit(split, rng);
-  return 0.0;
+void Recommender::Fit(const DataSplit& split, Rng* rng) {
+  BeginFit(split, rng);
+  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
+    FitEpoch(split, epoch, rng);
+  }
+  EndFit(split);
 }
-
-void Recommender::EndFit(const DataSplit& split) {}
-
-void Recommender::ScaleLearningRate(double factor) {}
-
-void Recommender::CheckHealth(HealthMonitor* monitor) const {}
-
-Checkpoint Recommender::SaveState() const { return Checkpoint(); }
 
 Status Recommender::RestoreState(const Checkpoint& ckpt,
                                  const DataSplit& split) {

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "common/checkpoint.h"
 #include "common/status.h"
 #include "data/dataset.h"
@@ -58,14 +59,25 @@ struct ModelConfig {
 };
 
 /// A trained (or trainable) top-N recommender.
+///
+/// Training protocol: BeginFit, then FitEpoch for each epoch in order, then
+/// EndFit. BeginFit, every FitEpoch and EndFit receive the same split,
+/// which outlives them. Fit is that sequence by construction; the
+/// fault-tolerant loop (core/trainer.h) runs it with a health scan and a
+/// snapshot between epochs, so a run that never rolls back trains the model
+/// bit-identically to Fit from the same `rng`.
 class Recommender {
  public:
+  Recommender() = default;
+  explicit Recommender(const ModelConfig& config) : config_(config) {}
   virtual ~Recommender() = default;
 
   virtual std::string name() const = 0;
 
-  /// Trains on the training split. `rng` drives sampling/initialization.
-  virtual void Fit(const DataSplit& split, Rng* rng) = 0;
+  /// Trains on the training split: BeginFit, FitEpoch for epochs
+  /// 0 .. config().epochs - 1, EndFit. `rng` drives sampling and
+  /// initialization.
+  void Fit(const DataSplit& split, Rng* rng);
 
   /// Writes a preference score for every item (higher = better) for `user`.
   /// `out` has split.num_items entries.
@@ -81,43 +93,34 @@ class Recommender {
   /// meaningful on a trained model.
   virtual ScoringSnapshot ExportScoringSnapshot() const;
 
-  // --- Epoch-granular training protocol (optional) -----------------------
-  //
-  // The fault-tolerant training loop (core/trainer.h) drives models one
-  // epoch at a time so it can health-check, checkpoint and roll back
-  // between epochs. Models that implement it natively (TaxoRecModel,
-  // HyperMl) override SupportsEpochFit() to return true and guarantee that
-  //   BeginFit(); for (e) FitEpoch(e); EndFit();
-  // is bit-identical to Fit(). The defaults route everything through
-  // Fit() so the remaining baselines keep working unchanged (the loop
-  // simply loses epoch granularity for them).
+  /// Prepares training state (parameter init, warm-up, samplers, step
+  /// buffers).
+  virtual void BeginFit(const DataSplit& split, Rng* rng) {}
 
-  /// True when BeginFit/FitEpoch/EndFit are implemented natively.
-  virtual bool SupportsEpochFit() const { return false; }
+  /// Runs training epoch `epoch`; returns the summed epoch loss (0 when
+  /// the model does not track one).
+  virtual double FitEpoch(const DataSplit& split, int epoch, Rng* rng) {
+    return 0.0;
+  }
 
-  /// Configured epoch count (0 when the model is not epoch-granular).
-  virtual int num_epochs() const { return 0; }
+  /// Finalizes training (final forward pass, last taxonomy rebuild).
+  virtual void EndFit(const DataSplit& split) {}
 
-  /// Prepares training state (parameter init, warm-up, samplers).
-  virtual void BeginFit(const DataSplit& split, Rng* rng);
+  /// Multiplies the learning rate by `factor` > 0 (divergence backoff).
+  void ScaleLearningRate(double factor) {
+    TAXOREC_CHECK(factor > 0.0);
+    config_.lr *= factor;
+  }
 
-  /// Runs one training epoch; returns the summed epoch loss (0 when the
-  /// model does not track one). The default implementation runs the whole
-  /// legacy Fit() on epoch 0 and is a no-op afterwards.
-  virtual double FitEpoch(const DataSplit& split, int epoch, Rng* rng);
-
-  /// Finalizes training (last taxonomy rebuild, forward caches).
-  virtual void EndFit(const DataSplit& split);
-
-  /// Multiplies the learning rate by `factor` (divergence backoff).
-  virtual void ScaleLearningRate(double factor);
+  const ModelConfig& config() const { return config_; }
 
   /// Reports parameter health (NaN/Inf, off-manifold drift) into `monitor`.
   /// Default: no checks (trivially healthy).
-  virtual void CheckHealth(HealthMonitor* monitor) const;
+  virtual void CheckHealth(HealthMonitor* monitor) const {}
 
-  /// Snapshot of the trainable state for rollback/resume. Default: empty.
-  virtual Checkpoint SaveState() const;
+  /// Snapshot of the trainable state for rollback/resume. Default: empty;
+  /// RunTrainLoop then neither checkpoints nor rolls back the model.
+  virtual Checkpoint SaveState() const { return Checkpoint(); }
 
   /// Restores a SaveState snapshot; the model must be ready to continue
   /// FitEpoch afterwards. Default: FailedPrecondition.
@@ -131,6 +134,7 @@ class Recommender {
   RunTelemetry* telemetry() const { return telemetry_; }
 
  private:
+  ModelConfig config_;
   RunTelemetry* telemetry_ = nullptr;
 };
 

@@ -6,6 +6,8 @@
 #ifndef TAXOREC_BASELINES_SML_H_
 #define TAXOREC_BASELINES_SML_H_
 
+#include <memory>
+
 #include "baselines/recommender.h"
 #include "math/matrix.h"
 
@@ -13,16 +15,17 @@ namespace taxorec {
 
 class Sml : public Recommender {
  public:
-  explicit Sml(const ModelConfig& config) : config_(config) {}
+  explicit Sml(const ModelConfig& config) : Recommender(config) {}
 
   std::string name() const override { return "SML"; }
-  void Fit(const DataSplit& split, Rng* rng) override;
+  void BeginFit(const DataSplit& split, Rng* rng) override;
+  double FitEpoch(const DataSplit& split, int epoch, Rng* rng) override;
   void ScoreItems(uint32_t user, std::span<double> out) const override;
 
  private:
-  ModelConfig config_;
   Matrix users_;
   Matrix items_;
+  std::unique_ptr<TripletSampler> sampler_;
 };
 
 }  // namespace taxorec

@@ -9,25 +9,31 @@
 #ifndef TAXOREC_BASELINES_TRANSCF_H_
 #define TAXOREC_BASELINES_TRANSCF_H_
 
+#include <memory>
+
 #include "baselines/recommender.h"
+#include "math/csr.h"
 #include "math/matrix.h"
 
 namespace taxorec {
 
 class TransCf : public Recommender {
  public:
-  explicit TransCf(const ModelConfig& config) : config_(config) {}
+  explicit TransCf(const ModelConfig& config) : Recommender(config) {}
 
   std::string name() const override { return "TransCF"; }
-  void Fit(const DataSplit& split, Rng* rng) override;
+  void BeginFit(const DataSplit& split, Rng* rng) override;
+  double FitEpoch(const DataSplit& split, int epoch, Rng* rng) override;
+  void EndFit(const DataSplit& split) override;
   void ScoreItems(uint32_t user, std::span<double> out) const override;
 
  private:
-  ModelConfig config_;
   Matrix users_;
   Matrix items_;
   Matrix user_nbr_;  // alpha_u: mean embedding of the user's train items
   Matrix item_nbr_;  // beta_v: mean embedding of the item's train users
+  CsrMatrix train_t_;  // the training matrix transposed (item → users)
+  std::unique_ptr<TripletSampler> sampler_;
 };
 
 }  // namespace taxorec

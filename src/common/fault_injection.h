@@ -28,8 +28,8 @@ namespace taxorec {
 
 /// Well-known fault sites wired into the library.
 namespace faults {
-/// Poisons one accumulated gradient value with NaN inside an epoch-granular
-/// Fit (TaxoRecModel / HyperMl training steps).
+/// Poisons one accumulated gradient value with NaN inside a training epoch
+/// (TaxoRecModel / HyperMl training steps).
 inline constexpr char kGradNan[] = "grad-nan";
 /// Fails Checkpoint::WriteFile with IOError before any byte is written.
 inline constexpr char kCheckpointWrite[] = "ckpt-write";

@@ -29,10 +29,10 @@
 namespace taxorec {
 
 TaxoRecModel::TaxoRecModel(const ModelConfig& config, TaxoRecOptions options)
-    : config_(config), options_(std::move(options)) {
+    : Recommender(config), options_(std::move(options)) {
   // The tag channel's width comes out of dim; check before subtracting.
-  TAXOREC_CHECK(config_.dim > config_.tag_dim);
-  TAXOREC_CHECK(config_.dim - config_.tag_dim >= kTaxoRecMinItemDim);
+  TAXOREC_CHECK(config.dim > config.tag_dim);
+  TAXOREC_CHECK(config.dim - config.tag_dim >= kTaxoRecMinItemDim);
 }
 
 void TaxoRecModel::ComputeAlpha(const DataSplit& split) {
@@ -53,7 +53,7 @@ void TaxoRecModel::ComputeAlpha(const DataSplit& split) {
                 (static_cast<double>(items.size()) *
                  static_cast<double>(distinct.size()));
     // Channel rebalancing (see ModelConfig::alpha_scale).
-    alpha_[u] *= std::max(1.0, config_.alpha_scale);
+    alpha_[u] *= std::max(1.0, config().alpha_scale);
     if (alpha_[u] > 1.0) alpha_[u] = 1.0;
   }
 }
@@ -113,7 +113,7 @@ double TagWarmUpStep(Matrix* tags, uint32_t t1, uint32_t t2, uint32_t t3,
 
 void TaxoRecModel::WarmUpTags(Rng* rng) {
   const size_t steps =
-      static_cast<size_t>(std::max(0, config_.tag_warmup_per_tag)) *
+      static_cast<size_t>(std::max(0, config().tag_warmup_per_tag)) *
       num_tags_;
   if (steps == 0) return;
   TraceSpan span("tag_warmup");
@@ -130,8 +130,8 @@ void TaxoRecModel::WarmUpTags(Rng* rng) {
     for (int tries = 0; tries < 16 && item_tags_.Contains(v, t3); ++tries) {
       t3 = static_cast<uint32_t>(rng->Uniform(num_tags_));
     }
-    TagWarmUpStep(&tags_, t1, t2, t3, kWarmupMargin, config_.lr,
-                  config_.grad_clip, scratch);
+    TagWarmUpStep(&tags_, t1, t2, t3, kWarmupMargin, config().lr,
+                  config().grad_clip, scratch);
   }
 }
 
@@ -181,9 +181,9 @@ void TaxoRecModel::RebuildTaxonomy(int epoch) {
     taxonomy_ = std::make_unique<Taxonomy>(*options_.fixed_taxonomy);
   } else {
     TaxonomyBuildConfig cfg;
-    cfg.K = config_.taxo_k;
-    cfg.delta = config_.taxo_delta;
-    cfg.seed = config_.seed + 1;
+    cfg.K = config().taxo_k;
+    cfg.delta = config().taxo_delta;
+    cfg.seed = config().seed + 1;
     taxonomy_ = std::make_unique<Taxonomy>(
         BuildTaxonomy(tags_, item_tags_, tag_items_, cfg));
   }
@@ -224,7 +224,7 @@ double TaxoRecModel::TrainStep(const TripletSampler& sampler, int epoch,
                                size_t batch_index) {
   // Summed (not averaged) batch gradients, matching per-triplet SGD scale.
   const double scale = 1.0;
-  const size_t batch = config_.batch_size;
+  const size_t batch = config().batch_size;
 
   // Phase 1 — per-sample fan-out. Each sample's triplet draw consumes a
   // counter-based stream derived from (seed, epoch, sample_index), and its
@@ -245,7 +245,7 @@ double TaxoRecModel::TrainStep(const TripletSampler& sampler, int epoch,
   ParallelFor(0, batch, /*grain=*/32, [&](size_t j0, size_t j1) {
     for (size_t j = j0; j < j1; ++j) {
       const uint64_t sample_index = batch_index * batch + j;
-      Rng stream = Rng::Derive(config_.seed, static_cast<uint64_t>(epoch),
+      Rng stream = Rng::Derive(config().seed, static_cast<uint64_t>(epoch),
                                sample_index);
       const Triplet t = sampler.Sample(&stream);
       const double a = alpha_[t.user];
@@ -253,7 +253,7 @@ double TaxoRecModel::TrainStep(const TripletSampler& sampler, int epoch,
       const double g_neg = Similarity(t.user, t.neg);
       double dpos, dneg;
       const double hinge =
-          nn::HingeTriplet(config_.margin, g_pos, g_neg, &dpos, &dneg);
+          nn::HingeTriplet(config().margin, g_pos, g_neg, &dpos, &dneg);
       if (hinge <= 0.0) continue;
       recs[j] = {t.user, t.pos, t.neg, a, hinge, /*active=*/true};
       zero_rows(&gbuf_ir, j);
@@ -300,12 +300,12 @@ double TaxoRecModel::TrainStep(const TripletSampler& sampler, int epoch,
   }
 
   ir_.Backward(*gcn_, users_ir_, items_ir_);
-  ir_.Step(&users_ir_, ir_.grad_u(), config_.lr, config_.grad_clip);
-  ir_.Step(&items_ir_, ir_.grad_v(), config_.lr, config_.grad_clip);
+  ir_.Step(&users_ir_, ir_.grad_u(), config().lr, config().grad_clip);
+  ir_.Step(&items_ir_, ir_.grad_v(), config().lr, config().grad_clip);
 
-  const double tag_lr = config_.lr * std::max(1.0, config_.tag_lr_mult);
+  const double tag_lr = config().lr * std::max(1.0, config().tag_lr_mult);
   tg_.Backward(*gcn_, users_tg_, items_tg_leaf_);
-  tg_.Step(&users_tg_, tg_.grad_u(), tag_lr, config_.grad_clip);
+  tg_.Step(&users_tg_, tg_.grad_u(), tag_lr, config().grad_clip);
   // Local aggregation backward (item tag-leaf grads → tags), tag step.
   Matrix& grad_tags = ws_.grad_tags;
   grad_tags.EnsureShape(num_tags_, tags_.cols());
@@ -320,11 +320,11 @@ double TaxoRecModel::TrainStep(const TripletSampler& sampler, int epoch,
                              options_.lambda / static_cast<double>(num_tags_),
                              &grad_tags, options_.reg);
     }
-    optim::PoincareRsgdUpdate(&tags_, grad_tags, tag_lr, config_.grad_clip);
+    optim::PoincareRsgdUpdate(&tags_, grad_tags, tag_lr, config().grad_clip);
   } else {
     RowMeansBackward(item_tags_, tg_.grad_v(), &grad_tags);
     // The Euclidean tag table is the mean's operand, a channel leaf.
-    tg_.Step(&tags_, grad_tags, tag_lr, config_.grad_clip);
+    tg_.Step(&tags_, grad_tags, tag_lr, config().grad_clip);
   }
   return batch_loss;
 }
@@ -340,15 +340,15 @@ void TaxoRecModel::InitFromSplit(const DataSplit& split, Rng* rng,
   ComputeAlpha(split);
   // Over the owned copy (identical content to split.train) so the model
   // can keep training after a checkpoint restore.
-  sampler_ = std::make_unique<TripletSampler>(&train_, config_.neg_sampling);
+  sampler_ = std::make_unique<TripletSampler>(&train_, config().neg_sampling);
 
   const bool hyp = options_.hyperbolic;
-  users_ir_ = Matrix(num_users_, ir_.cols(config_.dim - config_.tag_dim));
+  users_ir_ = Matrix(num_users_, ir_.cols(config().dim - config().tag_dim));
   items_ir_ = Matrix(num_items_, users_ir_.cols());
-  users_tg_ = Matrix(num_users_, tg_.cols(config_.tag_dim));
-  tags_ = Matrix(num_tags_, config_.tag_dim);
+  users_tg_ = Matrix(num_users_, tg_.cols(config().tag_dim));
+  tags_ = Matrix(num_tags_, config().tag_dim);
   if (hyp) tag_agg_ = std::make_unique<nn::TagAggregation>(&item_tags_);
-  gcn_ = std::make_unique<nn::BipartiteGcn>(split.train, config_.gcn_layers);
+  gcn_ = std::make_unique<nn::BipartiteGcn>(split.train, config().gcn_layers);
   if (!init_params) return;
   TAXOREC_CHECK(rng != nullptr);
   ir_.InitLeaves(rng, &users_ir_);
@@ -380,39 +380,26 @@ double TaxoRecModel::FitEpoch(const DataSplit& split, int epoch, Rng* rng) {
   // the updates of the uninterrupted run.
   TraceSpan span("fit_epoch");
   if (options_.hyperbolic && epoch > 0 &&
-      epoch % std::max(1, config_.taxo_rebuild_every) == 0) {
+      epoch % std::max(1, config().taxo_rebuild_every) == 0) {
     RebuildTaxonomy(epoch);
   }
   double epoch_loss = 0.0;
-  for (size_t b = 0; b < config_.batches_per_epoch; ++b) {
+  for (size_t b = 0; b < config().batches_per_epoch; ++b) {
     Propagate();
     epoch_loss += TrainStep(*sampler_, epoch, b);
   }
   static Counter* samples =
       MetricsRegistry::Instance().GetCounter("taxorec.model.fit_samples");
-  samples->Increment(config_.batches_per_epoch * config_.batch_size);
+  samples->Increment(config().batches_per_epoch * config().batch_size);
   return epoch_loss;
 }
 
 void TaxoRecModel::EndFit(const DataSplit& split) {
-  if (options_.hyperbolic) RebuildTaxonomy(config_.epochs);
+  if (options_.hyperbolic) RebuildTaxonomy(config().epochs);
   Propagate();
   ws_ = StepWorkspace();  // scoring and serving need the outputs alone
   ir_.ReleaseStepBuffers();
   tg_.ReleaseStepBuffers();
-}
-
-void TaxoRecModel::Fit(const DataSplit& split, Rng* rng) {
-  BeginFit(split, rng);
-  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    FitEpoch(split, epoch, rng);
-  }
-  EndFit(split);
-}
-
-void TaxoRecModel::ScaleLearningRate(double factor) {
-  TAXOREC_CHECK(factor > 0.0);
-  config_.lr *= factor;  // The tag channel derives its rate from lr.
 }
 
 void TaxoRecModel::CheckHealth(HealthMonitor* monitor) const {

@@ -77,23 +77,17 @@ class TaxoRecModel : public Recommender {
   TaxoRecModel(const ModelConfig& config, TaxoRecOptions options);
 
   std::string name() const override { return options_.display_name; }
-  void Fit(const DataSplit& split, Rng* rng) override;
   void ScoreItems(uint32_t user, std::span<double> out) const override;
   /// Native serving export: a distance kernel, hyperbolic or Euclidean per
   /// the options, carrying the tag channel and alpha.
   ScoringSnapshot ExportScoringSnapshot() const override;
 
-  // Native epoch-granular protocol (see recommender.h): Fit() is exactly
-  // BeginFit + FitEpoch(0..epochs) + EndFit, and every minibatch draws
-  // from counter-based streams keyed on (seed, epoch, sample), so an
-  // epoch-at-a-time drive — and a resume from a restored checkpoint — is
-  // bit-identical to the monolithic run.
-  bool SupportsEpochFit() const override { return true; }
-  int num_epochs() const override { return config_.epochs; }
+  // The training protocol of recommender.h. Every minibatch draws from
+  // counter-based streams keyed on (seed, epoch, sample), so a resume from
+  // a restored checkpoint is bit-identical to the uninterrupted run too.
   void BeginFit(const DataSplit& split, Rng* rng) override;
   double FitEpoch(const DataSplit& split, int epoch, Rng* rng) override;
   void EndFit(const DataSplit& split) override;
-  void ScaleLearningRate(double factor) override;
   void CheckHealth(HealthMonitor* monitor) const override;
   Checkpoint SaveState() const override { return SaveCheckpoint(); }
   Status RestoreState(const Checkpoint& ckpt,
@@ -169,7 +163,6 @@ class TaxoRecModel : public Recommender {
     Matrix grad_tags;
   };
 
-  ModelConfig config_;
   TaxoRecOptions options_;
 
   // Dataset views (owned copies so the model is self-contained after Fit).

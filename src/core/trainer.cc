@@ -24,11 +24,25 @@ bool FileExists(const std::string& path) {
   return std::ifstream(path).good();
 }
 
-/// Health failure is a flight-recorder trigger (serve/request_log.h): when
-/// a process both serves and trains (hot retrain), the last N request
-/// lifecycles are exactly the post-incident question. No-op unless request
+/// Scans the model's parameters into `monitor`.
+void ScanHealth(const Recommender& model, HealthMonitor* monitor) {
+  static Counter* scans = MetricsRegistry::Instance().GetCounter(
+      "taxorec.trainer.health_scans");
+  {
+    TraceSpan scan_span("health_scan");
+    model.CheckHealth(monitor);
+  }
+  scans->Increment();
+}
+
+/// Reports a failed health scan to the telemetry sink and triggers the
+/// flight recorder (serve/request_log.h): when a process both serves and
+/// trains (hot retrain), the last N request lifecycles are exactly the
+/// post-incident question. The dump is a no-op unless request
 /// observability is armed with a dump path.
-void DumpFlightRecorderOnHealthFail() {
+void ReportHealthFail(const TrainLoopOptions& opts, int epoch,
+                      const HealthReport& report) {
+  if (opts.telemetry != nullptr) opts.telemetry->EmitHealthFail(epoch, report);
   RequestObservability::Instance().TriggerDump("health_fail");
 }
 
@@ -36,20 +50,27 @@ void Emit(const TrainLoopOptions& opts, TrainLoopEvent event) {
   if (opts.callback) opts.callback(event);
 }
 
-/// Writes `state` + the trainer bookkeeping entry to opts.checkpoint_path.
-/// On success `*bytes_out` (optional) receives the file size.
+/// Writes `state` + the trainer bookkeeping entry to opts.checkpoint_path,
+/// then reports the write (result count, telemetry, callback).
 Status WriteTrainerCheckpoint(const Checkpoint& state, int next_epoch,
                               double lr_scale, int rollbacks,
-                              const std::string& path,
-                              uint64_t* bytes_out = nullptr) {
+                              const TrainLoopOptions& opts,
+                              TrainLoopResult* result) {
   Checkpoint with_meta = state;  // map copy; matrices are value types
   Matrix meta(1, 3);
   meta.at(0, 0) = static_cast<double>(next_epoch);
   meta.at(0, 1) = lr_scale;
   meta.at(0, 2) = static_cast<double>(rollbacks);
   with_meta.Put(kTrainerStateEntry, std::move(meta));
-  if (bytes_out != nullptr) *bytes_out = with_meta.SerializedBytes();
-  return with_meta.WriteFile(path);
+  TAXOREC_RETURN_NOT_OK(with_meta.WriteFile(opts.checkpoint_path));
+  ++result->checkpoints_written;
+  if (opts.telemetry != nullptr) {
+    opts.telemetry->EmitCheckpoint(next_epoch, opts.checkpoint_path,
+                                   with_meta.SerializedBytes());
+  }
+  Emit(opts, {TrainLoopEvent::Kind::kCheckpoint, next_epoch, 0.0, lr_scale,
+              opts.checkpoint_path});
+  return Status::OK();
 }
 
 /// Seconds elapsed since `start`.
@@ -83,12 +104,6 @@ class ScopedModelTelemetry {
  private:
   Recommender* model_;
 };
-
-Counter* HealthScanCounter() {
-  static Counter* scans = MetricsRegistry::Instance().GetCounter(
-      "taxorec.trainer.health_scans");
-  return scans;
-}
 
 }  // namespace
 
@@ -126,37 +141,14 @@ StatusOr<TrainLoopResult> RunTrainLoop(Recommender* model,
   TraceSpan loop_span("train_loop");
   ScopedModelTelemetry scoped_telemetry(model, opts.telemetry);
 
-  if (!model->SupportsEpochFit()) {
-    if (opts.resume) {
-      return Status::InvalidArgument(
-          model->name() + " has no epoch-granular training; cannot resume");
-    }
-    if (opts.save_every > 0) {
-      return Status::InvalidArgument(
-          model->name() +
-          " has no epoch-granular training; --save-every is unsupported");
-    }
-    model->Fit(split, rng);
-    result.epoch_granular = false;
-    HealthMonitor monitor(opts.health);
-    {
-      TraceSpan scan_span("health_scan");
-      model->CheckHealth(&monitor);
-    }
-    HealthScanCounter()->Increment();
-    if (!monitor.healthy()) {
-      if (opts.telemetry != nullptr) {
-        opts.telemetry->EmitHealthFail(0, monitor.report());
-      }
-      DumpFlightRecorderOnHealthFail();
-      return Status::Internal(model->name() + " training diverged: " +
-                              monitor.report().ToString() +
-                              FirstDefectClause(monitor.report()));
-    }
-    return result;
+  if ((!opts.checkpoint_path.empty() || opts.resume || opts.save_every > 0) &&
+      model->SaveState().size() == 0) {
+    return Status::InvalidArgument(model->name() +
+                                   " has no training state to checkpoint "
+                                   "or resume");
   }
 
-  const int total_epochs = model->num_epochs();
+  const int total_epochs = model->config().epochs;
   int start_epoch = 0;
   double lr_scale = 1.0;
   int rollbacks = 0;
@@ -221,16 +213,9 @@ StatusOr<TrainLoopResult> RunTrainLoop(Recommender* model,
 
     HealthMonitor monitor(opts.health);
     monitor.CheckLoss(epoch, loss);
-    {
-      TraceSpan scan_span("health_scan");
-      model->CheckHealth(&monitor);
-    }
-    HealthScanCounter()->Increment();
+    ScanHealth(*model, &monitor);
     if (!monitor.healthy()) {
-      if (opts.telemetry != nullptr) {
-        opts.telemetry->EmitHealthFail(epoch, monitor.report());
-      }
-      DumpFlightRecorderOnHealthFail();
+      ReportHealthFail(opts, epoch, monitor.report());
       if (rollbacks >= opts.max_divergence_retries) {
         return Status::Internal(
             model->name() + " diverged at epoch " + std::to_string(epoch) +
@@ -269,51 +254,25 @@ StatusOr<TrainLoopResult> RunTrainLoop(Recommender* model,
 
     if (opts.save_every > 0 && !opts.checkpoint_path.empty() &&
         epoch % opts.save_every == 0 && epoch < total_epochs) {
-      uint64_t ckpt_bytes = 0;
-      TAXOREC_RETURN_NOT_OK(WriteTrainerCheckpoint(snapshot, epoch, lr_scale,
-                                                   rollbacks,
-                                                   opts.checkpoint_path,
-                                                   &ckpt_bytes));
-      ++result.checkpoints_written;
-      if (opts.telemetry != nullptr) {
-        opts.telemetry->EmitCheckpoint(epoch, opts.checkpoint_path,
-                                       ckpt_bytes);
-      }
-      Emit(opts, {TrainLoopEvent::Kind::kCheckpoint, epoch, 0.0, lr_scale,
-                  opts.checkpoint_path});
+      TAXOREC_RETURN_NOT_OK(WriteTrainerCheckpoint(
+          snapshot, epoch, lr_scale, rollbacks, opts, &result));
     }
   }
 
   model->EndFit(split);
 
   HealthMonitor final_monitor(opts.health);
-  {
-    TraceSpan scan_span("health_scan");
-    model->CheckHealth(&final_monitor);
-  }
-  HealthScanCounter()->Increment();
+  ScanHealth(*model, &final_monitor);
   if (!final_monitor.healthy()) {
-    if (opts.telemetry != nullptr) {
-      opts.telemetry->EmitHealthFail(total_epochs, final_monitor.report());
-    }
-    DumpFlightRecorderOnHealthFail();
+    ReportHealthFail(opts, total_epochs, final_monitor.report());
     return Status::Internal(model->name() + " finished unhealthy: " +
                             final_monitor.report().ToString() +
                             FirstDefectClause(final_monitor.report()));
   }
 
   if (!opts.checkpoint_path.empty()) {
-    uint64_t ckpt_bytes = 0;
     TAXOREC_RETURN_NOT_OK(WriteTrainerCheckpoint(
-        model->SaveState(), total_epochs, lr_scale, rollbacks,
-        opts.checkpoint_path, &ckpt_bytes));
-    ++result.checkpoints_written;
-    if (opts.telemetry != nullptr) {
-      opts.telemetry->EmitCheckpoint(total_epochs, opts.checkpoint_path,
-                                     ckpt_bytes);
-    }
-    Emit(opts, {TrainLoopEvent::Kind::kCheckpoint, total_epochs, 0.0,
-                lr_scale, opts.checkpoint_path});
+        model->SaveState(), total_epochs, lr_scale, rollbacks, opts, &result));
   }
 
   result.rollbacks = rollbacks;

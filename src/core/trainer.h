@@ -1,6 +1,6 @@
 // Training entry points: the ablation factory and the fault-tolerant
-// epoch-granular training loop (health monitoring, periodic checkpoints,
-// divergence rollback).
+// training loop (health monitoring, periodic checkpoints, divergence
+// rollback).
 #ifndef TAXOREC_CORE_TRAINER_H_
 #define TAXOREC_CORE_TRAINER_H_
 
@@ -42,6 +42,9 @@ struct TrainLoopEvent {
   std::string detail;   // human-readable context (health report, path)
 };
 
+/// A model whose SaveState() is empty (every baseline but HyperML) has no
+/// state to write or restore: RunTrainLoop rejects `checkpoint_path`,
+/// `save_every` and `resume` for it with InvalidArgument before training.
 struct TrainLoopOptions {
   /// Checkpoint file ("" disables persistence; rollback then uses only the
   /// in-memory snapshot).
@@ -63,9 +66,6 @@ struct TrainLoopOptions {
 };
 
 struct TrainLoopResult {
-  /// False when the model has no native epoch protocol and the loop fell
-  /// back to a monolithic Fit (no checkpoints, no rollback).
-  bool epoch_granular = true;
   /// First epoch executed by this invocation (> 0 after a resume).
   int start_epoch = 0;
   int epochs_run = 0;
@@ -77,22 +77,20 @@ struct TrainLoopResult {
   double lr_scale = 1.0;
 };
 
-/// Resumable, self-healing training driver.
-///
-/// For epoch-granular models the loop: (1) runs one epoch at a time,
-/// (2) scans parameters and the epoch loss with a HealthMonitor after each
-/// epoch, (3) snapshots the trainable state after every healthy epoch (in
-/// memory; to `checkpoint_path` every `save_every` epochs), and (4) on
-/// divergence rolls back to the last healthy snapshot, halves the learning
-/// rate, and retries — up to `max_divergence_retries` times, after which it
-/// returns an error Status.
+/// Resumable, self-healing training driver. It runs the training protocol
+/// of recommender.h for config().epochs epochs and (1) scans parameters
+/// and the epoch loss with a HealthMonitor after each epoch and after
+/// EndFit, (2) snapshots the trainable state after every healthy epoch (in
+/// memory; to `checkpoint_path` every `save_every` epochs and after
+/// EndFit), and (3) on divergence rolls back to the last healthy snapshot,
+/// halves the learning rate, and retries — up to `max_divergence_retries`
+/// times, after which it returns an error Status. A model with no state
+/// (see TrainLoopOptions) cannot roll back: its divergence returns
+/// RestoreState's error.
 ///
 /// Determinism contract: a run that never trips the monitor performs
 /// exactly the model's Fit() operations (snapshots are const scans), so it
 /// is bit-identical to Fit() at any --threads value.
-///
-/// Models without native epoch support fall back to Fit() followed by a
-/// final health scan; `resume`/`save_every` are rejected for them.
 StatusOr<TrainLoopResult> RunTrainLoop(Recommender* model,
                                        const DataSplit& split, Rng* rng,
                                        const TrainLoopOptions& opts = {});

@@ -21,7 +21,8 @@ void Matrix::Axpy(double a, const Matrix& other) {
 
 void MatMul(const Matrix& a, const Matrix& b, Matrix* out) {
   TAXOREC_CHECK(a.cols_ == b.rows_);
-  *out = Matrix(a.rows_, b.cols_);
+  out->EnsureShape(a.rows_, b.cols_);
+  out->SetZero();
   for (size_t i = 0; i < a.rows_; ++i) {
     const double* arow = a.data_.data() + i * a.cols_;
     double* orow = out->data_.data() + i * b.cols_;

@@ -82,7 +82,8 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// out = a * b (n×k = n×d · d×k). out is resized/overwritten.
+/// out = a * b (n×k = n×d · d×k). out is resized/overwritten; a buffer of
+/// the right shape is reused.
 void MatMul(const Matrix& a, const Matrix& b, Matrix* out);
 
 /// out = a^T * b (d×k = (n×d)^T · n×k). out is resized/overwritten.

@@ -1,12 +1,15 @@
 // Parameterized smoke + sanity tests across all 15 registered models:
 // every model must train on a small dataset, produce finite scores, beat
-// (or at least not catastrophically lose to) chance, and be deterministic
-// given a seed.
+// (or at least not catastrophically lose to) chance, be deterministic
+// given a seed, and train through the fault-tolerant loop exactly as
+// through Fit.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "baselines/recommender.h"
+#include "core/trainer.h"
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "eval/evaluator.h"
@@ -90,6 +93,30 @@ TEST_P(BaselineModelTest, DeterministicGivenSeed) {
   }
   for (size_t i = 0; i < s1.size(); ++i) {
     EXPECT_DOUBLE_EQ(s1[i], s2[i]) << GetParam();
+  }
+}
+
+// RunTrainLoop drives the same BeginFit / FitEpoch / EndFit sequence as
+// Fit, with health scans and snapshots in between that must not change a
+// bit of the trained model.
+TEST_P(BaselineModelTest, TrainLoopMatchesFitBitForBit) {
+  const DataSplit& split = SharedSplit();
+  const ModelConfig cfg = TinyConfig();
+  auto fitted = MakeModel(GetParam(), cfg);
+  auto looped = MakeModel(GetParam(), cfg);
+  Rng fit_rng(4), loop_rng(4);
+  fitted->Fit(split, &fit_rng);
+  auto result = RunTrainLoop(looped.get(), split, &loop_rng);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->epochs_run, cfg.epochs);
+  std::vector<double> want(split.num_items), got(split.num_items);
+  for (uint32_t u : {0u, 7u, 42u}) {
+    fitted->ScoreItems(u, std::span<double>(want));
+    looped->ScoreItems(u, std::span<double>(got));
+    EXPECT_EQ(std::memcmp(want.data(), got.data(),
+                          want.size() * sizeof(double)),
+              0)
+        << GetParam() << " user " << u;
   }
 }
 

@@ -85,7 +85,6 @@ class OracleModel : public Recommender {
   OracleModel(const DataSplit* split, bool use_test)
       : split_(split), use_test_(use_test) {}
   std::string name() const override { return "Oracle"; }
-  void Fit(const DataSplit&, Rng*) override {}
   void ScoreItems(uint32_t user, std::span<double> out) const override {
     for (auto& s : out) s = 0.0;
     const auto& targets =
@@ -124,7 +123,6 @@ class TrainOverTestModel : public Recommender {
  public:
   explicit TrainOverTestModel(const DataSplit* split) : split_(split) {}
   std::string name() const override { return "TrainOverTest"; }
-  void Fit(const DataSplit&, Rng*) override {}
   void ScoreItems(uint32_t user, std::span<double> out) const override {
     for (auto& s : out) s = 0.0;
     for (uint32_t v : split_->test_items[user]) out[v] = 1.0;
@@ -168,7 +166,6 @@ class SeenOverTestModel : public Recommender {
     for (uint32_t v : split.train.RowCols(0)) scores_[v] = 4.0;
   }
   std::string name() const override { return "SeenOverTest"; }
-  void Fit(const DataSplit&, Rng*) override {}
   void ScoreItems(uint32_t, std::span<double> out) const override {
     std::copy(scores_.begin(), scores_.end(), out.begin());
   }
@@ -249,7 +246,6 @@ class NanOracleModel : public Recommender {
  public:
   explicit NanOracleModel(const DataSplit* split) : split_(split) {}
   std::string name() const override { return "NanOracle"; }
-  void Fit(const DataSplit&, Rng*) override {}
   void ScoreItems(uint32_t user, std::span<double> out) const override {
     for (size_t v = 0; v < out.size(); ++v) {
       out[v] = (v % 2 == 0) ? std::numeric_limits<double>::quiet_NaN() : 0.0;

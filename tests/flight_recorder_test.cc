@@ -59,7 +59,6 @@ DataSplit MakeSplit() {
 class SineModel : public Recommender {
  public:
   std::string name() const override { return "Sine"; }
-  void Fit(const DataSplit&, Rng*) override {}
   void ScoreItems(uint32_t user, std::span<double> out) const override {
     for (size_t v = 0; v < out.size(); ++v) {
       out[v] = std::sin(static_cast<double>(user * 131 + v * 17));

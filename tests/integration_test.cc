@@ -19,7 +19,7 @@ namespace {
 class PopularityModel : public Recommender {
  public:
   std::string name() const override { return "Popularity"; }
-  void Fit(const DataSplit& split, Rng*) override {
+  void BeginFit(const DataSplit& split, Rng*) override {
     counts_.assign(split.num_items, 0.0);
     for (size_t u = 0; u < split.num_users; ++u) {
       for (uint32_t v : split.train.RowCols(u)) counts_[v] += 1.0;

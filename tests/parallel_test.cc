@@ -268,7 +268,6 @@ TEST(ParallelKernelsTest, PoincareKMeansBitIdenticalAcrossThreadCounts) {
 class HashScorer : public Recommender {
  public:
   std::string name() const override { return "HashScorer"; }
-  void Fit(const DataSplit&, Rng*) override {}
   void ScoreItems(uint32_t user, std::span<double> out) const override {
     for (size_t v = 0; v < out.size(); ++v) {
       uint64_t h = (static_cast<uint64_t>(user) << 32) | v;

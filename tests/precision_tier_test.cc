@@ -767,7 +767,6 @@ TEST(ServerTierTest, VirtualSnapshotFallsBackToDouble) {
   class HashModel : public Recommender {
    public:
     std::string name() const override { return "Hash"; }
-    void Fit(const DataSplit&, Rng*) override {}
     void ScoreItems(uint32_t user, std::span<double> out) const override {
       for (size_t v = 0; v < out.size(); ++v) {
         out[v] = std::sin(static_cast<double>(user * 131 + v * 17));

@@ -26,7 +26,7 @@ class KnobModel : public Recommender {
  public:
   explicit KnobModel(const ModelConfig& cfg) : good_(cfg.lr >= 0.5) {}
   std::string name() const override { return "Knob"; }
-  void Fit(const DataSplit& split, Rng*) override { split_ = &split; }
+  void BeginFit(const DataSplit& split, Rng*) override { split_ = &split; }
   void ScoreItems(uint32_t user, std::span<double> out) const override {
     for (auto& s : out) s = 0.0;
     if (!good_) return;

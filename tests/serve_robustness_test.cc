@@ -55,7 +55,6 @@ DataSplit MakeSplit() {
 class CountingModel : public Recommender {
  public:
   std::string name() const override { return "Counting"; }
-  void Fit(const DataSplit&, Rng*) override {}
   void ScoreItems(uint32_t user, std::span<double> out) const override {
     scored_.fetch_add(1, std::memory_order_relaxed);
     for (size_t v = 0; v < out.size(); ++v) {
@@ -448,7 +447,6 @@ class NativeDotModel : public Recommender {
     items_.FillGaussian(&rng, 0.1);
   }
   std::string name() const override { return "NativeDot"; }
-  void Fit(const DataSplit&, Rng*) override {}
   void ScoreItems(uint32_t user, std::span<double> out) const override {
     const auto u = users_.row(user);
     for (size_t v = 0; v < out.size(); ++v) {

@@ -89,7 +89,6 @@ std::vector<TopKEntry> ReferenceTopK(const std::vector<double>& raw, size_t k,
 class DefectiveModel : public Recommender {
  public:
   std::string name() const override { return "Defective"; }
-  void Fit(const DataSplit&, Rng*) override {}
   void ScoreItems(uint32_t user, std::span<double> out) const override {
     for (size_t v = 0; v < out.size(); ++v) {
       out[v] = static_cast<double>((user * 31 + v * 7) % 13);
@@ -104,7 +103,6 @@ class DefectiveModel : public Recommender {
 class HashModel : public Recommender {
  public:
   std::string name() const override { return "Hash"; }
-  void Fit(const DataSplit&, Rng*) override {}
   void ScoreItems(uint32_t user, std::span<double> out) const override {
     for (size_t v = 0; v < out.size(); ++v) {
       out[v] = std::sin(static_cast<double>(user * 131 + v * 17));

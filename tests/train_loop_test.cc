@@ -170,7 +170,6 @@ TEST_F(TrainLoopTest, CleanTaxoRecRunBitIdenticalToFitAtAnyThreadCount) {
     Rng rng2(21);
     auto result = RunTrainLoop(&looped, split, &rng2);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_TRUE(result->epoch_granular);
     EXPECT_EQ(result->epochs_run, cfg.epochs);
     EXPECT_EQ(result->rollbacks, 0);
     ExpectSameCheckpoint(plain.SaveCheckpoint(), looped.SaveCheckpoint());
@@ -337,28 +336,35 @@ TEST_F(TrainLoopTest, ResumeWithMissingFileStartsFresh) {
   EXPECT_EQ(result->epochs_run, cfg.epochs);
 }
 
-TEST_F(TrainLoopTest, NonGranularModelFallsBackToFit) {
+// CML saves no training state, so there is nothing to checkpoint or to
+// resume from: each persistence option is refused before any training
+// (no epoch runs and `rng` is not drawn from).
+TEST_F(TrainLoopTest, StatelessModelRejectsPersistenceBeforeTraining) {
   const DataSplit split = SmallSplit();
   const ModelConfig cfg = TinyConfig();
-
   auto model = MakeAblationVariant("CML", cfg);
   ASSERT_NE(model, nullptr);
-  ASSERT_FALSE(model->SupportsEpochFit());
-  Rng rng(6);
-  auto result = RunTrainLoop(model.get(), split, &rng);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_FALSE(result->epoch_granular);
+  ASSERT_EQ(model->SaveState().size(), 0u);
 
-  // Resume and periodic saving are meaningless without epoch granularity.
-  auto model2 = MakeAblationVariant("CML", cfg);
-  TrainLoopOptions opts;
-  opts.resume = true;
-  opts.checkpoint_path = TempPath("cml.ckpt");
-  Rng rng2(6);
-  EXPECT_FALSE(RunTrainLoop(model2.get(), split, &rng2, opts).ok());
-  TrainLoopOptions opts2;
-  opts2.save_every = 2;
-  EXPECT_FALSE(RunTrainLoop(model2.get(), split, &rng2, opts2).ok());
+  TrainLoopOptions resume;
+  resume.resume = true;
+  TrainLoopOptions save_every;
+  save_every.save_every = 2;
+  TrainLoopOptions checkpoint;
+  checkpoint.checkpoint_path = TempPath("cml.ckpt");
+  for (TrainLoopOptions* opts : {&resume, &save_every, &checkpoint}) {
+    int events = 0;
+    opts->callback = [&events](const TrainLoopEvent&) { ++events; };
+    Rng rng(6);
+    auto result = RunTrainLoop(model.get(), split, &rng, *opts);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("no training state"),
+              std::string::npos)
+        << result.status().ToString();
+    EXPECT_EQ(events, 0);
+    EXPECT_EQ(rng.Next(), Rng(6).Next());
+  }
 }
 
 }  // namespace

@@ -171,7 +171,8 @@ int CmdTrain(int argc, const char* const* argv) {
   DefineModelFlags(&flags);
   flags.DefineString("model", "TaxoRec", "model name (see README)");
   flags.DefineString("checkpoint", "",
-                     "checkpoint path (epoch-granular models only)");
+                     "checkpoint path (models with a training state: "
+                     "TaxoRec, HyperML)");
   flags.DefineInt("save-every", 0,
                   "write --checkpoint every K healthy epochs (0 = final "
                   "write only)");
@@ -224,10 +225,6 @@ int CmdTrain(int argc, const char* const* argv) {
     return Fail(Status::InvalidArgument("unknown model: " + name));
   }
   const std::string ckpt_path = flags.GetString("checkpoint");
-  if (!ckpt_path.empty() && !model->SupportsEpochFit()) {
-    return Fail(Status::InvalidArgument(
-        "--checkpoint requires an epoch-granular model (TaxoRec, HyperML)"));
-  }
   TrainLoopOptions loop;
   loop.checkpoint_path = ckpt_path;
   loop.save_every = static_cast<int>(flags.GetInt("save-every"));
