@@ -39,7 +39,6 @@
 #include "hyperbolic/lorentz.h"
 #include "math/rng.h"
 #include "math/simd.h"
-#include "math/vec_ops.h"
 #include "serve/server.h"
 
 namespace taxorec {
@@ -52,23 +51,12 @@ class DotScorer : public Recommender {
   DotScorer(Matrix users, Matrix items)
       : users_(std::move(users)), items_(std::move(items)) {}
   std::string name() const override { return "DotScorer"; }
-  void ScoreItems(uint32_t user, std::span<double> out) const override {
-    const auto u = users_.row(user);
-    for (size_t v = 0; v < out.size(); ++v) {
-      out[v] = vec::Dot(u, items_.row(v));
-    }
-  }
-  ScoringSnapshot ExportScoringSnapshot() const override {
-    ScoringSnapshot snap;
-    snap.kernel = ScoreKernel::kDot;
-    snap.num_users = users_.rows();
-    snap.num_items = items_.rows();
-    snap.users = users_;
-    snap.items = items_;
-    return snap;
-  }
 
  private:
+  ScoringRows scoring_rows() const override {
+    return {ScoreKernel::kDot, &users_, &items_};
+  }
+
   Matrix users_;
   Matrix items_;
 };
@@ -81,23 +69,12 @@ class LorentzScorer : public Recommender {
   LorentzScorer(Matrix users, Matrix items)
       : users_(std::move(users)), items_(std::move(items)) {}
   std::string name() const override { return "LorentzScorer"; }
-  void ScoreItems(uint32_t user, std::span<double> out) const override {
-    const auto u = users_.row(user);
-    for (size_t v = 0; v < out.size(); ++v) {
-      out[v] = -lorentz::SqDistance(u, items_.row(v));
-    }
-  }
-  ScoringSnapshot ExportScoringSnapshot() const override {
-    ScoringSnapshot snap;
-    snap.kernel = ScoreKernel::kNegLorentzSqDist;
-    snap.num_users = users_.rows();
-    snap.num_items = items_.rows();
-    snap.users = users_;
-    snap.items = items_;
-    return snap;
-  }
 
  private:
+  ScoringRows scoring_rows() const override {
+    return {ScoreKernel::kNegLorentzSqDist, &users_, &items_};
+  }
+
   Matrix users_;
   Matrix items_;
 };

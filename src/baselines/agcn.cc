@@ -83,11 +83,4 @@ void Agcn::EndFit(const DataSplit& split) {
   step_ = StepBuffers();  // scoring needs the outputs alone
 }
 
-void Agcn::ScoreItems(uint32_t user, std::span<double> out) const {
-  const auto u = users_out_.row(user);
-  for (size_t v = 0; v < items_out_.rows(); ++v) {
-    out[v] = vec::Dot(u, items_out_.row(v));
-  }
-}
-
 }  // namespace taxorec

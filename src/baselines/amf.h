@@ -21,6 +21,12 @@ class Amf : public Recommender {
   void BeginFit(const DataSplit& split, Rng* rng) override;
   double FitEpoch(const DataSplit& split, int epoch, Rng* rng) override;
   void ScoreItems(uint32_t user, std::span<double> out) const override;
+  void CheckHealth(HealthMonitor* monitor) const override {
+    monitor->CheckFinite("users_cf", users_cf_);
+    monitor->CheckFinite("items_cf", items_cf_);
+    monitor->CheckFinite("users_aspect", users_aspect_);
+    monitor->CheckFinite("tags", tags_);
+  }
 
  private:
   double Score(uint32_t user, uint32_t item) const;

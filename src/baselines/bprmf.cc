@@ -45,21 +45,4 @@ double BprMf::FitEpoch(const DataSplit& split, int epoch, Rng* rng) {
   return 0.0;
 }
 
-void BprMf::ScoreItems(uint32_t user, std::span<double> out) const {
-  const auto u = users_.row(user);
-  for (size_t v = 0; v < items_.rows(); ++v) {
-    out[v] = vec::Dot(u, items_.row(v));
-  }
-}
-
-ScoringSnapshot BprMf::ExportScoringSnapshot() const {
-  ScoringSnapshot snap;
-  snap.kernel = ScoreKernel::kDot;
-  snap.num_users = users_.rows();
-  snap.num_items = items_.rows();
-  snap.users = users_;
-  snap.items = items_;
-  return snap;
-}
-
 }  // namespace taxorec

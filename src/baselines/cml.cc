@@ -47,21 +47,4 @@ double Cml::FitEpoch(const DataSplit& split, int epoch, Rng* rng) {
   return 0.0;
 }
 
-void Cml::ScoreItems(uint32_t user, std::span<double> out) const {
-  const auto u = users_.row(user);
-  for (size_t v = 0; v < items_.rows(); ++v) {
-    out[v] = -vec::SqDist(u, items_.row(v));
-  }
-}
-
-ScoringSnapshot Cml::ExportScoringSnapshot() const {
-  ScoringSnapshot snap;
-  snap.kernel = ScoreKernel::kNegSqDist;
-  snap.num_users = users_.rows();
-  snap.num_items = items_.rows();
-  snap.users = users_;
-  snap.items = items_;
-  return snap;
-}
-
 }  // namespace taxorec

@@ -18,10 +18,12 @@ class Cml : public Recommender {
   std::string name() const override { return "CML"; }
   void BeginFit(const DataSplit& split, Rng* rng) override;
   double FitEpoch(const DataSplit& split, int epoch, Rng* rng) override;
-  void ScoreItems(uint32_t user, std::span<double> out) const override;
-  ScoringSnapshot ExportScoringSnapshot() const override;
 
  private:
+  ScoringRows scoring_rows() const override {
+    return {ScoreKernel::kNegSqDist, &users_, &items_};
+  }
+
   Matrix users_;
   Matrix items_;
   std::unique_ptr<TripletSampler> sampler_;

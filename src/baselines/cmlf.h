@@ -22,6 +22,11 @@ class Cmlf : public Recommender {
   void BeginFit(const DataSplit& split, Rng* rng) override;
   double FitEpoch(const DataSplit& split, int epoch, Rng* rng) override;
   void ScoreItems(uint32_t user, std::span<double> out) const override;
+  void CheckHealth(HealthMonitor* monitor) const override {
+    monitor->CheckFinite("users", users_);
+    monitor->CheckFinite("items", items_);
+    monitor->CheckFinite("tags", tags_);
+  }
 
  private:
   /// Writes the effective item point (item emb + mean tag emb) into `out`.

@@ -51,10 +51,4 @@ void Hgcf::EndFit(const DataSplit& split) {
   channel_.ReleaseStepBuffers();
 }
 
-void Hgcf::ScoreItems(uint32_t user, std::span<double> out) const {
-  for (size_t v = 0; v < channel_.out_v().rows(); ++v) {
-    out[v] = -channel_.SqDistance(user, static_cast<uint32_t>(v));
-  }
-}
-
 }  // namespace taxorec

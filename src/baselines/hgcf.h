@@ -25,9 +25,13 @@ class Hgcf : public Recommender {
   void BeginFit(const DataSplit& split, Rng* rng) override;
   double FitEpoch(const DataSplit& split, int epoch, Rng* rng) override;
   void EndFit(const DataSplit& split) override;
-  void ScoreItems(uint32_t user, std::span<double> out) const override;
 
  private:
+  ScoringRows scoring_rows() const override {
+    return {ScoreKernel::kNegLorentzSqDist, &channel_.out_u(),
+            &channel_.out_v()};
+  }
+
   std::unique_ptr<nn::BipartiteGcn> gcn_;
   nn::GcnChannel channel_{/*hyperbolic=*/true};
   Matrix users0_, items0_;  // Lorentz leaves, (dim+1) coords

@@ -3,7 +3,6 @@
 #include <limits>
 
 #include "common/fault_injection.h"
-#include "common/health.h"
 #include "data/sampler.h"
 #include "hyperbolic/lorentz.h"
 #include "math/vec_ops.h"
@@ -64,28 +63,6 @@ double HyperMl::FitEpoch(const DataSplit& split, int epoch, Rng* rng) {
     lorentz::RsgdStep(vq, vec::Span(gq), config().lr);
   }
   return epoch_loss;
-}
-
-void HyperMl::ScoreItems(uint32_t user, std::span<double> out) const {
-  const auto u = users_.row(user);
-  for (size_t v = 0; v < items_.rows(); ++v) {
-    out[v] = -lorentz::SqDistance(u, items_.row(v));
-  }
-}
-
-ScoringSnapshot HyperMl::ExportScoringSnapshot() const {
-  ScoringSnapshot snap;
-  snap.kernel = ScoreKernel::kNegLorentzSqDist;
-  snap.num_users = users_.rows();
-  snap.num_items = items_.rows();
-  snap.users = users_;
-  snap.items = items_;
-  return snap;
-}
-
-void HyperMl::CheckHealth(HealthMonitor* monitor) const {
-  monitor->CheckLorentzRows("users", users_);
-  monitor->CheckLorentzRows("items", items_);
 }
 
 Checkpoint HyperMl::SaveState() const {

@@ -25,17 +25,17 @@ class HyperMl : public Recommender {
   explicit HyperMl(const ModelConfig& config) : Recommender(config) {}
 
   std::string name() const override { return "HyperML"; }
-  void ScoreItems(uint32_t user, std::span<double> out) const override;
-  ScoringSnapshot ExportScoringSnapshot() const override;
-
   void BeginFit(const DataSplit& split, Rng* rng) override;
   double FitEpoch(const DataSplit& split, int epoch, Rng* rng) override;
-  void CheckHealth(HealthMonitor* monitor) const override;
   Checkpoint SaveState() const override;
   Status RestoreState(const Checkpoint& ckpt,
                       const DataSplit& split) override;
 
  private:
+  ScoringRows scoring_rows() const override {
+    return {ScoreKernel::kNegLorentzSqDist, &users_, &items_};
+  }
+
   Matrix users_;  // num_users × (dim+1), Lorentz points
   Matrix items_;  // num_items × (dim+1)
   std::unique_ptr<TripletSampler> sampler_;

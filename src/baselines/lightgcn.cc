@@ -1,7 +1,6 @@
 #include "baselines/lightgcn.h"
 
 #include "baselines/embedding_model.h"
-#include "math/vec_ops.h"
 #include "optim/sgd.h"
 
 namespace taxorec {
@@ -46,23 +45,6 @@ double LightGcn::FitEpoch(const DataSplit& split, int epoch, Rng* rng) {
 void LightGcn::EndFit(const DataSplit& split) {
   Propagate();
   step_ = StepBuffers();  // scoring and serving need the outputs alone
-}
-
-void LightGcn::ScoreItems(uint32_t user, std::span<double> out) const {
-  const auto u = users_out_.row(user);
-  for (size_t v = 0; v < items_out_.rows(); ++v) {
-    out[v] = vec::Dot(u, items_out_.row(v));
-  }
-}
-
-ScoringSnapshot LightGcn::ExportScoringSnapshot() const {
-  ScoringSnapshot snap;
-  snap.kernel = ScoreKernel::kDot;
-  snap.num_users = users_out_.rows();
-  snap.num_items = items_out_.rows();
-  snap.users = users_out_;
-  snap.items = items_out_;
-  return snap;
 }
 
 }  // namespace taxorec

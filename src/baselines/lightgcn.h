@@ -21,10 +21,12 @@ class LightGcn : public Recommender {
   void BeginFit(const DataSplit& split, Rng* rng) override;
   double FitEpoch(const DataSplit& split, int epoch, Rng* rng) override;
   void EndFit(const DataSplit& split) override;
-  void ScoreItems(uint32_t user, std::span<double> out) const override;
-  ScoringSnapshot ExportScoringSnapshot() const override;
 
  private:
+  ScoringRows scoring_rows() const override {
+    return {ScoreKernel::kDot, &users_out_, &items_out_};
+  }
+
   // Sized by BeginFit, reused by every batch, freed by EndFit.
   struct StepBuffers {
     std::unique_ptr<TripletSampler> sampler;

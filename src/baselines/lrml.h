@@ -21,6 +21,12 @@ class Lrml : public Recommender {
   void BeginFit(const DataSplit& split, Rng* rng) override;
   double FitEpoch(const DataSplit& split, int epoch, Rng* rng) override;
   void ScoreItems(uint32_t user, std::span<double> out) const override;
+  void CheckHealth(HealthMonitor* monitor) const override {
+    monitor->CheckFinite("users", users_);
+    monitor->CheckFinite("items", items_);
+    monitor->CheckFinite("keys", keys_);
+    monitor->CheckFinite("memory", memory_);
+  }
 
  private:
   static constexpr size_t kMemorySlices = 10;

@@ -22,6 +22,12 @@ class NeuMf : public Recommender {
   void BeginFit(const DataSplit& split, Rng* rng) override;
   double FitEpoch(const DataSplit& split, int epoch, Rng* rng) override;
   void ScoreItems(uint32_t user, std::span<double> out) const override;
+  void CheckHealth(HealthMonitor* monitor) const override {
+    monitor->CheckFinite("gmf_users", gmf_users_);
+    monitor->CheckFinite("gmf_items", gmf_items_);
+    monitor->CheckFinite("mlp_users", mlp_users_);
+    monitor->CheckFinite("mlp_items", mlp_items_);
+  }
 
  private:
   /// Buffers for Score, so scoring a catalogue allocates once per call.

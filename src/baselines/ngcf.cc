@@ -1,9 +1,9 @@
 #include "baselines/ngcf.h"
 
 #include <cmath>
+#include <utility>
 
 #include "baselines/embedding_model.h"
-#include "math/vec_ops.h"
 #include "optim/sgd.h"
 
 namespace taxorec {
@@ -72,7 +72,8 @@ void Ngcf::BeginFit(const DataSplit& split, Rng* rng) {
   step_.sampler =
       std::make_unique<TripletSampler>(&split.train, config().neg_sampling);
   for (auto* layers : {&step_.zu, &step_.zv}) layers->resize(L + 1);
-  for (auto* layers : {&step_.su, &step_.sv, &step_.pre_u, &step_.pre_v}) {
+  for (auto* layers : {&step_.su, &step_.sv, &step_.pre_u, &step_.pre_v,
+                       &step_.grad_w}) {
     layers->resize(L);
   }
   step_.up_u.EnsureShape(split.num_users, d);
@@ -81,54 +82,49 @@ void Ngcf::BeginFit(const DataSplit& split, Rng* rng) {
 
 double Ngcf::FitEpoch(const DataSplit& split, int epoch, Rng* rng) {
   const int L = config().gcn_layers;
-  const Matrix& up_u = step_.up_u;
-  const Matrix& up_v = step_.up_v;
+  StepBuffers& s = step_;
   for (size_t b = 0; b < config().batches_per_epoch; ++b) {
     Forward();
-    step_.sampler->SampleBatch(rng, config().batch_size, &step_.batch);
-    step_.up_u.SetZero();
-    step_.up_v.SetZero();
-    for (const Triplet& t : step_.batch) {
+    s.sampler->SampleBatch(rng, config().batch_size, &s.batch);
+    s.up_u.SetZero();
+    s.up_v.SetZero();
+    for (const Triplet& t : s.batch) {
       AddBprGrad(users_out_.row(t.user), items_out_.row(t.pos),
-                 items_out_.row(t.neg), step_.up_u.row(t.user),
-                 step_.up_v.row(t.pos), step_.up_v.row(t.neg));
+                 items_out_.row(t.neg), s.up_u.row(t.user),
+                 s.up_v.row(t.pos), s.up_v.row(t.neg));
     }
     // Adjoint through the layer stack (out = sum of z^0..z^L).
-    Matrix au = up_u;  // grad wrt z^{l+1} as we walk down
-    Matrix av = up_v;
-    std::vector<Matrix> grad_w(L);
+    s.au = s.up_u;  // grad wrt z^{l+1} as we walk down
+    s.av = s.up_v;
     for (int l = L - 1; l >= 0; --l) {
-      LeakyReluBackward(step_.pre_u[l], &au);
-      LeakyReluBackward(step_.pre_v[l], &av);
-      // gW += S^T gpre (both sides share the weight).
-      Matrix gw_u, gw_v;
-      MatMulTransposedA(step_.su[l], au, &gw_u);
-      MatMulTransposedA(step_.sv[l], av, &gw_v);
-      grad_w[l] = std::move(gw_u);
-      grad_w[l].Axpy(1.0, gw_v);
+      LeakyReluBackward(s.pre_u[l], &s.au);
+      LeakyReluBackward(s.pre_v[l], &s.av);
+      // gW = S^T gpre summed over both sides (they share the weight).
+      MatMulTransposedA(s.su[l], s.au, &s.grad_w[l]);
+      MatMulTransposedA(s.sv[l], s.av, &s.gw_v);
+      s.grad_w[l].Axpy(1.0, s.gw_v);
       // gS = gpre W^T.
-      Matrix gsu, gsv;
-      MatMulTransposedB(au, weights_[l], &gsu);
-      MatMulTransposedB(av, weights_[l], &gsv);
+      MatMulTransposedB(s.au, weights_[l], &s.gsu);
+      MatMulTransposedB(s.av, weights_[l], &s.gsv);
       // a^l = up (z^l term of the sum) + gS + P^T gS (cross side).
-      Matrix next_au = up_u;
-      next_au.Axpy(1.0, gsu);
-      piu_t_.MultiplyAccum(gsv, 1.0, &next_au);
-      Matrix next_av = up_v;
-      next_av.Axpy(1.0, gsv);
-      pui_t_.MultiplyAccum(gsu, 1.0, &next_av);
-      au = std::move(next_au);
-      av = std::move(next_av);
+      s.next_au = s.up_u;
+      s.next_au.Axpy(1.0, s.gsu);
+      piu_t_.MultiplyAccum(s.gsv, 1.0, &s.next_au);
+      s.next_av = s.up_v;
+      s.next_av.Axpy(1.0, s.gsv);
+      pui_t_.MultiplyAccum(s.gsu, 1.0, &s.next_av);
+      std::swap(s.au, s.next_au);
+      std::swap(s.av, s.next_av);
     }
     // Summed batch gradients can be large through the per-layer weight
     // matrices; clip per-row before the step to keep training stable.
-    optim::ClipRowNorms(&au, config().grad_clip);
-    optim::ClipRowNorms(&av, config().grad_clip);
-    optim::SgdUpdate(&users0_, au, config().lr);
-    optim::SgdUpdate(&items0_, av, config().lr);
+    optim::ClipRowNorms(&s.au, config().grad_clip);
+    optim::ClipRowNorms(&s.av, config().grad_clip);
+    optim::SgdUpdate(&users0_, s.au, config().lr);
+    optim::SgdUpdate(&items0_, s.av, config().lr);
     for (int l = 0; l < L; ++l) {
-      optim::ClipRowNorms(&grad_w[l], config().grad_clip);
-      optim::SgdUpdate(&weights_[l], grad_w[l], 0.1 * config().lr);
+      optim::ClipRowNorms(&s.grad_w[l], config().grad_clip);
+      optim::SgdUpdate(&weights_[l], s.grad_w[l], 0.1 * config().lr);
     }
   }
   return 0.0;
@@ -137,13 +133,6 @@ double Ngcf::FitEpoch(const DataSplit& split, int epoch, Rng* rng) {
 void Ngcf::EndFit(const DataSplit& split) {
   Forward();
   step_ = StepBuffers();  // scoring needs the outputs alone
-}
-
-void Ngcf::ScoreItems(uint32_t user, std::span<double> out) const {
-  const auto u = users_out_.row(user);
-  for (size_t v = 0; v < items_out_.rows(); ++v) {
-    out[v] = vec::Dot(u, items_out_.row(v));
-  }
 }
 
 }  // namespace taxorec

@@ -24,9 +24,12 @@ class Ngcf : public Recommender {
   void BeginFit(const DataSplit& split, Rng* rng) override;
   double FitEpoch(const DataSplit& split, int epoch, Rng* rng) override;
   void EndFit(const DataSplit& split) override;
-  void ScoreItems(uint32_t user, std::span<double> out) const override;
 
  private:
+  ScoringRows scoring_rows() const override {
+    return {ScoreKernel::kDot, &users_out_, &items_out_};
+  }
+
   // Sized by BeginFit, reused by every batch, freed by EndFit.
   struct StepBuffers {
     std::unique_ptr<TripletSampler> sampler;
@@ -35,6 +38,10 @@ class Ngcf : public Recommender {
     std::vector<Matrix> su, sv;        // propagated sums per layer, 0..L-1
     std::vector<Matrix> pre_u, pre_v;  // pre-activations per layer, 0..L-1
     Matrix up_u, up_v;                 // gradient on the outputs
+    Matrix au, av, next_au, next_av;   // ... on z^{l+1} and z^l, walking down
+    Matrix gsu, gsv;                   // ... on the propagated sums
+    std::vector<Matrix> grad_w;        // ... on the weights, 0..L-1
+    Matrix gw_v;                       // the item side's share of one
   };
 
   /// Recomputes the outputs and the layer caches from the current leaves.

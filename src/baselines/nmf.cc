@@ -72,11 +72,4 @@ double Nmf::FitEpoch(const DataSplit& split, int epoch, Rng* rng) {
   return 0.0;
 }
 
-void Nmf::ScoreItems(uint32_t user, std::span<double> out) const {
-  const auto u = w_.row(user);
-  for (size_t v = 0; v < h_.rows(); ++v) {
-    out[v] = vec::Dot(u, h_.row(v));
-  }
-}
-
 }  // namespace taxorec

@@ -18,9 +18,12 @@ class Nmf : public Recommender {
   void BeginFit(const DataSplit& split, Rng* rng) override;
   /// One multiplicative update of both factors.
   double FitEpoch(const DataSplit& split, int epoch, Rng* rng) override;
-  void ScoreItems(uint32_t user, std::span<double> out) const override;
 
  private:
+  ScoringRows scoring_rows() const override {
+    return {ScoreKernel::kDot, &w_, &h_};
+  }
+
   Matrix w_;  // users × d
   Matrix h_;  // items × d (H^T of the classical formulation)
   CsrMatrix xt_;  // X^T of the training matrix X

@@ -12,6 +12,7 @@
 
 #include "common/check.h"
 #include "common/checkpoint.h"
+#include "common/health.h"
 #include "common/status.h"
 #include "data/dataset.h"
 #include "data/sampler.h"
@@ -20,7 +21,6 @@
 
 namespace taxorec {
 
-class HealthMonitor;
 class RunTelemetry;  // core/telemetry.h; baselines never depend on core
 
 /// Knobs shared by all models; each model reads what applies to it.
@@ -58,6 +58,23 @@ struct ModelConfig {
   int tag_warmup_per_tag = 400;
 };
 
+/// A model's scoring function, declared once: one ScoreKernel metric
+/// (serve/snapshot.h) on rows the model holds, plus Eq. 17's tag channel.
+/// Recommender's ScoreItems, ExportScoringSnapshot and CheckHealth read it,
+/// so a model's reference scores and its served snapshot cannot disagree.
+/// The pointers view the model's own matrices.
+struct ScoringRows {
+  ScoreKernel kernel = ScoreKernel::kVirtual;  // kVirtual: no rows
+  const Matrix* users = nullptr;
+  const Matrix* items = nullptr;
+  /// Tag channel of a distance kernel, all three or none: the score is
+  /// -(dist(u, v) + alpha_u * dist(u_tg, v_tg)), the tag term only when
+  /// alpha_u > 0.
+  const Matrix* users_tg = nullptr;
+  const Matrix* items_tg = nullptr;
+  const std::vector<double>* alpha = nullptr;
+};
+
 /// A trained (or trainable) top-N recommender.
 ///
 /// Training protocol: BeginFit, then FitEpoch for each epoch in order, then
@@ -80,18 +97,17 @@ class Recommender {
   void Fit(const DataSplit& split, Rng* rng);
 
   /// Writes a preference score for every item (higher = better) for `user`.
-  /// `out` has split.num_items entries.
-  virtual void ScoreItems(uint32_t user, std::span<double> out) const = 0;
+  /// `out` has split.num_items entries. Default: a per-pair loop over the
+  /// declared rows — vec::Dot, -vec::SqDist or -lorentz::SqDistance, plus
+  /// the tag term. A model that declares no rows must override it.
+  virtual void ScoreItems(uint32_t user, std::span<double> out) const;
 
   /// Exports an immutable scoring snapshot for the serving layer
-  /// (serve/frozen_model.h). Native implementers (TaxoRecModel, HyperMl,
-  /// the dot/Euclidean baselines) copy their final embedding blocks plus a
-  /// kernel tag, making the snapshot self-contained and block-servable;
-  /// the default wraps `this` as a kVirtual snapshot whose scoring
-  /// delegates to ScoreItems (the model must then outlive the snapshot).
-  /// Snapshot scores are bit-identical to ScoreItems in either case. Only
-  /// meaningful on a trained model.
-  virtual ScoringSnapshot ExportScoringSnapshot() const;
+  /// (serve/frozen_model.h): the kernel and a copy of each declared matrix,
+  /// self-contained and block-servable. Without declared rows: a kVirtual
+  /// snapshot that scores through ScoreItems (the model must outlive it).
+  /// Scores are bit-identical to ScoreItems. Only meaningful once trained.
+  ScoringSnapshot ExportScoringSnapshot() const;
 
   /// Prepares training state (parameter init, warm-up, samplers, step
   /// buffers).
@@ -115,8 +131,9 @@ class Recommender {
   const ModelConfig& config() const { return config_; }
 
   /// Reports parameter health (NaN/Inf, off-manifold drift) into `monitor`.
-  /// Default: no checks (trivially healthy).
-  virtual void CheckHealth(HealthMonitor* monitor) const {}
+  /// Default: the declared rows as "users" and "items", CheckLorentzRows
+  /// on the hyperboloid and CheckFinite otherwise; no checks without them.
+  virtual void CheckHealth(HealthMonitor* monitor) const;
 
   /// Snapshot of the trainable state for rollback/resume. Default: empty;
   /// RunTrainLoop then neither checkpoints nor rolls back the model.
@@ -132,6 +149,11 @@ class Recommender {
   /// never changes model numerics.
   void SetTelemetry(RunTelemetry* telemetry) { telemetry_ = telemetry; }
   RunTelemetry* telemetry() const { return telemetry_; }
+
+ protected:
+  /// The rows this model scores with. Default: none; the model then
+  /// overrides ScoreItems and serves as a kVirtual snapshot.
+  virtual ScoringRows scoring_rows() const { return {}; }
 
  private:
   ModelConfig config_;

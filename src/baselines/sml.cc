@@ -64,11 +64,4 @@ double Sml::FitEpoch(const DataSplit& split, int epoch, Rng* rng) {
   return 0.0;
 }
 
-void Sml::ScoreItems(uint32_t user, std::span<double> out) const {
-  const auto u = users_.row(user);
-  for (size_t v = 0; v < items_.rows(); ++v) {
-    out[v] = -vec::SqDist(u, items_.row(v));
-  }
-}
-
 }  // namespace taxorec

@@ -26,6 +26,10 @@ class TransCf : public Recommender {
   double FitEpoch(const DataSplit& split, int epoch, Rng* rng) override;
   void EndFit(const DataSplit& split) override;
   void ScoreItems(uint32_t user, std::span<double> out) const override;
+  void CheckHealth(HealthMonitor* monitor) const override {
+    monitor->CheckFinite("users", users_);
+    monitor->CheckFinite("items", items_);
+  }
 
  private:
   Matrix users_;

@@ -416,26 +416,6 @@ void TaxoRecModel::CheckHealth(HealthMonitor* monitor) const {
   }
 }
 
-void TaxoRecModel::ScoreItems(uint32_t user, std::span<double> out) const {
-  for (size_t v = 0; v < num_items_; ++v) {
-    out[v] = -Similarity(user, static_cast<uint32_t>(v));
-  }
-}
-
-ScoringSnapshot TaxoRecModel::ExportScoringSnapshot() const {
-  ScoringSnapshot snap;
-  snap.num_users = num_users_;
-  snap.num_items = num_items_;
-  snap.kernel = options_.hyperbolic ? ScoreKernel::kNegLorentzSqDist
-                                    : ScoreKernel::kNegSqDist;
-  snap.users = ir_.out_u();
-  snap.items = ir_.out_v();
-  snap.users_tg = tg_.out_u();
-  snap.items_tg = tg_.out_v();
-  snap.alpha = alpha_;
-  return snap;
-}
-
 Checkpoint TaxoRecModel::SaveCheckpoint() const {
   Checkpoint ckpt;
   ckpt.Put("users_ir", users_ir_);

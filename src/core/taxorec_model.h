@@ -77,10 +77,6 @@ class TaxoRecModel : public Recommender {
   TaxoRecModel(const ModelConfig& config, TaxoRecOptions options);
 
   std::string name() const override { return options_.display_name; }
-  void ScoreItems(uint32_t user, std::span<double> out) const override;
-  /// Native serving export: a distance kernel, hyperbolic or Euclidean per
-  /// the options, carrying the tag channel and alpha.
-  ScoringSnapshot ExportScoringSnapshot() const override;
 
   // The training protocol of recommender.h. Every minibatch draws from
   // counter-based streams keyed on (seed, epoch, sample), so a resume from
@@ -118,6 +114,14 @@ class TaxoRecModel : public Recommender {
   Status RestoreCheckpoint(const Checkpoint& ckpt, const DataSplit& split);
 
  private:
+  /// Eq. 17 on the propagated channels: a distance kernel, hyperbolic or
+  /// Euclidean per the options, with the tag channel and alpha.
+  ScoringRows scoring_rows() const override {
+    return {options_.hyperbolic ? ScoreKernel::kNegLorentzSqDist
+                                : ScoreKernel::kNegSqDist,
+            &ir_.out_u(), &ir_.out_v(), &tg_.out_u(), &tg_.out_v(), &alpha_};
+  }
+
   void ComputeAlpha(const DataSplit& split);
   /// Sets up dataset views, α, layers and (optionally) random leaves.
   void InitFromSplit(const DataSplit& split, Rng* rng, bool init_params);

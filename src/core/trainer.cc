@@ -216,11 +216,13 @@ StatusOr<TrainLoopResult> RunTrainLoop(Recommender* model,
     ScanHealth(*model, &monitor);
     if (!monitor.healthy()) {
       ReportHealthFail(opts, epoch, monitor.report());
-      if (rollbacks >= opts.max_divergence_retries) {
+      if (snapshot.size() == 0 || rollbacks >= opts.max_divergence_retries) {
         return Status::Internal(
             model->name() + " diverged at epoch " + std::to_string(epoch) +
-            " after " + std::to_string(rollbacks) +
-            " rollback(s): " + monitor.report().ToString() +
+            (snapshot.size() == 0
+                 ? std::string(" with no training state to roll back")
+                 : " after " + std::to_string(rollbacks) + " rollback(s)") +
+            ": " + monitor.report().ToString() +
             FirstDefectClause(monitor.report()));
       }
       TAXOREC_RETURN_NOT_OK(model->RestoreState(snapshot, split));

@@ -85,8 +85,8 @@ struct TrainLoopResult {
 /// EndFit), and (3) on divergence rolls back to the last healthy snapshot,
 /// halves the learning rate, and retries — up to `max_divergence_retries`
 /// times, after which it returns an error Status. A model with no state
-/// (see TrainLoopOptions) cannot roll back: its divergence returns
-/// RestoreState's error.
+/// (see TrainLoopOptions) cannot roll back: its first divergence returns
+/// the error, naming the model, the epoch, the report and the first defect.
 ///
 /// Determinism contract: a run that never trips the monitor performs
 /// exactly the model's Fit() operations (snapshots are const scans), so it

@@ -37,7 +37,8 @@ void MatMul(const Matrix& a, const Matrix& b, Matrix* out) {
 
 void MatMulTransposedA(const Matrix& a, const Matrix& b, Matrix* out) {
   TAXOREC_CHECK(a.rows_ == b.rows_);
-  *out = Matrix(a.cols_, b.cols_);
+  out->EnsureShape(a.cols_, b.cols_);
+  out->SetZero();
   for (size_t i = 0; i < a.rows_; ++i) {
     const double* arow = a.data_.data() + i * a.cols_;
     const double* brow = b.data_.data() + i * b.cols_;
@@ -52,7 +53,7 @@ void MatMulTransposedA(const Matrix& a, const Matrix& b, Matrix* out) {
 
 void MatMulTransposedB(const Matrix& a, const Matrix& b, Matrix* out) {
   TAXOREC_CHECK(a.cols_ == b.cols_);
-  *out = Matrix(a.rows_, b.rows_);
+  out->EnsureShape(a.rows_, b.rows_);
   for (size_t i = 0; i < a.rows_; ++i) {
     const double* arow = a.data_.data() + i * a.cols_;
     double* orow = out->data_.data() + i * b.rows_;

@@ -86,10 +86,10 @@ class Matrix {
 /// the right shape is reused.
 void MatMul(const Matrix& a, const Matrix& b, Matrix* out);
 
-/// out = a^T * b (d×k = (n×d)^T · n×k). out is resized/overwritten.
+/// out = a^T * b (d×k = (n×d)^T · n×k), reusing out like MatMul.
 void MatMulTransposedA(const Matrix& a, const Matrix& b, Matrix* out);
 
-/// out = a * b^T (n×m = n×d · (m×d)^T). out is resized/overwritten.
+/// out = a * b^T (n×m = n×d · (m×d)^T), reusing out like MatMul.
 void MatMulTransposedB(const Matrix& a, const Matrix& b, Matrix* out);
 
 }  // namespace taxorec

@@ -154,37 +154,27 @@ TEST(EvaluatorTest, TrainItemsAreMasked) {
 }
 
 // Single-user model that scores train items highest, then val, then test;
-// anything else zero. It exports a native one-dimensional dot snapshot
-// (user row [1], item rows [score]), so evaluation sweeps the catalogue in
-// scoring blocks and the exclusion list must reach the kernel sorted.
+// anything else zero. It declares one-dimensional dot rows (user row [1],
+// item rows [score]), so evaluation sweeps the catalogue in scoring blocks
+// and the exclusion list must reach the kernel sorted.
 class SeenOverTestModel : public Recommender {
  public:
   explicit SeenOverTestModel(const DataSplit& split)
-      : scores_(split.num_items, 0.0) {
-    for (uint32_t v : split.test_items[0]) scores_[v] = 2.0;
-    for (uint32_t v : split.val_items[0]) scores_[v] = 3.0;
-    for (uint32_t v : split.train.RowCols(0)) scores_[v] = 4.0;
+      : users_(1, 1), items_(split.num_items, 1) {
+    users_.at(0, 0) = 1.0;
+    for (uint32_t v : split.test_items[0]) items_.at(v, 0) = 2.0;
+    for (uint32_t v : split.val_items[0]) items_.at(v, 0) = 3.0;
+    for (uint32_t v : split.train.RowCols(0)) items_.at(v, 0) = 4.0;
   }
   std::string name() const override { return "SeenOverTest"; }
-  void ScoreItems(uint32_t, std::span<double> out) const override {
-    std::copy(scores_.begin(), scores_.end(), out.begin());
-  }
-  ScoringSnapshot ExportScoringSnapshot() const override {
-    ScoringSnapshot snap;
-    snap.kernel = ScoreKernel::kDot;
-    snap.num_users = 1;
-    snap.num_items = scores_.size();
-    snap.users = Matrix(1, 1);
-    snap.users.row(0)[0] = 1.0;
-    snap.items = Matrix(scores_.size(), 1);
-    for (size_t v = 0; v < scores_.size(); ++v) {
-      snap.items.row(v)[0] = scores_[v];
-    }
-    return snap;
-  }
 
  private:
-  std::vector<double> scores_;
+  ScoringRows scoring_rows() const override {
+    return {ScoreKernel::kDot, &users_, &items_};
+  }
+
+  Matrix users_;
+  Matrix items_;
 };
 
 TEST(EvaluatorTest, ValItemsAreMaskedOnTheTestProtocol) {

@@ -112,26 +112,34 @@ constexpr GoldenDigest kGolden[] = {
     {"HGCF", "eval.test", 0x482d6e681fdacd9dULL},
     {"HGCF", "eval.val", 0x37ec5a986150e459ULL},
     {"HGCF", "serve.double", 0xe0265e758de7e47cULL},
-    {"HGCF", "serve.float32", 0xe0265e758de7e47cULL},
-    {"HGCF", "serve.int8", 0xe0265e758de7e47cULL},
+    {"HGCF", "serve.float32", 0x3674696b638a1937ULL},
+    {"HGCF", "serve.int8", 0x3674696b638a1937ULL},
+    {"HGCF", "ivf.float32", 0x2f5149dd25c6a7edULL},
+    {"HGCF", "ivf.int8", 0x2f5149dd25c6a7edULL},
     {"HGCF", "recommend", 0xe0265e758de7e47cULL},
     {"NGCF", "eval.test", 0xae10cc45bd7f8031ULL},
     {"NGCF", "eval.val", 0xc4234f669052ef99ULL},
     {"NGCF", "serve.double", 0xe9e28902f4c9412fULL},
-    {"NGCF", "serve.float32", 0xe9e28902f4c9412fULL},
-    {"NGCF", "serve.int8", 0xe9e28902f4c9412fULL},
+    {"NGCF", "serve.float32", 0xa86b1e90ace05e27ULL},
+    {"NGCF", "serve.int8", 0xa86b1e90ace05e27ULL},
+    {"NGCF", "ivf.float32", 0x09e218c2d42f86baULL},
+    {"NGCF", "ivf.int8", 0x09e218c2d42f86baULL},
     {"NGCF", "recommend", 0xe9e28902f4c9412fULL},
     {"AGCN", "eval.test", 0x67e7148f9a4cf116ULL},
     {"AGCN", "eval.val", 0xdc07f70a775ca608ULL},
     {"AGCN", "serve.double", 0x7579263ccf2145e5ULL},
-    {"AGCN", "serve.float32", 0x7579263ccf2145e5ULL},
-    {"AGCN", "serve.int8", 0x7579263ccf2145e5ULL},
+    {"AGCN", "serve.float32", 0x8550ae57f341c2a0ULL},
+    {"AGCN", "serve.int8", 0x8550ae57f341c2a0ULL},
+    {"AGCN", "ivf.float32", 0x5de911f3caf062faULL},
+    {"AGCN", "ivf.int8", 0x5de911f3caf062faULL},
     {"AGCN", "recommend", 0x7579263ccf2145e5ULL},
     {"NMF", "eval.test", 0x0bae1510ad76c536ULL},
     {"NMF", "eval.val", 0x58e01024cd15299cULL},
     {"NMF", "serve.double", 0xccb44344e990365cULL},
-    {"NMF", "serve.float32", 0xccb44344e990365cULL},
-    {"NMF", "serve.int8", 0xccb44344e990365cULL},
+    {"NMF", "serve.float32", 0x5ea4e079d575b5edULL},
+    {"NMF", "serve.int8", 0xad2d0a2909fea111ULL},
+    {"NMF", "ivf.float32", 0x11734bcc1e850435ULL},
+    {"NMF", "ivf.int8", 0xa3969a62754827abULL},
     {"NMF", "recommend", 0xccb44344e990365cULL},
     // Pinned before the baselines' training loops were split into
     // BeginFit/FitEpoch/EndFit, and unchanged by it: the five registered
@@ -151,8 +159,10 @@ constexpr GoldenDigest kGolden[] = {
     {"SML", "eval.test", 0xc626a9d638a04994ULL},
     {"SML", "eval.val", 0x9b0ae405441421f0ULL},
     {"SML", "serve.double", 0x1d13a390e1629a62ULL},
-    {"SML", "serve.float32", 0x1d13a390e1629a62ULL},
-    {"SML", "serve.int8", 0x1d13a390e1629a62ULL},
+    {"SML", "serve.float32", 0x4ae7948c57aee2aaULL},
+    {"SML", "serve.int8", 0x4ae7948c57aee2aaULL},
+    {"SML", "ivf.float32", 0xb757cbeff785724cULL},
+    {"SML", "ivf.int8", 0xb757cbeff785724cULL},
     {"SML", "recommend", 0x1d13a390e1629a62ULL},
     {"CMLF", "eval.test", 0x397931bcca568248ULL},
     {"CMLF", "eval.val", 0xcba74e697214d3caULL},
@@ -218,6 +228,25 @@ constexpr GoldenDigest kGolden[] = {
     {"HyperCMLAgg", "serve_mixed_k.double", 0xd3475e70360297d7ULL},
     {"HyperCMLAgg", "serve_mixed_k.float32", 0x88d84c8e05409883ULL},
     {"HyperCMLAgg", "serve_mixed_k.int8", 0x88d84c8e05409883ULL},
+    // AGCN, HGCF, NGCF, NMF and SML serve natively since every model scores
+    // through its declared rows: their served lists move only on the float32
+    // and int8 tiers (served in double before), and their eval, serve.double
+    // and recommend pins stay.
+    {"HGCF", "serve_mixed_k.double", 0x52dd83e44c8d6637ULL},
+    {"HGCF", "serve_mixed_k.float32", 0x7ce5290fdc585bd7ULL},
+    {"HGCF", "serve_mixed_k.int8", 0x7ce5290fdc585bd7ULL},
+    {"NGCF", "serve_mixed_k.double", 0xfb6d7f7be75f6622ULL},
+    {"NGCF", "serve_mixed_k.float32", 0x7c9f2919f863d4e4ULL},
+    {"NGCF", "serve_mixed_k.int8", 0x7c9f2919f863d4e4ULL},
+    {"AGCN", "serve_mixed_k.double", 0xffed733da505e171ULL},
+    {"AGCN", "serve_mixed_k.float32", 0xaf35068009dcf2a9ULL},
+    {"AGCN", "serve_mixed_k.int8", 0xaf35068009dcf2a9ULL},
+    {"NMF", "serve_mixed_k.double", 0x6a154ea40ade093eULL},
+    {"NMF", "serve_mixed_k.float32", 0x23e38e79bcb3c127ULL},
+    {"NMF", "serve_mixed_k.int8", 0x3493125d42d2106aULL},
+    {"SML", "serve_mixed_k.double", 0x68fe605f8aad1ca7ULL},
+    {"SML", "serve_mixed_k.float32", 0x442fc8ee5eeba0a8ULL},
+    {"SML", "serve_mixed_k.int8", 0x442fc8ee5eeba0a8ULL},
 };
 
 class Fnv1a {

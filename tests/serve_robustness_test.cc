@@ -447,26 +447,12 @@ class NativeDotModel : public Recommender {
     items_.FillGaussian(&rng, 0.1);
   }
   std::string name() const override { return "NativeDot"; }
-  void ScoreItems(uint32_t user, std::span<double> out) const override {
-    const auto u = users_.row(user);
-    for (size_t v = 0; v < out.size(); ++v) {
-      const auto i = items_.row(v);
-      double dot = 0.0;
-      for (size_t d = 0; d < u.size(); ++d) dot += u[d] * i[d];
-      out[v] = dot;
-    }
-  }
-  ScoringSnapshot ExportScoringSnapshot() const override {
-    ScoringSnapshot snap;
-    snap.kernel = ScoreKernel::kDot;
-    snap.num_users = users_.rows();
-    snap.num_items = items_.rows();
-    snap.users = users_;
-    snap.items = items_;
-    return snap;
-  }
 
  private:
+  ScoringRows scoring_rows() const override {
+    return {ScoreKernel::kDot, &users_, &items_};
+  }
+
   Matrix users_;
   Matrix items_;
 };

@@ -5,12 +5,13 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <numeric>
+#include <utility>
 
-#include "baselines/bprmf.h"
 #include "baselines/cml.h"
 #include "baselines/hyperml.h"
-#include "baselines/lightgcn.h"
+#include "baselines/recommender.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
 #include "core/taxorec_model.h"
@@ -162,21 +163,22 @@ TEST(FrozenModelTest, NativeBaselinesRoundTrip) {
     EXPECT_FALSE(frozen.snapshot().has_tag_channel());
     ExpectFrozenMatchesLive(model, split, true);
   };
-  {
-    BprMf m(cfg);
-    check(m, ScoreKernel::kDot);
-  }
-  {
-    Cml m(cfg);
-    check(m, ScoreKernel::kNegSqDist);
-  }
-  {
-    HyperMl m(cfg);
-    check(m, ScoreKernel::kNegLorentzSqDist);
-  }
-  {
-    LightGcn m(cfg);
-    check(m, ScoreKernel::kDot);
+  // The nine baselines that declare scoring rows.
+  const std::pair<const char*, ScoreKernel> declared[] = {
+      {"BPRMF", ScoreKernel::kDot},
+      {"NMF", ScoreKernel::kDot},
+      {"LightGCN", ScoreKernel::kDot},
+      {"NGCF", ScoreKernel::kDot},
+      {"AGCN", ScoreKernel::kDot},
+      {"CML", ScoreKernel::kNegSqDist},
+      {"SML", ScoreKernel::kNegSqDist},
+      {"HyperML", ScoreKernel::kNegLorentzSqDist},
+      {"HGCF", ScoreKernel::kNegLorentzSqDist},
+  };
+  for (const auto& [name, kernel] : declared) {
+    SCOPED_TRACE(name);
+    const std::unique_ptr<Recommender> m = MakeModel(name, cfg);
+    check(*m, kernel);
   }
 }
 

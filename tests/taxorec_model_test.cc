@@ -131,7 +131,7 @@ TEST(TaxoRecModelTest, TagWarmUpStepMatchesCallPerTermStepBitForBit) {
 // buffers: once the first epoch has sized them, an epoch without a taxonomy
 // rebuild allocates less than the smallest embedding matrix, users ×
 // tag_dim, at any moment, in both geometries. The Euclidean GCN baselines
-// AGCN and LightGCN keep their batch buffers the same way.
+// AGCN, LightGCN and NGCF keep their batch buffers the same way.
 TEST(TaxoRecModelTest, EpochAfterTheFirstAllocatesNoEmbeddingMatrix) {
   if (!HeapStatsEnabled()) {
     GTEST_SKIP() << "tagged allocator compiled out (sanitizer build)";
@@ -147,6 +147,7 @@ TEST(TaxoRecModelTest, EpochAfterTheFirstAllocatesNoEmbeddingMatrix) {
   models.push_back(MakeAblationVariant("CML+Agg", cfg));
   models.push_back(MakeModel("AGCN", cfg));
   models.push_back(MakeModel("LightGCN", cfg));
+  models.push_back(MakeModel("NGCF", cfg));
   for (const auto& model : models) {
     Rng rng(3);
     model->BeginFit(split, &rng);

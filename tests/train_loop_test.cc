@@ -254,6 +254,32 @@ TEST_F(TrainLoopTest, PersistentDivergenceExhaustsRetriesWithError) {
       << result.status().ToString();
 }
 
+// BPRMF keeps no training state, so its divergence cannot roll back: the
+// scan of its declared rows finds the non-finite values and the loop
+// returns an error naming the model, the epoch and the first defect.
+TEST_F(TrainLoopTest, StatelessModelDivergenceReturnsAnError) {
+  const DataSplit split = SmallSplit();
+  ModelConfig cfg = TinyConfig();
+  cfg.lr = 1e200;
+  auto model = MakeModel("BPRMF", cfg);
+  int rollback_events = 0;
+  TrainLoopOptions opts;
+  opts.callback = [&](const TrainLoopEvent& e) {
+    if (e.kind == TrainLoopEvent::Kind::kRollback) ++rollback_events;
+  };
+  Rng rng(8);
+  auto result = RunTrainLoop(model.get(), split, &rng, opts);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+  const std::string message(result.status().message());
+  EXPECT_NE(message.find("BPRMF diverged at epoch 0 with no training state "
+                         "to roll back"),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("; first defect: "), std::string::npos) << message;
+  EXPECT_EQ(rollback_events, 0);
+}
+
 TEST_F(TrainLoopTest, ResumeContinuesFromSavedEpochBitExact) {
   const DataSplit split = SmallSplit();
   ModelConfig cfg = TinyConfig();
