@@ -24,8 +24,8 @@
 #include "hyperbolic/klein.h"
 #include "hyperbolic/lorentz.h"
 #include "hyperbolic/poincare.h"
+#include "math/csr.h"
 #include "math/rng.h"
-#include "math/simd.h"
 #include "math/vec_ops.h"
 #include "nn/gcn.h"
 #include "nn/lorentz_layers.h"
@@ -237,6 +237,13 @@ void RunThreadScalingReport(int threads,
   dense.FillGaussian(&rng, 0.1);
   Matrix spmm_out;
   auto spmm = [&] { split.train.Multiply(dense, &spmm_out); };
+  // TaxoRec's two channel widths at the default dims (tag channel 12 + 1,
+  // item channel 52 + 1 hyperboloid coordinates), one thread.
+  Matrix dense13(split.num_items, 13), dense53(split.num_items, 53);
+  dense13.FillGaussian(&rng, 0.1);
+  dense53.FillGaussian(&rng, 0.1);
+  auto spmm13 = [&] { split.train.Multiply(dense13, &spmm_out); };
+  auto spmm53 = [&] { split.train.Multiply(dense53, &spmm_out); };
 
   Matrix users(split.num_users, 32), items(split.num_items, 32);
   users.FillGaussian(&rng, 0.1);
@@ -247,6 +254,8 @@ void RunThreadScalingReport(int threads,
 
   SetNumThreads(1);
   const double spmm_t1 = bench::TimeBestSeconds(5, spmm);
+  const double spmm13_t1 = bench::TimeBestSeconds(5, spmm13);
+  const double spmm53_t1 = bench::TimeBestSeconds(5, spmm53);
   const double eval_t1 = bench::TimeBestSeconds(3, eval);
   SetNumThreads(threads);
   const double spmm_tn = bench::TimeBestSeconds(5, spmm);
@@ -257,7 +266,9 @@ void RunThreadScalingReport(int threads,
   std::printf(
       "  spmm %zux%zu*64:   t1 %.4fs  tN %.4fs  speedup %.2fx  (%s kernel)\n",
       split.train.rows(), split.train.cols(), spmm_t1, spmm_tn,
-      spmm_t1 / spmm_tn, simd::ActiveBackend());
+      spmm_t1 / spmm_tn, CsrMatrix::KernelName());
+  std::printf("  spmm *13: t1 %.4fs   spmm *53: t1 %.4fs\n", spmm13_t1,
+              spmm53_t1);
   std::printf("  eval %zu users:    t1 %.4fs  tN %.4fs  speedup %.2fx\n",
               static_cast<size_t>(eval_out.num_eval_users), eval_t1, eval_tn,
               eval_t1 / eval_tn);
@@ -273,13 +284,15 @@ void RunThreadScalingReport(int threads,
       " \"quick\": %s, \"spmm_backend\": \"%s\",\n"
       " \"spmm\": {\"t1_seconds\": %.6f, \"tN_seconds\": %.6f, "
       "\"speedup\": %.3f},\n"
+      " \"spmm_d13\": {\"t1_seconds\": %.6f}, "
+      "\"spmm_d53\": {\"t1_seconds\": %.6f},\n"
       " \"eval\": {\"t1_seconds\": %.6f, \"tN_seconds\": %.6f, "
       "\"speedup\": %.3f},\n"
       " \"wall_seconds\": %.3f, \"peak_rss_bytes\": %llu,\n"
       " \"rusage\": %s,\n \"profile\": %s,\n \"metrics\": %s}\n",
       threads, HardwareThreads(), quick ? "true" : "false",
-      simd::ActiveBackend(), spmm_t1, spmm_tn,
-      spmm_t1 / spmm_tn, eval_t1, eval_tn, eval_t1 / eval_tn, wall,
+      CsrMatrix::KernelName(), spmm_t1, spmm_tn,
+      spmm_t1 / spmm_tn, spmm13_t1, spmm53_t1, eval_t1, eval_tn, eval_t1 / eval_tn, wall,
       static_cast<unsigned long long>(PeakRssBytes()),
       taxorec::RusageJsonObject(taxorec::SelfRusage()).c_str(),
       taxorec::ProfileJsonArray().c_str(),

@@ -38,7 +38,7 @@
 #include "eval/recommend.h"
 #include "hyperbolic/lorentz.h"
 #include "math/rng.h"
-#include "math/simd.h"
+#include "serve/kernels_f32.h"
 #include "serve/server.h"
 
 namespace taxorec {
@@ -719,7 +719,7 @@ int Main(int argc, const char* const* argv) {
   // top-K rank stability vs the double path.
   const size_t tier_items = quick ? 20000 : 1000000;
   std::printf("  precision tiers (%zu items, f32 backend %s):\n", tier_items,
-              simd::ActiveBackend());
+              f32::ActiveBackendName());
   const std::vector<TierReport> tiers =
       RunTierBench(tier_items, reps, /*assert_speedup=*/!quick);
   for (size_t i = 0; i < tiers.size(); ++i) {
@@ -848,7 +848,7 @@ int Main(int argc, const char* const* argv) {
       lor_t.seed_seconds, lor_t.serve_seconds,
       lor_t.seed_seconds / lor_t.serve_seconds, replay.qps, replay.hit_rate,
       replay.p50_ms, replay.p95_ms, replay.p99_ms, tier_items,
-      simd::ActiveBackend(), tiers[0].items_per_second,
+      f32::ActiveBackendName(), tiers[0].items_per_second,
       tiers[0].snapshot_bytes, tiers[1].items_per_second,
       tiers[1].snapshot_bytes, tiers[1].speedup_vs_double,
       tiers[1].topk_overlap_vs_double, tiers[2].items_per_second,

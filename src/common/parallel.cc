@@ -147,7 +147,7 @@ void ThreadPool::WorkerLoop(int worker) {
     if (stop_) return;
     seen = generation_;
     if (worker < job_workers_) {
-      const std::function<void(int)>* job = job_;
+      const FunctionRef<void(int)>* job = job_;
       lock.unlock();
       (*job)(worker);
       lock.lock();
@@ -156,7 +156,7 @@ void ThreadPool::WorkerLoop(int worker) {
   }
 }
 
-void ThreadPool::Run(int num_workers, const std::function<void(int)>& fn) {
+void ThreadPool::Run(int num_workers, FunctionRef<void(int)> fn) {
   TAXOREC_CHECK(num_workers >= 1 && num_workers <= num_threads_);
   if (num_workers == 1) {
     fn(0);
@@ -177,7 +177,7 @@ void ThreadPool::Run(int num_workers, const std::function<void(int)>& fn) {
 }
 
 void ParallelForWorker(size_t begin, size_t end, size_t grain,
-                       const std::function<void(size_t, size_t, int)>& fn) {
+                       FunctionRef<void(size_t, size_t, int)> fn) {
   TAXOREC_CHECK(grain >= 1);
   if (begin >= end) return;
   const size_t n = end - begin;
@@ -210,12 +210,6 @@ void ParallelForWorker(size_t begin, size_t end, size_t grain,
   };
   AcquirePool(threads)->Run(num_workers, worker_fn);
   RecordPoolRegion(busy_us.data(), num_workers, num_chunks, n);
-}
-
-void ParallelFor(size_t begin, size_t end, size_t grain,
-                 const std::function<void(size_t, size_t)>& fn) {
-  ParallelForWorker(begin, end, grain,
-                    [&fn](size_t b, size_t e, int) { fn(b, e); });
 }
 
 }  // namespace taxorec

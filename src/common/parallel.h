@@ -20,12 +20,37 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace taxorec {
+
+/// Non-owning reference to a callable, two pointers wide. Unlike
+/// std::function it never copies the callable, so handing a lambda to
+/// ParallelFor allocates nothing. The callable must outlive every call
+/// through the reference.
+template <typename Signature>
+class FunctionRef;
+
+template <typename R, typename... Args>
+class FunctionRef<R(Args...)> {
+ public:
+  template <typename F>
+  FunctionRef(const F& f)  // NOLINT: implicit, so a lambda converts
+      : obj_(&f), call_([](const void* obj, Args... args) -> R {
+          return (*static_cast<const F*>(obj))(std::forward<Args>(args)...);
+        }) {}
+
+  R operator()(Args... args) const {
+    return call_(obj_, std::forward<Args>(args)...);
+  }
+
+ private:
+  const void* obj_;
+  R (*call_)(const void*, Args...);
+};
 
 /// max(1, std::thread::hardware_concurrency()).
 int HardwareThreads();
@@ -64,7 +89,7 @@ class ThreadPool {
   /// Runs fn(w) for w in [0, num_workers) — worker 0 on the caller, the
   /// rest on pool threads — and blocks until all return. Requires
   /// num_workers <= num_threads().
-  void Run(int num_workers, const std::function<void(int)>& fn);
+  void Run(int num_workers, FunctionRef<void(int)> fn);
 
  private:
   void WorkerLoop(int worker);
@@ -74,7 +99,7 @@ class ThreadPool {
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
-  const std::function<void(int)>* job_ = nullptr;  // guarded by mu_
+  const FunctionRef<void(int)>* job_ = nullptr;  // guarded by mu_
   int job_workers_ = 0;
   int outstanding_ = 0;
   uint64_t generation_ = 0;
@@ -88,11 +113,14 @@ class ThreadPool {
 /// scheduling — and each index belongs to exactly one chunk. fn receives
 /// the chunk bounds plus the worker index (for per-worker scratch).
 void ParallelForWorker(size_t begin, size_t end, size_t grain,
-                       const std::function<void(size_t, size_t, int)>& fn);
+                       FunctionRef<void(size_t, size_t, int)> fn);
 
 /// ParallelForWorker without the worker index.
-void ParallelFor(size_t begin, size_t end, size_t grain,
-                 const std::function<void(size_t, size_t)>& fn);
+template <typename F>
+void ParallelFor(size_t begin, size_t end, size_t grain, const F& fn) {
+  ParallelForWorker(begin, end, grain,
+                    [&fn](size_t b, size_t e, int) { fn(b, e); });
+}
 
 /// Per-worker slots (cache-line padded), e.g. scratch that each worker of a
 /// ParallelForWorker region reuses across its chunks. Slot contents depend

@@ -6,7 +6,6 @@
 #define TAXOREC_MATH_CSR_H_
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -64,20 +63,32 @@ class CsrMatrix {
   /// out += alpha * this * dense.
   void MultiplyAccum(const Matrix& dense, double alpha, Matrix* out) const;
 
-  /// Runs on output rows [r0, r1) right after MultiplyAdd wrote them.
-  using RowEpilogue = std::function<void(size_t r0, size_t r1)>;
+  /// A GCN layer's finish (nn/gcn.h), which MultiplyAdd applies to each
+  /// output element v as its row kernel stores it: out = v * 0.5, plus
+  /// add's element when `add` is set (the backward pass's upstream); then,
+  /// when `sum` is set, sum = (first ? +0.0 : sum) + out (the forward
+  /// layer sum). `add` and `sum` have out's shape.
+  struct LayerFinish {
+    const Matrix* add = nullptr;
+    Matrix* sum = nullptr;
+    bool first = false;
+  };
 
   /// out = init + alpha * this * dense, the SpMM behind Multiply and
-  /// MultiplyAccum. `init` is a matrix of out's shape (it may be `out`
-  /// itself) or null for zero; `out` must already have its shape. Every
-  /// output element is computed by the same double operations on every
-  /// kernel and thread count: start from init (or +0.0), then add
-  /// (alpha * w_k) * dense(c_k, j) for the row's nonzeros in column order,
-  /// each product and sum rounded separately (no FMA). Row chunks run in
-  /// parallel with one writer per row; `epilogue`, when set, runs on each
-  /// chunk on the same worker while its rows are still in cache.
+  /// MultiplyAccum, with `finish` (when set) applied as it is stored.
+  /// `init` is a matrix of out's shape (it may be `out` itself) or null for
+  /// zero; `out` must already have its shape. Every output element is
+  /// computed by the same double operations on every kernel and thread
+  /// count: start from init (or +0.0), then add (alpha * w_k) * dense(c_k,
+  /// j) for the row's nonzeros in column order, each product and sum
+  /// rounded separately (no FMA), then the finish. Row chunks run in
+  /// parallel with one writer per row.
   void MultiplyAdd(const Matrix& dense, double alpha, const Matrix* init,
-                   Matrix* out, const RowEpilogue& epilogue = nullptr) const;
+                   Matrix* out, const LayerFinish* finish = nullptr) const;
+
+  /// Name of the row kernel MultiplyAdd runs at the active SIMD level
+  /// (math/simd.h): "avx512", "avx2" or "portable".
+  static const char* KernelName();
 
   /// Returns a copy whose rows are L1-normalized (each nonzero row sums
   /// to 1) — the 1/|N| propagation operator of Eq. 13.

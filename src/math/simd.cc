@@ -1,32 +1,49 @@
 #include "math/simd.h"
 
+#include <algorithm>
 #include <atomic>
 
 namespace taxorec::simd {
 namespace {
 
-std::atomic<bool> g_force_portable{false};
+std::atomic<Level> g_cap{Level::kAvx512};
 
 }  // namespace
 
-bool Avx2Supported() {
+Level SupportedLevel() {
 #if TAXOREC_HAVE_AVX2_BUILD
-  static const bool supported =
-      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  static const Level supported = [] {
+    if (!__builtin_cpu_supports("avx2") || !__builtin_cpu_supports("fma")) {
+      return Level::kPortable;
+    }
+    return __builtin_cpu_supports("avx512f") ? Level::kAvx512 : Level::kAvx2;
+  }();
   return supported;
 #else
-  return false;
+  return Level::kPortable;
 #endif
 }
 
-bool Avx2Enabled() {
-  return Avx2Supported() && !g_force_portable.load(std::memory_order_relaxed);
+Level ActiveLevel() {
+  return std::min(SupportedLevel(), g_cap.load(std::memory_order_relaxed));
 }
 
-const char* ActiveBackend() { return Avx2Enabled() ? "avx2" : "portable"; }
+bool Avx2Enabled() { return ActiveLevel() >= Level::kAvx2; }
 
-void ForcePortableForTest(bool force) {
-  g_force_portable.store(force, std::memory_order_relaxed);
+const char* LevelName(Level level) {
+  switch (level) {
+    case Level::kPortable:
+      return "portable";
+    case Level::kAvx2:
+      return "avx2";
+    case Level::kAvx512:
+      return "avx512";
+  }
+  return "unknown";
+}
+
+void CapLevelForTest(Level cap) {
+  g_cap.store(cap, std::memory_order_relaxed);
 }
 
 }  // namespace taxorec::simd

@@ -1,5 +1,6 @@
 #include "math/vec_ops.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -68,7 +69,20 @@ void Hadamard(ConstSpan x, ConstSpan y, Span out) {
 void ClipNorm(Span x, double max_norm) {
   TAXOREC_DCHECK(max_norm > 0.0);
   const double n = Norm(x);
-  if (n > max_norm) Scale(x, max_norm / n);
+  if (!(n > max_norm)) return;
+  if (std::isinf(n)) {
+    // The sum of squares overflowed. Divided by its largest |x_i|, a row
+    // of finite entries has a finite norm, so it is clipped along its own
+    // direction; a row with an infinite entry keeps the scaling below.
+    double largest = 0.0;
+    for (const double v : x) largest = std::max(largest, std::abs(v));
+    if (std::isfinite(largest)) {
+      for (double& v : x) v /= largest;
+      Scale(x, max_norm / Norm(x));
+      return;
+    }
+  }
+  Scale(x, max_norm / n);
 }
 
 bool AllZero(ConstSpan x) {

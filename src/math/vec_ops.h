@@ -51,7 +51,8 @@ void Combine(double a, ConstSpan x, double b, ConstSpan y, Span out);
 /// Elementwise product: out = x ⊙ y.
 void Hadamard(ConstSpan x, ConstSpan y, Span out);
 
-/// Clamps the Euclidean norm of x to at most max_norm (rescales in place).
+/// Clamps the Euclidean norm of x to at most max_norm (rescales in place),
+/// also when its squared norm overflows. A row with a NaN is left as is.
 void ClipNorm(Span x, double max_norm);
 
 /// True when every entry of x is +0.0 or -0.0.

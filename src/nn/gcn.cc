@@ -27,39 +27,6 @@ BipartiteGcn::BipartiteGcn(const CsrMatrix& interactions, int num_layers)
 
 namespace {
 
-// Row chunk [r0, r1) of m as one contiguous span (row-major storage).
-std::span<double> RowChunk(Matrix* m, size_t r0, size_t r1) {
-  return m->flat().subspan(r0 * m->cols(), (r1 - r0) * m->cols());
-}
-std::span<const double> RowChunk(const Matrix& m, size_t r0, size_t r1) {
-  return m.flat().subspan(r0 * m.cols(), (r1 - r0) * m.cols());
-}
-
-// Forward layer epilogue: z = z / 2, then the layer sum. The first layer
-// starts the sum from +0.0 (0.0 + z, as a zeroed sum would), which turns a
-// -0.0 in z into +0.0; later layers add z to it.
-CsrMatrix::RowEpilogue HalveIntoSum(Matrix* z, Matrix* sum, bool first) {
-  return [z, sum, first](size_t r0, size_t r1) {
-    const auto zc = RowChunk(z, r0, r1);
-    const auto sc = RowChunk(sum, r0, r1);
-    for (size_t i = 0; i < zc.size(); ++i) {
-      zc[i] *= 0.5;
-      sc[i] = (first ? 0.0 : sc[i]) + zc[i];
-    }
-  };
-}
-
-// Backward layer epilogue: a = a / 2, then a += up when up is set.
-CsrMatrix::RowEpilogue HalveAndAdd(Matrix* a, const Matrix* up) {
-  return [a, up](size_t r0, size_t r1) {
-    const auto ac = RowChunk(a, r0, r1);
-    for (double& x : ac) x *= 0.5;
-    if (up == nullptr) return;
-    const auto uc = RowChunk(*up, r0, r1);
-    for (size_t i = 0; i < ac.size(); ++i) ac[i] += uc[i];
-  };
-}
-
 // Radius of the ball Euclidean channel leaves are projected into.
 constexpr double kEuclidMaxNorm = 1.5;
 
@@ -82,8 +49,10 @@ void BipartiteGcn::Forward(const Matrix& zu0, const Matrix& zv0,
     Matrix* next_v = &ctx->v[l % 2];
     next_u->EnsureShape(num_users(), d);
     next_v->EnsureShape(num_items(), d);
-    pui_.MultiplyAdd(*zv, 1.0, zu, next_u, HalveIntoSum(next_u, out_u, l == 0));
-    piu_.MultiplyAdd(*zu, 1.0, zv, next_v, HalveIntoSum(next_v, out_v, l == 0));
+    const CsrMatrix::LayerFinish into_u{.sum = out_u, .first = l == 0};
+    const CsrMatrix::LayerFinish into_v{.sum = out_v, .first = l == 0};
+    pui_.MultiplyAdd(*zv, 1.0, zu, next_u, &into_u);
+    piu_.MultiplyAdd(*zu, 1.0, zv, next_v, &into_v);
     zu = next_u;
     zv = next_v;
   }
@@ -110,10 +79,10 @@ void BipartiteGcn::Backward(const Matrix& up_u, const Matrix& up_v,
     Matrix* next_v = l % 2 == 0 ? grad_v0 : &ctx->v[0];
     next_u->EnsureShape(num_users(), d);
     next_v->EnsureShape(num_items(), d);
-    piu_t_.MultiplyAdd(*av, 1.0, au, next_u,
-                       HalveAndAdd(next_u, l >= 1 ? &up_u : nullptr));
-    pui_t_.MultiplyAdd(*au, 1.0, av, next_v,
-                       HalveAndAdd(next_v, l >= 1 ? &up_v : nullptr));
+    const CsrMatrix::LayerFinish plus_u{.add = l >= 1 ? &up_u : nullptr};
+    const CsrMatrix::LayerFinish plus_v{.add = l >= 1 ? &up_v : nullptr};
+    piu_t_.MultiplyAdd(*av, 1.0, au, next_u, &plus_u);
+    pui_t_.MultiplyAdd(*au, 1.0, av, next_v, &plus_v);
     au = next_u;
     av = next_v;
   }

@@ -14,10 +14,11 @@
 // with the transposed operators; it needs none of the forward activations.
 //
 // Each layer is one SpMM per side (CsrMatrix::MultiplyAdd) whose initial
-// value is the self term; the 1/2 scale and the layer-sum (forward) or
-// upstream (backward) add run in the same row pass, on each row chunk right
-// after the kernel wrote it. Per element this is the same double sequence
-// as separate copy, SpMM, scale and add passes.
+// value is the self term. The row kernel applies the 1/2 scale and the
+// layer-sum (forward) or upstream (backward) add as it stores each result
+// (CsrMatrix::LayerFinish), so a layer is one pass over its output. Per
+// element this is the same double sequence as separate copy, SpMM, scale
+// and add passes.
 #ifndef TAXOREC_NN_GCN_H_
 #define TAXOREC_NN_GCN_H_
 

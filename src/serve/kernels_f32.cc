@@ -230,6 +230,7 @@ __attribute__((target("avx2,fma"))) void LorentzCombineAvx2(
 // ---------------------------------------------------------------------------
 
 struct Backend {
+  const char* name;
   void (*dot_rows)(const float*, const float*, size_t, size_t, double*);
   void (*sqdist_rows)(const float*, const float*, size_t, size_t, double*,
                       float);
@@ -242,13 +243,13 @@ struct Backend {
 };
 
 constexpr Backend kPortableBackend = {
-    DotRowsPortable, SqDistRowsPortable, LorentzRowsPortable,
+    "portable", DotRowsPortable, SqDistRowsPortable, LorentzRowsPortable,
     SqDistCombinePortable, LorentzCombinePortable,
 };
 
 #if TAXOREC_HAVE_AVX2_BUILD
 constexpr Backend kAvx2Backend = {
-    DotRowsAvx2, SqDistRowsAvx2, LorentzRowsAvx2, SqDistCombineAvx2,
+    "avx2", DotRowsAvx2, SqDistRowsAvx2, LorentzRowsAvx2, SqDistCombineAvx2,
     LorentzCombineAvx2,
 };
 #endif
@@ -335,6 +336,8 @@ float CoarseSqDist(bool lorentz, const int8_t* x, const int8_t* y, size_t n,
 }
 
 }  // namespace
+
+const char* ActiveBackendName() { return ActiveBackendImpl().name; }
 
 void ScoreRowRangeF32(const CompactSnapshot& s, uint32_t user, size_t begin,
                       size_t end, double* dst) {

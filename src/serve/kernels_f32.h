@@ -20,7 +20,7 @@
 //
 // Two backends implement these semantics: an AVX2/FMA one (compiled via
 // function-level target attributes when TAXOREC_ENABLE_AVX2 is defined,
-// selected at runtime by the shared probe and test switch of math/simd.h)
+// selected at runtime by the shared probe and test cap of math/simd.h)
 // and a portable scalar one (std::fmaf).
 // Because both follow the canonical lane algorithm they produce identical
 // bits, so runtime dispatch never changes served results. The per-row
@@ -46,6 +46,10 @@ namespace taxorec::f32 {
 
 /// Accumulation lanes of the canonical reduction (two AVX2 vectors).
 inline constexpr size_t kLanes = 16;
+
+/// Name of the backend the float32 kernels run at the active SIMD level
+/// (math/simd.h): "avx2" at every level above portable, else "portable".
+const char* ActiveBackendName();
 
 /// Scores items [begin, end) for `user` in float32 with the active
 /// backend, widening each score to double in dst[0 .. end-begin). The

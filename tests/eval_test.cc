@@ -347,13 +347,14 @@ TEST(EvaluatorTest, PrunedSweepsMatchScoreAndSortOracle) {
       ASSERT_GT(want.num_eval_users, 0u);
       for (const bool portable : {false, true}) {
         for (const int threads : {1, 4}) {
-          simd::ForcePortableForTest(portable);
+          simd::CapLevelForTest(portable ? simd::Level::kPortable
+                                         : simd::Level::kAvx512);
           SetNumThreads(threads);
           Counter* pruned = MetricsRegistry::Instance().GetCounter(
               "taxorec.rank.items_pruned");
           const uint64_t pruned_before = pruned->value();
           const EvalResult got = EvaluateRanking(*model, split, opts);
-          simd::ForcePortableForTest(false);
+          simd::CapLevelForTest(simd::Level::kAvx512);
           SetNumThreads(saved_threads);
           SCOPED_TRACE(::testing::Message()
                        << model->name() << " use_test " << use_test

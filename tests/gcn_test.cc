@@ -10,11 +10,13 @@
 #include <utility>
 #include <vector>
 
+#include "common/parallel.h"
 #include "math/csr.h"
 #include "math/matrix.h"
 #include "math/rng.h"
 #include "nn/gcn.h"
 #include "nn/mlp.h"
+#include "simd_levels.h"
 
 namespace taxorec {
 namespace {
@@ -237,29 +239,42 @@ void SeparatePassBackward(const CsrMatrix& x, int layers, const Matrix& up_u,
   *gv = std::move(av);
 }
 
+// The layer finish runs in the row kernels' store phase, so this runs on
+// every SIMD level the host has, at 1 and 4 threads: a row finished twice,
+// or not at all, fails.
 TEST(GcnTest, FusedLayersMatchSeparatePassesBitForBit) {
   Rng rng(41);
   const CsrMatrix x = RandomGraph(&rng, 90, 130);
+  const int saved_threads = GetNumThreads();
   for (int layers = 1; layers <= 4; ++layers) {
     nn::BipartiteGcn gcn(x, layers);
     for (const size_t d : {3, 16, 53}) {
       const Matrix zu = RandomInput(&rng, 90, d);
       const Matrix zv = RandomInput(&rng, 130, d);
-      nn::GcnContext ctx;
-      Matrix ou, ov, wu, wv;
-      gcn.Forward(zu, zv, &ctx, &ou, &ov);
-      SeparatePassForward(x, layers, zu, zv, &wu, &wv);
-      const std::string tag =
-          "layers=" + std::to_string(layers) + " d=" + std::to_string(d);
-      ExpectBitEqual(ou, wu, "forward users " + tag);
-      ExpectBitEqual(ov, wv, "forward items " + tag);
-      Matrix gu, gv;
-      gcn.Backward(zu, zv, &gu, &gv, &ctx);
-      SeparatePassBackward(x, layers, zu, zv, &wu, &wv);
-      ExpectBitEqual(gu, wu, "backward users " + tag);
-      ExpectBitEqual(gv, wv, "backward items " + tag);
+      for (const simd::Level level : HostSimdLevels()) {
+        const SimdLevelCap cap(level);
+        for (const int threads : {1, 4}) {
+          SetNumThreads(threads);
+          nn::GcnContext ctx;
+          Matrix ou, ov, wu, wv;
+          gcn.Forward(zu, zv, &ctx, &ou, &ov);
+          SeparatePassForward(x, layers, zu, zv, &wu, &wv);
+          const std::string tag = "layers=" + std::to_string(layers) +
+                                  " d=" + std::to_string(d) + " " +
+                                  CsrMatrix::KernelName() + " threads=" +
+                                  std::to_string(threads);
+          ExpectBitEqual(ou, wu, "forward users " + tag);
+          ExpectBitEqual(ov, wv, "forward items " + tag);
+          Matrix gu, gv;
+          gcn.Backward(zu, zv, &gu, &gv, &ctx);
+          SeparatePassBackward(x, layers, zu, zv, &wu, &wv);
+          ExpectBitEqual(gu, wu, "backward users " + tag);
+          ExpectBitEqual(gv, wv, "backward items " + tag);
+        }
+      }
     }
   }
+  SetNumThreads(saved_threads);
 }
 
 // One context and one set of outputs reused across calls with different

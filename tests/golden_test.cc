@@ -15,8 +15,8 @@
 //                           items surface at -Inf);
 //   recommend               RecommendTopK lists for every user;
 //   state                   the SaveState payload (models that have one).
-// The same digests are required at 1 and at 4 threads, with the SIMD
-// kernels dispatched and forced portable. A refactor that claims "no
+// The same digests are required at 1 and at 4 threads, on every SIMD
+// level the host runs (AVX-512, AVX2, portable). A refactor that claims "no
 // output changed" must leave this table untouched; a change that moves an
 // output on purpose re-pins the named entry (the failure message prints
 // the replacement line).
@@ -37,6 +37,7 @@
 #include "eval/recommend.h"
 #include "math/simd.h"
 #include "serve/server.h"
+#include "simd_levels.h"
 
 namespace taxorec {
 namespace {
@@ -444,13 +445,13 @@ void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.label; }
 
 class GoldenTest : public ::testing::TestWithParam<GoldenCase> {};
 
-// Also required with the SIMD kernels forced off: dispatch must never move
-// an output.
+// Also required on every lower SIMD level the host runs, down to the
+// portable kernels: dispatch must never move an output.
 TEST_P(GoldenTest, DigestsMatchPinnedAtOneAndFourThreads) {
   const int saved_threads = GetNumThreads();
   const std::string name = GetParam().label;
-  for (const bool portable : {false, true}) {
-    simd::ForcePortableForTest(portable);
+  for (const simd::Level level : HostSimdLevels()) {
+    const SimdLevelCap cap(level);
     for (const int threads : {1, 4}) {
       SetNumThreads(threads);
       for (const auto& [output, digest] : ComputeDigests(GetParam())) {
@@ -463,15 +464,14 @@ TEST_P(GoldenTest, DigestsMatchPinnedAtOneAndFourThreads) {
         }
         EXPECT_EQ(pinned->digest, digest)
             << "golden digest moved: " << name << "/" << output << " at "
-            << threads << " thread(s), " << simd::ActiveBackend()
-            << " kernels. If this output change is intended, re-pin it "
+            << threads << " thread(s), SIMD level " << simd::LevelName(level)
+            << ". If this output change is intended, re-pin it "
             << "deliberately by replacing its kGolden entry in "
             << "tests/golden_test.cc with:\n"
             << PinLine(name, output, digest);
       }
     }
   }
-  simd::ForcePortableForTest(false);
   SetNumThreads(saved_threads);
 }
 

@@ -3,8 +3,9 @@
 // released outside the scope (headers carry the tag), peaks are sticky,
 // external accounting folds in, and PublishHeapStats surfaces
 // taxorec.heap.<name>.{current,peak}_bytes gauges. The allocation counts
-// also pin that the RSGD steps and the tag warm-up step allocate nothing
-// and that the row-wise RSGD updates allocate per call, not per row. All
+// also pin that the RSGD steps, the tag warm-up step, the SpMM and the
+// warmed GCN layers allocate nothing and that the row-wise RSGD updates
+// allocate per call, not per row. All
 // cases GTEST_SKIP when the replacement allocator is compiled out
 // (sanitizer builds).
 #include "common/heap_stats.h"
@@ -15,14 +16,18 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/parallel.h"
 #include "core/taxorec_model.h"
 #include "hyperbolic/lorentz.h"
 #include "hyperbolic/poincare.h"
+#include "math/csr.h"
 #include "math/matrix.h"
 #include "math/rng.h"
+#include "nn/gcn.h"
 #include "optim/rsgd.h"
 
 namespace taxorec {
@@ -216,6 +221,40 @@ TEST_F(HeapStatsTest, RsgdUpdatesAllocateTheSameForAnyRowCount) {
   };
   EXPECT_EQ(allocations(10, false), allocations(1000, false));
   EXPECT_EQ(allocations(10, true), allocations(1000, true));
+}
+
+// ParallelFor takes its body by reference, so at 1 thread an SpMM into a
+// sized output and a warmed BipartiteGcn forward and backward (12 SpMMs
+// with the layer finish) allocate nothing.
+TEST_F(HeapStatsTest, SpmmAndWarmedGcnLayersAllocateNothing) {
+  const int saved_threads = GetNumThreads();
+  SetNumThreads(1);
+  Rng rng(10);
+  std::vector<std::pair<uint32_t, uint32_t>> edges;
+  for (int i = 0; i < 400; ++i) {
+    edges.emplace_back(static_cast<uint32_t>(rng.Uniform(60)),
+                       static_cast<uint32_t>(rng.Uniform(80)));
+  }
+  const CsrMatrix x = CsrMatrix::FromPairs(60, 80, edges);
+  Matrix dense(80, 13), out(60, 13);
+  dense.FillGaussian(&rng, 1.0);
+  x.Multiply(dense, &out);  // registers the SpMM's counters
+  EXPECT_EQ(AllocationsIn([&] {
+              for (int i = 0; i < 10; ++i) x.Multiply(dense, &out);
+            }),
+            0u);
+  const nn::BipartiteGcn gcn(x, /*num_layers=*/3);
+  Matrix zu(60, 13), zv(80, 13), ou, ov, gu, gv;
+  zu.FillGaussian(&rng, 1.0);
+  zv.FillGaussian(&rng, 1.0);
+  nn::GcnContext ctx;
+  const auto step = [&] {
+    gcn.Forward(zu, zv, &ctx, &ou, &ov);
+    gcn.Backward(ou, ov, &gu, &gv, &ctx);
+  };
+  step();  // sizes the outputs and the workspace
+  EXPECT_EQ(AllocationsIn(step), 0u);
+  SetNumThreads(saved_threads);
 }
 
 }  // namespace

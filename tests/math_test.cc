@@ -6,7 +6,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "math/rng.h"
 #include "math/simd.h"
 #include "math/vec_ops.h"
+#include "simd_levels.h"
 
 namespace taxorec {
 namespace {
@@ -238,10 +241,12 @@ std::vector<double> ReferenceRow(const CsrMatrix& m, const Matrix& dense,
   return row;
 }
 
-// Multiply and MultiplyAccum equal the per-nonzero reference bit for bit:
-// every width class of the register-blocked kernel (full 16-column strips,
-// short strips, masked tails), empty rows, signed-zero initial values, two
-// alphas, both SIMD backends and two thread counts.
+// Multiply, MultiplyAccum and MultiplyAdd with each layer finish equal the
+// per-nonzero reference bit for bit: every width class of the row kernels
+// (one AVX-512 strip of 1-8 registers, 64-column strips before a tail,
+// 16-column AVX2 strips, masked tails), empty rows, signed-zero initial
+// values, two alphas, every SIMD level the host runs and two thread counts.
+// A kernel whose multiply and add were contracted into an FMA fails here.
 TEST(CsrTest, MultiplyMatchesReferenceBitForBit) {
   Rng rng(6);
   constexpr size_t kRows = 70, kCols = 45;
@@ -254,73 +259,77 @@ TEST(CsrTest, MultiplyMatchesReferenceBitForBit) {
   }
   const CsrMatrix m = CsrMatrix::FromTriplets(kRows, kCols, triplets);
   const int saved_threads = GetNumThreads();
-  for (const size_t d : {1, 2, 3, 4, 5, 13, 15, 16, 17, 31, 32, 33, 53, 65}) {
+  for (const size_t d :
+       {1, 2, 3, 4, 5, 13, 15, 16, 17, 31, 32, 33, 53, 64, 65, 129}) {
     Matrix dense(kCols, d);
     dense.FillGaussian(&rng, 1.0);
-    Matrix init(kRows, d);
+    Matrix init(kRows, d), up(kRows, d), sum0(kRows, d);
     init.FillGaussian(&rng, 1.0);
     init.at(4, 0) = -0.0;  // an empty row keeps its -0.0
     init.at(0, 0) = -0.0;
+    up.FillGaussian(&rng, 1.0);
+    sum0.FillGaussian(&rng, 1.0);
     for (const double alpha : {1.0, 0.25}) {
-      for (const bool portable : {false, true}) {
-        simd::ForcePortableForTest(portable);
+      for (const simd::Level level : HostSimdLevels()) {
+        const SimdLevelCap cap(level);
         for (const int threads : {1, 4}) {
           SetNumThreads(threads);
           Matrix prod;
           Matrix accum = init;
           if (alpha == 1.0) m.Multiply(dense, &prod);
           m.MultiplyAccum(dense, alpha, &accum);
+          // The layer finishes: backward (plus an upstream), forward into a
+          // first-layer sum (sum_first starts as garbage) and a later one.
+          Matrix plus(kRows, d), into(kRows, d), into_first(kRows, d);
+          Matrix sum = sum0, sum_first = sum0;
+          const CsrMatrix::LayerFinish plus_up{.add = &up};
+          const CsrMatrix::LayerFinish into_sum{.sum = &sum};
+          const CsrMatrix::LayerFinish into_first_sum{.sum = &sum_first,
+                                                      .first = true};
+          m.MultiplyAdd(dense, alpha, &init, &plus, &plus_up);
+          m.MultiplyAdd(dense, alpha, &init, &into, &into_sum);
+          m.MultiplyAdd(dense, alpha, &init, &into_first, &into_first_sum);
           for (size_t r = 0; r < kRows; ++r) {
             const auto want = ReferenceRow(m, dense, alpha, &init, r);
             const auto want0 = ReferenceRow(m, dense, 1.0, nullptr, r);
             for (size_t j = 0; j < d; ++j) {
+              const auto where = [&] {
+                return "d=" + std::to_string(d) + " alpha=" +
+                       std::to_string(alpha) + " row=" + std::to_string(r) +
+                       " col=" + std::to_string(j) + " " +
+                       CsrMatrix::KernelName() +
+                       " threads=" + std::to_string(threads);
+              };
               ASSERT_EQ(Bits(accum.at(r, j)), Bits(want[j]))
-                  << "MultiplyAccum d=" << d << " alpha=" << alpha
-                  << " row=" << r << " col=" << j << " "
-                  << simd::ActiveBackend() << " threads=" << threads;
+                  << "MultiplyAccum " << where();
+              const double z = want[j] * 0.5;
+              ASSERT_EQ(Bits(plus.at(r, j)), Bits(z + up.at(r, j)))
+                  << "finish plus up " << where();
+              ASSERT_EQ(Bits(into.at(r, j)), Bits(z)) << "finish " << where();
+              ASSERT_EQ(Bits(sum.at(r, j)), Bits(sum0.at(r, j) + z))
+                  << "finish into sum " << where();
+              ASSERT_EQ(Bits(into_first.at(r, j)), Bits(z))
+                  << "finish, first layer " << where();
+              ASSERT_EQ(Bits(sum_first.at(r, j)), Bits(0.0 + z))
+                  << "finish into first sum " << where();
               if (alpha != 1.0) continue;
               ASSERT_EQ(Bits(prod.at(r, j)), Bits(want0[j]))
-                  << "Multiply d=" << d << " row=" << r << " col=" << j
-                  << " " << simd::ActiveBackend() << " threads=" << threads;
+                  << "Multiply " << where();
             }
           }
         }
       }
     }
   }
-  simd::ForcePortableForTest(false);
   SetNumThreads(saved_threads);
 }
 
-// MultiplyAdd's epilogue sees every output row exactly once, after the
-// kernel wrote it.
-TEST(CsrTest, MultiplyAddEpilogueCoversEveryRowOnceAfterTheKernel) {
-  Rng rng(8);
-  std::vector<std::pair<uint32_t, uint32_t>> edges;
-  for (int i = 0; i < 400; ++i) {
-    edges.emplace_back(rng.Uniform(150), rng.Uniform(40));
-  }
-  const CsrMatrix m = CsrMatrix::FromPairs(150, 40, edges);
-  Matrix dense(40, 3), init(150, 3), out(150, 3), after(150, 3);
-  dense.FillGaussian(&rng, 1.0);
-  init.FillGaussian(&rng, 1.0);
-  std::vector<int> seen(150, 0);
-  const int saved_threads = GetNumThreads();
-  SetNumThreads(4);
-  m.MultiplyAdd(dense, 1.0, &init, &out, [&](size_t r0, size_t r1) {
-    for (size_t r = r0; r < r1; ++r) {
-      ++seen[r];
-      for (size_t j = 0; j < 3; ++j) after.at(r, j) = out.at(r, j);
-    }
-  });
-  SetNumThreads(saved_threads);
-  Matrix want = init;
-  m.MultiplyAccum(dense, 1.0, &want);
-  for (size_t r = 0; r < 150; ++r) {
-    EXPECT_EQ(seen[r], 1) << "row " << r;
-    for (size_t j = 0; j < 3; ++j) {
-      EXPECT_EQ(Bits(after.at(r, j)), Bits(want.at(r, j))) << "row " << r;
-    }
+// The dispatch names the kernel it runs: the capped level's own kernel on
+// every level the host runs.
+TEST(CsrTest, KernelNameIsTheActiveLevel) {
+  for (const simd::Level level : HostSimdLevels()) {
+    const SimdLevelCap cap(level);
+    EXPECT_STREQ(CsrMatrix::KernelName(), simd::LevelName(level));
   }
 }
 
@@ -345,6 +354,35 @@ TEST(VecOpsTest, ClipNormZeroVectorIsNoop) {
   std::vector<double> x(3, 0.0);
   vec::ClipNorm(vec::Span(x), 1.0);
   for (double v : x) EXPECT_DOUBLE_EQ(v, 0.0);
+}
+
+// A finite row whose squared norm overflows is clipped to max_norm along
+// its own direction, not zeroed. A row with an infinite entry keeps the
+// plain scaling (its finite entries go to zero), and one with a NaN entry
+// is left as it is.
+TEST(VecOpsTest, ClipNormClipsARowWhoseSquaredNormOverflows) {
+  std::vector<double> x = {1e200, 1e200, 1e200};
+  vec::ClipNorm(vec::Span(x), 1.0);
+  for (const double v : x) EXPECT_NEAR(v, 1.0 / std::sqrt(3.0), 1e-15);
+  std::vector<double> y = {-3e300, 4e300, 0.0};
+  vec::ClipNorm(vec::Span(y), 2.0);
+  EXPECT_NEAR(y[0], -1.2, 1e-15);
+  EXPECT_NEAR(y[1], 1.6, 1e-15);
+  EXPECT_EQ(y[2], 0.0);
+  std::vector<double> top(4, std::numeric_limits<double>::max());
+  vec::ClipNorm(vec::Span(top), 1.0);
+  for (const double v : top) EXPECT_NEAR(v, 0.5, 1e-15);
+
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> with_inf = {inf, 1e200};
+  vec::ClipNorm(vec::Span(with_inf), 1.0);
+  EXPECT_TRUE(std::isnan(with_inf[0]));
+  EXPECT_EQ(with_inf[1], 0.0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> with_nan = {nan, 1e200};
+  vec::ClipNorm(vec::Span(with_nan), 1.0);
+  EXPECT_TRUE(std::isnan(with_nan[0]));
+  EXPECT_EQ(with_nan[1], 1e200);
 }
 
 TEST(CsrTest, RowNormalizedRowsSumToOne) {

@@ -47,8 +47,11 @@ class ThreadCountGuard {
 
 class PortableBackendGuard {
  public:
-  explicit PortableBackendGuard(bool force) { simd::ForcePortableForTest(force); }
-  ~PortableBackendGuard() { simd::ForcePortableForTest(false); }
+  explicit PortableBackendGuard(bool force) {
+    simd::CapLevelForTest(force ? simd::Level::kPortable
+                                : simd::Level::kAvx512);
+  }
+  ~PortableBackendGuard() { simd::CapLevelForTest(simd::Level::kAvx512); }
 };
 
 /// A native scoring family: the metric, and whether the snapshot carries
@@ -524,7 +527,7 @@ TEST(Float32KernelTest, DotBitIdenticalToScalarFloatReference) {
 // family (runtime dispatch never changes served results). Vacuous on
 // non-AVX2 hardware or portable-only builds.
 TEST(Float32KernelTest, Avx2AndPortableBackendsBitIdentical) {
-  if (!simd::Avx2Supported()) {
+  if (simd::SupportedLevel() < simd::Level::kAvx2) {
     GTEST_SKIP() << "no AVX2 kernels in this build/CPU";
   }
   for (const KernelFamily& family : kNativeKernels) {
@@ -534,12 +537,12 @@ TEST(Float32KernelTest, Avx2AndPortableBackendsBitIdentical) {
     for (uint32_t u = 0; u < snap.num_users; ++u) {
       {
         PortableBackendGuard guard(false);
-        ASSERT_STREQ(simd::ActiveBackend(), "avx2");
+        ASSERT_STREQ(f32::ActiveBackendName(), "avx2");
         model.ScoreAll(u, std::span<double>(avx));
       }
       {
         PortableBackendGuard guard(true);
-        ASSERT_STREQ(simd::ActiveBackend(), "portable");
+        ASSERT_STREQ(f32::ActiveBackendName(), "portable");
         model.ScoreAll(u, std::span<double>(portable));
       }
       for (size_t v = 0; v < snap.num_items; ++v) {
@@ -632,7 +635,7 @@ TEST(Int8RerankTest, ServedScoresAreFloat32Exact) {
             f32model.ScoreBlock({&u, 1}, e.item, e.item + 1,
                                 std::span<double>(&exact, 1));
             ASSERT_EQ(e.score, exact)
-                << "kernel " << family << " " << simd::ActiveBackend()
+                << "kernel " << family << " " << f32::ActiveBackendName()
                 << " user " << u << " item " << e.item;
           }
           // Entries arrive in the deterministic ranking order.
