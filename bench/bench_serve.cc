@@ -63,20 +63,35 @@ class DotScorer : public Recommender {
 
 /// Lorentz-distance stub (HyperML-shaped): the per-pair kernel is an order
 /// of magnitude heavier, the regime where batching matters less and the
-/// heap matters more.
+/// heap matters more. Given tag rows and a per-user alpha it is
+/// TaxoRec-shaped (Eq. 17): the item-channel distance plus alpha_u times a
+/// tag-channel distance, so the exact sweep runs the double tier's
+/// two-channel prune test.
 class LorentzScorer : public Recommender {
  public:
-  LorentzScorer(Matrix users, Matrix items)
-      : users_(std::move(users)), items_(std::move(items)) {}
+  LorentzScorer(Matrix users, Matrix items, Matrix users_tg = {},
+                Matrix items_tg = {}, std::vector<double> alpha = {})
+      : users_(std::move(users)),
+        items_(std::move(items)),
+        users_tg_(std::move(users_tg)),
+        items_tg_(std::move(items_tg)),
+        alpha_(std::move(alpha)) {}
   std::string name() const override { return "LorentzScorer"; }
 
  private:
   ScoringRows scoring_rows() const override {
-    return {ScoreKernel::kNegLorentzSqDist, &users_, &items_};
+    if (alpha_.empty()) {
+      return {ScoreKernel::kNegLorentzSqDist, &users_, &items_};
+    }
+    return {ScoreKernel::kNegLorentzSqDist, &users_, &items_, &users_tg_,
+            &items_tg_, &alpha_};
   }
 
   Matrix users_;
   Matrix items_;
+  Matrix users_tg_;
+  Matrix items_tg_;
+  std::vector<double> alpha_;
 };
 
 /// The seed implementation of RecommendAllUsers, verbatim modulo the
@@ -693,6 +708,22 @@ int Main(int argc, const char* const* argv) {
   for (size_t i = 0; i < split.num_items; ++i) {
     lorentz::RandomPoint(&rng, 0.5, lv.row(i));
   }
+  // The two-channel stub shares the item channel and draws its tag rows
+  // from a stream of its own, so the other stubs keep their rows. Every
+  // fifth user has alpha = 0 and ranks on the item channel alone.
+  Rng tag_rng(43);
+  Matrix tu(split.num_users, 13), tv(split.num_items, 13);
+  for (Matrix* m : {&tu, &tv}) {
+    for (size_t i = 0; i < m->rows(); ++i) {
+      lorentz::RandomPoint(&tag_rng, 0.3, m->row(i));
+    }
+  }
+  std::vector<double> alpha(split.num_users);
+  for (size_t u = 0; u < alpha.size(); ++u) {
+    alpha[u] = u % 5 == 0 ? 0.0 : tag_rng.UniformReal(0.2, 1.0);
+  }
+  const LorentzScorer tag_lor(lu, lv, std::move(tu), std::move(tv),
+                              std::move(alpha));
   const LorentzScorer lor(std::move(lu), std::move(lv));
 
   std::printf("serve bench: %zu users x %zu items, top-%zu, threads=%d\n",
@@ -705,6 +736,20 @@ int Main(int argc, const char* const* argv) {
   std::printf("  lorentz: seed %.4fs  serve %.4fs  speedup %.2fx\n",
               lor_t.seed_seconds, lor_t.serve_seconds,
               lor_t.seed_seconds / lor_t.serve_seconds);
+  // The share of swept items the two-channel bound pruned, over the tag
+  // stub's serve sweeps (the seed path does not sweep).
+  const uint64_t swept0 = ServeCounter("taxorec.rank.items_swept");
+  const uint64_t pruned0 = ServeCounter("taxorec.rank.items_pruned");
+  const PathTimings tag_t = TimeRankingPaths(tag_lor, split, kTopK, reps);
+  const double tag_pruned_share =
+      static_cast<double>(ServeCounter("taxorec.rank.items_pruned") -
+                          pruned0) /
+      static_cast<double>(ServeCounter("taxorec.rank.items_swept") - swept0);
+  std::printf(
+      "  lorentz+tags: seed %.4fs  serve %.4fs  speedup %.2fx  "
+      "pruned %.1f%%\n",
+      tag_t.seed_seconds, tag_t.serve_seconds,
+      tag_t.seed_seconds / tag_t.serve_seconds, 100.0 * tag_pruned_share);
 
   const CacheReplay replay =
       RunCacheReplay(dot, split, kTopK, quick ? 4000 : 20000);
@@ -813,6 +858,8 @@ int Main(int argc, const char* const* argv) {
       "\"speedup\": %.3f},\n"
       " \"lorentz\": {\"seed_seconds\": %.6f, \"serve_seconds\": %.6f, "
       "\"speedup\": %.3f},\n"
+      " \"lorentz_tags\": {\"seed_seconds\": %.6f, \"serve_seconds\": %.6f, "
+      "\"speedup\": %.3f, \"pruned_share\": %.4f},\n"
       " \"cache_replay\": {\"qps\": %.0f, \"hit_rate\": %.4f, "
       "\"p50_ms\": %.4f, \"p95_ms\": %.4f, \"p99_ms\": %.4f},\n"
       " \"tier_items\": %zu, \"f32_backend\": \"%s\",\n"
@@ -846,7 +893,9 @@ int Main(int argc, const char* const* argv) {
       static_cast<size_t>(split.num_items), kTopK, dot_t.seed_seconds,
       dot_t.serve_seconds, dot_t.seed_seconds / dot_t.serve_seconds,
       lor_t.seed_seconds, lor_t.serve_seconds,
-      lor_t.seed_seconds / lor_t.serve_seconds, replay.qps, replay.hit_rate,
+      lor_t.seed_seconds / lor_t.serve_seconds, tag_t.seed_seconds,
+      tag_t.serve_seconds, tag_t.seed_seconds / tag_t.serve_seconds,
+      tag_pruned_share, replay.qps, replay.hit_rate,
       replay.p50_ms, replay.p95_ms, replay.p99_ms, tier_items,
       f32::ActiveBackendName(), tiers[0].items_per_second,
       tiers[0].snapshot_bytes, tiers[1].items_per_second,

@@ -116,7 +116,9 @@ void SetNumThreads(int n) {
   g_num_threads = n;
 }
 
-ThreadPool::ThreadPool(int num_threads) : num_threads_(num_threads) {
+ThreadPool::ThreadPool(int num_threads)
+    : num_threads_(num_threads),
+      busy_us_(static_cast<size_t>(std::max(num_threads, 1)), 0) {
   TAXOREC_CHECK(num_threads >= 1);
   threads_.reserve(static_cast<size_t>(num_threads - 1));
   for (int w = 1; w < num_threads; ++w) {
@@ -189,10 +191,11 @@ void ParallelForWorker(size_t begin, size_t end, size_t grain,
     fn(begin, end, 0);
     return;
   }
-  // Per-worker busy times for the utilization metrics. Each slot has one
-  // writer; Run's completion handshake (mutex + condvar) publishes the
-  // writes to the caller before RecordPoolRegion reads them.
-  std::vector<uint64_t> busy_us(static_cast<size_t>(num_workers), 0);
+  // Per-worker busy times for the utilization metrics, in the pool's
+  // slots: each has one writer, and Run's completion handshake (mutex +
+  // condvar) publishes the writes before RecordPoolRegion reads them.
+  ThreadPool* const pool = AcquirePool(threads);
+  uint64_t* const busy_us = pool->busy_us();
   auto worker_fn = [&](int w) {
     const auto t0 = std::chrono::steady_clock::now();
     tl_in_worker = true;
@@ -203,13 +206,13 @@ void ParallelForWorker(size_t begin, size_t end, size_t grain,
       fn(chunk_begin, chunk_end, w);
     }
     tl_in_worker = false;
-    busy_us[static_cast<size_t>(w)] = static_cast<uint64_t>(
+    busy_us[w] = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - t0)
             .count());
   };
-  AcquirePool(threads)->Run(num_workers, worker_fn);
-  RecordPoolRegion(busy_us.data(), num_workers, num_chunks, n);
+  pool->Run(num_workers, worker_fn);
+  RecordPoolRegion(busy_us, num_workers, num_chunks, n);
 }
 
 }  // namespace taxorec

@@ -91,10 +91,17 @@ class ThreadPool {
   /// num_workers <= num_threads().
   void Run(int num_workers, FunctionRef<void(int)> fn);
 
+  /// One busy-time slot per worker, sized at construction and reused by
+  /// every region, so a region that fans out allocates nothing. Worker w
+  /// writes slot w inside Run; Run's completion handshake publishes the
+  /// writes to the caller.
+  uint64_t* busy_us() { return busy_us_.data(); }
+
  private:
   void WorkerLoop(int worker);
 
   const int num_threads_;
+  std::vector<uint64_t> busy_us_;
   std::vector<std::thread> threads_;
   std::mutex mu_;
   std::condition_variable work_cv_;

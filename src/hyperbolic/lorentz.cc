@@ -1,5 +1,6 @@
 #include "hyperbolic/lorentz.h"
 
+#include <bit>
 #include <cmath>
 
 #include "common/check.h"
@@ -71,6 +72,42 @@ double Distance(ConstSpan x, ConstSpan y) {
 double SqDistance(ConstSpan x, ConstSpan y) {
   const double d = Distance(x, y);
   return d * d;
+}
+
+double SqDistanceLowerBound(double beta) {
+  using C = SqDistanceChords;
+  const SqDistanceChords& t = SqDistanceChordTable();
+  // The AVX2 form's operations in its operand order (lorentz_avx2.h):
+  // max(x, y) = x > y ? x : y and min(x, y) = x < y ? x : y return y when
+  // either is NaN, so b keeps a NaN beta and the index copy s drops it.
+  const double lo = 1.0 > beta ? 1.0 : beta;
+  const double b = C::kTop < lo ? C::kTop : lo;
+  const double hi = beta > 1.0 ? beta : 1.0;
+  const double s = hi < C::kTop ? hi : C::kTop;
+  const uint64_t bits = std::bit_cast<uint64_t>(s);
+  const size_t k = static_cast<size_t>((bits >> 48) - C::kIndexBase);
+  const double grid = std::bit_cast<double>(bits & C::kGridMask);
+  return t.value[k] + t.slope[k] * (b - grid);
+}
+
+const SqDistanceChords& SqDistanceChordTable() {
+  static const SqDistanceChords table = [] {
+    constexpr size_t n = SqDistanceChords::kSize;
+    SqDistanceChords t;
+    double grid[n];
+    for (size_t k = 0; k < n; ++k) {
+      grid[k] = std::ldexp(1.0 + static_cast<double>(k % 16) / 16.0,
+                           static_cast<int>(k / 16));
+      const double d = std::acosh(grid[k]);  // SqDistance's rounding
+      t.value[k] = d * d;
+    }
+    for (size_t k = 0; k + 1 < n; ++k) {
+      t.slope[k] = (t.value[k + 1] - t.value[k]) / (grid[k + 1] - grid[k]);
+    }
+    t.slope[n - 1] = 0.0;
+    return t;
+  }();
+  return table;
 }
 
 void SqDistanceGrad(ConstSpan x, ConstSpan y, double scale, Span grad_x,

@@ -13,6 +13,8 @@
 #ifndef TAXOREC_HYPERBOLIC_LORENTZ_H_
 #define TAXOREC_HYPERBOLIC_LORENTZ_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <span>
 
 #include "math/rng.h"
@@ -49,6 +51,36 @@ double Distance(ConstSpan x, ConstSpan y);
 
 /// Squared distance d_H(x, y)^2.
 double SqDistance(ConstSpan x, ConstSpan y);
+
+/// A lower bound on SqDistance from beta = -<x,y>_L alone: the chord of
+/// f(beta) = acosh(max(1, beta))^2 between the grid points around beta,
+/// B_k = 2^e (1 + j/16) with k = 16e + j, e = 0 ... 63. With beta = cosh t,
+/// f' = 2t / sinh t decreases, so f is concave and every chord lies below
+/// it. beta < 1 clamps to 1 (bound 0), beta >= 2^64 to 2^64 (f increases,
+/// so the last value still bounds it), and a NaN beta gives a NaN bound.
+/// Times kSqDistanceBoundCushion it is at most SqDistance as rounded:
+/// the table and chord rounding is a few ulp (DESIGN.md §10, "The exact
+/// bound"). The AVX2 form is hyperbolic/lorentz_avx2.h.
+double SqDistanceLowerBound(double beta);
+
+/// The factor that keeps SqDistanceLowerBound's rounding in hand.
+inline constexpr double kSqDistanceBoundCushion = 1.0 - 1e-9;
+
+/// The chord table behind SqDistanceLowerBound, built once from std::acosh
+/// on first use: value[k] = f(B_k) as SqDistance rounds it, slope[k] the
+/// chord slope on [B_k, B_{k+1}], and the last entry B_1024 = 2^64 with
+/// slope 0. A beta in [1, 2^64] indexes it by its bits >> 48 minus
+/// kIndexBase, and its B_k is beta with the low 48 bits cleared, so
+/// beta - B_k is exact.
+struct SqDistanceChords {
+  static constexpr size_t kSize = 1025;
+  static constexpr double kTop = 0x1p64;
+  static constexpr uint64_t kIndexBase = 0x3FF0;
+  static constexpr uint64_t kGridMask = ~((uint64_t{1} << 48) - 1);
+  alignas(64) double value[kSize];
+  alignas(64) double slope[kSize];
+};
+const SqDistanceChords& SqDistanceChordTable();
 
 /// Euclidean gradients of SqDistance(x, y): accumulates
 /// grad_x += scale * d(d^2)/dx and grad_y += scale * d(d^2)/dy.

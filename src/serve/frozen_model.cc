@@ -1,6 +1,7 @@
 #include "serve/frozen_model.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "common/log.h"
 #include "common/metrics.h"
 #include "hyperbolic/lorentz.h"
+#include "hyperbolic/lorentz_avx2.h"
 #include "math/simd.h"
 #include "math/vec_ops.h"
 #include "serve/ivf_index.h"
@@ -25,7 +27,6 @@ namespace taxorec {
 namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 /// The double tier's two distance metrics, split into the pieces of the
 /// live model's per-pair function that DistanceBlock needs:
@@ -34,16 +35,9 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 ///   Raw4           the same for the four item rows at v, v + stride, ...;
 ///   kLorentz       which chain a lane runs (LanesAvx2);
 ///   Finish(r)      raw distance -> squared distance;
-///   MakeCut(t, a, m)  the prune test of one user and block (below).
+///   Bound(r)       a lower bound on Finish(r) as Finish rounds it, NaN
+///                  for a NaN raw.
 /// Finish(Raw(u, v)) is the per-pair function, bit for bit.
-///
-/// MakeCut: the score is -(Finish(raw) + a * Finish(raw_tg)), the tag term
-/// added only when a > 0, and an item scores below the cutoff -t exactly
-/// when that sum exceeds t. m is the smallest non-NaN tag-channel raw
-/// distance in the block (NaN when there is none, or when the cutoff is
-/// -Inf). Cut::Prunes(raw) holds only for items whose sum provably
-/// exceeds t; a NaN anywhere in the test makes it false, so it prunes
-/// nothing. With a = 0 the test is the item channel's alone.
 struct LorentzMetric {
   static constexpr bool kLorentz = true;
   // beta = -<u,v>_L, as lorentz::Inner sums it: (-u0)*v0, then + ui*vi.
@@ -73,21 +67,10 @@ struct LorentzMetric {
     const double d = std::acosh(beta < 1.0 ? 1.0 : beta);
     return d * d;
   }
-  struct Cut {
-    double beta;
-    bool Prunes(double raw) const { return raw > beta; }
-  };
-  // Every tag term in the block is >= a * g with g = Finish(m) * (1 - 1e-9),
-  // so an item with d^2 > t - a * g scores below the cutoff, and
-  // d^2 > t' <=> beta > cosh(sqrt(t')). Both 1e-9 cushions are far above
-  // the few-ulp rounding of acosh, cosh, sqrt, the squares and the sums:
-  // the one on cosh moves d by >= 1e-9 (so d^2 by >= 2e-9 * d), the one on
-  // g keeps >= 1e-9 of the tag term in hand, and t = (t - a * g) + a * g
-  // means one of the two is at least half of t. A negative t - a * g, or
-  // a NaN or infinite g, gives a NaN bound.
-  static Cut MakeCut(double t, double a, double m) {
-    const double rest = a > 0.0 ? t - a * (Finish(m) * (1.0 - 1e-9)) : t;
-    return {std::cosh(std::sqrt(rest)) * (1.0 + 1e-9)};
+  // The chord table's bound, its cushion taken (lorentz.h).
+  static double Bound(double beta) {
+    return lorentz::SqDistanceLowerBound(beta) *
+           lorentz::kSqDistanceBoundCushion;
   }
 };
 
@@ -117,17 +100,8 @@ struct EuclidMetric {
     raw[3] = a3;
   }
   static double Finish(double sq) { return sq; }
-  struct Cut {
-    double t, tag;
-    bool Prunes(double raw) const { return raw + tag > t; }
-  };
-  // The raw value already is d^2, and rounded products and sums are
-  // monotone: every item's fl(a * raw_tg) >= fl(a * m), so
-  // fl(raw + fl(a * m)) > t implies the score's own sum exceeds t. No
-  // cushion is needed; with a = 0 the test is fl(raw) > t.
-  static Cut MakeCut(double t, double a, double m) {
-    return {t, a > 0.0 ? a * m : 0.0};
-  }
+  // The raw value already is d^2, so the bound is exact.
+  static double Bound(double sq) { return sq; }
 };
 
 /// Raw distances of one user against items [begin, end), four item rows
@@ -280,13 +254,101 @@ void LaneRaws(const Matrix& users_m, std::span<const uint32_t> users,
 }
 #endif  // TAXOREC_HAVE_AVX2_BUILD
 
-/// Smallest non-NaN value of x[0 .. n), or NaN when there is none.
-double SmallestNonNan(const double* x, size_t n) {
-  double m = kNaN;
-  for (size_t j = 0; j < n; ++j) {
-    if (x[j] < m || std::isnan(m)) m = x[j];
+/// The prune test of one item: the bound on its score's negation,
+/// fl(Bound(raw) + a * Bound(raw_tg)) with the tag term only when kTags,
+/// exceeds t = -cutoff. Each Bound is at most its Finish and rounding is
+/// monotone, so the bound is at most the score's own sum, and the test
+/// holds only for items that score below the cutoff. A NaN raw makes the
+/// bound NaN and the test false; a -Inf cutoff prunes nothing.
+template <typename Metric, bool kTags>
+bool Prunes(double raw, double raw_tg, double a, double t) {
+  if constexpr (kTags) {
+    return Metric::Bound(raw) + a * Metric::Bound(raw_tg) > t;
+  } else {
+    return Metric::Bound(raw) > t;
   }
-  return m;
+}
+
+/// The score of Eq. 17 from one item's raws: -(Finish(raw) + a *
+/// Finish(raw_tg)), the tag term only when kTags.
+template <typename Metric, bool kTags>
+double Score(double raw, double raw_tg, double a) {
+  if constexpr (kTags) {
+    return -(Metric::Finish(raw) + a * Metric::Finish(raw_tg));
+  } else {
+    return -Metric::Finish(raw);
+  }
+}
+
+#if TAXOREC_HAVE_AVX2_BUILD
+/// LorentzMetric's prune test and finish on items [0, count - count % 4)
+/// of one user's row, the test four items at a time: lane by lane the
+/// scalar test's operations in its order, so it prunes the same items.
+/// Four pruned items take one store; the others are finished one by one.
+template <bool kTags>
+__attribute__((target("avx2"))) size_t FinishLorentzAvx2(double* row,
+                                                        const double* tg,
+                                                        double a, double t,
+                                                        size_t count) {
+  const lorentz::SqDistanceChords& chords = lorentz::SqDistanceChordTable();
+  const __m256d cushion = _mm256_set1_pd(lorentz::kSqDistanceBoundCushion);
+  const __m256d av = _mm256_set1_pd(a), tv = _mm256_set1_pd(t);
+  size_t pruned = 0;
+  for (size_t j = 0; j + 4 <= count; j += 4) {
+    __m256d bound = _mm256_mul_pd(
+        lorentz::SqDistanceLowerBoundAvx2(chords, _mm256_loadu_pd(row + j)),
+        cushion);
+    if constexpr (kTags) {
+      const __m256d tag = _mm256_mul_pd(
+          lorentz::SqDistanceLowerBoundAvx2(chords, _mm256_loadu_pd(tg + j)),
+          cushion);
+      bound = _mm256_add_pd(bound, _mm256_mul_pd(av, tag));
+    }
+    // Ordered compare: a NaN bound prunes nothing.
+    const int mask = _mm256_movemask_pd(_mm256_cmp_pd(bound, tv, _CMP_GT_OQ));
+    pruned += static_cast<size_t>(std::popcount(static_cast<unsigned>(mask)));
+    if (mask == 0xF) {
+      _mm256_storeu_pd(row + j, _mm256_set1_pd(kNegInf));
+      continue;
+    }
+    for (size_t l = j; l < j + 4; ++l) {
+      if (mask >> (l - j) & 1) {
+        row[l] = kNegInf;
+      } else {
+        row[l] = Score<LorentzMetric, kTags>(row[l], kTags ? tg[l] : 0.0, a);
+      }
+    }
+  }
+  return pruned;
+}
+#endif  // TAXOREC_HAVE_AVX2_BUILD
+
+/// Finishes one user's row of raws in place against its cutoff: an item
+/// that Prunes is written as -Inf without its Finish calls, every other as
+/// its Score. `tg` holds the tag-channel raws when kTags. On the AVX2
+/// level the Lorentz test runs four items at a time (FinishLorentzAvx2).
+/// Returns how many items it pruned.
+template <typename Metric, bool kTags>
+size_t FinishRow(double* row, const double* tg, double a, double cutoff,
+                 size_t count, bool avx2) {
+  const double t = -cutoff;
+  size_t pruned = 0, j = 0;
+#if TAXOREC_HAVE_AVX2_BUILD
+  if (Metric::kLorentz && avx2) {
+    pruned = FinishLorentzAvx2<kTags>(row, tg, a, t, count);
+    j = count - count % 4;
+  }
+#endif
+  for (; j < count; ++j) {
+    const double raw_tg = kTags ? tg[j] : 0.0;
+    if (Prunes<Metric, kTags>(row[j], raw_tg, a, t)) {
+      row[j] = kNegInf;
+      ++pruned;
+    } else {
+      row[j] = Score<Metric, kTags>(row[j], raw_tg, a);
+    }
+  }
+  return pruned;
 }
 
 /// Scores items [begin, end) for the group `users` with `Metric`, plus
@@ -296,11 +358,10 @@ double SmallestNonNan(const double* x, size_t n) {
 /// the AVX2 backend runs one user per lane (LaneRaws); a group of one,
 /// and the portable backend, run RowRaws per user. Either way every raw
 /// is the per-pair function's, bit for bit, so a row never depends on
-/// the group or the backend. Then each user's row is finished alone: an
-/// item its MakeCut prunes is written as -Inf without its acosh calls,
-/// every other item as -(Finish(raw) + a * Finish(raw_tg)) (DESIGN.md
-/// §10). `work` holds ScoreBlockScratch's doubles: the tag-channel raws,
-/// then the lane-major rows.
+/// the group or the backend. Then each user's row is finished alone
+/// (FinishRow), each item against a lower bound on its own score
+/// (DESIGN.md §10). `work` holds ScoreBlockScratch's doubles: the
+/// tag-channel raws, then the lane-major rows.
 template <typename Metric>
 size_t DistanceBlock(const ScoringSnapshot& s, std::span<const uint32_t> users,
                      size_t begin, size_t end, const double* cutoffs,
@@ -313,9 +374,9 @@ size_t DistanceBlock(const ScoringSnapshot& s, std::span<const uint32_t> users,
     tags = tags || alpha[i] > 0.0;
   }
   double* const tag_raws = work;
-  bool lanes = false;
+  const bool avx2 = simd::Avx2Enabled();
+  const bool lanes = g > 1 && avx2;
 #if TAXOREC_HAVE_AVX2_BUILD
-  lanes = g > 1 && simd::Avx2Enabled();
   if (lanes) {
     double* const ut = work + (tags ? g * count : 0);
     LaneRaws<Metric>(s.users, users, s.items, begin, count, dst, ut);
@@ -337,23 +398,12 @@ size_t DistanceBlock(const ScoringSnapshot& s, std::span<const uint32_t> users,
   }
   size_t pruned = 0;
   for (size_t i = 0; i < g; ++i) {
-    const double a = alpha[i];
     double* const row = dst + i * count;
-    const double* const tg = a > 0.0 ? tag_raws + i * count : nullptr;
-    const double m =
-        a > 0.0 && cutoffs[i] > kNegInf ? SmallestNonNan(tg, count) : kNaN;
-    const typename Metric::Cut cut = Metric::MakeCut(-cutoffs[i], a, m);
-    for (size_t j = 0; j < count; ++j) {
-      const double raw = row[j];
-      if (cut.Prunes(raw)) {
-        row[j] = kNegInf;
-        ++pruned;
-      } else if (a > 0.0) {
-        row[j] = -(Metric::Finish(raw) + a * Metric::Finish(tg[j]));
-      } else {
-        row[j] = -Metric::Finish(raw);
-      }
-    }
+    pruned += alpha[i] > 0.0
+                  ? FinishRow<Metric, true>(row, tag_raws + i * count,
+                                            alpha[i], cutoffs[i], count, avx2)
+                  : FinishRow<Metric, false>(row, nullptr, 0.0, cutoffs[i],
+                                             count, avx2);
   }
   return pruned;
 }

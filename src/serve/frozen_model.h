@@ -19,7 +19,7 @@
 // user's chain (a group of one, and the portable backend, interleave four
 // item rows per user instead); neither reorders the math within a pair.
 // Given one cutoff per user, it also skips items that provably score below
-// it, bounding both channels of Eq. 17 (ScoreBlock). The kFloat32
+// it, bounding both channels of Eq. 17 item by item (ScoreBlock). The kFloat32
 // tier scores through the vectorized float32 kernels (serve/kernels_f32.h)
 // over a padded, 64-byte-aligned CompactSnapshot — deterministic across
 // backends (AVX2 vs portable) and within a documented top-K rank-stability
@@ -97,13 +97,15 @@ class FrozenModel {
   /// is users[i]'s score for item begin + j. Native kernels only (checked).
   /// cutoffs[i] is users[i]'s pruning cutoff (empty: none). On the double
   /// tier's distance kernels, an item that provably scores below its
-  /// user's cutoff — by its item-channel distance plus the block's
-  /// smallest tag-channel term — is written as -Inf without the rest of
-  /// its score; the return value counts those items over the group. Every
-  /// other slot is exactly ScoreAll's value, a slot is pruned only if
-  /// ScoreAll's value is < the cutoff (or NaN, which ranks as -Inf
-  /// anyway), and a row never depends on the rest of the group. kDot and
-  /// the float32 and int8 tiers ignore the cutoffs and return 0.
+  /// user's cutoff — by a lower bound on each channel's distance of its
+  /// own, from a fixed table of chords on the Lorentz metric and exact on
+  /// the Euclidean one (DESIGN.md §10) — is written as -Inf without the
+  /// rest of its score; the return value counts those items over the
+  /// group. Every other slot is exactly ScoreAll's value, a slot is pruned
+  /// only if ScoreAll's value is < the cutoff, so a NaN score is never
+  /// pruned, and a row depends neither on the rest of the group nor on the
+  /// SIMD level. kDot and the float32 and int8 tiers ignore the cutoffs
+  /// and return 0.
   /// `scratch` is the caller's working space: at least
   /// ScoreBlockScratch(users.size(), end - begin) doubles (checked).
   size_t ScoreBlock(std::span<const uint32_t> users, size_t begin, size_t end,

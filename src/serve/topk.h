@@ -49,10 +49,11 @@
 namespace taxorec {
 
 /// Items per scoring block: a group's rows are 8 x 64 doubles = 4 KiB of
-/// scratch, cache-resident while the heaps consume them. The pruning
-/// cutoffs and the smallest tag-channel term are taken once per block, so
-/// small blocks let the cutoffs tighten early and keep the tag bound close
-/// to each item's own tag term.
+/// scratch, cache-resident while the heaps consume them. Each user's
+/// pruning cutoff is read once per block, so small blocks let it tighten
+/// early, against a few calls per block on every tier. Against 128 and
+/// 256, neither won every pair on rank-serve's or fit-graph's
+/// `serve_qps` or on bench_serve's float32 sweep (DESIGN.md §10).
 inline constexpr size_t kServeItemBlock = 64;
 
 /// Maps non-finite scores (NaN, +Inf, -Inf) to -Inf so the ranking

@@ -223,12 +223,12 @@ TEST_F(HeapStatsTest, RsgdUpdatesAllocateTheSameForAnyRowCount) {
   EXPECT_EQ(allocations(10, true), allocations(1000, true));
 }
 
-// ParallelFor takes its body by reference, so at 1 thread an SpMM into a
-// sized output and a warmed BipartiteGcn forward and backward (12 SpMMs
-// with the layer finish) allocate nothing.
+// ParallelFor takes its body by reference and a region that fans out keeps
+// its per-worker busy times in the pool's own slots, so at 1 and 4 threads
+// an SpMM into a sized output and a warmed BipartiteGcn forward and
+// backward (12 SpMMs with the layer finish) allocate nothing.
 TEST_F(HeapStatsTest, SpmmAndWarmedGcnLayersAllocateNothing) {
   const int saved_threads = GetNumThreads();
-  SetNumThreads(1);
   Rng rng(10);
   std::vector<std::pair<uint32_t, uint32_t>> edges;
   for (int i = 0; i < 400; ++i) {
@@ -238,11 +238,6 @@ TEST_F(HeapStatsTest, SpmmAndWarmedGcnLayersAllocateNothing) {
   const CsrMatrix x = CsrMatrix::FromPairs(60, 80, edges);
   Matrix dense(80, 13), out(60, 13);
   dense.FillGaussian(&rng, 1.0);
-  x.Multiply(dense, &out);  // registers the SpMM's counters
-  EXPECT_EQ(AllocationsIn([&] {
-              for (int i = 0; i < 10; ++i) x.Multiply(dense, &out);
-            }),
-            0u);
   const nn::BipartiteGcn gcn(x, /*num_layers=*/3);
   Matrix zu(60, 13), zv(80, 13), ou, ov, gu, gv;
   zu.FillGaussian(&rng, 1.0);
@@ -252,8 +247,19 @@ TEST_F(HeapStatsTest, SpmmAndWarmedGcnLayersAllocateNothing) {
     gcn.Forward(zu, zv, &ctx, &ou, &ov);
     gcn.Backward(ou, ov, &gu, &gv, &ctx);
   };
-  step();  // sizes the outputs and the workspace
-  EXPECT_EQ(AllocationsIn(step), 0u);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    SetNumThreads(threads);
+    // One warm-up region: registers the SpMM's counters and, at 4 threads,
+    // starts the pool and registers its per-worker counters.
+    x.Multiply(dense, &out);
+    EXPECT_EQ(AllocationsIn([&] {
+                for (int i = 0; i < 10; ++i) x.Multiply(dense, &out);
+              }),
+              0u);
+    step();  // sizes the outputs and the workspace
+    EXPECT_EQ(AllocationsIn(step), 0u);
+  }
   SetNumThreads(saved_threads);
 }
 

@@ -1,11 +1,11 @@
 // Tests for the serving precision tiers (DESIGN.md §11): FrozenModel's
 // block-scoring contract with and without a pruning cutoff (§10) on every
-// kernel family, the compact float32/int8 snapshot layout (padding,
-// alignment, zero tails), bit identity of the float32 dot kernel against
-// an independently written scalar float reference, bit identity between
-// the AVX2 and portable backends, top-K rank stability of the reduced
-// tiers against the double path, and the int8 tier's float32-exact
-// re-ranked scores.
+// kernel family, the chord bound that prunes the Lorentz metric, the
+// compact float32/int8 snapshot layout (padding, alignment, zero tails),
+// bit identity of the float32 dot kernel against an independently written
+// scalar float reference, bit identity between the AVX2 and portable
+// backends, top-K rank stability of the reduced tiers against the double
+// path, and the int8 tier's float32-exact re-ranked scores.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,12 +24,15 @@
 #include "common/parallel.h"
 #include "data/split.h"
 #include "data/synthetic.h"
+#include "hyperbolic/lorentz.h"
+#include "hyperbolic/lorentz_avx2.h"
 #include "math/rng.h"
 #include "math/simd.h"
 #include "math/vec_ops.h"
 #include "serve/compact_snapshot.h"
 #include "serve/kernels_f32.h"
 #include "serve/server.h"
+#include "simd_levels.h"
 
 namespace taxorec {
 namespace {
@@ -126,19 +129,17 @@ ScoringSnapshot MakeSnapshot(KernelFamily family, size_t users, size_t items,
 // with one, each slot is that value, or -Inf where ScoreAll's value is
 // below the cutoff, and the return value counts the -Inf writes.
 // NaN coordinates sit in an item's item-channel row, and on tag families
-// in an item's tag row and in a user's tag row. Under a finite cutoff the
-// bound may prune the NaN-tag item, whose NaN score ranks as -Inf anyway:
-// its item channel is finite and the block minimum skips its tag raw. The
-// other NaN scores are never pruned: the NaN item's raw is NaN, and the
-// NaN-tag user's block minimum is NaN, so the bound prunes nothing for
-// that user (whose two-channel scores are all NaN). Two cases leave the
-// bound no slack, so a bound 0.1% too tight prunes the item whose score
-// is the cutoff: the tag families' alpha = 0 users, which score on the
-// item channel alone, and with `shared_tag_row` every alpha > 0 user,
-// because every item carries the same tag row (as items with the same tag
-// set nearly do after TagAggregation) and the block's smallest tag term
-// is each item's own. The reduced tiers ignore the cutoffs. Every value
-// written is appended to *written, so two backends can be compared.
+// in an item's tag row and in a user's tag row. No NaN score is ever
+// pruned: every item's bound is its own, so a NaN raw in either channel
+// makes the bound NaN and the prune test false (the NaN-tag user's
+// two-channel scores are all NaN, and none of them is pruned). The
+// Euclidean bound is the score's own sum, so it has no slack at all; the
+// Lorentz bound of the item whose score is the cutoff sits about 1e-9
+// (relative) below it, so a chord table 0.1% too high prunes that item.
+// `shared_tag_row` gives every item the same tag row, as items with the
+// same tag set nearly do after TagAggregation. The reduced tiers ignore
+// the cutoffs. Every value written is appended to *written, so two
+// backends can be compared.
 void CheckBlockContract(KernelFamily family, bool shared_tag_row,
                         std::vector<double>* written) {
   constexpr size_t kUsers = 9, kItems = 203, kNanItem = 50;
@@ -216,9 +217,6 @@ void CheckBlockContract(KernelFamily family, bool shared_tag_row,
               ASSERT_EQ(x, kNegInf) << "user " << group[i] << " item " << v
                                     << " group of " << g;
               ++neg_inf_writes;
-              if (v == kNanTagItem && family.tags && std::isnan(want)) {
-                continue;
-              }
               ASSERT_LT(want, cut[i]) << "user " << group[i] << " item " << v
                                       << " pruned at " << cut[i];
             }
@@ -277,6 +275,190 @@ TEST(FrozenModelTest, BlockScoringMatchesScoreAllOrPrunesBelowCutoff) {
         ASSERT_EQ(std::bit_cast<uint64_t>(dispatched[i]),
                   std::bit_cast<uint64_t>(portable[i]))
             << "value " << i;
+      }
+    }
+  }
+}
+
+/// Betas at which the chord bound (lorentz::SqDistanceLowerBound) has no
+/// slack of its own or little: every grid point B_k of its table, each
+/// +-1 ulp, the midpoint of every interval and 1 + m 2^-52 for m < 200,
+/// then `seeded` log-uniform betas in [1, 2^70].
+std::vector<double> ChordProbeBetas(size_t seeded, uint64_t seed) {
+  const auto grid = [](size_t k) {
+    return std::ldexp(1.0 + static_cast<double>(k % 16) / 16.0,
+                      static_cast<int>(k / 16));
+  };
+  std::vector<double> betas;
+  for (size_t k = 0; k < lorentz::SqDistanceChords::kSize; ++k) {
+    const double b = grid(k);
+    betas.insert(betas.end(),
+                 {b, std::nextafter(b, 0.0), std::nextafter(b, 0x1p70)});
+    if (k + 1 < lorentz::SqDistanceChords::kSize) {
+      betas.push_back(b + (grid(k + 1) - b) / 2.0);
+    }
+  }
+  for (int m = 0; m < 200; ++m) betas.push_back(1.0 + m * 0x1p-52);
+  Rng rng(seed);
+  for (size_t i = 0; i < seeded; ++i) {
+    betas.push_back(std::exp2(rng.UniformReal(0.0, 70.0)));
+  }
+  return betas;
+}
+
+/// The squared distance lorentz::SqDistance gives for `beta`: from the
+/// origin to (beta, 0), whose Lorentz inner product is exactly -beta.
+double SqDistanceAt(double beta) {
+  const double origin[] = {1.0, 0.0}, v[] = {beta, 0.0};
+  return lorentz::SqDistance(origin, v);
+}
+
+#if TAXOREC_HAVE_AVX2_BUILD
+__attribute__((target("avx2"))) void ChordBoundsAvx2(const double* beta,
+                                                     size_t n, double* out) {
+  const lorentz::SqDistanceChords& chords = lorentz::SqDistanceChordTable();
+  for (size_t j = 0; j + 4 <= n; j += 4) {
+    _mm256_storeu_pd(out + j, lorentz::SqDistanceLowerBoundAvx2(
+                                  chords, _mm256_loadu_pd(beta + j)));
+  }
+}
+#endif
+
+/// The chord bound of each beta as the active SIMD level runs it in the
+/// prune loop: four at a time in the AVX2 form where that runs, the rest
+/// in the scalar form.
+std::vector<double> ChordBoundsAtActiveLevel(const std::vector<double>& betas) {
+  std::vector<double> out(betas.size());
+  size_t j = 0;
+#if TAXOREC_HAVE_AVX2_BUILD
+  if (simd::Avx2Enabled()) {
+    j = betas.size() - betas.size() % 4;
+    ChordBoundsAvx2(betas.data(), j, out.data());
+  }
+#endif
+  for (; j < betas.size(); ++j) {
+    out[j] = lorentz::SqDistanceLowerBound(betas[j]);
+  }
+  return out;
+}
+
+// The chord bound, times its cushion, is at most the squared distance
+// lorentz::SqDistance gives for the same beta: at the grid points (where
+// it is the table's value, so a table 1e-6 too high fails there), next to
+// them, near 1, at 10^5 seeded betas and at the clamps. A NaN beta gives
+// a NaN bound. On every SIMD level the form that runs there writes the
+// scalar form's bits, NaN included.
+TEST(ChordBoundTest, StaysBelowTheSquaredDistance) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> betas = {kNaN,
+                               -kNaN,
+                               std::nextafter(1.0, 0.0),
+                               0x1p64,
+                               1e300,
+                               std::numeric_limits<double>::max(),
+                               kInf,
+                               -2.0,
+                               -kInf,
+                               0.0};
+  const std::vector<double> probes = ChordProbeBetas(100000, 5);
+  betas.insert(betas.end(), probes.begin(), probes.end());
+  std::vector<double> want(betas.size());
+  for (size_t j = 0; j < betas.size(); ++j) {
+    const double beta = betas[j];
+    want[j] = lorentz::SqDistanceLowerBound(beta);
+    if (std::isnan(beta)) {
+      ASSERT_TRUE(std::isnan(want[j]));
+      continue;
+    }
+    ASSERT_LE(want[j] * lorentz::kSqDistanceBoundCushion, SqDistanceAt(beta))
+        << std::hexfloat << "beta " << beta;
+  }
+  for (const simd::Level level : HostSimdLevels()) {
+    SimdLevelCap cap(level);
+    const std::vector<double> got = ChordBoundsAtActiveLevel(betas);
+    for (size_t j = 0; j < betas.size(); ++j) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(got[j]),
+                std::bit_cast<uint64_t>(want[j]))
+          << simd::LevelName(level) << " beta " << std::hexfloat << betas[j];
+    }
+  }
+}
+
+// ScoreBlock's prune test with no slack. The users sit at the hyperboloid
+// origin, so an item's raw distance is exactly its time coordinate, and
+// the items sit at ChordProbeBetas, on the item channel and, in reverse
+// order, on an alpha > 0 tag channel (user 1 has alpha = 0). Each item is
+// scored in its block of four with its own score as every group member's
+// cutoff: it must come back exactly, never pruned, and the other items of
+// its block only below the cutoff. Groups of 1 and 2 on every SIMD level,
+// so the scalar and the four-wide tests both see every lane position.
+TEST(FrozenModelTest, ChordBoundNeverPrunesAnItemAtItsOwnScore) {
+  const std::vector<double> betas = ChordProbeBetas(20000, 29);
+  const size_t n = betas.size();
+  const auto at_origin = [](size_t dim) {
+    Matrix m(3, dim);
+    for (size_t u = 0; u < 3; ++u) m.at(u, 0) = 1.0;
+    return m;
+  };
+  const auto at_betas = [&](bool reversed) {
+    Matrix m(n, 3);
+    for (size_t v = 0; v < n; ++v) {
+      const double beta = betas[reversed ? n - 1 - v : v];
+      m.at(v, 0) = beta;
+      m.at(v, 1) = std::sqrt((beta - 1.0) * (beta + 1.0));
+    }
+    return m;
+  };
+  for (const bool tags : {false, true}) {
+    SCOPED_TRACE(tags ? "with a tag channel" : "item channel alone");
+    ScoringSnapshot snap;
+    snap.kernel = ScoreKernel::kNegLorentzSqDist;
+    snap.num_users = 3;
+    snap.num_items = n;
+    snap.users = at_origin(3);
+    snap.items = at_betas(false);
+    if (tags) {
+      snap.users_tg = at_origin(3);
+      snap.items_tg = at_betas(true);
+      snap.alpha = {0.7, 0.0, 0.35};
+    }
+    const FrozenModel model(std::move(snap));
+    std::vector<std::vector<double>> full(3, std::vector<double>(n));
+    for (uint32_t u = 0; u < 3; ++u) {
+      model.ScoreAll(u, std::span<double>(full[u]));
+    }
+    const std::vector<std::vector<uint32_t>> groups = {{0}, {1},    {2},
+                                                       {0, 1}, {1, 2}, {2, 0}};
+    std::vector<double> rows(2 * 4), scratch(model.ScoreBlockScratch(2, 4));
+    for (const simd::Level level : HostSimdLevels()) {
+      SimdLevelCap cap(level);
+      for (const std::vector<uint32_t>& group : groups) {
+        const size_t g = group.size();
+        for (size_t v = 0; v < n; ++v) {
+          const size_t begin = v - v % 4, end = std::min(begin + 4, n);
+          const size_t count = end - begin;
+          double cut[2];
+          for (size_t i = 0; i < g; ++i) cut[i] = full[group[i]][v];
+          model.ScoreBlock(group, begin, end,
+                           std::span<double>(rows.data(), g * count),
+                           {cut, g}, scratch);
+          for (size_t i = 0; i < g; ++i) {
+            for (size_t j = 0; j < count; ++j) {
+              const double x = rows[i * count + j];
+              const double want = full[group[i]][begin + j];
+              if (std::bit_cast<uint64_t>(x) == std::bit_cast<uint64_t>(want)) {
+                continue;
+              }
+              ASSERT_NE(begin + j, v)
+                  << simd::LevelName(level) << " user " << group[i]
+                  << " group of " << g << " pruned beta " << std::hexfloat
+                  << betas[v] << " at its own score " << want;
+              ASSERT_EQ(x, kNegInf);
+              ASSERT_LT(want, cut[i]);
+            }
+          }
+        }
       }
     }
   }
