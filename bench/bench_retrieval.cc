@@ -111,21 +111,16 @@ int Main(int argc, const char* const* argv) {
     row[0] = std::sqrt(1.0 + sq);
   };
 
-  ScoringSnapshot snap;
-  snap.kernel = ScoreKernel::kNegLorentzSqDist;
-  snap.num_users = num_users;
-  snap.num_items = num_items;
-  snap.users = Matrix(num_users, kDim);
-  snap.items = Matrix(num_items, kDim);
-  for (size_t u = 0; u < num_users; ++u) mixture_row(snap.users.row(u));
-  for (size_t v = 0; v < num_items; ++v) mixture_row(snap.items.row(v));
+  Matrix users(num_users, kDim), items(num_items, kDim);
+  for (size_t u = 0; u < num_users; ++u) mixture_row(users.row(u));
+  for (size_t v = 0; v < num_items; ++v) mixture_row(items.row(v));
+  const ScoringSnapshot rows{ScoreKernel::kNegLorentzSqDist, &users, &items};
 
-  const FrozenModel exact_model(ScoringSnapshot(snap),
-                                PrecisionTier::kFloat32);
+  const FrozenModel exact_model(rows, PrecisionTier::kFloat32);
 
   const auto build_t0 = std::chrono::steady_clock::now();
   const IvfIndex index =
-      IvfIndex::Build(snap, PrecisionTier::kFloat32, IvfOptions{});
+      IvfIndex::Build(rows, PrecisionTier::kFloat32, IvfOptions{});
   const double build_seconds = Seconds(build_t0);
 
   // Exact oracle lists + per-query cost of the full scan.

@@ -53,7 +53,7 @@ class DotScorer : public Recommender {
   std::string name() const override { return "DotScorer"; }
 
  private:
-  ScoringRows scoring_rows() const override {
+  ScoringSnapshot scoring_rows() const override {
     return {ScoreKernel::kDot, &users_, &items_};
   }
 
@@ -79,12 +79,12 @@ class LorentzScorer : public Recommender {
   std::string name() const override { return "LorentzScorer"; }
 
  private:
-  ScoringRows scoring_rows() const override {
+  ScoringSnapshot scoring_rows() const override {
     if (alpha_.empty()) {
       return {ScoreKernel::kNegLorentzSqDist, &users_, &items_};
     }
     return {ScoreKernel::kNegLorentzSqDist, &users_, &items_, &users_tg_,
-            &items_tg_, &alpha_};
+            &items_tg_, alpha_};
   }
 
   Matrix users_;
@@ -628,14 +628,11 @@ std::vector<TierReport> RunTierBench(size_t num_items, int reps,
   constexpr size_t kSweepUsers = 8;
   constexpr size_t kOverlapK = 100;
   Rng rng(1234);
-  ScoringSnapshot snap;
-  snap.kernel = ScoreKernel::kDot;
-  snap.num_users = kSweepUsers;
-  snap.num_items = num_items;
-  snap.users = Matrix(kSweepUsers, kDim);
-  snap.items = Matrix(num_items, kDim);
-  snap.users.FillGaussian(&rng, 0.1);
-  snap.items.FillGaussian(&rng, 0.1);
+  Matrix su(kSweepUsers, kDim), sv(num_items, kDim);
+  su.FillGaussian(&rng, 0.1);
+  sv.FillGaussian(&rng, 0.1);
+  const DotScorer scorer(std::move(su), std::move(sv));
+  const ScoringSnapshot rows = scorer.ExportScoringSnapshot();
 
   std::vector<uint32_t> users(kSweepUsers);
   std::iota(users.begin(), users.end(), 0u);
@@ -644,9 +641,9 @@ std::vector<TierReport> RunTierBench(size_t num_items, int reps,
                                  PrecisionTier::kFloat32,
                                  PrecisionTier::kInt8};
   std::vector<TierReport> reports;
-  const FrozenModel reference(ScoringSnapshot(snap), PrecisionTier::kDouble);
+  const FrozenModel reference(rows, PrecisionTier::kDouble);
   for (PrecisionTier tier : tiers) {
-    const FrozenModel model(ScoringSnapshot(snap), tier);
+    const FrozenModel model(rows, tier);
     TierReport r;
     double secs;
     {

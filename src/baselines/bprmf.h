@@ -19,7 +19,7 @@ class BprMf : public Recommender {
   double FitEpoch(const DataSplit& split, int epoch, Rng* rng) override;
 
  private:
-  ScoringRows scoring_rows() const override {
+  ScoringSnapshot scoring_rows() const override {
     return {ScoreKernel::kDot, &users_, &items_};
   }
 

@@ -20,7 +20,7 @@ class Cml : public Recommender {
   double FitEpoch(const DataSplit& split, int epoch, Rng* rng) override;
 
  private:
-  ScoringRows scoring_rows() const override {
+  ScoringSnapshot scoring_rows() const override {
     return {ScoreKernel::kNegSqDist, &users_, &items_};
   }
 

@@ -22,11 +22,11 @@ double Hgcf::FitEpoch(const DataSplit& split, int epoch, Rng* rng) {
     // Summed (not averaged) batch gradients: keeps the effective per-sample
     // step size identical to the per-triplet SGD models.
     channel_.ZeroGrads();
+    const ScoringSnapshot rows = scoring_rows();
     for (const Triplet& t : batch_) {
       double dpos, dneg;
-      if (nn::HingeTriplet(config().margin,
-                           channel_.SqDistance(t.user, t.pos),
-                           channel_.SqDistance(t.user, t.neg), &dpos,
+      if (nn::HingeTriplet(config().margin, rows.PairDistance(t.user, t.pos),
+                           rows.PairDistance(t.user, t.neg), &dpos,
                            &dneg) <= 0.0) {
         continue;
       }

@@ -27,7 +27,7 @@ class Hgcf : public Recommender {
   void EndFit(const DataSplit& split) override;
 
  private:
-  ScoringRows scoring_rows() const override {
+  ScoringSnapshot scoring_rows() const override {
     return {ScoreKernel::kNegLorentzSqDist, &channel_.out_u(),
             &channel_.out_v()};
   }

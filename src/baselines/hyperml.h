@@ -32,7 +32,7 @@ class HyperMl : public Recommender {
                       const DataSplit& split) override;
 
  private:
-  ScoringRows scoring_rows() const override {
+  ScoringSnapshot scoring_rows() const override {
     return {ScoreKernel::kNegLorentzSqDist, &users_, &items_};
   }
 

@@ -26,7 +26,7 @@ class Ngcf : public Recommender {
   void EndFit(const DataSplit& split) override;
 
  private:
-  ScoringRows scoring_rows() const override {
+  ScoringSnapshot scoring_rows() const override {
     return {ScoreKernel::kDot, &users_out_, &items_out_};
   }
 

@@ -15,55 +15,34 @@
 #include "baselines/sml.h"
 #include "baselines/transcf.h"
 #include "core/taxorec_model.h"
-#include "hyperbolic/lorentz.h"
 #include "math/vec_ops.h"
 
 namespace taxorec {
 
 void Recommender::ScoreItems(uint32_t user, std::span<double> out) const {
-  const ScoringRows rows = scoring_rows();
+  const ScoringSnapshot rows = scoring_rows();
   TAXOREC_CHECK_MSG(rows.kernel != ScoreKernel::kVirtual,
                     "a model without scoring rows overrides ScoreItems");
-  const auto u = rows.users->row(user);
   if (rows.kernel == ScoreKernel::kDot) {
+    const auto u = rows.users->row(user);
     for (size_t v = 0; v < rows.items->rows(); ++v) {
       out[v] = vec::Dot(u, rows.items->row(v));
     }
     return;
   }
-  const auto dist = rows.kernel == ScoreKernel::kNegSqDist
-                        ? &vec::SqDist
-                        : &lorentz::SqDistance;
-  const double a = rows.alpha == nullptr ? 0.0 : (*rows.alpha)[user];
   for (size_t v = 0; v < rows.items->rows(); ++v) {
-    double d = dist(u, rows.items->row(v));
-    if (a > 0.0) d += a * dist(rows.users_tg->row(user), rows.items_tg->row(v));
-    out[v] = -d;
+    out[v] = -rows.PairDistance(user, static_cast<uint32_t>(v));
   }
 }
 
 ScoringSnapshot Recommender::ExportScoringSnapshot() const {
-  const ScoringRows rows = scoring_rows();
-  ScoringSnapshot snap;
-  snap.kernel = rows.kernel;
-  if (rows.kernel == ScoreKernel::kVirtual) {
-    snap.live = this;  // FrozenModel::Freeze takes the counts from the split
-    return snap;
-  }
-  snap.num_users = rows.users->rows();
-  snap.num_items = rows.items->rows();
-  snap.users = *rows.users;
-  snap.items = *rows.items;
-  if (rows.alpha != nullptr) {
-    snap.users_tg = *rows.users_tg;
-    snap.items_tg = *rows.items_tg;
-    snap.alpha = *rows.alpha;
-  }
-  return snap;
+  ScoringSnapshot view = scoring_rows();
+  if (view.kernel == ScoreKernel::kVirtual) view.live = this;
+  return view;
 }
 
 void Recommender::CheckHealth(HealthMonitor* monitor) const {
-  const ScoringRows rows = scoring_rows();
+  const ScoringSnapshot rows = scoring_rows();
   if (rows.kernel == ScoreKernel::kVirtual) return;
   if (rows.kernel == ScoreKernel::kNegLorentzSqDist) {
     monitor->CheckLorentzRows("users", *rows.users);

@@ -58,23 +58,6 @@ struct ModelConfig {
   int tag_warmup_per_tag = 400;
 };
 
-/// A model's scoring function, declared once: one ScoreKernel metric
-/// (serve/snapshot.h) on rows the model holds, plus Eq. 17's tag channel.
-/// Recommender's ScoreItems, ExportScoringSnapshot and CheckHealth read it,
-/// so a model's reference scores and its served snapshot cannot disagree.
-/// The pointers view the model's own matrices.
-struct ScoringRows {
-  ScoreKernel kernel = ScoreKernel::kVirtual;  // kVirtual: no rows
-  const Matrix* users = nullptr;
-  const Matrix* items = nullptr;
-  /// Tag channel of a distance kernel, all three or none: the score is
-  /// -(dist(u, v) + alpha_u * dist(u_tg, v_tg)), the tag term only when
-  /// alpha_u > 0.
-  const Matrix* users_tg = nullptr;
-  const Matrix* items_tg = nullptr;
-  const std::vector<double>* alpha = nullptr;
-};
-
 /// A trained (or trainable) top-N recommender.
 ///
 /// Training protocol: BeginFit, then FitEpoch for each epoch in order, then
@@ -97,16 +80,14 @@ class Recommender {
   void Fit(const DataSplit& split, Rng* rng);
 
   /// Writes a preference score for every item (higher = better) for `user`.
-  /// `out` has split.num_items entries. Default: a per-pair loop over the
-  /// declared rows — vec::Dot, -vec::SqDist or -lorentz::SqDistance, plus
-  /// the tag term. A model that declares no rows must override it.
+  /// `out` has split.num_items entries. Default: over the declared rows,
+  /// vec::Dot or -ScoringSnapshot::PairDistance per item. A model that
+  /// declares no rows must override it.
   virtual void ScoreItems(uint32_t user, std::span<double> out) const;
 
-  /// Exports an immutable scoring snapshot for the serving layer
-  /// (serve/frozen_model.h): the kernel and a copy of each declared matrix,
-  /// self-contained and block-servable. Without declared rows: a kVirtual
-  /// snapshot that scores through ScoreItems (the model must outlive it).
-  /// Scores are bit-identical to ScoreItems. Only meaningful once trained.
+  /// scoring_rows() as a view for serving (serve/frozen_model.h), or a
+  /// kVirtual view that scores through ScoreItems; the model must outlive
+  /// it (serve/snapshot.h). Scores are bit-identical to ScoreItems.
   ScoringSnapshot ExportScoringSnapshot() const;
 
   /// Prepares training state (parameter init, warm-up, samplers, step
@@ -151,9 +132,11 @@ class Recommender {
   RunTelemetry* telemetry() const { return telemetry_; }
 
  protected:
-  /// The rows this model scores with. Default: none; the model then
-  /// overrides ScoreItems and serves as a kVirtual snapshot.
-  virtual ScoringRows scoring_rows() const { return {}; }
+  /// The rows this model scores with, declared once: ScoreItems,
+  /// ExportScoringSnapshot and CheckHealth read them, so a model's scores
+  /// and its served view cannot disagree. Default: none; the model then
+  /// overrides ScoreItems and serves as a kVirtual view.
+  virtual ScoringSnapshot scoring_rows() const { return {}; }
 
  private:
   ModelConfig config_;

@@ -22,7 +22,7 @@ class Sml : public Recommender {
   double FitEpoch(const DataSplit& split, int epoch, Rng* rng) override;
 
  private:
-  ScoringRows scoring_rows() const override {
+  ScoringSnapshot scoring_rows() const override {
     return {ScoreKernel::kNegSqDist, &users_, &items_};
   }
 

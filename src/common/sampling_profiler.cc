@@ -67,6 +67,7 @@ struct ThreadReg {
   timer_t timer{};
   bool timer_armed = false;
   bool registered = false;
+  int64_t armed_cpu_ns = 0;  // the thread's CPU clock when its timer armed
 };
 
 thread_local ThreadReg tl_reg;
@@ -76,6 +77,7 @@ struct SamplingState {
   std::vector<ThreadReg*> threads;
   Sample* ring = nullptr;          // allocated at first Start, kept
   uint64_t interval_us = 1000;
+  int64_t sampled_cpu_ns = 0;      // CPU time the disarmed timers covered
   bool handler_installed = false;
 };
 
@@ -135,6 +137,12 @@ void SigprofHandler(int, siginfo_t*, void* ucontext) {
   ring[idx] = local;
 }
 
+int64_t CpuNs(clockid_t clock) {
+  timespec ts{};
+  clock_gettime(clock, &ts);
+  return static_cast<int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
+}
+
 /// Starts a per-thread CPU-time timer delivering SIGPROF to `reg`'s
 /// thread. Caller holds State().mu.
 bool ArmTimer(ThreadReg* reg, uint64_t interval_us) {
@@ -149,6 +157,7 @@ bool ArmTimer(ThreadReg* reg, uint64_t interval_us) {
   spec.it_interval.tv_sec = static_cast<time_t>(interval_us / 1000000);
   spec.it_interval.tv_nsec = static_cast<long>((interval_us % 1000000) * 1000);
   spec.it_value = spec.it_interval;
+  reg->armed_cpu_ns = CpuNs(reg->cpu_clock);
   if (timer_settime(reg->timer, 0, &spec, nullptr) != 0) {
     timer_delete(reg->timer);
     return false;
@@ -157,9 +166,11 @@ bool ArmTimer(ThreadReg* reg, uint64_t interval_us) {
   return true;
 }
 
-void DisarmTimer(ThreadReg* reg) {
+/// Caller holds State().mu.
+void DisarmTimer(ThreadReg* reg, SamplingState* state) {
   if (!reg->timer_armed) return;
   timer_delete(reg->timer);
+  state->sampled_cpu_ns += CpuNs(reg->cpu_clock) - reg->armed_cpu_ns;
   reg->timer_armed = false;
 }
 
@@ -238,7 +249,7 @@ void StopSampling() {
   SamplingState& state = State();
   std::lock_guard<std::mutex> lock(state.mu);
   g_armed.store(false, std::memory_order_relaxed);
-  for (ThreadReg* reg : state.threads) DisarmTimer(reg);
+  for (ThreadReg* reg : state.threads) DisarmTimer(reg, &state);
 }
 
 void ClearSamples() {
@@ -246,6 +257,7 @@ void ClearSamples() {
   std::lock_guard<std::mutex> lock(state.mu);
   g_head.store(0, std::memory_order_relaxed);
   g_dropped.store(0, std::memory_order_relaxed);
+  state.sampled_cpu_ns = 0;
 }
 
 uint64_t SampleCount() {
@@ -255,6 +267,16 @@ uint64_t SampleCount() {
 
 uint64_t SampleDroppedCount() {
   return g_dropped.load(std::memory_order_relaxed);
+}
+
+SampleRate SamplingRate() {
+  SamplingState& state = State();
+  std::lock_guard<std::mutex> lock(state.mu);
+  SampleRate rate;
+  rate.cpu_seconds = static_cast<double>(state.sampled_cpu_ns) * 1e-9;
+  rate.samples = g_head.load(std::memory_order_relaxed);
+  rate.requested_per_cpu_second = 1e6 / static_cast<double>(state.interval_us);
+  return rate;
 }
 
 std::map<std::string, uint64_t> FoldedStacks() {
@@ -291,7 +313,7 @@ void SamplingUnregisterCurrentThread() {
   if (!tl_reg.registered) return;
   SamplingState& state = State();
   std::lock_guard<std::mutex> lock(state.mu);
-  DisarmTimer(&tl_reg);
+  DisarmTimer(&tl_reg, &state);
   state.threads.erase(
       std::remove(state.threads.begin(), state.threads.end(), &tl_reg),
       state.threads.end());
@@ -317,6 +339,7 @@ void StopSampling() {}
 void ClearSamples() {}
 uint64_t SampleCount() { return 0; }
 uint64_t SampleDroppedCount() { return 0; }
+SampleRate SamplingRate() { return {}; }
 std::map<std::string, uint64_t> FoldedStacks() { return {}; }
 void SamplingRegisterCurrentThread() {}
 void SamplingUnregisterCurrentThread() {}
@@ -378,6 +401,17 @@ Status WriteFoldedStacks(const std::string& path) {
     TAXOREC_LOG(WARN) << "sampling ring overflowed; flame profile is "
                          "truncated"
                       << Kv("dropped", dropped) << Kv("path", path);
+  }
+  const SampleRate rate = SamplingRate();
+  const bool low = rate.per_cpu_second() < 0.5 * rate.requested_per_cpu_second;
+  if (rate.cpu_seconds > 0.0 && LogEnabled(low ? kWARN : kINFO)) {
+    LogMessage(low ? kWARN : kINFO, __FILE__, __LINE__)
+        << (low ? "sampling rate below half the requested one (the CPU "
+                  "timers fire on the scheduler tick)"
+                : "sampling rate")
+        << Kv("samples_per_cpu_s", rate.per_cpu_second())
+        << Kv("requested_per_cpu_s", rate.requested_per_cpu_second)
+        << Kv("path", path);
   }
   return Status::OK();
 }

@@ -213,13 +213,6 @@ void TaxoRecModel::Propagate() {
   tg_.Forward(*gcn_, users_tg_, items_tg_leaf_);
 }
 
-double TaxoRecModel::Similarity(uint32_t user, uint32_t item) const {
-  double g = ir_.SqDistance(user, item);
-  const double a = alpha_[user];
-  if (a > 0.0) g += a * tg_.SqDistance(user, item);
-  return g;
-}
-
 double TaxoRecModel::TrainStep(const TripletSampler& sampler, int epoch,
                                size_t batch_index) {
   // Summed (not averaged) batch gradients, matching per-triplet SGD scale.
@@ -241,6 +234,8 @@ double TaxoRecModel::TrainStep(const TripletSampler& sampler, int epoch,
   auto zero_rows = [](Matrix* gbuf, size_t j) {
     for (size_t r = 3 * j; r < 3 * j + 3; ++r) vec::Zero(gbuf->row(r));
   };
+  // Eq. 17's g(u, v) on the propagated channels, as the model scores.
+  const ScoringSnapshot rows = scoring_rows();
 
   ParallelFor(0, batch, /*grain=*/32, [&](size_t j0, size_t j1) {
     for (size_t j = j0; j < j1; ++j) {
@@ -249,8 +244,8 @@ double TaxoRecModel::TrainStep(const TripletSampler& sampler, int epoch,
                                sample_index);
       const Triplet t = sampler.Sample(&stream);
       const double a = alpha_[t.user];
-      const double g_pos = Similarity(t.user, t.pos);
-      const double g_neg = Similarity(t.user, t.neg);
+      const double g_pos = rows.PairDistance(t.user, t.pos);
+      const double g_neg = rows.PairDistance(t.user, t.neg);
       double dpos, dneg;
       const double hinge =
           nn::HingeTriplet(config().margin, g_pos, g_neg, &dpos, &dneg);

@@ -116,10 +116,10 @@ class TaxoRecModel : public Recommender {
  private:
   /// Eq. 17 on the propagated channels: a distance kernel, hyperbolic or
   /// Euclidean per the options, with the tag channel and alpha.
-  ScoringRows scoring_rows() const override {
+  ScoringSnapshot scoring_rows() const override {
     return {options_.hyperbolic ? ScoreKernel::kNegLorentzSqDist
                                 : ScoreKernel::kNegSqDist,
-            &ir_.out_u(), &ir_.out_v(), &tg_.out_u(), &tg_.out_v(), &alpha_};
+            &ir_.out_u(), &ir_.out_v(), &tg_.out_u(), &tg_.out_v(), alpha_};
   }
 
   void ComputeAlpha(const DataSplit& split);
@@ -131,9 +131,6 @@ class TaxoRecModel : public Recommender {
   /// Data-driven initialization of u^tg' from the warmed-up tag table
   /// (Einstein midpoint of the user's interacted tags).
   void InitUserTagEmbeddings();
-  /// Tag-enhanced similarity g(u, v) (Eq. 17) on the current propagated
-  /// embeddings.
-  double Similarity(uint32_t user, uint32_t item) const;
   /// Contrastive co-occurrence warm-up of the Poincaré tag table: tags
   /// sharing an item are pulled together, random non-co-occurring tags
   /// pushed apart (hinge + Poincaré RSGD). This organizes the tag space so

@@ -111,11 +111,6 @@ void GcnChannel::Forward(const BipartiteGcn& gcn, const Matrix& users,
   ExpMapOriginForward(sum_v_, &out_v_);
 }
 
-double GcnChannel::SqDistance(uint32_t u, uint32_t v) const {
-  return hyperbolic_ ? lorentz::SqDistance(out_u_.row(u), out_v_.row(v))
-                     : vec::SqDist(out_u_.row(u), out_v_.row(v));
-}
-
 void GcnChannel::AddSqDistanceGrad(uint32_t u, uint32_t v, double s,
                                    std::span<double> grad_u,
                                    std::span<double> grad_v) const {

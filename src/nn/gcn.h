@@ -90,9 +90,8 @@ class GcnChannel {
                const Matrix& items);
   const Matrix& out_u() const { return out_u_; }
   const Matrix& out_v() const { return out_v_; }
-  /// Squared distance between user u's and item v's outputs; its gradients
-  /// times s accumulate into output-wide rows.
-  double SqDistance(uint32_t u, uint32_t v) const;
+  /// Accumulates s times the gradients of the squared distance between
+  /// user u's and item v's outputs into output-wide rows.
   void AddSqDistanceGrad(uint32_t u, uint32_t v, double s,
                          std::span<double> grad_u,
                          std::span<double> grad_v) const;

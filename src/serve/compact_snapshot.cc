@@ -99,40 +99,34 @@ bool ParsePrecisionTier(const std::string& text, PrecisionTier* tier) {
 }
 
 CompactSnapshot CompactSnapshot::Build(const ScoringSnapshot& snapshot,
-                                       bool with_int8) {
-  return Build(snapshot, with_int8, {});
-}
-
-CompactSnapshot CompactSnapshot::Build(const ScoringSnapshot& snapshot,
                                        bool with_int8,
                                        const std::vector<uint32_t>& item_perm) {
   TAXOREC_CHECK_MSG(snapshot.kernel != ScoreKernel::kVirtual,
-                    "kVirtual snapshots have no compact encoding");
-  TAXOREC_CHECK(item_perm.empty() || item_perm.size() == snapshot.num_items);
+                    "kVirtual views have no compact encoding");
+  const Matrix& users = *snapshot.users;
+  const Matrix& items = *snapshot.items;
+  TAXOREC_CHECK(item_perm.empty() || item_perm.size() == items.rows());
   CompactSnapshot out;
   out.kernel = snapshot.kernel;
-  out.num_users = snapshot.num_users;
-  out.num_items = snapshot.num_items;
-  out.users = NarrowChannel(snapshot.users);
-  out.items = NarrowChannel(snapshot.items, item_perm);
+  out.num_users = users.rows();
+  out.num_items = items.rows();
+  out.users = NarrowChannel(users);
+  out.items = NarrowChannel(items, item_perm);
   if (snapshot.has_tag_channel()) {
-    out.users_tg = NarrowChannel(snapshot.users_tg);
-    out.items_tg = NarrowChannel(snapshot.items_tg, item_perm);
-    out.alpha.resize(snapshot.alpha.size());
-    for (size_t u = 0; u < snapshot.alpha.size(); ++u) {
-      out.alpha[u] = static_cast<float>(snapshot.alpha[u]);
-    }
+    out.users_tg = NarrowChannel(*snapshot.users_tg);
+    out.items_tg = NarrowChannel(*snapshot.items_tg, item_perm);
+    out.alpha.assign(snapshot.alpha.begin(), snapshot.alpha.end());
   }
   if (with_int8) {
     out.has_int8 = true;
-    out.int8_scale_ir = SharedScale(snapshot.users, snapshot.items);
-    out.users_q = QuantizeChannel(snapshot.users, out.int8_scale_ir);
-    out.items_q = QuantizeChannel(snapshot.items, out.int8_scale_ir, item_perm);
+    out.int8_scale_ir = SharedScale(users, items);
+    out.users_q = QuantizeChannel(users, out.int8_scale_ir);
+    out.items_q = QuantizeChannel(items, out.int8_scale_ir, item_perm);
     if (snapshot.has_tag_channel()) {
-      out.int8_scale_tg = SharedScale(snapshot.users_tg, snapshot.items_tg);
-      out.users_tg_q = QuantizeChannel(snapshot.users_tg, out.int8_scale_tg);
+      out.int8_scale_tg = SharedScale(*snapshot.users_tg, *snapshot.items_tg);
+      out.users_tg_q = QuantizeChannel(*snapshot.users_tg, out.int8_scale_tg);
       out.items_tg_q =
-          QuantizeChannel(snapshot.items_tg, out.int8_scale_tg, item_perm);
+          QuantizeChannel(*snapshot.items_tg, out.int8_scale_tg, item_perm);
     }
   }
   return out;

@@ -1,10 +1,10 @@
-// Compact serving snapshots: reduced-precision exports of a ScoringSnapshot.
+// Compact serving snapshots: reduced-precision copies of the rows a
+// ScoringSnapshot views.
 //
 // Training stays in double precision; serving tolerates less ("Scalable
 // Hyperbolic Recommender Systems" runs production hyperbolic recsys in
 // float32, and low-dimensional hyperbolic models keep quality — PAPERS.md).
-// A CompactSnapshot re-encodes the native embedding blocks of a
-// ScoringSnapshot as:
+// A CompactSnapshot re-encodes the rows of a native ScoringSnapshot as:
 //
 //   float32 channels — rows padded to kCompactRowPad floats (a 64-byte
 //     block, two AVX2 vectors) and stored 64-byte-aligned, so the f32
@@ -94,9 +94,9 @@ struct QuantChannel {
   size_t bytes() const { return data.size() * sizeof(int8_t); }
 };
 
-/// Reduced-precision re-encoding of a native ScoringSnapshot. Channels
-/// mirror ScoringSnapshot: primary users/items for every kernel, tag
-/// channel + per-user alpha when the snapshot has a tag channel. The
+/// Reduced-precision re-encoding of a native ScoringSnapshot's rows.
+/// Channels mirror the view: primary users/items for every kernel, tag
+/// channel + per-user alpha when the view has a tag channel. The
 /// float32 channels are always built; the int8 channels only when
 /// requested (the int8 tier needs both — float32 backs the exact re-rank).
 struct CompactSnapshot {
@@ -122,22 +122,18 @@ struct CompactSnapshot {
   float int8_scale_ir = 0.0f;
   float int8_scale_tg = 0.0f;
 
-  /// Builds the compact encoding of a native snapshot (kVirtual is not
-  /// encodable; checked). with_int8 additionally builds the quantized
-  /// channels.
-  static CompactSnapshot Build(const ScoringSnapshot& snapshot,
-                               bool with_int8);
-
-  /// Same encoding with the item channels reordered: slot s of every item
-  /// channel holds original item item_perm[s] (item_perm must be a
-  /// permutation of [0, num_items)). Narrowing and quantization are
-  /// per-element, so slot s is bit-identical to row item_perm[s] of the
-  /// unpermuted build, and the int8 scales are unchanged (max|x| is
-  /// order-invariant). This is the IVF cell layout: members of one cell
-  /// occupy contiguous slots, so the f32/int8 row-range kernels sweep a
-  /// cell with aligned sequential loads (serve/ivf_index.h).
+  /// Encodes the rows a native view points at (kVirtual is not encodable;
+  /// checked); with_int8 adds the quantized channels. A non-empty
+  /// item_perm reorders the item channels: slot s holds original item
+  /// item_perm[s] (item_perm must be a permutation of [0, num_items)).
+  /// Narrowing and quantization are per-element, so slot s is
+  /// bit-identical to row item_perm[s] of the unpermuted build, and the
+  /// int8 scales are unchanged (max|x| is order-invariant). This is the
+  /// IVF cell layout: members of one cell occupy contiguous slots, so the
+  /// f32/int8 row-range kernels sweep a cell with aligned sequential loads
+  /// (serve/ivf_index.h).
   static CompactSnapshot Build(const ScoringSnapshot& snapshot, bool with_int8,
-                               const std::vector<uint32_t>& item_perm);
+                               const std::vector<uint32_t>& item_perm = {});
 
   bool has_tag_channel() const { return !alpha.empty(); }
   /// Payload bytes of the float32 channels (+ alpha).

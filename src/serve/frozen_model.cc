@@ -379,19 +379,19 @@ size_t DistanceBlock(const ScoringSnapshot& s, std::span<const uint32_t> users,
 #if TAXOREC_HAVE_AVX2_BUILD
   if (lanes) {
     double* const ut = work + (tags ? g * count : 0);
-    LaneRaws<Metric>(s.users, users, s.items, begin, count, dst, ut);
+    LaneRaws<Metric>(*s.users, users, *s.items, begin, count, dst, ut);
     if (tags) {
-      LaneRaws<Metric>(s.users_tg, users, s.items_tg, begin, count, tag_raws,
-                       ut);
+      LaneRaws<Metric>(*s.users_tg, users, *s.items_tg, begin, count,
+                       tag_raws, ut);
     }
   }
 #endif
   if (!lanes) {
     for (size_t i = 0; i < g; ++i) {
-      RowRaws<Metric>(s.users.row(users[i]), s.items, begin, end,
+      RowRaws<Metric>(s.users->row(users[i]), *s.items, begin, end,
                       dst + i * count);
       if (alpha[i] > 0.0) {
-        RowRaws<Metric>(s.users_tg.row(users[i]), s.items_tg, begin, end,
+        RowRaws<Metric>(s.users_tg->row(users[i]), *s.items_tg, begin, end,
                         tag_raws + i * count);
       }
     }
@@ -408,57 +408,61 @@ size_t DistanceBlock(const ScoringSnapshot& s, std::span<const uint32_t> users,
   return pruned;
 }
 
-/// Checks a native snapshot's shapes. A tag channel rides only on a
-/// distance kernel; without one (`alpha` empty) the tag matrices must be
-/// empty too, so an exporter that forgets `alpha` fails here instead of
-/// scoring without tags.
-void ValidateNative(const ScoringSnapshot& s) {
-  TAXOREC_CHECK(s.users.rows() == s.num_users);
-  TAXOREC_CHECK(s.items.rows() == s.num_items);
-  TAXOREC_CHECK(s.users.cols() == s.items.cols());
+/// Checks a native view's shapes against `num_users` x `num_items`. A tag
+/// channel rides only on a distance kernel; without one (`alpha` empty)
+/// the tag rows must be absent too, so a model that forgets `alpha` fails
+/// here instead of scoring without tags.
+void ValidateNative(const ScoringSnapshot& s, size_t num_users,
+                    size_t num_items) {
+  TAXOREC_CHECK_MSG(s.users != nullptr && s.users->rows() == num_users &&
+                        s.items != nullptr && s.items->rows() == num_items,
+                    "scoring rows do not match the split's shape");
+  TAXOREC_CHECK(s.users->cols() == s.items->cols());
   if (s.has_tag_channel()) {
     TAXOREC_CHECK_MSG(s.kernel != ScoreKernel::kDot,
                       "a tag channel needs a distance kernel");
-    TAXOREC_CHECK(s.users_tg.rows() == s.num_users);
-    TAXOREC_CHECK(s.items_tg.rows() == s.num_items);
-    TAXOREC_CHECK(s.users_tg.cols() == s.items_tg.cols());
-    TAXOREC_CHECK(s.alpha.size() == s.num_users);
+    TAXOREC_CHECK(s.users_tg != nullptr && s.users_tg->rows() == num_users);
+    TAXOREC_CHECK(s.items_tg != nullptr && s.items_tg->rows() == num_items);
+    TAXOREC_CHECK(s.users_tg->cols() == s.items_tg->cols());
+    TAXOREC_CHECK(s.alpha.size() == num_users);
   } else {
-    TAXOREC_CHECK_MSG(s.users_tg.empty() && s.items_tg.empty(),
+    TAXOREC_CHECK_MSG(s.users_tg == nullptr && s.items_tg == nullptr,
                       "tag-channel rows without a per-user alpha");
   }
 }
 
-size_t DoubleTierBytes(const ScoringSnapshot& s) {
-  return (s.users.rows() * s.users.cols() + s.items.rows() * s.items.cols() +
-          s.users_tg.rows() * s.users_tg.cols() +
-          s.items_tg.rows() * s.items_tg.cols() + s.alpha.size()) *
-         sizeof(double);
+size_t MatrixBytes(const Matrix* m) {
+  return m == nullptr ? 0 : m->rows() * m->cols() * sizeof(double);
 }
 
 }  // namespace
 
-FrozenModel::FrozenModel(ScoringSnapshot snapshot, PrecisionTier tier)
-    : snap_(std::move(snapshot)), tier_(tier) {
+FrozenModel::FrozenModel(ScoringSnapshot view, PrecisionTier tier)
+    : FrozenModel(view, view.users == nullptr ? 0 : view.users->rows(),
+                  view.items == nullptr ? 0 : view.items->rows(), tier) {}
+
+FrozenModel::FrozenModel(ScoringSnapshot view, size_t num_users,
+                         size_t num_items, PrecisionTier tier)
+    : snap_(view), num_users_(num_users), num_items_(num_items), tier_(tier) {
   static const int kHeapTag = RegisterHeapSubsystem("serve.snapshot");
   HeapScope heap_scope(kHeapTag);
-  TAXOREC_CHECK(snap_.num_users > 0 && snap_.num_items > 0);
+  TAXOREC_CHECK(num_users_ > 0 && num_items_ > 0);
   if (snap_.kernel == ScoreKernel::kVirtual) {
     TAXOREC_CHECK(snap_.live != nullptr);
     if (tier_ != PrecisionTier::kDouble) {
-      TAXOREC_LOG(WARN) << "kVirtual snapshot cannot serve tier "
+      TAXOREC_LOG(WARN) << "kVirtual view cannot serve tier "
                         << PrecisionTierName(tier_)
                         << "; falling back to double";
       tier_ = PrecisionTier::kDouble;
     }
     return;
   }
-  ValidateNative(snap_);
+  ValidateNative(snap_, num_users_, num_items_);
   if (tier_ != PrecisionTier::kDouble) {
     // A failed compact-snapshot build (serve-snapshot-load fault site) is
-    // not fatal: the double-precision snapshot is always present, so the
-    // model degrades to the bit-exact tier instead of taking the serving
-    // path down.
+    // not fatal: the model's own rows are always there, so the model
+    // degrades to the bit-exact tier instead of taking the serving path
+    // down.
     if (TAXOREC_FAULT(faults::kServeSnapshotLoad, -1)) {
       static Counter* failures = MetricsRegistry::Instance().GetCounter(
           "taxorec.serve.snapshot_load_failures");
@@ -495,22 +499,16 @@ bool FrozenModel::BuildIvf(const IvfOptions& opts) {
 
 FrozenModel FrozenModel::Freeze(const Recommender& model,
                                 const DataSplit& split, PrecisionTier tier) {
-  ScoringSnapshot snap = model.ExportScoringSnapshot();
-  if (snap.kernel == ScoreKernel::kVirtual) {
-    snap.num_users = split.num_users;
-    snap.num_items = split.num_items;
-  } else {
-    TAXOREC_CHECK_MSG(snap.num_users == split.num_users &&
-                          snap.num_items == split.num_items,
-                      "scoring snapshot shape does not match the split");
-  }
-  return FrozenModel(std::move(snap), tier);
+  return FrozenModel(model.ExportScoringSnapshot(), split.num_users,
+                     split.num_items, tier);
 }
 
 size_t FrozenModel::snapshot_bytes() const {
   switch (tier_) {
     case PrecisionTier::kDouble:
-      return DoubleTierBytes(snap_);
+      return MatrixBytes(snap_.users) + MatrixBytes(snap_.items) +
+             MatrixBytes(snap_.users_tg) + MatrixBytes(snap_.items_tg) +
+             snap_.alpha.size_bytes();
     case PrecisionTier::kFloat32:
       return compact_->float32_bytes();
     case PrecisionTier::kInt8:
@@ -520,25 +518,24 @@ size_t FrozenModel::snapshot_bytes() const {
 }
 
 void FrozenModel::ScoreAll(uint32_t user, std::span<double> out) const {
-  TAXOREC_CHECK(user < snap_.num_users);
-  TAXOREC_CHECK(out.size() == snap_.num_items);
+  TAXOREC_CHECK(user < num_users_);
+  TAXOREC_CHECK(out.size() == num_items_);
   if (snap_.kernel == ScoreKernel::kVirtual) {
     snap_.live->ScoreItems(user, out);
     return;
   }
-  std::vector<double> scratch(ScoreBlockScratch(1, snap_.num_items));
-  ScoreBlock({&user, 1}, 0, snap_.num_items, out, {}, scratch);
+  std::vector<double> scratch(ScoreBlockScratch(1, num_items_));
+  ScoreBlock({&user, 1}, 0, num_items_, out, {}, scratch);
 }
 
 size_t FrozenModel::ScoreBlockScratch(size_t group, size_t items) const {
   if (tier_ != PrecisionTier::kDouble || snap_.kernel == ScoreKernel::kDot) {
     return 0;
   }
-  const size_t lane_rows =
-      group > 1 ? kScoreGroup * std::max(snap_.users.cols(),
-                                         snap_.users_tg.cols())
-                : 0;
-  return (snap_.has_tag_channel() ? group * items : 0) + lane_rows;
+  const bool tags = snap_.has_tag_channel();
+  const size_t cols =
+      std::max(snap_.users->cols(), tags ? snap_.users_tg->cols() : 0);
+  return (tags ? group * items : 0) + (group > 1 ? kScoreGroup * cols : 0);
 }
 
 size_t FrozenModel::ScoreBlock(std::span<const uint32_t> users, size_t begin,
@@ -548,11 +545,11 @@ size_t FrozenModel::ScoreBlock(std::span<const uint32_t> users, size_t begin,
   TAXOREC_CHECK_MSG(native(), "ScoreBlock requires a native kernel");
   const size_t g = users.size(), count = end - begin;
   TAXOREC_CHECK(g >= 1 && g <= kScoreGroup);
-  TAXOREC_DCHECK(begin <= end && end <= snap_.num_items);
+  TAXOREC_DCHECK(begin <= end && end <= num_items_);
   TAXOREC_DCHECK(out.size() == g * count);
   TAXOREC_DCHECK(cutoffs.empty() || cutoffs.size() == g);
   TAXOREC_DCHECK(std::all_of(users.begin(), users.end(), [&](uint32_t u) {
-    return u < snap_.num_users;
+    return u < num_users_;
   }));
   TAXOREC_CHECK(scratch.size() >= ScoreBlockScratch(g, count));
   if (count == 0) return 0;
@@ -574,10 +571,10 @@ size_t FrozenModel::ScoreBlock(std::span<const uint32_t> users, size_t begin,
   }
   if (snap_.kernel == ScoreKernel::kDot) {
     for (size_t i = 0; i < g; ++i) {
-      const auto u = snap_.users.row(users[i]);
+      const auto u = snap_.users->row(users[i]);
       double* const dst = out.data() + i * count;
       for (size_t v = begin; v < end; ++v) {
-        dst[v - begin] = vec::Dot(u, snap_.items.row(v));
+        dst[v - begin] = vec::Dot(u, snap_.items->row(v));
       }
     }
     return 0;

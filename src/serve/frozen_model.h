@@ -1,8 +1,8 @@
-// FrozenModel: an immutable, servable view of a trained recommender.
+// FrozenModel: a servable view of a trained recommender.
 //
-// Freeze() asks the model for a ScoringSnapshot and validates it against
-// the dataset shape. Native snapshots (every kernel except kVirtual) score
-// item *blocks* straight from the row-major embedding matrices, which is
+// Freeze() takes the model's scoring view (serve/snapshot.h) and checks
+// it against the dataset shape. Native views (every kernel but kVirtual)
+// score item *blocks* straight from the model's own row-major rows, which is
 // what lets the serving kernel (serve/topk.h) stream the catalogue through
 // a bounded heap instead of materializing a full score row per user — the
 // O(users · items) buffer churn that "Scalable Hyperbolic Recommender
@@ -10,9 +10,9 @@
 //
 // Precision tiers (serve/compact_snapshot.h). Each tier has one item loop
 // per metric, plus the optional alpha_u-weighted tag-channel term
-// (ScoringSnapshot::has_tag_channel). The default kDouble tier is
-// bit-identical to the live model's ScoreItems: every kernel evaluates the
-// same per-pair operations in the same order on copies of the same
+// (ScoringSnapshot::has_tag_channel). The default kDouble tier reads the
+// model's own rows and is bit-identical to its ScoreItems: every kernel
+// evaluates the same per-pair operations in the same order on the same
 // parameters. Its distance loop scores a block for a group of up to
 // kScoreGroup users at once, one user per AVX2 lane, so each item
 // coordinate is loaded once for the group while every lane runs its own
@@ -27,7 +27,7 @@
 // surrogates; the top-K layer exact-rescores its head candidates in
 // float32 (RerankInt8Head, serve/topk.h), so served scores are always
 // float32-exact.
-// Non-native (kVirtual) snapshots always serve in double; requesting a
+// Non-native (kVirtual) views always serve in double; requesting a
 // reduced tier for them degrades to kDouble with a warning.
 #ifndef TAXOREC_SERVE_FROZEN_MODEL_H_
 #define TAXOREC_SERVE_FROZEN_MODEL_H_
@@ -54,15 +54,13 @@ inline constexpr size_t kScoreGroup = 8;
 
 class FrozenModel {
  public:
-  /// Exports `model` for serving at the given precision tier. The split
-  /// supplies/validates the user/item counts (kVirtual snapshots have no
-  /// intrinsic shape). For kVirtual snapshots `model` must outlive the
-  /// FrozenModel.
+  /// Serves `model`'s scoring view at the given tier. The split gives a
+  /// kVirtual view its shape and checks a native one's.
   static FrozenModel Freeze(const Recommender& model, const DataSplit& split,
                             PrecisionTier tier = PrecisionTier::kDouble);
 
-  /// Wraps a hand-built snapshot (tests, pre-serialized blocks).
-  explicit FrozenModel(ScoringSnapshot snapshot,
+  /// Serves a native view (hand-built rows, or another tier's).
+  explicit FrozenModel(ScoringSnapshot view,
                        PrecisionTier tier = PrecisionTier::kDouble);
 
   // Out-of-line because IvfIndex is incomplete here (serve/ivf_index.h
@@ -71,21 +69,21 @@ class FrozenModel {
   FrozenModel(FrozenModel&&) noexcept;
   FrozenModel& operator=(FrozenModel&&) noexcept;
 
-  size_t num_users() const { return snap_.num_users; }
-  size_t num_items() const { return snap_.num_items; }
+  size_t num_users() const { return num_users_; }
+  size_t num_items() const { return num_items_; }
   ScoreKernel kernel() const { return snap_.kernel; }
   /// True when ScoreBlock is available (non-kVirtual).
   bool native() const { return snap_.kernel != ScoreKernel::kVirtual; }
   const ScoringSnapshot& snapshot() const { return snap_; }
 
   /// The tier this model actually scores with (may be kDouble even if a
-  /// reduced tier was requested, for kVirtual snapshots).
+  /// reduced tier was requested, for kVirtual views).
   PrecisionTier tier() const { return tier_; }
   /// Compact encoding backing the reduced tiers; null in kDouble.
   const CompactSnapshot* compact() const { return compact_.get(); }
-  /// Bytes of the scoring payload the active tier reads (embedding blocks
-  /// + per-user alpha; the int8 tier counts both the quantized and the
-  /// float32 channels, since the re-rank reads the latter).
+  /// Bytes of the scoring payload the active tier reads (the model's rows
+  /// + per-user alpha on the double tier; the int8 tier counts both the
+  /// quantized and the float32 channels, since the re-rank reads the latter).
   size_t snapshot_bytes() const;
 
   /// Scores every item for `user`; out.size() == num_items(). Works for
@@ -118,15 +116,19 @@ class FrozenModel {
   size_t ScoreBlockScratch(size_t group, size_t items) const;
 
   /// Builds the IVF retrieval index (serve/ivf_index.h) over this model's
-  /// snapshot. Returns false (with a warning) when the model cannot host
-  /// one — kVirtual snapshots and the double tier stay exact-only. Not
+  /// rows. Returns false (with a warning) when the model cannot host
+  /// one — kVirtual views and the double tier stay exact-only. Not
   /// thread-safe; call before serving starts.
   bool BuildIvf(const IvfOptions& opts);
   /// The IVF index, or null when none was built.
   const IvfIndex* ivf() const { return ivf_.get(); }
 
  private:
+  FrozenModel(ScoringSnapshot view, size_t num_users, size_t num_items,
+              PrecisionTier tier);
+
   ScoringSnapshot snap_;
+  size_t num_users_, num_items_;
   PrecisionTier tier_ = PrecisionTier::kDouble;
   // unique_ptr keeps FrozenModel cheaply movable; null in kDouble.
   std::unique_ptr<CompactSnapshot> compact_;

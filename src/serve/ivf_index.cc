@@ -38,7 +38,7 @@ constexpr double kBoundSlack = 1e-3;
 /// lifted onto the hyperboloid first (the lift is injective and radially
 /// monotone, so Euclidean neighborhoods stay neighborhoods in the ball).
 Matrix BallPoints(const ScoringSnapshot& snapshot) {
-  const Matrix& items = snapshot.items;
+  const Matrix& items = *snapshot.items;
   const size_t n = items.rows();
   const bool lorentz = snapshot.kernel == ScoreKernel::kNegLorentzSqDist;
   const size_t ball_dim = lorentz ? items.cols() - 1 : items.cols();
@@ -188,7 +188,7 @@ IvfIndex IvfIndex::Build(const ScoringSnapshot& snapshot, PrecisionTier tier,
                     "IVF serves the reduced-precision tiers; the double tier "
                     "stays the exact oracle");
   TraceSpan span("ivf_build");
-  const size_t n = snapshot.num_items;
+  const size_t n = snapshot.items->rows();
   TAXOREC_CHECK(n > 0);
 
   IvfIndex index;
@@ -246,19 +246,19 @@ IvfIndex IvfIndex::Build(const ScoringSnapshot& snapshot, PrecisionTier tier,
   // covered by the query-time slack).
   const bool lorentz = snapshot.kernel == ScoreKernel::kNegLorentzSqDist;
   const bool tags = snapshot.has_tag_channel();
-  index.reps_ = Matrix(c_count, snapshot.items.cols());
+  index.reps_ = Matrix(c_count, snapshot.items->cols());
   index.radius_.assign(c_count, 0.0);
   if (tags) {
-    index.reps_tg_ = Matrix(c_count, snapshot.items_tg.cols());
+    index.reps_tg_ = Matrix(c_count, snapshot.items_tg->cols());
     index.radius_tg_.assign(c_count, 0.0);
   }
   ParallelFor(0, c_count, /*grain=*/1, [&](size_t c0, size_t c1) {
     for (size_t c = c0; c < c1; ++c) {
       const auto members = index.cell_items(c);
-      CellRepresentative(snapshot.items, members, lorentz, index.reps_.row(c),
+      CellRepresentative(*snapshot.items, members, lorentz, index.reps_.row(c),
                          &index.radius_[c]);
       if (tags) {
-        CellRepresentative(snapshot.items_tg, members, lorentz,
+        CellRepresentative(*snapshot.items_tg, members, lorentz,
                            index.reps_tg_.row(c), &index.radius_tg_[c]);
       }
     }

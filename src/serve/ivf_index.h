@@ -88,7 +88,7 @@ struct IvfScratch {
 /// Immutable IVF retrieval structure over one native ScoringSnapshot at a
 /// reduced-precision tier (float32 or int8 — the double tier stays an
 /// exact-only oracle). Owns a cell-permuted CompactSnapshot; queries never
-/// touch the source snapshot.
+/// touch the model's rows.
 class IvfIndex {
  public:
   /// Builds cells, bounds, and the permuted compact snapshot. Requires a

@@ -190,17 +190,18 @@ BatchServer::BatchServer(FrozenModel model, const DataSplit& split,
   if (options_.admission.degrade) {
     if (!model_.native()) {
       TAXOREC_LOG(WARN)
-          << "degradation ladder unavailable for kVirtual snapshots; "
+          << "degradation ladder unavailable for kVirtual views; "
              "serving the configured tier only";
     } else {
       // Build every rung below the configured tier up front, so the first
-      // step-down never pays a snapshot re-encode on the serving path. A
+      // step-down never pays a snapshot re-encode on the serving path. Each
+      // rung views the same rows and owns only its compact encoding. A
       // rung whose compact build fails (serve-snapshot-load fault) falls
       // back to kDouble inside FrozenModel; the mismatched tier drops it
       // from the ladder and serving continues at the rungs that exist.
       for (int t = TierIndex(model_.tier()) + 1; t <= 2; ++t) {
-        auto rung = std::make_unique<FrozenModel>(
-            ScoringSnapshot(model_.snapshot()), TierFromIndex(t));
+        auto rung = std::make_unique<FrozenModel>(model_.snapshot(),
+                                                  TierFromIndex(t));
         if (TierIndex(rung->tier()) != t) {
           TAXOREC_LOG(WARN) << "degradation rung unavailable"
                             << Kv("tier", PrecisionTierName(TierFromIndex(t)));

@@ -1,6 +1,6 @@
 // BatchServer: the query-side entry point of the repository.
 //
-// Wraps a FrozenModel snapshot, the blocked top-K kernel, request batching
+// Wraps a FrozenModel, the blocked top-K kernel, request batching
 // over the deterministic thread pool, and an optional LRU result cache.
 // A batch is served in four phases:
 //   0. deadline triage (caller thread) — requests whose budget is already
@@ -123,12 +123,11 @@ struct ServeOptions {
 class BatchServer {
  public:
   /// Freezes `model` against `split`. The split must outlive the server
-  /// (it backs the exclusion sets); `model` must outlive it only when the
-  /// exported snapshot is kVirtual (see serve/snapshot.h).
+  /// (it backs the exclusion sets), and so must `model` (serve/snapshot.h).
   BatchServer(const Recommender& model, const DataSplit& split,
               ServeOptions options = {});
 
-  /// Serves a pre-frozen snapshot (e.g. one loaded without a live model).
+  /// Serves a frozen model (e.g. one over hand-built rows).
   BatchServer(FrozenModel model, const DataSplit& split,
               ServeOptions options = {});
 
@@ -182,8 +181,8 @@ class BatchServer {
   std::unique_ptr<ResultCache> cache_;
   std::unique_ptr<AdmissionController> admission_;
   /// Degradation rungs below the configured tier, indexed by tier
-  /// (kFloat32 = 1, kInt8 = 2); null when unavailable (not built, virtual
-  /// snapshot, or a failed compact build).
+  /// (kFloat32 = 1, kInt8 = 2), each over model_'s rows; null when
+  /// unavailable (not built, virtual view, or a failed compact build).
   std::unique_ptr<FrozenModel> degraded_[3];
   std::atomic<bool> drained_logged_{false};
 };

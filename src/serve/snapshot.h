@@ -1,21 +1,22 @@
-// Scoring snapshots: the immutable data a Recommender exports for serving.
+// The scoring view: the kernel (metric) and the rows a model scores with,
+// declared once (Recommender::scoring_rows) and read in place by the
+// model's ScoreItems and training hinge, FrozenModel and the compact and
+// IVF builds. It depends only on Matrix and the two distances, so
+// baselines/recommender.h can name it without the serving layer.
 //
-// A ScoringSnapshot captures everything needed to score (user, item) pairs
-// without the live model: cache-friendly row-major embedding blocks plus a
-// kernel tag naming the metric. TaxoRec's Eq. 17 adds alpha_u times the same
-// metric on a tag channel; that channel is optional data on the snapshot,
-// not a kernel of its own. Models export one via
-// Recommender::ExportScoringSnapshot(); FrozenModel (serve/frozen_model.h)
-// wraps it for block-wise evaluation. The struct lives in its own header —
-// depending only on Matrix — so baselines/recommender.h can name it without
-// pulling the serving layer into every model TU.
+// Lifetime: a view copies nothing, so the model it reads (its rows, or
+// for kVirtual the model itself through `live`) must outlive it and every
+// FrozenModel and BatchServer built on it, and must not train while they
+// serve. CompactSnapshot and IvfIndex encode copies of their own.
 #ifndef TAXOREC_SERVE_SNAPSHOT_H_
 #define TAXOREC_SERVE_SNAPSHOT_H_
 
-#include <cstddef>
-#include <vector>
+#include <cstdint>
+#include <span>
 
+#include "hyperbolic/lorentz.h"
 #include "math/matrix.h"
+#include "math/vec_ops.h"
 
 namespace taxorec {
 
@@ -31,34 +32,42 @@ enum class ScoreKernel {
   kNegSqDist,
   /// score = -d_H(u, v)^2 on the hyperboloid (HyperML, TaxoRec).
   kNegLorentzSqDist,
-  /// Fallback: delegate full-row scoring to the live model's ScoreItems.
-  /// The model must outlive the snapshot; no block streaming.
+  /// Fallback: delegate full-row scoring to the live model's ScoreItems;
+  /// no block streaming.
   kVirtual,
 };
 
-/// Immutable export of a trained model's scoring state. Native kernels own
-/// copies of the embedding blocks (row-major, one row per user/item), so
-/// the snapshot stays valid after the model is destroyed or retrained; the
-/// kVirtual fallback instead borrows the live model.
+/// A view of a model's scoring rows, one row per user or item; kVirtual
+/// reads `live` instead.
 struct ScoringSnapshot {
   ScoreKernel kernel = ScoreKernel::kVirtual;
-  size_t num_users = 0;
-  size_t num_items = 0;
-  /// Primary channel (every native kernel): rows are user / item vectors.
-  Matrix users;
-  Matrix items;
-  /// Optional tag channel of a distance kernel (Eq. 17): the score becomes
-  /// -(dist(u, v) + alpha_u * dist(u_tg, v_tg)), the tag term applied only
-  /// when alpha_u > 0. Present exactly when `alpha` is non-empty.
-  Matrix users_tg;
-  Matrix items_tg;
+  const Matrix* users = nullptr;
+  const Matrix* items = nullptr;
+  /// Tag channel of a distance kernel, all three or none: the score is
+  /// -(dist(u, v) + alpha_u * dist(u_tg, v_tg)), the tag term only when
+  /// alpha_u > 0. Present exactly when `alpha` is non-empty.
+  const Matrix* users_tg = nullptr;
+  const Matrix* items_tg = nullptr;
   /// Per-user tag-channel weight alpha_u, one per user.
-  std::vector<double> alpha;
-  /// Live model backing a kVirtual snapshot (not owned; must outlive every
-  /// FrozenModel built from this snapshot). Null for native kernels.
+  std::span<const double> alpha = {};
+  /// The model a kVirtual view scores through; null for native kernels.
   const Recommender* live = nullptr;
 
   bool has_tag_channel() const { return !alpha.empty(); }
+
+  /// g(u, v) of Eq. 17 on a distance kernel: the squared distance
+  /// (vec::SqDist, or lorentz::SqDistance on the hyperboloid) of the
+  /// user's and the item's rows, plus alpha_u times that of their tag rows
+  /// when alpha_u > 0. The kernel scores -g; TaxoRec's and HGCF's hinges
+  /// train on g.
+  double PairDistance(uint32_t user, uint32_t item) const {
+    const auto dist =
+        kernel == ScoreKernel::kNegSqDist ? &vec::SqDist : &lorentz::SqDistance;
+    double g = dist(users->row(user), items->row(item));
+    const double a = alpha.empty() ? 0.0 : alpha[user];
+    if (a > 0.0) g += a * dist(users_tg->row(user), items_tg->row(item));
+    return g;
+  }
 };
 
 }  // namespace taxorec

@@ -113,10 +113,10 @@ void SweepGroup(const FrozenModel& model,
       MetricsRegistry::Instance().GetCounter("taxorec.rank.items_pruned");
   items_swept->Increment(g * n);
   items_pruned->Increment(pruned);
+  RerankScratch rerank;  // the int8 re-rank's buffers, shared by the group
   for (const GroupMember& m : members) {
     m.heap->Finish(m.out);
     if (model.tier() == PrecisionTier::kInt8) {
-      RerankScratch rerank;
       RerankInt8Head(*model.compact(), {}, m.user, m.k, &rerank, m.out,
                      m.rerank_us);
     }

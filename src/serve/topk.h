@@ -174,7 +174,7 @@ void RerankInt8Head(const CompactSnapshot& compact,
 /// reusable space for the block scores and ScoreBlock's working space;
 /// `heap` likewise (both resized internally, so a warm double-tier sweep
 /// allocates nothing). Native kernels stream `block`-sized item blocks;
-/// kVirtual snapshots score one full row (the live model's ScoreItems) as
+/// kVirtual views score one full row (the live model's ScoreItems) as
 /// a single block.
 /// When `rerank_us` is non-null, the wall time of the int8-tier float32
 /// re-rank stage is added to it (microseconds; untouched on the other
@@ -185,7 +185,7 @@ void BlockedTopK(const FrozenModel& model, uint32_t user, size_t k,
                  size_t block = kServeItemBlock, uint64_t* rerank_us = nullptr);
 
 /// Ranks users[i] with bound ks[i] into (*out)[i], one group sweep per
-/// kScoreGroup consecutive users (per user on kVirtual snapshots, which
+/// kScoreGroup consecutive users (per user on kVirtual views, which
 /// score a full row per member). Each list is a pure function of (model,
 /// user, k, exclusions) — identical to BlockedTopK's — and never of the
 /// batch or group around it. exclude_of(u) must return u's sorted

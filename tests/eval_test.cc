@@ -169,7 +169,7 @@ class SeenOverTestModel : public Recommender {
   std::string name() const override { return "SeenOverTest"; }
 
  private:
-  ScoringRows scoring_rows() const override {
+  ScoringSnapshot scoring_rows() const override {
     return {ScoreKernel::kDot, &users_, &items_};
   }
 

@@ -4,8 +4,10 @@
 // external accounting folds in, and PublishHeapStats surfaces
 // taxorec.heap.<name>.{current,peak}_bytes gauges. The allocation counts
 // also pin that the RSGD steps, the tag warm-up step, the SpMM and the
-// warmed GCN layers allocate nothing and that the row-wise RSGD updates
-// allocate per call, not per row. All
+// warmed GCN layers allocate nothing, that the row-wise RSGD updates
+// allocate per call, not per row, that freezing and the serving ladder
+// copy no scoring rows, and that a warmed int8 group sweep allocates no
+// more than a single user's. All
 // cases GTEST_SKIP when the replacement allocator is compiled out
 // (sanitizer builds).
 #include "common/heap_stats.h"
@@ -14,7 +16,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,6 +34,7 @@
 #include "math/rng.h"
 #include "nn/gcn.h"
 #include "optim/rsgd.h"
+#include "serve/server.h"
 
 namespace taxorec {
 namespace {
@@ -261,6 +267,104 @@ TEST_F(HeapStatsTest, SpmmAndWarmedGcnLayersAllocateNothing) {
     EXPECT_EQ(AllocationsIn(step), 0u);
   }
   SetNumThreads(saved_threads);
+}
+
+// A model whose declared rows are two Gaussian matrices on the Euclidean
+// metric.
+class RowsModel : public Recommender {
+ public:
+  RowsModel(size_t users, size_t items, size_t dim)
+      : users_(users, dim), items_(items, dim) {
+    Rng rng(11);
+    users_.FillGaussian(&rng, 0.3);
+    items_.FillGaussian(&rng, 0.3);
+  }
+  std::string name() const override { return "Rows"; }
+  size_t item_row_bytes() const {
+    return items_.rows() * items_.cols() * sizeof(double);
+  }
+
+ private:
+  ScoringSnapshot scoring_rows() const override {
+    return {ScoreKernel::kNegSqDist, &users_, &items_};
+  }
+
+  Matrix users_, items_;
+};
+
+// A split of the given shape with no interactions (freezing reads only
+// the shape).
+DataSplit SplitShaped(size_t users, size_t items) {
+  DataSplit split;
+  split.num_users = users;
+  split.num_items = items;
+  return split;
+}
+
+// Heap bytes fn leaves held; fn keeps what it builds alive. Every thread
+// counts, so nothing else may allocate meanwhile.
+template <typename Fn>
+int64_t BytesHeldAfter(Fn&& fn) {
+  const int64_t before = CurrentBytes("total");
+  fn();
+  return CurrentBytes("total") - before;
+}
+
+// A frozen model reads the model's own rows (serve/snapshot.h): freezing
+// copies none of them.
+TEST_F(HeapStatsTest, FreezeCopiesNoRows) {
+  const RowsModel model(300, 2000, 32);
+  const DataSplit split = SplitShaped(300, 2000);
+  FrozenModel::Freeze(model, split);  // registers the heap subsystem
+  std::optional<FrozenModel> frozen;
+  const int64_t held = BytesHeldAfter(
+      [&] { frozen.emplace(FrozenModel::Freeze(model, split)); });
+  EXPECT_LT(held, static_cast<int64_t>(model.item_row_bytes()));
+}
+
+// The degradation ladder's rungs view the same rows: a server with the
+// ladder on holds its float32 and int8 encodings and no double rows.
+TEST_F(HeapStatsTest, DegradationRungsHoldOnlyTheirCompactEncodings) {
+  const RowsModel model(300, 2000, 32);
+  const DataSplit split = SplitShaped(300, 2000);
+  ServeOptions opts;
+  opts.admission.degrade = true;
+  { const BatchServer warm(model, split, opts); }
+  const ScoringSnapshot rows = model.ExportScoringSnapshot();
+  const CompactSnapshot f32 = CompactSnapshot::Build(rows, false);
+  const CompactSnapshot q8 = CompactSnapshot::Build(rows, true);
+  const int64_t compact = static_cast<int64_t>(
+      f32.float32_bytes() + q8.float32_bytes() + q8.int8_bytes());
+  std::optional<BatchServer> server;
+  const int64_t held =
+      BytesHeldAfter([&] { server.emplace(model, split, opts); });
+  ASSERT_EQ(server->effective_tier(), PrecisionTier::kDouble);
+  EXPECT_GE(held, compact);
+  EXPECT_LT(held - compact, static_cast<int64_t>(model.item_row_bytes()));
+}
+
+// The int8 tier's re-rank reuses one scratch per group sweep, so once
+// warmed, ranking 8 users in one group allocates no more than ranking 1.
+TEST_F(HeapStatsTest, WarmedInt8GroupAllocatesNoMoreThanOneUser) {
+  const RowsModel model(8, 600, 16);
+  const FrozenModel frozen(model.ExportScoringSnapshot(),
+                           PrecisionTier::kInt8);
+  const std::vector<uint32_t> users = {0, 1, 2, 3, 4, 5, 6, 7};
+  const std::vector<size_t> ks(users.size(), 20);
+  const std::function<std::span<const uint32_t>(uint32_t)> no_exclusions =
+      [](uint32_t) { return std::span<const uint32_t>(); };
+  std::vector<TopKHeap> heaps;
+  std::vector<double> scratch;
+  std::vector<std::vector<TopKEntry>> out;
+  const auto rank = [&](size_t n) {
+    BlockedTopKBatch(frozen, {users.data(), n}, {ks.data(), n},
+                     no_exclusions, &heaps, &scratch, &out, kServeItemBlock);
+  };
+  rank(users.size());  // sizes the heaps, the scratch and the lists
+  // Eight first: ranking one user shrinks `out` to one list.
+  const uint64_t eight = AllocationsIn([&] { rank(users.size()); });
+  const uint64_t one = AllocationsIn([&] { rank(1); });
+  EXPECT_LE(eight, one);
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "data/synthetic.h"
 #include "math/rng.h"
 #include "serve/ivf_index.h"
+#include "scoring_rows.h"
 #include "serve/server.h"
 
 namespace taxorec {
@@ -36,64 +37,6 @@ class ThreadCountGuard {
  private:
   int saved_;
 };
-
-/// A native scoring family: the metric, and whether the snapshot carries
-/// a tag channel (TaxoRec's alpha_u-weighted second distance, Eq. 17).
-struct KernelFamily {
-  ScoreKernel kernel;
-  bool tags = false;
-};
-
-std::ostream& operator<<(std::ostream& os, const KernelFamily& f) {
-  return os << static_cast<int>(f.kernel) << (f.tags ? "+tags" : "");
-}
-
-constexpr KernelFamily kTwoChannelLorentz{ScoreKernel::kNegLorentzSqDist,
-                                          /*tags=*/true};
-constexpr KernelFamily kTwoChannelEuclid{ScoreKernel::kNegSqDist,
-                                         /*tags=*/true};
-
-const KernelFamily kNativeKernels[] = {
-    {ScoreKernel::kDot}, {ScoreKernel::kNegSqDist},
-    {ScoreKernel::kNegLorentzSqDist}, kTwoChannelLorentz, kTwoChannelEuclid,
-};
-
-void FillRows(Matrix* m, bool lorentz, double spread, Rng* rng) {
-  for (size_t r = 0; r < m->rows(); ++r) {
-    auto row = m->row(r);
-    double sq = 0.0;
-    for (size_t c = lorentz ? 1 : 0; c < row.size(); ++c) {
-      row[c] = spread * rng->NextGaussian();
-      sq += row[c] * row[c];
-    }
-    if (lorentz) row[0] = std::sqrt(1.0 + sq);
-  }
-}
-
-ScoringSnapshot MakeSnapshot(KernelFamily family, size_t users, size_t items,
-                             size_t dim, size_t tag_dim, uint64_t seed) {
-  Rng rng(seed);
-  ScoringSnapshot snap;
-  snap.kernel = family.kernel;
-  snap.num_users = users;
-  snap.num_items = items;
-  snap.users = Matrix(users, dim);
-  snap.items = Matrix(items, dim);
-  const bool lorentz = family.kernel == ScoreKernel::kNegLorentzSqDist;
-  FillRows(&snap.users, lorentz, 0.6, &rng);
-  FillRows(&snap.items, lorentz, 0.6, &rng);
-  if (family.tags) {
-    snap.users_tg = Matrix(users, tag_dim);
-    snap.items_tg = Matrix(items, tag_dim);
-    FillRows(&snap.users_tg, lorentz, 0.4, &rng);
-    FillRows(&snap.items_tg, lorentz, 0.4, &rng);
-    snap.alpha.resize(users);
-    for (size_t u = 0; u < users; ++u) {
-      snap.alpha[u] = (u % 3 == 0) ? 0.0 : rng.UniformReal(0.2, 1.0);
-    }
-  }
-  return snap;
-}
 
 std::vector<TopKEntry> ExactTopK(const FrozenModel& model, uint32_t user,
                                  size_t k, std::span<const uint32_t> exclude) {
@@ -152,12 +95,11 @@ TEST(IvfIndexTest, FullProbeMatchesExactScan) {
   for (const KernelFamily& family : kNativeKernels) {
     for (PrecisionTier tier :
          {PrecisionTier::kFloat32, PrecisionTier::kInt8}) {
-      const ScoringSnapshot snap = MakeSnapshot(family, kUsers, kItems, 24,
-                                                12, 17);
-      const FrozenModel exact(ScoringSnapshot(snap), tier);
+      const OwnedRows snap = MakeRows(family, kUsers, kItems, 24, 12, 17);
+      const FrozenModel exact(snap.view(), tier);
       IvfOptions opts;
       opts.kmeans_iters = 5;
-      const IvfIndex index = IvfIndex::Build(snap, tier, opts);
+      const IvfIndex index = IvfIndex::Build(snap.view(), tier, opts);
       ASSERT_GE(index.num_cells(), 1u);
       for (uint32_t u = 0; u < kUsers; ++u) {
         ExpectSameList(ExactTopK(exact, u, kK, {}),
@@ -177,11 +119,10 @@ TEST(IvfIndexTest, FullProbeMatchesExactScan) {
 TEST(IvfIndexTest, CellBoundsDominateMemberScores) {
   const size_t kUsers = 8, kItems = 211;
   for (const KernelFamily& family : kNativeKernels) {
-    const ScoringSnapshot snap = MakeSnapshot(family, kUsers, kItems, 24, 12,
-                                              29);
-    const FrozenModel f32model(ScoringSnapshot(snap), PrecisionTier::kFloat32);
+    const OwnedRows snap = MakeRows(family, kUsers, kItems, 24, 12, 29);
+    const FrozenModel f32model(snap.view(), PrecisionTier::kFloat32);
     const IvfIndex index =
-        IvfIndex::Build(snap, PrecisionTier::kFloat32, IvfOptions{});
+        IvfIndex::Build(snap.view(), PrecisionTier::kFloat32, IvfOptions{});
     std::vector<double> scores(kItems);
     std::vector<double> bounds;
     for (uint32_t u = 0; u < kUsers; ++u) {
@@ -200,10 +141,10 @@ TEST(IvfIndexTest, CellBoundsDominateMemberScores) {
 }
 
 TEST(IvfIndexTest, StatsAccountForEveryCell) {
-  const ScoringSnapshot snap =
-      MakeSnapshot({ScoreKernel::kNegLorentzSqDist}, 6, 400, 16, 0, 41);
+  const OwnedRows snap =
+      MakeRows({ScoreKernel::kNegLorentzSqDist}, 6, 400, 16, 0, 41);
   const IvfIndex index =
-      IvfIndex::Build(snap, PrecisionTier::kFloat32, IvfOptions{});
+      IvfIndex::Build(snap.view(), PrecisionTier::kFloat32, IvfOptions{});
   ASSERT_GT(index.num_cells(), 4u);
   IvfQueryStats stats;
   const auto out = IvfTopK(index, 2, 10, /*nprobe=*/4, {}, &stats);
@@ -213,7 +154,7 @@ TEST(IvfIndexTest, StatsAccountForEveryCell) {
   EXPECT_EQ(stats.cells_probed + stats.cells_pruned + stats.cells_skipped,
             index.num_cells());
   EXPECT_GT(stats.items_scored, 0u);
-  EXPECT_LE(stats.items_scored, snap.num_items);
+  EXPECT_LE(stats.items_scored, snap.items.rows());
 }
 
 // Audit case (serve ranking sweep): when exclusions leave fewer live items
@@ -222,16 +163,15 @@ TEST(IvfIndexTest, StatsAccountForEveryCell) {
 // re-rank must carry sentinels through without rescoring them.
 TEST(IvfIndexTest, ExclusionHeavyListsKeepSentinelOrder) {
   const size_t kItems = 97, kK = 8;
-  const ScoringSnapshot snap =
-      MakeSnapshot(kTwoChannelLorentz, 5, kItems, 16, 8, 53);
+  const OwnedRows snap = MakeRows(kTwoChannelLorentz, 5, kItems, 16, 8, 53);
   // Exclude everything but items 13, 40, 77: only 3 live candidates.
   std::vector<uint32_t> exclude;
   for (uint32_t v = 0; v < kItems; ++v) {
     if (v != 13 && v != 40 && v != 77) exclude.push_back(v);
   }
   for (PrecisionTier tier : {PrecisionTier::kFloat32, PrecisionTier::kInt8}) {
-    const FrozenModel exact(ScoringSnapshot(snap), tier);
-    const IvfIndex index = IvfIndex::Build(snap, tier, IvfOptions{});
+    const FrozenModel exact(snap.view(), tier);
+    const IvfIndex index = IvfIndex::Build(snap.view(), tier, IvfOptions{});
     for (uint32_t u = 0; u < 5; ++u) {
       const auto want = ExactTopK(exact, u, kK, exclude);
       ASSERT_EQ(want.size(), kK);
@@ -297,21 +237,18 @@ std::vector<ServeRequest> AllUserRequests(size_t num_users, size_t k) {
 TEST(BatchServerIvfTest, FullProbeServerMatchesExactAndThreads) {
   ThreadCountGuard guard;
   const DataSplit split = MakeServeSplit();
-  const ScoringSnapshot snap =
-      MakeSnapshot(kTwoChannelLorentz, split.num_users,
-                   split.num_items, 16, 8, 67);
+  const OwnedRows snap = MakeRows(kTwoChannelLorentz, split.num_users,
+                                 split.num_items, 16, 8, 67);
 
   ServeOptions exact_opts;
   exact_opts.retrieval = RetrievalMode::kExact;
-  BatchServer exact_server(FrozenModel(ScoringSnapshot(snap),
-                                       PrecisionTier::kFloat32),
+  BatchServer exact_server(FrozenModel(snap.view(), PrecisionTier::kFloat32),
                            split, exact_opts);
 
   ServeOptions ivf_opts;
   ivf_opts.retrieval = RetrievalMode::kIvf;
   ivf_opts.ivf.nprobe = 1u << 20;  // >= num_cells: probe everything
-  BatchServer ivf_server(FrozenModel(ScoringSnapshot(snap),
-                                     PrecisionTier::kFloat32),
+  BatchServer ivf_server(FrozenModel(snap.view(), PrecisionTier::kFloat32),
                          split, ivf_opts);
   ASSERT_EQ(ivf_server.options().retrieval, RetrievalMode::kIvf);
   ASSERT_NE(ivf_server.model().ivf(), nullptr);
@@ -335,13 +272,12 @@ TEST(BatchServerIvfTest, FullProbeServerMatchesExactAndThreads) {
 // through a missing index.
 TEST(BatchServerIvfTest, DoubleTierFallsBackToExact) {
   const DataSplit split = MakeServeSplit();
-  const ScoringSnapshot snap = MakeSnapshot(
+  const OwnedRows snap = MakeRows(
       {ScoreKernel::kDot}, split.num_users, split.num_items, 16, 0, 71);
   ServeOptions opts;
   opts.retrieval = RetrievalMode::kIvf;
-  BatchServer server(FrozenModel(ScoringSnapshot(snap),
-                                 PrecisionTier::kDouble),
-                     split, opts);
+  BatchServer server(FrozenModel(snap.view(), PrecisionTier::kDouble), split,
+                     opts);
   EXPECT_EQ(server.options().retrieval, RetrievalMode::kExact);
   EXPECT_EQ(server.model().ivf(), nullptr);
   const auto lists = server.ServeBatch(AllUserRequests(4, 5));
@@ -354,18 +290,16 @@ TEST(BatchServerIvfTest, DoubleTierFallsBackToExact) {
 // the server is stepped down.
 TEST(BatchServerIvfTest, DegradedBatchesServeExact) {
   const DataSplit split = MakeServeSplit();
-  const ScoringSnapshot snap =
-      MakeSnapshot({ScoreKernel::kNegLorentzSqDist}, split.num_users,
-                   split.num_items, 16, 0, 73);
+  const OwnedRows snap = MakeRows({ScoreKernel::kNegLorentzSqDist},
+                                 split.num_users, split.num_items, 16, 0, 73);
   ServeOptions opts;
   opts.retrieval = RetrievalMode::kIvf;
   opts.precision = PrecisionTier::kFloat32;
   opts.admission.degrade = true;
   opts.admission.hysteresis_batches = 1;
   opts.admission.pressure_window = 1;
-  BatchServer server(FrozenModel(ScoringSnapshot(snap),
-                                 PrecisionTier::kFloat32),
-                     split, opts);
+  BatchServer server(FrozenModel(snap.view(), PrecisionTier::kFloat32), split,
+                     opts);
   ASSERT_EQ(server.options().retrieval, RetrievalMode::kIvf);
 
   const auto requests = AllUserRequests(6, 8);
@@ -392,7 +326,7 @@ TEST(BatchServerIvfTest, DegradedBatchesServeExact) {
 // degraded.
 TEST(BatchServerIvfTest, CacheSurvivesDegradeRecoverCycle) {
   const DataSplit split = MakeServeSplit();
-  const ScoringSnapshot snap = MakeSnapshot(
+  const OwnedRows snap = MakeRows(
       {ScoreKernel::kDot}, split.num_users, split.num_items, 16, 0, 79);
   ServeOptions opts;
   opts.cache_capacity = 64;
@@ -400,9 +334,8 @@ TEST(BatchServerIvfTest, CacheSurvivesDegradeRecoverCycle) {
   opts.admission.degrade = true;
   opts.admission.hysteresis_batches = 1;
   opts.admission.pressure_window = 1;
-  BatchServer server(FrozenModel(ScoringSnapshot(snap),
-                                 PrecisionTier::kFloat32),
-                     split, opts);
+  BatchServer server(FrozenModel(snap.view(), PrecisionTier::kFloat32), split,
+                     opts);
   const auto requests = AllUserRequests(5, 6);
   const auto before = server.ServeBatch(requests);  // fills the cache
 

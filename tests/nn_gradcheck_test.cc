@@ -22,6 +22,7 @@
 #include "nn/losses.h"
 #include "nn/lorentz_layers.h"
 #include "nn/midpoint.h"
+#include "serve/snapshot.h"
 
 namespace taxorec {
 namespace {
@@ -148,7 +149,8 @@ TEST(GradCheckTest, ExpMapBackwardKeepsZeroUpstreamRowsZero) {
   for (size_t c = 0; c < d1; ++c) EXPECT_EQ(grad.at(1, c), grad1.at(0, c));
 }
 
-// --- The composed channel: leaves → (log_o →) GCN (→ exp_o) → SqDistance.
+// --- The composed channel: leaves → (log_o →) GCN (→ exp_o) → squared
+// distance (ScoringSnapshot::PairDistance).
 
 using Pairs = std::vector<std::pair<uint32_t, uint32_t>>;
 
@@ -182,8 +184,11 @@ double ChannelLoss(bool hyperbolic, const nn::BipartiteGcn& gcn,
                    const Pairs& pairs) {
   nn::GcnChannel channel(hyperbolic);
   channel.Forward(gcn, users, items);
+  const ScoringSnapshot rows{hyperbolic ? ScoreKernel::kNegLorentzSqDist
+                                        : ScoreKernel::kNegSqDist,
+                             &channel.out_u(), &channel.out_v()};
   double loss = 0.0;
-  for (const auto& [u, v] : pairs) loss += channel.SqDistance(u, v);
+  for (const auto& [u, v] : pairs) loss += rows.PairDistance(u, v);
   return loss;
 }
 

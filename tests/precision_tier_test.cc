@@ -32,6 +32,7 @@
 #include "serve/compact_snapshot.h"
 #include "serve/kernels_f32.h"
 #include "serve/server.h"
+#include "scoring_rows.h"
 #include "simd_levels.h"
 
 namespace taxorec {
@@ -57,70 +58,6 @@ class PortableBackendGuard {
   ~PortableBackendGuard() { simd::CapLevelForTest(simd::Level::kAvx512); }
 };
 
-/// A native scoring family: the metric, and whether the snapshot carries
-/// a tag channel (TaxoRec's alpha_u-weighted second distance, Eq. 17).
-struct KernelFamily {
-  ScoreKernel kernel;
-  bool tags = false;
-};
-
-std::ostream& operator<<(std::ostream& os, const KernelFamily& f) {
-  return os << static_cast<int>(f.kernel) << (f.tags ? "+tags" : "");
-}
-
-constexpr KernelFamily kTwoChannelLorentz{ScoreKernel::kNegLorentzSqDist,
-                                          /*tags=*/true};
-constexpr KernelFamily kTwoChannelEuclid{ScoreKernel::kNegSqDist,
-                                         /*tags=*/true};
-
-const KernelFamily kNativeKernels[] = {
-    {ScoreKernel::kDot}, {ScoreKernel::kNegSqDist},
-    {ScoreKernel::kNegLorentzSqDist}, kTwoChannelLorentz, kTwoChannelEuclid,
-};
-
-/// Fills `m` with Gaussian rows; Lorentz channels get spatial Gaussians
-/// lifted onto the hyperboloid (x0 = sqrt(1 + ||spatial||^2)), matching
-/// how trained Lorentz embeddings look.
-void FillRows(Matrix* m, bool lorentz, double spread, Rng* rng) {
-  for (size_t r = 0; r < m->rows(); ++r) {
-    auto row = m->row(r);
-    double sq = 0.0;
-    for (size_t c = lorentz ? 1 : 0; c < row.size(); ++c) {
-      row[c] = spread * rng->NextGaussian();
-      sq += row[c] * row[c];
-    }
-    if (lorentz) row[0] = std::sqrt(1.0 + sq);
-  }
-}
-
-/// A native snapshot with realistic geometry for every kernel family.
-/// Families with tags get a tag channel and a per-user alpha that is 0
-/// for every third user (exercising the hoisted alpha branch both ways).
-ScoringSnapshot MakeSnapshot(KernelFamily family, size_t users, size_t items,
-                             size_t dim, size_t tag_dim, uint64_t seed) {
-  Rng rng(seed);
-  ScoringSnapshot snap;
-  snap.kernel = family.kernel;
-  snap.num_users = users;
-  snap.num_items = items;
-  snap.users = Matrix(users, dim);
-  snap.items = Matrix(items, dim);
-  const bool lorentz = family.kernel == ScoreKernel::kNegLorentzSqDist;
-  FillRows(&snap.users, lorentz, 0.6, &rng);
-  FillRows(&snap.items, lorentz, 0.6, &rng);
-  if (family.tags) {
-    snap.users_tg = Matrix(users, tag_dim);
-    snap.items_tg = Matrix(items, tag_dim);
-    FillRows(&snap.users_tg, lorentz, 0.4, &rng);
-    FillRows(&snap.items_tg, lorentz, 0.4, &rng);
-    snap.alpha.resize(users);
-    for (size_t u = 0; u < users; ++u) {
-      snap.alpha[u] = (u % 3 == 0) ? 0.0 : rng.UniformReal(0.2, 1.0);
-    }
-  }
-  return snap;
-}
-
 // FrozenModel::ScoreBlock's contract for one kernel family, in group
 // form. Groups of 1 to kScoreGroup users, each member with its own cutoff,
 // sweep the catalogue in blocks off the four-item and two-item lane grids
@@ -145,15 +82,15 @@ void CheckBlockContract(KernelFamily family, bool shared_tag_row,
   constexpr size_t kUsers = 9, kItems = 203, kNanItem = 50;
   constexpr size_t kNanTagItem = 121, kNanTagUser = 4;
   constexpr size_t kBlockSizes[] = {1, 6, 3, 13, 5, 37, 2, 64};
-  ScoringSnapshot snap = MakeSnapshot(family, kUsers, kItems, 24, 12, 61);
-  ASSERT_EQ(snap.has_tag_channel(), family.tags);
+  OwnedRows snap = MakeRows(family, kUsers, kItems, 24, 12, 61);
+  ASSERT_EQ(snap.view().has_tag_channel(), family.tags);
   if (shared_tag_row) {
     for (size_t v = 1; v < kItems; ++v) {
       vec::Copy(snap.items_tg.row(0), snap.items_tg.row(v));
     }
   }
-  const FrozenModel f32model(ScoringSnapshot(snap), PrecisionTier::kFloat32);
-  const FrozenModel q8model(ScoringSnapshot(snap), PrecisionTier::kInt8);
+  const FrozenModel f32model(snap.view(), PrecisionTier::kFloat32);
+  const FrozenModel q8model(snap.view(), PrecisionTier::kInt8);
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   snap.items.at(kNanItem, 3) = kNaN;
   if (family.tags) {
@@ -161,7 +98,7 @@ void CheckBlockContract(KernelFamily family, bool shared_tag_row,
     snap.items_tg.at(kNanTagItem, 2) = kNaN;
     snap.users_tg.at(kNanTagUser, 1) = kNaN;
   }
-  const FrozenModel model(std::move(snap));
+  const FrozenModel model(snap.view());
   // full[u]: ScoreAll's row; cutoffs[u]: -Inf, then the 1st, 3rd and 10th
   // best non-NaN score (a fixed -1 for a user whose scores are all NaN).
   std::vector<std::vector<double>> full(kUsers, std::vector<double>(kItems));
@@ -412,10 +349,8 @@ TEST(FrozenModelTest, ChordBoundNeverPrunesAnItemAtItsOwnScore) {
   };
   for (const bool tags : {false, true}) {
     SCOPED_TRACE(tags ? "with a tag channel" : "item channel alone");
-    ScoringSnapshot snap;
+    OwnedRows snap;
     snap.kernel = ScoreKernel::kNegLorentzSqDist;
-    snap.num_users = 3;
-    snap.num_items = n;
     snap.users = at_origin(3);
     snap.items = at_betas(false);
     if (tags) {
@@ -423,7 +358,7 @@ TEST(FrozenModelTest, ChordBoundNeverPrunesAnItemAtItsOwnScore) {
       snap.items_tg = at_betas(true);
       snap.alpha = {0.7, 0.0, 0.35};
     }
-    const FrozenModel model(std::move(snap));
+    const FrozenModel model(snap.view());
     std::vector<std::vector<double>> full(3, std::vector<double>(n));
     for (uint32_t u = 0; u < 3; ++u) {
       model.ScoreAll(u, std::span<double>(full[u]));
@@ -475,12 +410,11 @@ TEST(FrozenModelTest, ChordBoundNeverPrunesAnItemAtItsOwnScore) {
 TEST(TopKTest, ListsDoNotDependOnTheGroup) {
   constexpr size_t kUsers = 11, kItems = 203;
   for (const KernelFamily& family : kNativeKernels) {
-    const ScoringSnapshot snap =
-        MakeSnapshot(family, kUsers, kItems, 24, 12, 83);
+    const OwnedRows snap = MakeRows(family, kUsers, kItems, 24, 12, 83);
     for (const PrecisionTier tier :
          {PrecisionTier::kDouble, PrecisionTier::kFloat32,
           PrecisionTier::kInt8}) {
-      const FrozenModel model(ScoringSnapshot(snap), tier);
+      const FrozenModel model(snap.view(), tier);
       // Each user excludes every (user + 3)-th item and asks for its own k.
       std::vector<std::vector<uint32_t>> exclude(kUsers);
       std::vector<size_t> ks(kUsers);
@@ -613,10 +547,11 @@ TEST(PrecisionTierTest, ParseAndNames) {
 
 TEST(CompactSnapshotTest, LayoutPaddingAlignmentAndZeroTails) {
   // dim 9 pads to 16; tag dim 17 pads to 32.
-  const ScoringSnapshot snap = MakeSnapshot(kTwoChannelEuclid,
-                                            /*users=*/7, /*items=*/13,
-                                            /*dim=*/9, /*tag_dim=*/17, 42);
-  const CompactSnapshot c = CompactSnapshot::Build(snap, /*with_int8=*/true);
+  const OwnedRows snap = MakeRows(kTwoChannelEuclid,
+                                 /*users=*/7, /*items=*/13,
+                                 /*dim=*/9, /*tag_dim=*/17, 42);
+  const CompactSnapshot c =
+      CompactSnapshot::Build(snap.view(), /*with_int8=*/true);
   EXPECT_EQ(c.users.dim, 9u);
   EXPECT_EQ(c.users.stride, 16u);
   EXPECT_EQ(c.items_tg.dim, 17u);
@@ -670,11 +605,10 @@ TEST(CompactSnapshotTest, LayoutPaddingAlignmentAndZeroTails) {
 }
 
 TEST(CompactSnapshotTest, SnapshotBytesShrinkPerTier) {
-  const ScoringSnapshot snap = MakeSnapshot(kTwoChannelLorentz,
-                                            16, 64, 32, 16, 3);
-  const FrozenModel d(ScoringSnapshot(snap), PrecisionTier::kDouble);
-  const FrozenModel f(ScoringSnapshot(snap), PrecisionTier::kFloat32);
-  const FrozenModel q(ScoringSnapshot(snap), PrecisionTier::kInt8);
+  const OwnedRows snap = MakeRows(kTwoChannelLorentz, 16, 64, 32, 16, 3);
+  const FrozenModel d(snap.view(), PrecisionTier::kDouble);
+  const FrozenModel f(snap.view(), PrecisionTier::kFloat32);
+  const FrozenModel q(snap.view(), PrecisionTier::kInt8);
   EXPECT_LT(f.snapshot_bytes(), d.snapshot_bytes());
   // int8 reports coarse + re-rank payload (both are read while serving).
   EXPECT_EQ(q.snapshot_bytes(),
@@ -690,9 +624,9 @@ TEST(CompactSnapshotTest, SnapshotBytesShrinkPerTier) {
 // float reference — both the full score rows and the served top-K.
 TEST(Float32KernelTest, DotBitIdenticalToScalarFloatReference) {
   const size_t kUsers = 12, kItems = 157, kDim = 24;
-  const ScoringSnapshot snap =
-      MakeSnapshot({ScoreKernel::kDot}, kUsers, kItems, kDim, 0, 91);
-  const FrozenModel f32model(ScoringSnapshot(snap), PrecisionTier::kFloat32);
+  const OwnedRows snap =
+      MakeRows({ScoreKernel::kDot}, kUsers, kItems, kDim, 0, 91);
+  const FrozenModel f32model(snap.view(), PrecisionTier::kFloat32);
   std::vector<double> got(kItems);
   for (uint32_t u = 0; u < kUsers; ++u) {
     f32model.ScoreAll(u, std::span<double>(got));
@@ -713,10 +647,10 @@ TEST(Float32KernelTest, Avx2AndPortableBackendsBitIdentical) {
     GTEST_SKIP() << "no AVX2 kernels in this build/CPU";
   }
   for (const KernelFamily& family : kNativeKernels) {
-    const ScoringSnapshot snap = MakeSnapshot(family, 9, 211, 24, 12, 7);
-    const FrozenModel model(ScoringSnapshot(snap), PrecisionTier::kFloat32);
-    std::vector<double> avx(snap.num_items), portable(snap.num_items);
-    for (uint32_t u = 0; u < snap.num_users; ++u) {
+    const OwnedRows snap = MakeRows(family, 9, 211, 24, 12, 7);
+    const FrozenModel model(snap.view(), PrecisionTier::kFloat32);
+    std::vector<double> avx(snap.items.rows()), portable(snap.items.rows());
+    for (uint32_t u = 0; u < snap.users.rows(); ++u) {
       {
         PortableBackendGuard guard(false);
         ASSERT_STREQ(f32::ActiveBackendName(), "avx2");
@@ -727,7 +661,7 @@ TEST(Float32KernelTest, Avx2AndPortableBackendsBitIdentical) {
         ASSERT_STREQ(f32::ActiveBackendName(), "portable");
         model.ScoreAll(u, std::span<double>(portable));
       }
-      for (size_t v = 0; v < snap.num_items; ++v) {
+      for (size_t v = 0; v < snap.items.rows(); ++v) {
         ASSERT_EQ(avx[v], portable[v])
             << PrecisionTierName(PrecisionTier::kFloat32) << " kernel "
             << family << " user " << u << " item " << v;
@@ -741,8 +675,8 @@ TEST(Float32KernelTest, Avx2AndPortableBackendsBitIdentical) {
 // snapshot whose last 8 columns are zero.
 TEST(Float32KernelTest, PaddedTailsNeverPerturbScores) {
   for (const KernelFamily& family : kNativeKernels) {
-    const ScoringSnapshot snap = MakeSnapshot(family, 6, 90, 24, 20, 13);
-    ScoringSnapshot wide = snap;
+    const OwnedRows snap = MakeRows(family, 6, 90, 24, 20, 13);
+    OwnedRows wide = snap;
     wide.users = Matrix(snap.users.rows(), 32);
     wide.items = Matrix(snap.items.rows(), 32);
     for (size_t r = 0; r < snap.users.rows(); ++r) {
@@ -755,13 +689,13 @@ TEST(Float32KernelTest, PaddedTailsNeverPerturbScores) {
         wide.items.at(r, c) = snap.items.at(r, c);
       }
     }
-    const FrozenModel narrow(ScoringSnapshot(snap), PrecisionTier::kFloat32);
-    const FrozenModel padded(std::move(wide), PrecisionTier::kFloat32);
-    std::vector<double> a(snap.num_items), b(snap.num_items);
-    for (uint32_t u = 0; u < snap.num_users; ++u) {
+    const FrozenModel narrow(snap.view(), PrecisionTier::kFloat32);
+    const FrozenModel padded(wide.view(), PrecisionTier::kFloat32);
+    std::vector<double> a(snap.items.rows()), b(snap.items.rows());
+    for (uint32_t u = 0; u < snap.users.rows(); ++u) {
       narrow.ScoreAll(u, std::span<double>(a));
       padded.ScoreAll(u, std::span<double>(b));
-      for (size_t v = 0; v < snap.num_items; ++v) {
+      for (size_t v = 0; v < snap.items.rows(); ++v) {
         ASSERT_EQ(a[v], b[v]) << "kernel " << family;
       }
     }
@@ -775,12 +709,11 @@ TEST(RankStabilityTest, ReducedTiersMeetDocumentedOverlapTolerances) {
   const size_t kUsers = 24, kItems = 400, kK = 20;
   for (const KernelFamily& family : kNativeKernels) {
     for (uint64_t seed : {101u, 202u, 303u}) {
-      const ScoringSnapshot snap =
-          MakeSnapshot(family, kUsers, kItems, 24, 12, seed);
-      const FrozenModel dmodel(ScoringSnapshot(snap), PrecisionTier::kDouble);
-      const FrozenModel fmodel(ScoringSnapshot(snap),
+      const OwnedRows snap = MakeRows(family, kUsers, kItems, 24, 12, seed);
+      const FrozenModel dmodel(snap.view(), PrecisionTier::kDouble);
+      const FrozenModel fmodel(snap.view(),
                                PrecisionTier::kFloat32);
-      const FrozenModel qmodel(ScoringSnapshot(snap), PrecisionTier::kInt8);
+      const FrozenModel qmodel(snap.view(), PrecisionTier::kInt8);
       double f32_overlap = 0.0, int8_overlap = 0.0;
       for (uint32_t u = 0; u < kUsers; ++u) {
         const std::vector<TopKEntry> want = TopKOf(dmodel, u, kK);
@@ -802,15 +735,15 @@ TEST(RankStabilityTest, ReducedTiersMeetDocumentedOverlapTolerances) {
 // exceeds the coarse head, for every kernel family on either backend.
 TEST(Int8RerankTest, ServedScoresAreFloat32Exact) {
   for (const KernelFamily& family : kNativeKernels) {
-    const ScoringSnapshot snap = MakeSnapshot(family, 10, 120, 24, 12, 55);
-    const FrozenModel model(ScoringSnapshot(snap), PrecisionTier::kInt8);
-    const FrozenModel f32model(ScoringSnapshot(snap), PrecisionTier::kFloat32);
+    const OwnedRows snap = MakeRows(family, 10, 120, 24, 12, 55);
+    const FrozenModel model(snap.view(), PrecisionTier::kInt8);
+    const FrozenModel f32model(snap.view(), PrecisionTier::kFloat32);
     for (const bool portable : {false, true}) {
       PortableBackendGuard guard(portable);
       for (size_t k : {7u, 40u, 200u}) {
-        for (uint32_t u = 0; u < snap.num_users; ++u) {
+        for (uint32_t u = 0; u < snap.users.rows(); ++u) {
           const std::vector<TopKEntry> got = TopKOf(model, u, k);
-          EXPECT_EQ(got.size(), std::min(k, snap.num_items));
+          EXPECT_EQ(got.size(), std::min(k, snap.items.rows()));
           for (const TopKEntry& e : got) {
             if (e.score == kNegInf) continue;
             double exact = 0.0;
@@ -840,9 +773,8 @@ TEST(ServerTierTest, BatchServerIsThreadCountInvariantOnEveryTier) {
   cfg.num_tags = 10;
   cfg.num_roots = 3;
   const DataSplit split = TemporalSplit(GenerateSynthetic(cfg));
-  ScoringSnapshot snap =
-      MakeSnapshot(kTwoChannelEuclid, split.num_users,
-                   split.num_items, 24, 12, 23);
+  const OwnedRows snap = MakeRows(kTwoChannelEuclid, split.num_users,
+                                 split.num_items, 24, 12, 23);
   std::vector<ServeRequest> requests;
   for (uint32_t u = 0; u < split.num_users; ++u) {
     requests.push_back({u, 10 + u % 7});
@@ -854,12 +786,10 @@ TEST(ServerTierTest, BatchServerIsThreadCountInvariantOnEveryTier) {
     options.user_batch = 4;
     options.grain = 8;
     SetNumThreads(1);
-    BatchServer single(FrozenModel(ScoringSnapshot(snap), tier), split,
-                       options);
+    BatchServer single(FrozenModel(snap.view(), tier), split, options);
     const auto want = single.ServeBatch(requests);
     SetNumThreads(4);
-    BatchServer pooled(FrozenModel(ScoringSnapshot(snap), tier), split,
-                       options);
+    BatchServer pooled(FrozenModel(snap.view(), tier), split, options);
     const auto got = pooled.ServeBatch(requests);
     ASSERT_EQ(want.size(), got.size());
     for (size_t i = 0; i < want.size(); ++i) {
@@ -882,7 +812,7 @@ TEST(ServerTierTest, HugeKServesWhatCatalogueSizedKServes) {
   cfg.num_tags = 6;
   cfg.num_roots = 2;
   const DataSplit split = TemporalSplit(GenerateSynthetic(cfg));
-  const ScoringSnapshot snap = MakeSnapshot(
+  const OwnedRows snap = MakeRows(
       kTwoChannelLorentz, split.num_users, split.num_items, 24, 12, 37);
   std::vector<ServeRequest> whole, huge;
   for (uint32_t u = 0; u < split.num_users; ++u) {
@@ -906,13 +836,13 @@ TEST(ServerTierTest, HugeKServesWhatCatalogueSizedKServes) {
   for (const PrecisionTier tier :
        {PrecisionTier::kDouble, PrecisionTier::kFloat32,
         PrecisionTier::kInt8}) {
-    BatchServer server(FrozenModel(ScoringSnapshot(snap), tier), split);
+    BatchServer server(FrozenModel(snap.view(), tier), split);
     expect_same(&server, /*exact=*/true, PrecisionTierName(tier));
   }
   ServeOptions options;
   options.retrieval = RetrievalMode::kIvf;
   options.ivf.nprobe = 2;
-  BatchServer ivf(FrozenModel(ScoringSnapshot(snap), PrecisionTier::kInt8),
+  BatchServer ivf(FrozenModel(snap.view(), PrecisionTier::kInt8),
                   split, options);
   ASSERT_NE(ivf.model().ivf(), nullptr);
   expect_same(&ivf, /*exact=*/false, "ivf.int8");

@@ -1,7 +1,8 @@
 // Tests for the SIGPROF sampling profiler: arming collects samples from a
 // CPU burn on the calling thread, folded stacks are well-formed
 // ("frame;frame count") and name a frame from this binary, symbol-less
-// frames name their module and offset, disarm stops collection, and the
+// frames name their module and offset, the reported rate is positive and
+// never above the requested one, disarm stops collection, and the
 // whole subsystem reports Unavailable cleanly when
 // stubbed out (sanitizer builds) or when timers cannot be created —
 // those cases GTEST_SKIP so `ctest -L hwobs` stays green everywhere.
@@ -119,6 +120,28 @@ TEST_F(SamplingProfilerTest, WriteFoldedStacksRoundTrips) {
     EXPECT_FALSE(line.substr(0, space).empty()) << line;
   }
   EXPECT_GT(lines, 0u);
+}
+
+// The timers fire on the scheduler tick, so a run can get far fewer
+// samples per CPU-second than it asked for; it can never get more, since
+// every sample waits out a full interval of the CPU time it is counted
+// against.
+TEST_F(SamplingProfilerTest, ReportsTheRateItGot) {
+  if (!SamplingProfilerSupported()) GTEST_SKIP() << "profiler stubbed out";
+  SamplingOptions opts;
+  opts.interval_us = 500;
+  Status start = StartSampling(opts);
+  if (!start.ok()) GTEST_SKIP() << "cannot arm timers: " << start.message();
+  SamplingBurn(0.3);
+  StopSampling();
+  const SampleRate rate = SamplingRate();
+  EXPECT_GE(rate.cpu_seconds, 0.3);
+  EXPECT_EQ(rate.requested_per_cpu_second, 2000.0);
+  EXPECT_EQ(rate.samples, SampleCount() + SampleDroppedCount());
+  EXPECT_GT(rate.per_cpu_second(), 0.0);
+  EXPECT_LE(rate.per_cpu_second(), rate.requested_per_cpu_second);
+  ClearSamples();
+  EXPECT_EQ(SamplingRate().cpu_seconds, 0.0);
 }
 
 // glibc's memset is an IFUNC: dladdr finds libc.so.6 but no symbol name.

@@ -18,6 +18,7 @@
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "math/rng.h"
+#include "scoring_rows.h"
 #include "serve/request_io.h"
 #include "serve/result_cache.h"
 #include "serve/server.h"
@@ -303,23 +304,21 @@ TEST(ServeFaultTest, QueueFullFaultShedsAtAdmission) {
 
 TEST(ServeFaultTest, SnapshotLoadFailureFallsBackToDouble) {
   Rng rng(5);
-  ScoringSnapshot snap;
+  OwnedRows snap;
   snap.kernel = ScoreKernel::kDot;
-  snap.num_users = 6;
-  snap.num_items = 40;
   snap.users = Matrix(6, 8);
   snap.items = Matrix(40, 8);
   snap.users.FillGaussian(&rng, 0.1);
   snap.items.FillGaussian(&rng, 0.1);
 
-  const FrozenModel clean(ScoringSnapshot(snap), PrecisionTier::kFloat32);
+  const FrozenModel clean(snap.view(), PrecisionTier::kFloat32);
   ASSERT_EQ(clean.tier(), PrecisionTier::kFloat32);
 
   FaultGuard faults;
   const uint64_t failures_before =
       CounterValue("taxorec.serve.snapshot_load_failures");
   FaultInjector::Instance().Arm(faults::kServeSnapshotLoad, -1, 1);
-  const FrozenModel faulty(ScoringSnapshot(snap), PrecisionTier::kFloat32);
+  const FrozenModel faulty(snap.view(), PrecisionTier::kFloat32);
   // The compact build failed; the model must still serve, at full
   // precision, instead of dying at load time.
   EXPECT_EQ(faulty.tier(), PrecisionTier::kDouble);
@@ -329,7 +328,7 @@ TEST(ServeFaultTest, SnapshotLoadFailureFallsBackToDouble) {
             1u);
 
   std::vector<double> reference_row(40), faulty_row(40);
-  const FrozenModel reference(ScoringSnapshot(snap), PrecisionTier::kDouble);
+  const FrozenModel reference(snap.view(), PrecisionTier::kDouble);
   reference.ScoreAll(3, reference_row);
   faulty.ScoreAll(3, faulty_row);
   EXPECT_EQ(reference_row, faulty_row);  // bit-identical to the double path
@@ -449,7 +448,7 @@ class NativeDotModel : public Recommender {
   std::string name() const override { return "NativeDot"; }
 
  private:
-  ScoringRows scoring_rows() const override {
+  ScoringSnapshot scoring_rows() const override {
     return {ScoreKernel::kDot, &users_, &items_};
   }
 

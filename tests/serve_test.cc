@@ -19,6 +19,7 @@
 #include "data/synthetic.h"
 #include "eval/recommend.h"
 #include "math/rng.h"
+#include "scoring_rows.h"
 #include "serve/server.h"
 
 namespace taxorec {
@@ -194,20 +195,20 @@ TEST(FrozenModelTest, VirtualFallbackRoundTrip) {
 // tag rows without a per-user alpha fail instead of scoring untagged.
 TEST(FrozenModelDeathTest, TagChannelNeedsAlphaAndADistanceKernel) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  ScoringSnapshot snap;
-  snap.kernel = ScoreKernel::kNegSqDist;
-  snap.num_users = 2;
-  snap.num_items = 3;
-  snap.users = Matrix(2, 4);
-  snap.items = Matrix(3, 4);
-  snap.users_tg = Matrix(2, 2);
-  snap.items_tg = Matrix(3, 2);
-  EXPECT_DEATH(FrozenModel{ScoringSnapshot(snap)}, "without a per-user alpha");
-  snap.alpha.assign(2, 0.5);
-  snap.kernel = ScoreKernel::kDot;
-  EXPECT_DEATH(FrozenModel{ScoringSnapshot(snap)}, "needs a distance kernel");
-  snap.kernel = ScoreKernel::kNegSqDist;
-  EXPECT_TRUE(FrozenModel(std::move(snap)).snapshot().has_tag_channel());
+  OwnedRows rows;
+  rows.kernel = ScoreKernel::kNegSqDist;
+  rows.users = Matrix(2, 4);
+  rows.items = Matrix(3, 4);
+  rows.users_tg = Matrix(2, 2);
+  rows.items_tg = Matrix(3, 2);
+  rows.alpha.assign(2, 0.5);
+  ScoringSnapshot view = rows.view();
+  view.alpha = {};
+  EXPECT_DEATH(FrozenModel{view}, "without a per-user alpha");
+  view = rows.view();
+  view.kernel = ScoreKernel::kDot;
+  EXPECT_DEATH(FrozenModel{view}, "needs a distance kernel");
+  EXPECT_TRUE(FrozenModel(rows.view()).snapshot().has_tag_channel());
 }
 
 TEST(TopKHeapTest, MatchesPartialSortOnRandomScoresWithTiesAndNonFinite) {

@@ -1,6 +1,6 @@
 // taxorec_serve — batch top-K serving harness.
 //
-// Freezes a trained model into an immutable scoring snapshot, replays a
+// Freezes a trained model (a view of its scoring rows), replays a
 // request stream against the batched server, and reports throughput and
 // latency percentiles from the metrics registry.
 //
@@ -525,12 +525,15 @@ int Main(int argc, const char* const* argv) {
   BatchServer server(*model, split, serve_opts);
   std::printf(
       "serving %zu requests (batch %lld, cache %lld, kernel %s, "
-      "precision %s, retrieval %s, snapshot %.1f MiB%s%s)\n",
+      "precision %s, retrieval %s, %s %.1f MiB%s%s)\n",
       requests.size(), static_cast<long long>(flags.GetInt("batch")),
       static_cast<long long>(flags.GetInt("cache")),
       server.model().native() ? "native" : "virtual",
       PrecisionTierName(server.model().tier()),
       RetrievalModeName(server.options().retrieval),
+      server.model().tier() == PrecisionTier::kDouble
+          ? "model rows read in place"
+          : "compact snapshot",
       static_cast<double>(server.model().snapshot_bytes()) / (1024.0 * 1024.0),
       queued_mode ? ", bounded queue" : "",
       serve_opts.admission.degrade ? ", degrade" : "");
