@@ -1,5 +1,6 @@
 #include "baselines/hgcf.h"
 
+#include "common/health.h"
 #include "data/sampler.h"
 #include "nn/losses.h"
 
@@ -17,8 +18,10 @@ void Hgcf::BeginFit(const DataSplit& split, Rng* rng) {
 
 double Hgcf::FitEpoch(const DataSplit& split, int epoch, Rng* rng) {
   for (size_t b = 0; b < config().batches_per_epoch; ++b) {
-    channel_.Forward(*gcn_, users0_, items0_);
+    // Drawn first, so the forward pass computes only the rows it reads.
     sampler_->SampleBatch(rng, config().batch_size, &batch_);
+    rows_.Assign(batch_);
+    channel_.Forward(*gcn_, users0_, items0_, &rows_);
     // Summed (not averaged) batch gradients: keeps the effective per-sample
     // step size identical to the per-triplet SGD models.
     channel_.ZeroGrads();
@@ -49,6 +52,11 @@ double Hgcf::FitEpoch(const DataSplit& split, int epoch, Rng* rng) {
 void Hgcf::EndFit(const DataSplit& split) {
   channel_.Forward(*gcn_, users0_, items0_);
   channel_.ReleaseStepBuffers();
+}
+
+void Hgcf::CheckHealth(HealthMonitor* monitor) const {
+  monitor->CheckLorentzRows("users", users0_);
+  monitor->CheckLorentzRows("items", items0_);
 }
 
 }  // namespace taxorec

@@ -25,6 +25,9 @@ class Hgcf : public Recommender {
   void BeginFit(const DataSplit& split, Rng* rng) override;
   double FitEpoch(const DataSplit& split, int epoch, Rng* rng) override;
   void EndFit(const DataSplit& split) override;
+  /// Scans the leaves: between BeginFit and EndFit the outputs are current
+  /// only at the last batch's rows.
+  void CheckHealth(HealthMonitor* monitor) const override;
 
  private:
   ScoringSnapshot scoring_rows() const override {
@@ -37,6 +40,7 @@ class Hgcf : public Recommender {
   Matrix users0_, items0_;  // Lorentz leaves, (dim+1) coords
   std::unique_ptr<TripletSampler> sampler_;
   std::vector<Triplet> batch_;
+  nn::BatchRows rows_;  // batch_'s users and items
 };
 
 }  // namespace taxorec

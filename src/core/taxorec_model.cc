@@ -201,16 +201,20 @@ void TaxoRecModel::RebuildTaxonomy(int epoch) {
   }
 }
 
-void TaxoRecModel::Propagate() {
-  // Local aggregation: item tag-relevant leaves from the tag table.
-  if (options_.hyperbolic) {
-    tag_agg_->Forward(tags_, &tag_ctx_, &items_tg_leaf_);
-  } else {
-    RowMeans(item_tags_, tags_, &items_tg_leaf_);
+void TaxoRecModel::Propagate(const nn::BatchRows* rows) {
+  // Local aggregation: item tag-relevant leaves from the tag table. The
+  // first GCN layer reads every item's leaf.
+  {
+    TraceSpan span("tag_agg_fwd");
+    if (options_.hyperbolic) {
+      tag_agg_->Forward(tags_, &tag_ctx_, &items_tg_leaf_);
+    } else {
+      RowMeans(item_tags_, tags_, &items_tg_leaf_);
+    }
   }
   // Global aggregation on both channels.
-  ir_.Forward(*gcn_, users_ir_, items_ir_);
-  tg_.Forward(*gcn_, users_tg_, items_tg_leaf_);
+  ir_.Forward(*gcn_, users_ir_, items_ir_, rows);
+  tg_.Forward(*gcn_, users_tg_, items_tg_leaf_, rows);
 }
 
 double TaxoRecModel::TrainStep(const TripletSampler& sampler, int epoch,
@@ -218,80 +222,104 @@ double TaxoRecModel::TrainStep(const TripletSampler& sampler, int epoch,
   // Summed (not averaged) batch gradients, matching per-triplet SGD scale.
   const double scale = 1.0;
   const size_t batch = config().batch_size;
-
-  // Phase 1 — per-sample fan-out. Each sample's triplet draw consumes a
-  // counter-based stream derived from (seed, epoch, sample_index), and its
-  // gradients land in sample-owned rows of a scratch buffer, so this phase
-  // reads the (frozen) propagated embeddings and writes disjoint memory:
-  // the batch is a pure function of the seed, not of the thread count.
+  std::vector<Triplet>& triplets = ws_.triplets;
   std::vector<SampleRec>& recs = ws_.recs;
-  recs.assign(batch, SampleRec{});
   Matrix& gbuf_ir = ws_.gbuf_ir;
   Matrix& gbuf_tg = ws_.gbuf_tg;
-  gbuf_ir.EnsureShape(batch * 3, users_ir_.cols());
-  gbuf_tg.EnsureShape(batch * 3, users_tg_.cols());
-  // Zeroes sample j's three gradient rows before they accumulate.
-  auto zero_rows = [](Matrix* gbuf, size_t j) {
-    for (size_t r = 3 * j; r < 3 * j + 3; ++r) vec::Zero(gbuf->row(r));
-  };
-  // Eq. 17's g(u, v) on the propagated channels, as the model scores.
-  const ScoringSnapshot rows = scoring_rows();
 
-  ParallelFor(0, batch, /*grain=*/32, [&](size_t j0, size_t j1) {
-    for (size_t j = j0; j < j1; ++j) {
-      const uint64_t sample_index = batch_index * batch + j;
-      Rng stream = Rng::Derive(config().seed, static_cast<uint64_t>(epoch),
-                               sample_index);
-      const Triplet t = sampler.Sample(&stream);
-      const double a = alpha_[t.user];
-      const double g_pos = rows.PairDistance(t.user, t.pos);
-      const double g_neg = rows.PairDistance(t.user, t.neg);
-      double dpos, dneg;
-      const double hinge =
-          nn::HingeTriplet(config().margin, g_pos, g_neg, &dpos, &dneg);
-      if (hinge <= 0.0) continue;
-      recs[j] = {t.user, t.pos, t.neg, a, hinge, /*active=*/true};
-      zero_rows(&gbuf_ir, j);
-      ir_.AddSqDistanceGrad(t.user, t.pos, dpos * scale, gbuf_ir.row(3 * j),
-                            gbuf_ir.row(3 * j + 1));
-      ir_.AddSqDistanceGrad(t.user, t.neg, dneg * scale, gbuf_ir.row(3 * j),
-                            gbuf_ir.row(3 * j + 2));
-      if (a > 0.0) {
-        zero_rows(&gbuf_tg, j);
-        tg_.AddSqDistanceGrad(t.user, t.pos, a * dpos * scale,
-                              gbuf_tg.row(3 * j), gbuf_tg.row(3 * j + 1));
-        tg_.AddSqDistanceGrad(t.user, t.neg, a * dneg * scale,
-                              gbuf_tg.row(3 * j), gbuf_tg.row(3 * j + 2));
+  // Phase 0 — the draw, before the forward pass, which then computes the
+  // channels' outputs only at the batch's rows. Each sample's triplet
+  // consumes a counter-based stream derived from (seed, epoch,
+  // sample_index), so the batch is a pure function of the seed, not of the
+  // thread count.
+  {
+    TraceSpan span("triplet_fanout");
+    triplets.resize(batch);
+    ParallelFor(0, batch, /*grain=*/32, [&](size_t j0, size_t j1) {
+      for (size_t j = j0; j < j1; ++j) {
+        Rng stream = Rng::Derive(config().seed, static_cast<uint64_t>(epoch),
+                                 batch_index * batch + j);
+        triplets[j] = sampler.Sample(&stream);
       }
-    }
-  });
+    });
+    ws_.rows.Assign(triplets);
+  }
+  Propagate(&ws_.rows);
+
+  // Phase 1 — per-sample fan-out. Each sample's gradients land in
+  // sample-owned rows of a scratch buffer, so this phase reads the (frozen)
+  // propagated embeddings and writes disjoint memory.
+  {
+    TraceSpan span("triplet_fanout");
+    recs.assign(batch, SampleRec{});
+    gbuf_ir.EnsureShape(batch * 3, users_ir_.cols());
+    gbuf_tg.EnsureShape(batch * 3, users_tg_.cols());
+    // Zeroes sample j's three gradient rows before they accumulate.
+    auto zero_rows = [](Matrix* gbuf, size_t j) {
+      for (size_t r = 3 * j; r < 3 * j + 3; ++r) vec::Zero(gbuf->row(r));
+    };
+    // Eq. 17's g(u, v) on the propagated channels, as the model scores.
+    const ScoringSnapshot rows = scoring_rows();
+    ParallelFor(0, batch, /*grain=*/32, [&](size_t j0, size_t j1) {
+      for (size_t j = j0; j < j1; ++j) {
+        const Triplet& t = triplets[j];
+        const double a = alpha_[t.user];
+        const double g_pos = rows.PairDistance(t.user, t.pos);
+        const double g_neg = rows.PairDistance(t.user, t.neg);
+        double dpos, dneg;
+        const double hinge =
+            nn::HingeTriplet(config().margin, g_pos, g_neg, &dpos, &dneg);
+        if (hinge <= 0.0) continue;
+        recs[j] = {a, hinge, /*active=*/true};
+        zero_rows(&gbuf_ir, j);
+        ir_.AddSqDistanceGrad(t.user, t.pos, dpos * scale, gbuf_ir.row(3 * j),
+                              gbuf_ir.row(3 * j + 1));
+        ir_.AddSqDistanceGrad(t.user, t.neg, dneg * scale, gbuf_ir.row(3 * j),
+                              gbuf_ir.row(3 * j + 2));
+        if (a > 0.0) {
+          zero_rows(&gbuf_tg, j);
+          tg_.AddSqDistanceGrad(t.user, t.pos, a * dpos * scale,
+                                gbuf_tg.row(3 * j), gbuf_tg.row(3 * j + 1));
+          tg_.AddSqDistanceGrad(t.user, t.neg, a * dneg * scale,
+                                gbuf_tg.row(3 * j), gbuf_tg.row(3 * j + 2));
+        }
+      }
+    });
+  }
 
   // Phase 2 — ordered reduction. Per-sample gradients are folded into the
   // dense update matrices in ascending sample order on this thread, so the
   // summation order (and every optimizer step below) is independent of the
-  // thread count. The sums land in each channel's grad_u/grad_v.
-  ir_.ZeroGrads();
-  tg_.ZeroGrads();
+  // thread count. The sums land in each channel's grad_u/grad_v, which are
+  // zero off the batch's rows, as the channels' Backward requires.
   double batch_loss = 0.0;
-  for (size_t j = 0; j < batch; ++j) {
-    const SampleRec& rec = recs[j];
-    if (!rec.active) continue;
-    batch_loss += rec.loss;
-    vec::Axpy(1.0, gbuf_ir.row(3 * j), ir_.grad_u().row(rec.user));
-    vec::Axpy(1.0, gbuf_ir.row(3 * j + 1), ir_.grad_v().row(rec.pos));
-    vec::Axpy(1.0, gbuf_ir.row(3 * j + 2), ir_.grad_v().row(rec.neg));
-    if (rec.a > 0.0) {
-      vec::Axpy(1.0, gbuf_tg.row(3 * j), tg_.grad_u().row(rec.user));
-      vec::Axpy(1.0, gbuf_tg.row(3 * j + 1), tg_.grad_v().row(rec.pos));
-      vec::Axpy(1.0, gbuf_tg.row(3 * j + 2), tg_.grad_v().row(rec.neg));
+  {
+    TraceSpan span("grad_reduce");
+    ir_.ZeroGrads();
+    tg_.ZeroGrads();
+    for (size_t j = 0; j < batch; ++j) {
+      const SampleRec& rec = recs[j];
+      if (!rec.active) continue;
+      const Triplet& t = triplets[j];
+      batch_loss += rec.loss;
+      vec::Axpy(1.0, gbuf_ir.row(3 * j), ir_.grad_u().row(t.user));
+      vec::Axpy(1.0, gbuf_ir.row(3 * j + 1), ir_.grad_v().row(t.pos));
+      vec::Axpy(1.0, gbuf_ir.row(3 * j + 2), ir_.grad_v().row(t.neg));
+      if (rec.a > 0.0) {
+        vec::Axpy(1.0, gbuf_tg.row(3 * j), tg_.grad_u().row(t.user));
+        vec::Axpy(1.0, gbuf_tg.row(3 * j + 1), tg_.grad_v().row(t.pos));
+        vec::Axpy(1.0, gbuf_tg.row(3 * j + 2), tg_.grad_v().row(t.neg));
+      }
     }
   }
 
   // Deterministic fault site: poisons one accumulated gradient value so the
   // rollback/retry machinery of the training loop can be exercised by real
-  // tests. A single relaxed atomic load when disarmed.
+  // tests. It sits on the batch's first user, a row the backward pass
+  // reads. A single relaxed atomic load when disarmed.
   if (TAXOREC_FAULT(faults::kGradNan, epoch)) {
-    ir_.grad_u().at(0, 0) = std::numeric_limits<double>::quiet_NaN();
+    ir_.grad_u().at(triplets[0].user, 0) =
+        std::numeric_limits<double>::quiet_NaN();
   }
 
   ir_.Backward(*gcn_, users_ir_, items_ir_);
@@ -303,24 +331,32 @@ double TaxoRecModel::TrainStep(const TripletSampler& sampler, int epoch,
   tg_.Step(&users_tg_, tg_.grad_u(), tag_lr, config().grad_clip);
   // Local aggregation backward (item tag-leaf grads → tags), tag step.
   Matrix& grad_tags = ws_.grad_tags;
-  grad_tags.EnsureShape(num_tags_, tags_.cols());
-  grad_tags.SetZero();
-  if (options_.hyperbolic) {
-    tag_agg_->Backward(tags_, tag_ctx_, tg_.grad_v(), &grad_tags);
-    // Taxonomy-aware regularization (Eq. 8), hyperbolic mode only. The
-    // per-call scale normalizes by the tag count so λ is comparable across
-    // datasets.
-    if (options_.lambda > 0.0 && taxonomy_ != nullptr) {
-      TaxonomyRegLossAndGrad(*taxonomy_, tags_,
-                             options_.lambda / static_cast<double>(num_tags_),
-                             &grad_tags, options_.reg);
+  {
+    TraceSpan span("tag_agg_bwd");
+    grad_tags.EnsureShape(num_tags_, tags_.cols());
+    grad_tags.SetZero();
+    if (options_.hyperbolic) {
+      tag_agg_->Backward(tags_, tag_ctx_, tg_.grad_v(), &grad_tags);
+    } else {
+      RowMeansBackward(item_tags_, tg_.grad_v(), &grad_tags);
     }
-    optim::PoincareRsgdUpdate(&tags_, grad_tags, tag_lr, config().grad_clip);
-  } else {
-    RowMeansBackward(item_tags_, tg_.grad_v(), &grad_tags);
+  }
+  if (!options_.hyperbolic) {
     // The Euclidean tag table is the mean's operand, a channel leaf.
     tg_.Step(&tags_, grad_tags, tag_lr, config().grad_clip);
+    return batch_loss;
   }
+  // Taxonomy-aware regularization (Eq. 8), hyperbolic mode only. The
+  // per-call scale normalizes by the tag count so λ is comparable across
+  // datasets.
+  if (options_.lambda > 0.0 && taxonomy_ != nullptr) {
+    TraceSpan span("taxo_reg");
+    TaxonomyRegLossAndGrad(*taxonomy_, tags_,
+                           options_.lambda / static_cast<double>(num_tags_),
+                           &grad_tags, options_.reg);
+  }
+  TraceSpan span("rsgd");
+  optim::PoincareRsgdUpdate(&tags_, grad_tags, tag_lr, config().grad_clip);
   return batch_loss;
 }
 
@@ -372,7 +408,9 @@ double TaxoRecModel::FitEpoch(const DataSplit& split, int epoch, Rng* rng) {
   // (Rng::Derive(seed, epoch, sample_index) inside TrainStep), not from
   // `rng`, so the sampled triples — and the trained model — are identical
   // at any --threads value, and a run resumed at epoch k replays exactly
-  // the updates of the uninterrupted run.
+  // the updates of the uninterrupted run. Each step propagates only the
+  // output rows its batch reads, so until EndFit the channels' outputs are
+  // current only at the last batch's rows.
   TraceSpan span("fit_epoch");
   if (options_.hyperbolic && epoch > 0 &&
       epoch % std::max(1, config().taxo_rebuild_every) == 0) {
@@ -380,7 +418,6 @@ double TaxoRecModel::FitEpoch(const DataSplit& split, int epoch, Rng* rng) {
   }
   double epoch_loss = 0.0;
   for (size_t b = 0; b < config().batches_per_epoch; ++b) {
-    Propagate();
     epoch_loss += TrainStep(*sampler_, epoch, b);
   }
   static Counter* samples =

@@ -137,20 +137,20 @@ class TaxoRecModel : public Recommender {
   /// Algorithm 1 has signal from the first rebuild; joint training then
   /// refines it (DESIGN.md §4).
   void WarmUpTags(Rng* rng);
-  /// Runs the full forward pass from the current leaves.
-  void Propagate();
+  /// Runs the forward pass from the current leaves: the full one, or with
+  /// `rows` the channels' last GCN layer and exp_o only at a batch's rows.
+  void Propagate(const nn::BatchRows* rows = nullptr);
   /// One minibatch step; returns the summed hinge loss of the batch.
-  /// Sampling and per-sample gradient evaluation fan out over the batch
-  /// with counter-based RNG streams
-  /// (Rng::Derive(seed, epoch, sample_index)); gradients are then
-  /// accumulated in sample order and the optimizers stepped — so the update
-  /// is bit-identical at any thread count.
+  /// The batch is drawn first, fanning out over counter-based RNG streams
+  /// (Rng::Derive(seed, epoch, sample_index)), then propagated at its rows;
+  /// per-sample gradient evaluation fans out over the batch, gradients
+  /// are accumulated in sample order and the optimizers stepped — so the
+  /// update is bit-identical at any thread count.
   double TrainStep(const TripletSampler& sampler, int epoch,
                    size_t batch_index);
 
   // One sample of TrainStep's fan-out.
   struct SampleRec {
-    uint32_t user = 0, pos = 0, neg = 0;
     double a = 0.0;
     double loss = 0.0;
     bool active = false;
@@ -159,6 +159,8 @@ class TaxoRecModel : public Recommender {
   // Contents are scratch between uses (every use zeroes or fully overwrites
   // what it reads); EndFit releases the buffers.
   struct StepWorkspace {
+    std::vector<Triplet> triplets;  // the batch, drawn before propagation
+    nn::BatchRows rows;             // its users and items
     std::vector<SampleRec> recs;
     Matrix gbuf_ir, gbuf_tg;  // rows 3j..3j+2: sample j's user/pos/neg grads
     Matrix grad_tags;

@@ -1,6 +1,7 @@
 #include "math/csr.h"
 
 #include <algorithm>
+#include <functional>
 #include <tuple>
 
 #include "common/metrics.h"
@@ -333,7 +334,8 @@ void CsrMatrix::MultiplyAccum(const Matrix& dense, double alpha,
 
 void CsrMatrix::MultiplyAdd(const Matrix& dense, double alpha,
                             const Matrix* init, Matrix* out,
-                            const LayerFinish* finish) const {
+                            const LayerFinish* finish,
+                            const std::vector<uint32_t>* rows) const {
   TAXOREC_CHECK(dense.rows() == cols_);
   TAXOREC_CHECK(out->rows() == rows_ && out->cols() == dense.cols());
   const auto out_shaped = [&](const Matrix* m) {
@@ -342,6 +344,14 @@ void CsrMatrix::MultiplyAdd(const Matrix& dense, double alpha,
   TAXOREC_CHECK(out_shaped(init));
   TAXOREC_CHECK(finish == nullptr ||
                 (out_shaped(finish->add) && out_shaped(finish->sum)));
+  // Ascending and distinct: each listed row has one writer, and the last
+  // bounds them all.
+  TAXOREC_CHECK(rows == nullptr || rows->empty() || rows->back() < rows_);
+  TAXOREC_DCHECK(rows == nullptr ||
+                 std::adjacent_find(rows->begin(), rows->end(),
+                                    std::greater_equal<>()) == rows->end());
+  const size_t num_rows = rows == nullptr ? rows_ : rows->size();
+  const uint32_t* const list = rows == nullptr ? nullptr : rows->data();
   // Whole-call instruments only: per-row updates would put an atomic RMW in
   // the innermost loop (the <3% armed-overhead budget of
   // bench_micro_kernels is measured against this placement).
@@ -351,7 +361,7 @@ void CsrMatrix::MultiplyAdd(const Matrix& dense, double alpha,
   static Counter* row_count =
       MetricsRegistry::Instance().GetCounter("taxorec.spmm.rows");
   calls->Increment();
-  row_count->Increment(rows_);
+  row_count->Increment(num_rows);
   const RowKernel row_kernel = PickRowKernel().first;
   const SpmmCall call{
       row_ptr_.data(),
@@ -371,8 +381,10 @@ void CsrMatrix::MultiplyAdd(const Matrix& dense, double alpha,
   // Row-parallel SpMM: every output row is owned by exactly one worker, so
   // the result is bit-identical at any thread count. Small grain + static
   // round-robin chunks balance the power-law row lengths.
-  ParallelFor(0, rows_, /*grain=*/32, [&](size_t r0, size_t r1) {
-    for (size_t r = r0; r < r1; ++r) row_kernel(call, r);
+  ParallelFor(0, num_rows, /*grain=*/32, [&](size_t i0, size_t i1) {
+    for (size_t i = i0; i < i1; ++i) {
+      row_kernel(call, list == nullptr ? i : list[i]);
+    }
   });
 }
 

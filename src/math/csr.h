@@ -77,14 +77,18 @@ class CsrMatrix {
   /// out = init + alpha * this * dense, the SpMM behind Multiply and
   /// MultiplyAccum, with `finish` (when set) applied as it is stored.
   /// `init` is a matrix of out's shape (it may be `out` itself) or null for
-  /// zero; `out` must already have its shape. Every output element is
-  /// computed by the same double operations on every kernel and thread
-  /// count: start from init (or +0.0), then add (alpha * w_k) * dense(c_k,
-  /// j) for the row's nonzeros in column order, each product and sum
-  /// rounded separately (no FMA), then the finish. Row chunks run in
-  /// parallel with one writer per row.
+  /// zero; `out` must already have its shape. `rows` (null: every row)
+  /// lists the output rows to compute, ascending and distinct; every other
+  /// row of `out` and of the finish's `sum` is left as it is, and
+  /// `taxorec.spmm.rows` counts only the rows computed. Every output
+  /// element is computed by the same double operations on every kernel,
+  /// thread count and row list: start from init (or +0.0), then add
+  /// (alpha * w_k) * dense(c_k, j) for the row's nonzeros in column order,
+  /// each product and sum rounded separately (no FMA), then the finish.
+  /// Chunks of rows run in parallel with one writer per row.
   void MultiplyAdd(const Matrix& dense, double alpha, const Matrix* init,
-                   Matrix* out, const LayerFinish* finish = nullptr) const;
+                   Matrix* out, const LayerFinish* finish = nullptr,
+                   const std::vector<uint32_t>* rows = nullptr) const;
 
   /// Name of the row kernel MultiplyAdd runs at the active SIMD level
   /// (math/simd.h): "avx512", "avx2" or "portable".

@@ -16,6 +16,14 @@ constexpr double kNearOrigin = 1e-7;
 // Floor for 1/sqrt(x0^2 - 1) in the log-map Jacobian.
 constexpr double kRadicandFloor = 1e-14;
 
+// Rows an exp map stage visits: every row of `m`, or the listed ones (the
+// last bounds them all, since the list ascends).
+size_t RowCount(const Matrix& m, const std::vector<uint32_t>* rows) {
+  if (rows == nullptr) return m.rows();
+  TAXOREC_CHECK(rows->empty() || rows->back() < m.rows());
+  return rows->size();
+}
+
 }  // namespace
 
 void LogMapOriginForward(const Matrix& X, Matrix* Z) {
@@ -59,19 +67,24 @@ void LogMapOriginBackward(const Matrix& X, const Matrix& upstream,
   }
 }
 
-void ExpMapOriginForward(const Matrix& Z, Matrix* Y) {
+void ExpMapOriginForward(const Matrix& Z, Matrix* Y,
+                         const std::vector<uint32_t>* rows) {
   Y->EnsureShape(Z.rows(), Z.cols());
-  for (size_t r = 0; r < Z.rows(); ++r) {
+  const size_t n = RowCount(Z, rows);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t r = rows == nullptr ? i : (*rows)[i];
     lorentz::ExpMapOrigin(Z.row(r), Y->row(r));
   }
 }
 
 void ExpMapOriginBackward(const Matrix& Z, const Matrix& upstream,
-                          Matrix* grad_Z) {
+                          Matrix* grad_Z, const std::vector<uint32_t>* rows) {
   TAXOREC_CHECK(upstream.rows() == Z.rows() && upstream.cols() == Z.cols());
   TAXOREC_CHECK(grad_Z->rows() == Z.rows() && grad_Z->cols() == Z.cols());
   const size_t d1 = Z.cols();
-  for (size_t r = 0; r < Z.rows(); ++r) {
+  const size_t n = RowCount(Z, rows);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t r = rows == nullptr ? i : (*rows)[i];
     const auto g = upstream.row(r);
     // Most rows of a batch's upstream are zero (the loss reached few
     // users and items); for a row whose map is finite the arithmetic below

@@ -6,8 +6,14 @@
 // matrices (rows = entities, cols = d+1 Lorentz coordinates with column 0
 // the time coordinate) together with exact Jacobian-transpose backward
 // passes, verified against finite differences in tests/nn_gradcheck_test.cc.
+// The exp map stages also take a row list (null: every row): a training
+// step maps only the rows its batch reads (nn::GcnChannel), and each listed
+// row is computed exactly as in the full pass.
 #ifndef TAXOREC_NN_LORENTZ_LAYERS_H_
 #define TAXOREC_NN_LORENTZ_LAYERS_H_
+
+#include <cstdint>
+#include <vector>
 
 #include "math/matrix.h"
 
@@ -23,13 +29,17 @@ void LogMapOriginBackward(const Matrix& X, const Matrix& upstream,
 
 /// Applies exp_o row-wise: Y = exp_o(Z). Z rows are tangent vectors at the
 /// origin (column 0 ignored/expected 0), Y rows are hyperboloid points.
-void ExpMapOriginForward(const Matrix& Z, Matrix* Y);
+/// With `rows` (ascending, distinct) only those rows of Y are written.
+void ExpMapOriginForward(const Matrix& Z, Matrix* Y,
+                         const std::vector<uint32_t>* rows = nullptr);
 
 /// Accumulates grad_Z += J_expmap(Z)^T * upstream, row-wise. Column 0 of
 /// grad_Z is left untouched (the tangent space at o has z_0 = 0), and so is
-/// every row whose upstream row is all zero.
+/// every row whose upstream row is all zero. With `rows` only those rows
+/// are visited, which is exact when upstream is zero on every other row.
 void ExpMapOriginBackward(const Matrix& Z, const Matrix& upstream,
-                          Matrix* grad_Z);
+                          Matrix* grad_Z,
+                          const std::vector<uint32_t>* rows = nullptr);
 
 }  // namespace taxorec::nn
 

@@ -7,7 +7,8 @@
 // Lifetime: a view copies nothing, so the model it reads (its rows, or
 // for kVirtual the model itself through `live`) must outlive it and every
 // FrozenModel and BatchServer built on it, and must not train while they
-// serve. CompactSnapshot and IvfIndex encode copies of their own.
+// serve. CompactSnapshot and IvfIndex encode copies of their own. Between
+// BeginFit and EndFit, only the last batch's output rows are current.
 #ifndef TAXOREC_SERVE_SNAPSHOT_H_
 #define TAXOREC_SERVE_SNAPSHOT_H_
 

@@ -6,12 +6,14 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/parallel.h"
 #include "math/csr.h"
 #include "math/matrix.h"
@@ -315,6 +317,96 @@ TEST(CsrTest, MultiplyMatchesReferenceBitForBit) {
               if (alpha != 1.0) continue;
               ASSERT_EQ(Bits(prod.at(r, j)), Bits(want0[j]))
                   << "Multiply " << where();
+            }
+          }
+        }
+      }
+    }
+  }
+  SetNumThreads(saved_threads);
+}
+
+bool SameRow(const Matrix& a, const Matrix& b, size_t r) {
+  return std::memcmp(a.row(r).data(), b.row(r).data(),
+                     a.cols() * sizeof(double)) == 0;
+}
+
+// MultiplyAdd over a row list writes the full product's bits on the listed
+// rows and leaves every other row of `out` and of the finish's `sum` as it
+// was (NaN included), for every width 1-129, every call form (plain, in
+// place, each layer finish), every SIMD level the host runs, 1 and 4
+// threads, and an empty list, a list of every row and a random list; the
+// row counter counts the listed rows alone. The lists are longer than the
+// chunk grain, so at 4 threads they run on the pool.
+TEST(CsrTest, RowListMatchesFullProductAndLeavesOtherRows) {
+  Rng rng(7);
+  constexpr size_t kRows = 100, kCols = 45;
+  std::vector<std::tuple<uint32_t, uint32_t, double>> triplets;
+  for (int i = 0; i < 800; ++i) {
+    const uint32_t r = static_cast<uint32_t>(rng.Uniform(kRows));
+    if (r % 9 == 4) continue;  // empty rows
+    triplets.emplace_back(r, static_cast<uint32_t>(rng.Uniform(kCols)),
+                          rng.NextGaussian());
+  }
+  const CsrMatrix m = CsrMatrix::FromTriplets(kRows, kCols, triplets);
+  std::vector<uint32_t> every(kRows);
+  std::iota(every.begin(), every.end(), 0u);
+  const Counter* row_count =
+      MetricsRegistry::Instance().GetCounter("taxorec.spmm.rows");
+  const int saved_threads = GetNumThreads();
+  for (size_t d = 1; d <= 129; ++d) {
+    Matrix dense(kCols, d), init(kRows, d), up(kRows, d);
+    Matrix stale_out(kRows, d), stale_sum(kRows, d);
+    dense.FillGaussian(&rng, 1.0);
+    init.FillGaussian(&rng, 1.0);
+    up.FillGaussian(&rng, 1.0);
+    stale_out.FillGaussian(&rng, 1.0);
+    stale_sum.FillGaussian(&rng, 1.0);
+    stale_out.at(kRows / 2, 0) = std::numeric_limits<double>::quiet_NaN();
+    stale_sum.at(kRows / 2 + 1, 0) = -0.0;
+    std::vector<uint32_t> some;
+    for (uint32_t r = 0; r < kRows; ++r) {
+      if (rng.Uniform(5) < 2) some.push_back(r);
+    }
+    const std::vector<uint32_t> lists[] = {{}, every, some};
+    // Call forms: 0 plain, 1 in place (init is out), 2 the backward finish,
+    // 3 and 4 the forward finish into a later and into the first layer sum.
+    auto call = [&](int form, Matrix* out, Matrix* sum,
+                    const std::vector<uint32_t>* rows) {
+      const CsrMatrix::LayerFinish plus_up{.add = &up};
+      const CsrMatrix::LayerFinish into_sum{.sum = sum, .first = form == 4};
+      switch (form) {
+        case 0: m.MultiplyAdd(dense, 0.25, &init, out, nullptr, rows); break;
+        case 1: m.MultiplyAdd(dense, 1.0, out, out, nullptr, rows); break;
+        case 2: m.MultiplyAdd(dense, 1.0, &init, out, &plus_up, rows); break;
+        default: m.MultiplyAdd(dense, 1.0, &init, out, &into_sum, rows); break;
+      }
+    };
+    for (const simd::Level level : HostSimdLevels()) {
+      const SimdLevelCap cap(level);
+      for (const int threads : {1, 4}) {
+        SetNumThreads(threads);
+        for (int form = 0; form < 5; ++form) {
+          Matrix full_out = stale_out, full_sum = stale_sum;
+          call(form, &full_out, &full_sum, nullptr);
+          for (const std::vector<uint32_t>& list : lists) {
+            Matrix out = stale_out, sum = stale_sum;
+            const uint64_t rows_before = row_count->value();
+            call(form, &out, &sum, &list);
+            const std::string where =
+                "d=" + std::to_string(d) + " form=" + std::to_string(form) +
+                " list of " + std::to_string(list.size()) + " " +
+                CsrMatrix::KernelName() +
+                " threads=" + std::to_string(threads);
+            ASSERT_EQ(row_count->value() - rows_before, list.size()) << where;
+            size_t next = 0;
+            for (size_t r = 0; r < kRows; ++r) {
+              const bool listed = next < list.size() && list[next] == r;
+              if (listed) ++next;
+              ASSERT_TRUE(SameRow(out, listed ? full_out : stale_out, r))
+                  << "out row " << r << " " << where;
+              ASSERT_TRUE(SameRow(sum, listed ? full_sum : stale_sum, r))
+                  << "sum row " << r << " " << where;
             }
           }
         }

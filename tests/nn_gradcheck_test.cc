@@ -12,6 +12,7 @@
 
 #include "common/heap_stats.h"
 #include "common/parallel.h"
+#include "data/sampler.h"
 #include "hyperbolic/lorentz.h"
 #include "hyperbolic/poincare.h"
 #include "math/csr.h"
@@ -280,6 +281,67 @@ TEST(GradCheckTest, GcnChannelSecondStepMatchesFreshChannelBitForBit) {
     EXPECT_TRUE(SameBits(users, fresh_users)) << what << "users";
     EXPECT_TRUE(SameBits(items, fresh_items)) << what << "items";
   }
+}
+
+// Three steps of a channel whose Forward is limited to each batch's rows
+// land on the leaves of a channel that propagates every row, bit for bit:
+// both geometries, 1-3 layers, 1 and 4 threads. Later batches meet the
+// rows earlier ones left stale, and a dropped batch row reads a stale
+// output. The batches list more rows than the SpMM's chunk grain, so at 4
+// threads the row lists run on the pool.
+TEST(GradCheckTest, GcnChannelBatchLimitedStepMatchesFullStepBitForBit) {
+  constexpr size_t kUsers = 120, kItems = 160, kBatch = 48;
+  const int saved_threads = GetNumThreads();
+  for (const bool hyperbolic : {true, false}) {
+    for (int layers = 1; layers <= 3; ++layers) {
+      for (const int threads : {1, 4}) {
+        SetNumThreads(threads);
+        Rng rng(28);
+        const nn::BipartiteGcn gcn(ChannelGraph(&rng, kUsers, kItems),
+                                   layers);
+        Matrix users = ChannelLeaves(hyperbolic, &rng, kUsers);
+        Matrix items = ChannelLeaves(hyperbolic, &rng, kItems);
+        Matrix full_users = users, full_items = items;
+        nn::GcnChannel limited(hyperbolic), full(hyperbolic);
+        std::vector<Triplet> batch(kBatch);
+        nn::BatchRows rows;
+        for (int step = 0; step < 3; ++step) {
+          for (Triplet& t : batch) {
+            t = {static_cast<uint32_t>(rng.Uniform(kUsers)),
+                 static_cast<uint32_t>(rng.Uniform(kItems)),
+                 static_cast<uint32_t>(rng.Uniform(kItems))};
+          }
+          rows.Assign(batch);
+          limited.Forward(gcn, users, items, &rows);
+          full.Forward(gcn, full_users, full_items);
+          for (nn::GcnChannel* c : {&limited, &full}) {
+            c->ZeroGrads();
+            for (const Triplet& t : batch) {
+              c->AddSqDistanceGrad(t.user, t.pos, 1.0, c->grad_u().row(t.user),
+                                   c->grad_v().row(t.pos));
+              c->AddSqDistanceGrad(t.user, t.neg, -0.5,
+                                   c->grad_u().row(t.user),
+                                   c->grad_v().row(t.neg));
+            }
+          }
+          limited.Backward(gcn, users, items);
+          full.Backward(gcn, full_users, full_items);
+          limited.Step(&users, limited.grad_u(), 0.05, 1.0);
+          limited.Step(&items, limited.grad_v(), 0.05, 1.0);
+          full.Step(&full_users, full.grad_u(), 0.05, 1.0);
+          full.Step(&full_items, full.grad_v(), 0.05, 1.0);
+          const std::string what =
+              std::string(hyperbolic ? "lorentz" : "euclid") +
+              " layers=" + std::to_string(layers) +
+              " threads=" + std::to_string(threads) +
+              " step=" + std::to_string(step) + " ";
+          ASSERT_TRUE(SameBits(users, full_users)) << what << "users";
+          ASSERT_TRUE(SameBits(items, full_items)) << what << "items";
+        }
+      }
+    }
+  }
+  SetNumThreads(saved_threads);
 }
 
 // Once the first step has sized the channel's buffers, a step allocates

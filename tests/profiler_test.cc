@@ -241,6 +241,54 @@ TEST_F(ProfilerTest, ClearProfileDropsStatsAndOrphanedExits) {
   EXPECT_EQ(root.children[0].calls, 1u);
 }
 
+// One profiled FitEpoch puts each stage of a training step directly under
+// fit_epoch, with every SpMM inside the GCN passes; the call counts are
+// those of the step's structure (two channels, three leaf tables stepped
+// by RSGD on the channels and one Poincaré tag table).
+TEST_F(ProfilerTest, FitEpochNestsTheStageSpans) {
+  SyntheticConfig data_cfg;
+  data_cfg.num_users = 80;
+  data_cfg.num_items = 150;
+  data_cfg.num_tags = 16;
+  data_cfg.seed = 29;
+  const DataSplit split = TemporalSplit(GenerateSynthetic(data_cfg));
+  ModelConfig cfg;
+  cfg.dim = 16;
+  cfg.tag_dim = 6;
+  cfg.batches_per_epoch = 3;
+  cfg.batch_size = 64;
+  cfg.seed = 31;
+  TaxoRecModel model(cfg, TaxoRecOptions{});
+  Rng rng(cfg.seed);
+  model.BeginFit(split, &rng);
+  StartProfiling();
+  model.FitEpoch(split, 0, &rng);
+  StopProfiling();
+
+  const ProfileNode root = MergedProfile();
+  const ProfileNode* epoch = Child(root, "fit_epoch");
+  ASSERT_NE(epoch, nullptr);
+  const uint64_t steps = cfg.batches_per_epoch;
+  const std::map<std::string, uint64_t> calls_per_step = {
+      {"tag_agg_fwd", 1}, {"logmap", 4},         {"gcn_fwd", 2},
+      {"expmap", 4},      {"triplet_fanout", 2}, {"grad_reduce", 1},
+      {"gcn_bwd", 2},     {"rsgd", 4},           {"tag_agg_bwd", 1},
+      {"taxo_reg", 1}};
+  for (const auto& [site, calls] : calls_per_step) {
+    const ProfileNode* node = Child(*epoch, site);
+    ASSERT_NE(node, nullptr) << site;
+    EXPECT_EQ(node->calls, calls * steps) << site;
+  }
+  EXPECT_EQ(Child(*epoch, "spmm"), nullptr);
+  // Two SpMMs per layer and channel, each way.
+  const uint64_t spmm_calls = 2 * 2 * cfg.gcn_layers * steps;
+  for (const char* pass : {"gcn_fwd", "gcn_bwd"}) {
+    const ProfileNode* spmm = Child(*Child(*epoch, pass), "spmm");
+    ASSERT_NE(spmm, nullptr) << pass;
+    EXPECT_EQ(spmm->calls, spmm_calls) << pass;
+  }
+}
+
 TEST_F(ProfilerTest, ArmedProfilingKeepsTrainingBitIdentical) {
   SyntheticConfig data_cfg;
   data_cfg.num_users = 80;
